@@ -7,8 +7,13 @@
 //! * maximal clique extraction (linear-path for chordal graphs,
 //!   Bron–Kerbosch as a general oracle),
 //! * clique trees and the minimal separators of a chordal graph
-//!   (Kumar–Madhavan, Theorem 2.2 — used as `ExtractMinSeps` in the
-//!   `Extend` procedure of Figure 3),
+//!   (Kumar–Madhavan, Theorem 2.2),
+//! * the scratch-space `ExtractMinSeps` of the `Extend` procedure
+//!   (Figure 3): [`minimal_separators_with`] reads the same separators
+//!   off one maximum-cardinality search (the clique-generator rule), in
+//!   the same sorted order, with no allocation once warm,
+//! * [`WeightBuckets`], the per-weight bitsets behind that search and
+//!   behind MCS-M's vertex selection,
 //! * chordal treewidth.
 //!
 //! ```
@@ -27,11 +32,13 @@
 //! assert_eq!(forest.minimal_separators().len(), 1);
 //! ```
 
+mod buckets;
 mod cliques;
 mod cliquetree;
 mod peo;
 mod scratch;
 
+pub use buckets::WeightBuckets;
 pub use cliques::{
     maximal_cliques, maximal_cliques_chordal, maximal_cliques_of_chordal, treewidth_of_chordal,
 };

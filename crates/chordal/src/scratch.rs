@@ -1,72 +1,48 @@
-//! Scratch-space mirror of the clique-forest pipeline: maximal cliques →
-//! maximum-weight spanning forest → distinct edge intersections, all into
-//! pooled buffers.
+//! Scratch-space separator extraction for the `Extend` kernel: the
+//! minimal separators of a chordal graph from one maximum-cardinality
+//! search, into pooled buffers.
 //!
 //! [`minimal_separators_with`] visits exactly the sets
-//! [`CliqueForest::minimal_separators`] would return, in the same order,
+//! [`CliqueForest::minimal_separators`] returns, in the same order,
 //! without building a `CliqueForest` and without allocating once the
-//! workspace is warm. The order argument: the final sequence is the
-//! *sorted, deduplicated* list of edge intersections, which depends only
-//! on which spanning-forest edges are accepted — and Kruskal accepts the
-//! same edges here because the `(weight desc, i, j)` keys are pairwise
-//! distinct, so the unstable sort below produces the exact permutation the
-//! stable sort in [`CliqueForest::from_cliques`] does.
+//! workspace is warm. It uses the clique-generator rule of MCS on chordal
+//! graphs (Blair–Peyton; Berry–Pogorelčnik, IPL 2011): number the vertices
+//! by MCS, and whenever a vertex is numbered with a label (its count of
+//! numbered neighbours) no larger than the previous vertex's label, and
+//! that label is positive, its numbered neighbourhood is a minimal
+//! separator. Every minimal separator of the graph appears this way.
+//!
+//! The order argument: a chordal graph has exactly one set of minimal
+//! separators, and both this function and
+//! [`CliqueForest::minimal_separators`] emit it sorted by [`NodeSet`]
+//! order with duplicates removed. Neither the search order nor the
+//! perfect elimination order can show through.
 //!
 //! [`CliqueForest::minimal_separators`]: crate::CliqueForest::minimal_separators
-//! [`CliqueForest::from_cliques`]: crate::CliqueForest::from_cliques
 
+use crate::buckets::WeightBuckets;
 use mintri_graph::{Graph, Node, NodeSet};
 
-/// Reusable workspace for [`minimal_separators_with`]: the `RN(v)` table,
-/// clique pool, weighted clique-graph edges, union-find arrays and the
-/// separator pool. One per worker or sequential stream.
+/// Reusable workspace for [`minimal_separators_with`]: the MCS label
+/// buckets, the numbered set and the separator pool. One per worker or
+/// sequential stream.
 #[derive(Default)]
 pub struct ForestScratch {
-    pos: Vec<usize>,
-    remaining: NodeSet,
-    rn: Vec<NodeSet>,
-    cliques: Vec<NodeSet>,
-    clique_count: usize,
-    weighted: Vec<(usize, u32, u32)>,
-    uf_parent: Vec<u32>,
-    uf_size: Vec<u32>,
+    buckets: WeightBuckets,
+    numbered: NodeSet,
     seps: Vec<NodeSet>,
     sep_count: usize,
     order: Vec<u32>,
 }
 
-/// Union-find find with path halving, on pooled arrays (mirrors
-/// `UnionFind::find` in `cliquetree.rs`).
-fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize];
-        x = parent[x as usize];
-    }
-    x
-}
-
-/// Union by size, `>=` keeping the first root on ties (mirrors
-/// `UnionFind::union`). Returns `false` if already united.
-fn uf_union(parent: &mut [u32], size: &mut [u32], a: u32, b: u32) -> bool {
-    let (ra, rb) = (uf_find(parent, a), uf_find(parent, b));
-    if ra == rb {
-        return false;
-    }
-    let (big, small) = if size[ra as usize] >= size[rb as usize] {
-        (ra, rb)
-    } else {
-        (rb, ra)
-    };
-    parent[small as usize] = big;
-    size[big as usize] += size[small as usize];
-    true
-}
-
-/// The minimal separators of the chordal graph `g` with perfect
-/// elimination order `peo`, visited in the order
+/// The minimal separators of the chordal graph `g`, visited in the order
 /// `CliqueForest::build_with_peo(g, peo).minimal_separators()` would
-/// return them. `emit` borrows each separator; callers that need to keep
-/// one clone (or intern) it.
+/// return them: sorted, without duplicates. `emit` borrows each
+/// separator; callers that need to keep one clone (or intern) it.
+///
+/// `peo` is unused: the separators are read off a maximum-cardinality
+/// search of `g`, which needs no elimination order. The argument stays so
+/// callers holding one keep a stable signature.
 pub fn minimal_separators_with(
     g: &Graph,
     peo: &[Node],
@@ -75,78 +51,34 @@ pub fn minimal_separators_with(
 ) {
     let n = g.num_nodes();
     debug_assert_eq!(peo.len(), n);
-
-    // --- maximal cliques (mirrors `maximal_cliques_of_chordal`) ---
-    ws.pos.clear();
-    ws.pos.resize(n, 0);
-    for (i, &v) in peo.iter().enumerate() {
-        ws.pos[v as usize] = i;
-    }
-    ws.remaining.reset_full(n);
-    if ws.rn.len() < n {
-        ws.rn.resize_with(n, NodeSet::default);
-    }
-    for &v in peo {
-        ws.remaining.remove(v);
-        let rn_v = &mut ws.rn[v as usize];
-        rn_v.clone_from(g.neighbors(v));
-        rn_v.intersect_with(&ws.remaining);
-    }
-    ws.clique_count = 0;
-    for &v in peo {
-        if ws.cliques.len() == ws.clique_count {
-            ws.cliques.push(NodeSet::default());
-        }
-        // candidate clique C(v) = RN(v) ∪ {v}, built in place
-        ws.cliques[ws.clique_count].clone_from(&ws.rn[v as usize]);
-        ws.cliques[ws.clique_count].insert(v);
-        let cv = &ws.cliques[ws.clique_count];
-        let maximal = g
-            .neighbors(v)
-            .iter()
-            .filter(|&u| ws.pos[u as usize] < ws.pos[v as usize])
-            .all(|u| !ws.rn[u as usize].is_superset(cv));
-        if maximal {
-            ws.clique_count += 1;
-        }
-    }
-
-    // --- maximum-weight spanning forest (mirrors `from_cliques`) ---
-    let k = ws.clique_count;
-    ws.weighted.clear();
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let w = ws.cliques[i].intersection_len(&ws.cliques[j]);
-            if w > 0 {
-                ws.weighted.push((w, i as u32, j as u32));
-            }
-        }
-    }
-    // Kruskal on descending weight, ties by (i, j). The keys are pairwise
-    // distinct, so the unstable sort is deterministic and matches the
-    // stable sort used by `CliqueForest::from_cliques`.
-    ws.weighted
-        .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    ws.uf_parent.clear();
-    ws.uf_parent.extend(0..k as u32);
-    ws.uf_size.clear();
-    ws.uf_size.resize(k, 1);
+    ws.buckets.reset(n);
+    ws.numbered.reset(n);
     ws.sep_count = 0;
-    for idx in 0..ws.weighted.len() {
-        let (_, i, j) = ws.weighted[idx];
-        if uf_union(&mut ws.uf_parent, &mut ws.uf_size, i, j) {
-            // accepted forest edge: record C_i ∩ C_j
+    let mut prev_label = 0;
+    while let Some((v, label)) = ws.buckets.pop_max() {
+        // `v` starts a new maximal clique; the part it shares with the
+        // numbered cliques is a minimal separator (empty between
+        // components, which is not one).
+        if label > 0 && label <= prev_label {
             if ws.seps.len() == ws.sep_count {
                 ws.seps.push(NodeSet::default());
             }
-            ws.seps[ws.sep_count].clone_from(&ws.cliques[i as usize]);
-            ws.seps[ws.sep_count].intersect_with(&ws.cliques[j as usize]);
+            let sep = &mut ws.seps[ws.sep_count];
+            sep.clone_from(g.neighbors(v));
+            sep.intersect_with(&ws.numbered);
             ws.sep_count += 1;
+        }
+        prev_label = label;
+        ws.numbered.insert(v);
+        for u in g.neighbors(v).iter() {
+            if !ws.numbered.contains(u) {
+                ws.buckets.increment(u);
+            }
         }
     }
 
-    // --- distinct intersections, sorted by set content (mirrors
-    // `minimal_separators`: sort + dedup; the edge order never shows) ---
+    // --- distinct separators, sorted by set content (mirrors
+    // `minimal_separators`: sort + dedup) ---
     ws.order.clear();
     ws.order.extend(0..ws.sep_count as u32);
     let seps = &ws.seps;
@@ -167,8 +99,12 @@ pub fn minimal_separators_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peo::perfect_elimination_order;
+    use crate::peo::{is_perfect_elimination_order, perfect_elimination_order};
     use crate::CliqueForest;
+    use mintri_workloads::random::erdos_renyi;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_matches_forest(g: &Graph, ws: &mut ForestScratch) {
         let peo = perfect_elimination_order(g).expect("test graphs are chordal");
@@ -209,6 +145,54 @@ mod tests {
             Graph::new(3),
         ] {
             assert_matches_forest(&g, &mut ws);
+        }
+    }
+
+    /// The elimination game: eliminating `order` front to back and
+    /// saturating each vertex's later neighbourhood yields a chordal
+    /// supergraph of `g` with `order` as a perfect elimination order.
+    fn eliminate(g: &Graph, order: &[Node]) -> Graph {
+        let mut h = g.clone();
+        let mut remaining = NodeSet::full(g.num_nodes());
+        for &v in order {
+            remaining.remove(v);
+            let later = h.neighbors(v).intersection(&remaining);
+            h.saturate(&later);
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The extraction does not depend on the elimination order: on a
+        /// chordal graph built from a *random* order (not an MCS-M one),
+        /// with that order handed in, it emits exactly the clique
+        /// forest's separators. Sizes up to 150 cover 1-, 2- and 3-word
+        /// bitsets; one workspace is shared across cases.
+        #[test]
+        fn separators_match_clique_forest_under_random_peos(
+            n in 0usize..150,
+            percent in 1u64..30,
+            seed in any::<u64>(),
+        ) {
+            let g = erdos_renyi(n, percent as f64 / 100.0, seed);
+            let mut order: Vec<Node> = (0..n as Node).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let h = eliminate(&g, &order);
+            prop_assert!(is_perfect_elimination_order(&h, &order));
+            let expected = CliqueForest::build_with_peo(&h, &order).minimal_separators();
+            let mut got = Vec::new();
+            thread_local! {
+                static WS: std::cell::RefCell<ForestScratch> = Default::default();
+            }
+            WS.with(|ws| {
+                minimal_separators_with(&h, &order, &mut ws.borrow_mut(), |s| got.push(s.clone()))
+            });
+            prop_assert_eq!(got, expected);
         }
     }
 }

@@ -46,7 +46,7 @@ pub struct ExtendScratch {
     members: Vec<Node>,
     /// MCS-M workspace: fill edges and the elimination order land here.
     tri: TriScratch,
-    /// Kumar–Madhavan separator-extraction workspace.
+    /// Separator-extraction workspace (one MCS over the chordal result).
     forest: ForestScratch,
     /// BFS buffers for crossing (component-count) tests.
     bfs: BfsScratch,
@@ -272,9 +272,10 @@ impl<'g> MsGraph<'g> {
             // The backend wrote fill + PEO into the workspace: add the
             // fill in place (`g[φ]` is not needed again this call, which
             // saves the full graph clone the allocating path pays) and
-            // read the separators straight off the elimination order.
-            // `minimal_separators_with` emits the same sets in the same
-            // order as `CliqueForest::minimal_separators`, so the interned
+            // read the separators off one MCS of the chordal result.
+            // A chordal graph has one set of minimal separators, and
+            // `minimal_separators_with` emits it sorted, exactly as
+            // `CliqueForest::minimal_separators` does, so the interned
             // ids — and hence the enumeration order — are identical.
             for &(u, v) in &ws.tri.fill {
                 ws.gphi.add_edge(u, v);
@@ -369,7 +370,8 @@ impl Sgr for MsGraph<'_> {
     /// The `Extend` procedure (Figure 3): saturate `φ`, triangulate with the
     /// black box (plus the sandwich step unless the backend guarantees
     /// minimality), and read the maximal parallel set off the minimal
-    /// separators of the chordal result (Kumar–Madhavan extraction).
+    /// separators of the chordal result (clique-forest extraction,
+    /// Kumar–Madhavan).
     fn extend(&self, base: &[SepId]) -> Vec<SepId> {
         self.stats.extends.fetch_add(1, Ordering::Relaxed);
         let gphi = self.saturate_answer(base);

@@ -95,6 +95,9 @@ pub use mintri_core::query::{
     QueryItem, QueryOutcome, Response, Task,
 };
 
+use mintri_telemetry::Gauge;
+use std::sync::Arc;
+
 /// Configuration shared by [`Engine`] and [`ParallelEnumerator`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -109,6 +112,13 @@ pub struct EngineConfig {
     /// the least recently used session (memo tables + cached answers) is
     /// dropped. Minimum 1.
     pub max_sessions: usize,
+    /// Live worker threads of the parallel drivers built from this
+    /// config: a worker raises it when spawned and lowers it as it exits,
+    /// so it reads 0 once every driver has joined its workers. Clones of
+    /// a config share one gauge; an [`Engine`] swaps in its registered
+    /// `mintri_engine_threads_live` gauge
+    /// ([`EngineTelemetry::threads_live`]).
+    pub threads_live: Arc<Gauge>,
 }
 
 impl Default for EngineConfig {
@@ -118,6 +128,7 @@ impl Default for EngineConfig {
             delivery: Delivery::Unordered,
             channel_capacity: 256,
             max_sessions: 64,
+            threads_live: Arc::default(),
         }
     }
 }

@@ -29,7 +29,7 @@
 //! closure is complete — exactly the condition under which the sequential
 //! loop's queue runs dry with no nodes left to pull.
 
-use crate::pool::WorkPool;
+use crate::pool::{LiveThread, WorkPool};
 use crate::sched::{Backoff, Idle, Scheduler};
 use crate::{Delivery, EngineConfig};
 use mintri_core::{MsGraph, MsGraphStats, SepId};
@@ -462,9 +462,13 @@ impl UnorderedStream {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
+                let live = LiveThread::new(&config.threads_live);
                 std::thread::Builder::new()
                     .name(format!("mintri-enum-{i}"))
-                    .spawn(move || unordered_worker(&shared, i, tx))
+                    .spawn(move || {
+                        let _live = live;
+                        unordered_worker(&shared, i, tx)
+                    })
                     .expect("spawning enumeration worker")
             })
             .collect();
@@ -541,7 +545,7 @@ impl DeterministicDriver {
     fn new(ms: Arc<MsGraph<'static>>, config: &EngineConfig, mode: PrintMode) -> Self {
         DeterministicDriver {
             frontier: Frontier::new(ms, mode),
-            pool: WorkPool::new(config.resolved_threads()),
+            pool: WorkPool::with_live_gauge(config.resolved_threads(), &config.threads_live),
             threads: config.resolved_threads(),
             scratches: Arc::new(Mutex::new(Vec::new())),
             local: Workspace::default(),

@@ -11,10 +11,29 @@
 //! deterministic driver needs.
 
 use crate::sched::{Idle, Scheduler};
+use mintri_telemetry::Gauge;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// One worker's share of a live-thread gauge: raised when created by the
+/// spawning thread, lowered when dropped. Moved into the worker's
+/// closure, it is dropped as the worker exits, before `join` returns.
+pub(crate) struct LiveThread(Arc<Gauge>);
+
+impl LiveThread {
+    pub(crate) fn new(gauge: &Arc<Gauge>) -> Self {
+        gauge.add(1);
+        LiveThread(Arc::clone(gauge))
+    }
+}
+
+impl Drop for LiveThread {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
 
 /// A fixed-size work-stealing pool; dropping it joins all workers
 /// (pending never-started jobs are discarded).
@@ -26,16 +45,26 @@ pub struct WorkPool {
 impl WorkPool {
     /// A pool with `threads` workers (at least one).
     pub fn new(threads: usize) -> Self {
+        Self::with_live_gauge(threads, &Arc::default())
+    }
+
+    /// [`WorkPool::new`] whose workers are counted in `live`: each one
+    /// raises it at spawn and lowers it as it exits.
+    pub fn with_live_gauge(threads: usize, live: &Arc<Gauge>) -> Self {
         let sched = Arc::new(Scheduler::new(threads.max(1)));
         let handles = (0..sched.stripes())
             .map(|i| {
                 let sched = Arc::clone(&sched);
+                let live = LiveThread::new(live);
                 std::thread::Builder::new()
                     .name(format!("mintri-engine-{i}"))
                     // Pure condvar park (no backoff): every job arrives
                     // through the scheduler's push, so the under-gate
                     // re-check covers all wake-up sources.
-                    .spawn(move || sched.worker_loop(i, None, |job: Job| job(), || Idle::Park))
+                    .spawn(move || {
+                        let _live = live;
+                        sched.worker_loop(i, None, |job: Job| job(), || Idle::Park)
+                    })
                     .expect("spawning engine worker")
             })
             .collect();
@@ -168,6 +197,15 @@ mod tests {
     }
 
     use std::time::Duration;
+
+    #[test]
+    fn live_gauge_counts_workers_until_drop() {
+        let live = Arc::new(Gauge::new());
+        let pool = WorkPool::with_live_gauge(3, &live);
+        assert_eq!(live.get(), 3);
+        drop(pool);
+        assert_eq!(live.get(), 0);
+    }
 
     #[test]
     fn drop_joins_cleanly_with_queued_work() {

@@ -569,9 +569,11 @@ impl Engine {
         Self::with_config(EngineConfig::default())
     }
 
-    /// Engine with an explicit configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
+    /// Engine with an explicit configuration. The config's
+    /// `threads_live` gauge is replaced by the engine's registered one.
+    pub fn with_config(mut config: EngineConfig) -> Self {
         let telemetry = EngineTelemetry::new(Arc::new(Registry::new()));
+        config.threads_live = Arc::clone(&telemetry.threads_live);
         let profiler = Arc::new(Profiler::new().instrumented(ProfilerInstruments {
             runs_recorded: Arc::clone(&telemetry.profile_runs_recorded),
             persists: Arc::clone(&telemetry.profile_persists),

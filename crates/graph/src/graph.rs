@@ -193,20 +193,24 @@ impl Graph {
     /// [`Graph::saturate`] with a caller-supplied member buffer, so the
     /// saturation loop of `Extend` allocates nothing once the buffer is
     /// warm. `members` is overwritten with the clique's sorted node list.
+    ///
+    /// Word-parallel: each member's row gains the whole clique at once
+    /// (`adj[u] |= clique`, then the self bit is cleared), and the edge
+    /// count follows from the rows' popcount growth.
     pub fn saturate_with(&mut self, clique: &NodeSet, members: &mut Vec<Node>) -> usize {
-        let mut added = 0;
         members.clear();
         members.extend(clique.iter());
-        // Index-based so `members` stays borrowed immutably while
-        // `add_edge` borrows `self` mutably.
-        for i in 0..members.len() {
-            let u = members[i];
-            for &v in &members[i + 1..] {
-                if self.add_edge(u, v) {
-                    added += 1;
-                }
-            }
+        let mut gained = 0;
+        for &u in members.iter() {
+            let row = &mut self.adj[u as usize];
+            let before = row.len();
+            row.union_with(clique);
+            row.remove(u);
+            gained += row.len() - before;
         }
+        // every new edge grew both of its endpoints' rows
+        let added = gained / 2;
+        self.num_edges += added;
         added
     }
 
@@ -313,6 +317,7 @@ impl fmt::Debug for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn build_and_query() {
@@ -421,5 +426,41 @@ mod tests {
         assert!(g.is_clique(&NodeSet::from_iter(4, [0, 1, 2, 3])));
         assert!(g.is_clique(&NodeSet::from_iter(4, [2])));
         assert!(g.is_clique(&NodeSet::new(4)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Word-parallel saturation equals adding the clique's missing
+        /// edges one pair at a time: same graph, same edge count, same
+        /// "added" count. Sizes up to 150 cover multi-word rows.
+        #[test]
+        fn saturate_with_matches_pairwise_insertion(
+            n in 1usize..150,
+            edges in proptest::collection::vec((0u32..150, 0u32..150), 0..400),
+            members in proptest::collection::vec(0u32..150, 0..40),
+        ) {
+            let n32 = n as Node;
+            let edges: Vec<(Node, Node)> = edges
+                .into_iter()
+                .map(|(u, v)| (u % n32, v % n32))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let clique = NodeSet::from_iter(n, members.into_iter().map(|v| v % n32));
+            let mut pairwise = Graph::from_edges(n, &edges);
+            let mut word = pairwise.clone();
+            let list = clique.to_vec();
+            let mut expected_added = 0;
+            for (i, &u) in list.iter().enumerate() {
+                for &v in &list[i + 1..] {
+                    expected_added += usize::from(pairwise.add_edge(u, v));
+                }
+            }
+            let mut buf = vec![7];
+            prop_assert_eq!(word.saturate_with(&clique, &mut buf), expected_added);
+            prop_assert_eq!(buf, list);
+            prop_assert_eq!(word.num_edges(), pairwise.num_edges());
+            prop_assert_eq!(word, pairwise);
+        }
     }
 }

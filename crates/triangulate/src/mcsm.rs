@@ -11,7 +11,7 @@
 //! order of it.
 
 use crate::types::{TriScratch, Triangulation, Triangulator};
-use mintri_graph::{Graph, Node};
+use mintri_graph::Graph;
 
 /// The MCS-M minimal triangulation algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,7 +37,9 @@ impl Triangulator for McsM {
 }
 
 /// Runs MCS-M on `g`, returning a minimal triangulation together with its
-/// perfect elimination order. `O(n·m)` overall.
+/// perfect elimination order. `O(n²·⌈n/64⌉)` word operations overall (see
+/// [`mcs_m_into`]). The fill edges come out grouped by the step that added
+/// them, in step order, and ascending within one step.
 pub fn mcs_m(g: &Graph) -> Triangulation {
     let mut ws = TriScratch::default();
     mcs_m_into(g, &mut ws);
@@ -56,70 +58,88 @@ pub fn mcs_m(g: &Graph) -> Triangulation {
 /// into `ws` without building the chordal graph (callers that need it add
 /// `ws.fill` to their own copy). Allocation-free once the workspace has
 /// seen a graph at least this large.
+///
+/// Each step works a word at a time. The next vertex `v` is the lowest
+/// set bit of the top weight level (max weight, then smallest id). The
+/// vertices it raises are found by growing a reach set from `N(v)`
+/// through weight thresholds in ascending order: at threshold `t`, every
+/// reached vertex of weight `< t` joins the component `C` of `v` and adds
+/// its neighbourhood to the reach set, until nothing new is reached; then
+/// every reached vertex of weight exactly `t` qualifies. So `u` qualifies
+/// iff some `v`–`u` path runs through unnumbered vertices lighter than
+/// `u` only, which is the MCS-M rule. The search stops early once no
+/// heavier vertex is reached (none can qualify any more) or every heavier
+/// vertex is (all of them qualify). A step costs `O(n)` word operations
+/// per bitset word: at most `n` thresholds and `n` absorbed vertices.
 pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
     let n = g.num_nodes();
     ws.fill.clear();
     ws.peo.clear();
-    ws.weight.clear();
-    ws.weight.resize(n, 0);
-    ws.numbered.reset(n);
-    ws.marked.reset(n);
-    // the bucket queues drain fully inside each iteration, so between runs
-    // they are empty and only the outer Vec may need to grow
-    if ws.reach.len() < n + 1 {
-        ws.reach.resize_with(n + 1, Vec::new);
+    ws.buckets.reset(n);
+    ws.unnumbered.reset_full(n);
+    for set in [
+        &mut ws.reach,
+        &mut ws.component,
+        &mut ws.lighter,
+        &mut ws.heavier,
+        &mut ws.fresh,
+        &mut ws.qualified,
+    ] {
+        set.reset(n);
     }
 
-    for _ in 0..n {
-        // choose the unnumbered vertex of maximum weight (smallest id breaks
-        // ties, for determinism)
-        let v = (0..n as Node)
-            .filter(|&u| !ws.numbered.contains(u))
-            .max_by(|&a, &b| {
-                ws.weight[a as usize]
-                    .cmp(&ws.weight[b as usize])
-                    .then(b.cmp(&a))
-            })
-            .expect("an unnumbered vertex exists");
-
-        // Bucketed search computing, for every unnumbered u, the minimum over
-        // all v-u paths (through unnumbered vertices) of the maximum
-        // intermediate weight. u qualifies iff that minimum is < w(u); direct
-        // neighbors always qualify.
-        ws.marked.clear();
-        ws.marked.insert(v);
+    while let Some((v, _)) = ws.buckets.pop_max() {
+        ws.unnumbered.remove(v);
+        // Intersecting with a weight level keeps unnumbered vertices only,
+        // so `reach` may hold `v` and numbered vertices harmlessly.
+        ws.reach.clone_from(g.neighbors(v));
+        ws.component.clear();
+        ws.lighter.clear();
+        ws.heavier.clone_from(&ws.unnumbered);
         ws.qualified.clear();
-        for u in g.neighbors(v).iter() {
-            if !ws.numbered.contains(u) {
-                ws.marked.insert(u);
-                ws.qualified.push(u);
-                ws.reach[ws.weight[u as usize]].push(u);
-            }
-        }
-        for j in 0..n {
-            while let Some(y) = ws.reach[j].pop() {
-                for z in g.neighbors(y).iter() {
-                    if ws.numbered.contains(z) || ws.marked.contains(z) {
-                        continue;
+        'thresholds: for t in 0..=ws.buckets.top() {
+            if t > 0 && !ws.buckets.level(t - 1).is_empty() {
+                // lighter: weight < t; heavier: weight >= t
+                ws.lighter.union_with(ws.buckets.level(t - 1));
+                ws.heavier.difference_with(ws.buckets.level(t - 1));
+                loop {
+                    if ws.heavier.is_subset(&ws.reach) {
+                        // reach only grows: every heavier vertex will
+                        // qualify at its own threshold
+                        ws.qualified.union_with(&ws.heavier);
+                        break 'thresholds;
                     }
-                    ws.marked.insert(z);
-                    if ws.weight[z as usize] > j {
-                        ws.qualified.push(z);
-                        ws.reach[ws.weight[z as usize]].push(z);
-                    } else {
-                        ws.reach[j].push(z);
+                    ws.fresh.clone_from(&ws.reach);
+                    ws.fresh.intersect_with(&ws.lighter);
+                    ws.fresh.difference_with(&ws.component);
+                    if ws.fresh.is_empty() {
+                        break;
+                    }
+                    ws.component.union_with(&ws.fresh);
+                    for a in ws.fresh.iter() {
+                        ws.reach.union_with(g.neighbors(a));
                     }
                 }
             }
+            // Every reached lighter vertex is in `C` now; with no heavier
+            // one reached, no later threshold can change anything.
+            if !ws.reach.intersects(&ws.heavier) {
+                break;
+            }
+            let level = ws.buckets.level(t);
+            if !level.is_empty() {
+                ws.fresh.clone_from(&ws.reach);
+                ws.fresh.intersect_with(level);
+                ws.qualified.union_with(&ws.fresh);
+            }
         }
 
-        for &u in &ws.qualified {
-            ws.weight[u as usize] += 1;
+        for u in ws.qualified.iter() {
+            ws.buckets.increment(u);
             if !g.has_edge(u, v) {
                 ws.fill.push((u.min(v), u.max(v)));
             }
         }
-        ws.numbered.insert(v);
         ws.peo.push(v);
     }
 
@@ -130,6 +150,109 @@ pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
 mod tests {
     use super::*;
     use mintri_chordal::{is_chordal, is_perfect_elimination_order};
+    use mintri_graph::{Node, NodeSet};
+    use mintri_workloads::random::erdos_renyi;
+    use mintri_workloads::PgmFamily;
+    use proptest::prelude::*;
+
+    /// The bucket-search MCS-M `mcs_m_into` replaced, kept as the oracle
+    /// for its identity tests: an `O(n)` scan picks each vertex, and a
+    /// bucketed search visits neighbours one at a time. Returns the PEO
+    /// and the fill edges in the order this version added them.
+    fn bucket_search_mcs_m(g: &Graph) -> (Vec<Node>, Vec<(Node, Node)>) {
+        let n = g.num_nodes();
+        let mut weight = vec![0usize; n];
+        let mut numbered = NodeSet::new(n);
+        let mut marked = NodeSet::new(n);
+        let mut reach: Vec<Vec<Node>> = vec![Vec::new(); n + 1];
+        let (mut peo, mut fill) = (Vec::new(), Vec::new());
+        for _ in 0..n {
+            let v = (0..n as Node)
+                .filter(|&u| !numbered.contains(u))
+                .max_by(|&a, &b| weight[a as usize].cmp(&weight[b as usize]).then(b.cmp(&a)))
+                .expect("an unnumbered vertex exists");
+            // For every unnumbered u, the minimum over v-u paths through
+            // unnumbered vertices of the maximum intermediate weight; u
+            // qualifies iff that is < w(u). Neighbours always qualify.
+            marked.clear();
+            marked.insert(v);
+            let mut qualified = Vec::new();
+            for u in g.neighbors(v).iter() {
+                if !numbered.contains(u) {
+                    marked.insert(u);
+                    qualified.push(u);
+                    reach[weight[u as usize]].push(u);
+                }
+            }
+            for j in 0..n {
+                while let Some(y) = reach[j].pop() {
+                    for z in g.neighbors(y).iter() {
+                        if numbered.contains(z) || marked.contains(z) {
+                            continue;
+                        }
+                        marked.insert(z);
+                        if weight[z as usize] > j {
+                            qualified.push(z);
+                            reach[weight[z as usize]].push(z);
+                        } else {
+                            reach[j].push(z);
+                        }
+                    }
+                }
+            }
+            for &u in &qualified {
+                weight[u as usize] += 1;
+                if !g.has_edge(u, v) {
+                    fill.push((u.min(v), u.max(v)));
+                }
+            }
+            numbered.insert(v);
+            peo.push(v);
+        }
+        peo.reverse();
+        (peo, fill)
+    }
+
+    /// `mcs_m_into` agrees with the oracle: the same PEO bit for bit and
+    /// the same fill set.
+    fn assert_matches_oracle(g: &Graph, ws: &mut TriScratch) {
+        let (peo, mut fill) = bucket_search_mcs_m(g);
+        mcs_m_into(g, ws);
+        assert_eq!(ws.peo, peo);
+        let mut got = ws.fill.clone();
+        got.sort_unstable();
+        fill.sort_unstable();
+        assert_eq!(got, fill);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random graphs up to 150 vertices (1-, 2- and 3-word bitsets),
+        /// from sparse to dense, through one shared workspace.
+        #[test]
+        fn word_parallel_mcs_m_matches_bucket_search(
+            n in 0usize..150,
+            percent in 1u64..60,
+            seed in any::<u64>(),
+        ) {
+            thread_local! {
+                static WS: std::cell::RefCell<TriScratch> = Default::default();
+            }
+            let g = erdos_renyi(n, percent as f64 / 100.0, seed);
+            WS.with(|ws| assert_matches_oracle(&g, &mut ws.borrow_mut()));
+        }
+    }
+
+    #[test]
+    fn word_parallel_mcs_m_matches_bucket_search_on_paper_families() {
+        let mut ws = TriScratch::default();
+        for family in PgmFamily::ALL {
+            for instance in family.instances(2, 7) {
+                assert_matches_oracle(&instance.graph, &mut ws);
+            }
+        }
+    }
 
     #[test]
     fn chordal_input_gets_no_fill() {

@@ -1,6 +1,7 @@
 //! The triangulation result type and the pluggable `Triangulate` black box
 //! of the paper's `Extend` procedure (Figure 3).
 
+use mintri_chordal::WeightBuckets;
 use mintri_graph::{Graph, Node, NodeSet};
 
 /// The result of triangulating a graph `g`: a chordal supergraph plus the
@@ -77,11 +78,14 @@ pub struct TriScratch {
     /// eliminated first).
     pub peo: Vec<Node>,
     // MCS-M internals (see `mcs_m_into`)
-    pub(crate) weight: Vec<usize>,
-    pub(crate) numbered: NodeSet,
-    pub(crate) marked: NodeSet,
-    pub(crate) reach: Vec<Vec<Node>>,
-    pub(crate) qualified: Vec<Node>,
+    pub(crate) buckets: WeightBuckets,
+    pub(crate) unnumbered: NodeSet,
+    pub(crate) reach: NodeSet,
+    pub(crate) component: NodeSet,
+    pub(crate) lighter: NodeSet,
+    pub(crate) heavier: NodeSet,
+    pub(crate) fresh: NodeSet,
+    pub(crate) qualified: NodeSet,
 }
 
 /// One triangulator shared by many owners (the planning layer hands a

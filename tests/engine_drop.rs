@@ -6,33 +6,28 @@
 //! (from the consumer or from another thread), must end its stream and
 //! join every worker.
 //!
-//! This lives in its own test binary on purpose: the leak check counts
-//! the process's live OS threads via `/proc/self/task`, which is only
-//! meaningful when no sibling test is spinning pools up and down
-//! concurrently.
+//! The leak check reads each run's own `threads_live` gauge
+//! (`EngineConfig::threads_live`; for an `Engine`, its
+//! `mintri_engine_threads_live` metric): every worker raises it at spawn
+//! and lowers it as it exits. Unlike a count of the process's OS
+//! threads, it is blind to sibling tests spinning their own pools up and
+//! down concurrently.
 
 use mintri::core::{CostMeasure, MinimalTriangulationsEnumerator};
 use mintri::engine::{Delivery, Engine, EngineConfig, ParallelEnumerator};
 use mintri::prelude::*;
+use mintri::telemetry::Gauge;
 use mintri::triangulate::McsM;
 use mintri::workloads::random::erdos_renyi;
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Live OS threads of this process; 0 when `/proc` is unavailable (the
-/// assertions degrade to no-ops there).
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
-}
-
-/// Waits (briefly) for the thread count to drop back to `baseline` —
-/// `pthread_join` returns before the kernel reaps the task entry, so a
-/// freshly joined worker can linger in `/proc` for a moment.
-fn settles_to(baseline: usize) -> bool {
+/// Waits (briefly) for a live-thread gauge to return to zero. `Drop`
+/// joins every worker, so it should read zero at once; the grace period
+/// only keeps a slow joiner from reading as a leak.
+fn settles_to_zero(live: &Gauge) -> bool {
     for _ in 0..200 {
-        if live_threads() <= baseline {
+        if live.get() == 0 {
             return true;
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -55,14 +50,18 @@ fn launch(threads: usize) -> (Engine, Graph) {
 #[test]
 fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
         let (engine, g) = launch(4);
+        let live = &engine.telemetry().threads_live;
         let mut response = engine.run(
             &g,
             Query::enumerate().policy(ExecPolicy::fixed().with_threads(4).with_delivery(delivery)),
         );
         assert!(response.next().is_some(), "{delivery:?}: first result");
         assert!(response.next().is_some(), "{delivery:?}: second result");
+        assert!(
+            live.get() > 0,
+            "{delivery:?}: the engine's gauge counts the running workers"
+        );
         response.cancel();
         // The stream must end promptly — not hang, not keep producing.
         assert!(
@@ -74,22 +73,19 @@ fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
         assert!(!outcome.completed, "{delivery:?}: not complete");
         assert_eq!(outcome.produced, 2);
         drop(response);
-        if baseline > 0 {
-            assert!(
-                settles_to(baseline),
-                "{delivery:?}: worker threads leaked after cancel: {} live, baseline {}",
-                live_threads(),
-                baseline
-            );
-        }
+        assert!(
+            settles_to_zero(live),
+            "{delivery:?}: worker threads leaked after cancel: {} still live",
+            live.get()
+        );
     }
 }
 
 #[test]
 fn cross_thread_cancel_unblocks_a_draining_consumer() {
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
         let (engine, g) = launch(4);
+        let live = &engine.telemetry().threads_live;
         // Safety net: if cancellation were broken the budget still ends
         // the run, and the `cancelled` assertion below catches the bug
         // instead of the suite hanging.
@@ -115,20 +111,19 @@ fn cross_thread_cancel_unblocks_a_draining_consumer() {
              (drained {drained} results)"
         );
         drop(response);
-        if baseline > 0 {
-            assert!(
-                settles_to(baseline),
-                "{delivery:?}: worker threads leaked after cross-thread cancel"
-            );
-        }
+        assert!(
+            settles_to_zero(live),
+            "{delivery:?}: worker threads leaked after cross-thread cancel: {} still live",
+            live.get()
+        );
     }
 }
 
 #[test]
 fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
         let (engine, g) = launch(4);
+        let live = &engine.telemetry().threads_live;
         let mut response = engine.run(
             &g,
             Query::enumerate()
@@ -140,20 +135,19 @@ fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
         assert!(!outcome.completed, "{delivery:?}: budget, not completion");
         assert!(!outcome.cancelled, "{delivery:?}");
         drop(response);
-        if baseline > 0 {
-            assert!(
-                settles_to(baseline),
-                "{delivery:?}: worker threads leaked after budget stop"
-            );
-        }
+        assert!(
+            settles_to_zero(live),
+            "{delivery:?}: worker threads leaked after budget stop: {} still live",
+            live.get()
+        );
     }
 }
 
 #[test]
 fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
         let (engine, g) = launch(4);
+        let live = &engine.telemetry().threads_live;
         let mut response = engine.run(
             &g,
             Query::enumerate()
@@ -172,19 +166,18 @@ fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
             "{delivery:?}: the run must have been timeboxed"
         );
         drop(response);
-        if baseline > 0 {
-            assert!(
-                settles_to(baseline),
-                "{delivery:?}: worker threads leaked after timeout"
-            );
-        }
+        assert!(
+            settles_to_zero(live),
+            "{delivery:?}: worker threads leaked after timeout: {} still live",
+            live.get()
+        );
     }
 }
 
 #[test]
 fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
-    let baseline = live_threads();
     let (engine, g) = launch(4);
+    let live = &engine.telemetry().threads_live;
     // Large k so the ranked stream has plenty left to emit when the
     // cancel lands; the results already out are proven winners.
     let mut response = engine.run(
@@ -203,20 +196,17 @@ fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
     assert!(!outcome.completed);
     assert_eq!(outcome.produced, 2);
     drop(response);
-    if baseline > 0 {
-        assert!(
-            settles_to(baseline),
-            "worker threads leaked after mid-ranked cancel: {} live, baseline {}",
-            live_threads(),
-            baseline
-        );
-    }
+    assert!(
+        settles_to_zero(live),
+        "worker threads leaked after mid-ranked cancel: {} still live",
+        live.get()
+    );
 }
 
 #[test]
 fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
-    let baseline = live_threads();
     let (engine, g) = launch(4);
+    let live = &engine.telemetry().threads_live;
     let mut response = engine.run(
         &g,
         Query::best_k(100_000, CostMeasure::Fill)
@@ -228,12 +218,11 @@ fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
     assert!(!outcome.completed, "budget stop, not completion");
     assert!(!outcome.cancelled);
     drop(response);
-    if baseline > 0 {
-        assert!(
-            settles_to(baseline),
-            "worker threads leaked after mid-ranked budget stop"
-        );
-    }
+    assert!(
+        settles_to_zero(live),
+        "worker threads leaked after mid-ranked budget stop: {} still live",
+        live.get()
+    );
 }
 
 proptest! {
@@ -241,7 +230,7 @@ proptest! {
 
     /// Drop either driver after a random prefix of a random-size run:
     /// `Drop` must join every worker (the test hangs on deadlock and the
-    /// thread count exposes a leak) and the prefix itself must be a
+    /// live-thread gauge exposes a leak) and the prefix itself must be a
     /// prefix of the sequential answer set's size.
     #[test]
     fn dropping_either_driver_after_a_random_prefix_is_clean(
@@ -250,35 +239,37 @@ proptest! {
         threads in 1usize..5,
         deterministic in any::<bool>(),
     ) {
-        let baseline = live_threads();
         let g = erdos_renyi(12, 0.3, seed);
         let delivery = if deterministic {
             Delivery::Deterministic
         } else {
             Delivery::Unordered
         };
-        let mut e = ParallelEnumerator::with_config(
-            &g,
-            Box::new(McsM),
-            &EngineConfig {
-                threads,
-                delivery,
-                channel_capacity: 2, // small: exercise workers parked in send()
-                ..EngineConfig::default()
-            },
-        );
+        let config = EngineConfig {
+            threads,
+            delivery,
+            channel_capacity: 2, // small: exercise workers parked in send()
+            ..EngineConfig::default()
+        };
+        let live = &config.threads_live;
+        let mut e = ParallelEnumerator::with_config(&g, Box::new(McsM), &config);
+        // The gauge counts this driver's workers: the deterministic pool
+        // holds all of them until drop; unordered ones may already have
+        // finished.
+        if deterministic {
+            prop_assert_eq!(live.get(), threads as i64);
+        } else {
+            prop_assert!(live.get() <= threads as i64);
+        }
         let taken = e.by_ref().take(prefix).count();
         let total = MinimalTriangulationsEnumerator::new(&g).count();
         prop_assert_eq!(taken, prefix.min(total));
         drop(e); // must join all workers without deadlocking…
-        if baseline > 0 {
-            // …and leave no pool thread behind.
-            prop_assert!(
-                settles_to(baseline),
-                "worker threads leaked: {} live, baseline {}",
-                live_threads(),
-                baseline
-            );
-        }
+        // …and leave no pool thread behind.
+        prop_assert!(
+            settles_to_zero(live),
+            "worker threads leaked: {} still live",
+            live.get()
+        );
     }
 }
