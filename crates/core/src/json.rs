@@ -22,14 +22,15 @@
 //!    budget, delivery, threads, plan, ranked — everything except the
 //!    process-local [`CancelToken`](crate::query::CancelToken), which
 //!    parses fresh), [`graph_to_json`] / [`graph_from_json`] carry the
-//!    full edge list, and [`outcome_json`] / [`response_document`]
+//!    full edge list, [`outcome_json`] / [`response_document`]
 //!    render a [`QueryOutcome`] the way every CLI `--format json`
-//!    command prints it.
+//!    command prints it, and [`enum_stats_json`] /
+//!    [`enum_stats_from_json`] round-trip its `EnumMIS` counters.
 
 use crate::query::{CostMeasure, Delivery, ExecPolicy, Query, QueryOutcome, Task};
 use crate::{EnumerationBudget, TdEnumerationMode};
 use mintri_graph::{Graph, Node};
-use mintri_sgr::PrintMode;
+use mintri_sgr::{EnumMisStats, PrintMode};
 use mintri_telemetry::TraceNode;
 use mintri_triangulate::{CompleteFill, EliminationOrder, LbTriang, LexM, McsM, Triangulator};
 use std::fmt;
@@ -897,15 +898,8 @@ pub fn outcome_json(outcome: &QueryOutcome) -> String {
         }
         None => doc.raw("quality", "null".into()),
     }
-    match outcome.enum_stats {
-        Some(s) => {
-            let mut stats = JsonObject::new();
-            stats.usize("extend_calls", s.extend_calls);
-            stats.usize("edge_queries", s.edge_queries);
-            stats.usize("nodes_generated", s.nodes_generated);
-            stats.usize("answers", s.answers);
-            doc.raw("enum_stats", stats.finish());
-        }
+    match &outcome.enum_stats {
+        Some(s) => doc.raw("enum_stats", enum_stats_json(s)),
         None => doc.raw("enum_stats", "null".into()),
     }
     // Present only on traced queries, so untraced documents are
@@ -914,6 +908,37 @@ pub fn outcome_json(outcome: &QueryOutcome) -> String {
         doc.raw("trace", trace_json(trace));
     }
     doc.finish()
+}
+
+/// Renders `EnumMIS` counters as the `enum_stats` object of
+/// [`outcome_json`].
+pub fn enum_stats_json(s: &EnumMisStats) -> String {
+    let mut stats = JsonObject::new();
+    stats.usize("extend_calls", s.extend_calls);
+    stats.usize("extend_repeats", s.extend_repeats);
+    stats.usize("edge_queries", s.edge_queries);
+    stats.usize("nodes_generated", s.nodes_generated);
+    stats.usize("answers", s.answers);
+    stats.finish()
+}
+
+/// Decodes an `enum_stats` object written by [`enum_stats_json`].
+/// Documents written before `extend_repeats` existed decode it as 0.
+pub fn enum_stats_from_json(v: &JsonValue) -> Result<EnumMisStats, String> {
+    let count = |key: &str| match v.get(key) {
+        Some(n) => n
+            .as_usize()
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+        None if key == "extend_repeats" => Ok(0),
+        None => Err(format!("`enum_stats` lacks `{key}`")),
+    };
+    Ok(EnumMisStats {
+        extend_calls: count("extend_calls")?,
+        extend_repeats: count("extend_repeats")?,
+        edge_queries: count("edge_queries")?,
+        nodes_generated: count("nodes_generated")?,
+        answers: count("answers")?,
+    })
 }
 
 /// Renders a query trace ([`QueryOutcome::trace`]) as a JSON span tree:
@@ -1197,5 +1222,7 @@ mod tests {
             .unwrap()
             .get("min_width")
             .is_some());
+        let stats = v.get("outcome").unwrap().get("enum_stats").unwrap();
+        assert_eq!(enum_stats_from_json(stats).ok(), outcome.enum_stats);
     }
 }

@@ -489,18 +489,15 @@ impl TriangulationStream for ComposedStream<'_> {
     }
 
     /// The per-atom kernel counters, **summed** — `extend_calls`,
-    /// `edge_queries` and `nodes_generated` are the real work totals;
+    /// `extend_repeats`, `edge_queries` and `nodes_generated` are the
+    /// real work totals;
     /// `answers` sums the per-atom answer counts (the *sum* the plan
     /// pays for, not the product it emits). `None` as soon as any atom
     /// stream cannot report (e.g. an unordered parallel run).
     fn enum_stats(&self) -> Option<EnumMisStats> {
         let mut total = EnumMisStats::default();
         for cursor in &self.cursors {
-            let s = cursor.stats()?;
-            total.extend_calls += s.extend_calls;
-            total.edge_queries += s.edge_queries;
-            total.nodes_generated += s.nodes_generated;
-            total.answers += s.answers;
+            total += cursor.stats()?;
         }
         Some(total)
     }

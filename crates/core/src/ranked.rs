@@ -1069,11 +1069,7 @@ impl TriangulationStream for RankedComposed<'_> {
     fn enum_stats(&self) -> Option<EnumMisStats> {
         let mut total = EnumMisStats::default();
         for cursor in &self.cursors {
-            let s = cursor.stats()?;
-            total.extend_calls += s.extend_calls;
-            total.edge_queries += s.edge_queries;
-            total.nodes_generated += s.nodes_generated;
-            total.answers += s.answers;
+            total += cursor.stats()?;
         }
         Some(total)
     }

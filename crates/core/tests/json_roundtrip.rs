@@ -6,12 +6,13 @@
 //! write-only formats.
 
 use mintri_core::json::{
-    graph_from_json, graph_to_json, query_from_json, query_to_json, JsonValue,
+    enum_stats_from_json, enum_stats_json, graph_from_json, graph_to_json, query_from_json,
+    query_to_json, JsonValue,
 };
 use mintri_core::query::{CostMeasure, Delivery, ExecPolicy, Query, Task};
 use mintri_core::{EnumerationBudget, TdEnumerationMode};
 use mintri_graph::Graph;
-use mintri_sgr::PrintMode;
+use mintri_sgr::{EnumMisStats, PrintMode};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -168,5 +169,38 @@ proptest! {
         let back = graph_from_json(&parsed, 64).expect("encoded graphs decode");
         prop_assert_eq!(back.num_nodes(), g.num_nodes());
         prop_assert_eq!(back.edges(), g.edges());
+    }
+
+    #[test]
+    fn enum_stats_json_roundtrip_is_identity(
+        counts in proptest::collection::vec(0usize..1 << 40, 5)
+    ) {
+        let stats = EnumMisStats {
+            extend_calls: counts[0],
+            extend_repeats: counts[1],
+            edge_queries: counts[2],
+            nodes_generated: counts[3],
+            answers: counts[4],
+        };
+        let doc = enum_stats_json(&stats);
+        let parsed = JsonValue::parse(&doc).expect("encoded stats parse");
+        prop_assert_eq!(enum_stats_from_json(&parsed), Ok(stats));
+    }
+}
+
+#[test]
+fn enum_stats_decode_rejects_gaps_and_accepts_older_documents() {
+    let older = r#"{"extend_calls":7,"edge_queries":9,"nodes_generated":3,"answers":2}"#;
+    let stats = enum_stats_from_json(&JsonValue::parse(older).unwrap()).unwrap();
+    assert_eq!((stats.extend_calls, stats.extend_repeats), (7, 0));
+    for bad in [
+        r#"{"extend_calls":7,"edge_queries":9,"nodes_generated":3}"#,
+        r#"{"extend_calls":-1,"extend_repeats":0,"edge_queries":9,"nodes_generated":3,"answers":2}"#,
+        r#"{"extend_calls":7,"extend_repeats":"x","edge_queries":9,"nodes_generated":3,"answers":2}"#,
+    ] {
+        assert!(
+            enum_stats_from_json(&JsonValue::parse(bad).unwrap()).is_err(),
+            "{bad}"
+        );
     }
 }

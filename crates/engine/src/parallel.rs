@@ -8,7 +8,10 @@
 //!
 //! * **Unordered delivery** — dedicated worker threads drive the shared
 //!   striped-deque [`Scheduler`] over `(answer, node)` tasks. A finished
-//!   task's new answer is admitted through a sharded seen-set, paired
+//!   task first builds its `Jv` and claims it in a sharded key set, so
+//!   each distinct `Jv` is extended once (see
+//!   [`Frontier`](mintri_sgr::Frontier)); a new answer is admitted
+//!   through a sharded seen-set, paired
 //!   with every known node under a registry lock (so each pair is
 //!   created exactly once), and streamed to the consumer over a bounded
 //!   channel. Idle workers pull fresh separators from the (mutex-guarded)
@@ -17,7 +20,9 @@
 //! * **Deterministic delivery** — drives the *same*
 //!   [`Frontier`](mintri_sgr::Frontier) state machine as the sequential
 //!   iterator, fanning each drained batch of independent `Extend` calls
-//!   over a [`WorkPool`] and absorbing the results in batch order.
+//!   over a [`WorkPool`] and absorbing the results in batch order. The
+//!   frontier builds every `Jv` and skips repeats before the fan-out, so
+//!   both drivers skip exactly the same pairs.
 //!   Because the schedule lives in one place and `Extend`/the edge
 //!   oracle are pure functions of the input graph, the emitted stream is
 //!   *identical* to [`mintri_core::MinimalTriangulationsEnumerator`]'s —
@@ -35,7 +40,9 @@ use crate::{Delivery, EngineConfig};
 use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashSet, Graph};
 use mintri_separators::MinSepState;
-use mintri_sgr::{EnumMisStats, EvalScratch, ExtendPair, Frontier, PrintMode, Sgr};
+use mintri_sgr::{
+    build_jv, EnumMisStats, EvalScratch, ExtendBatch, Frontier, JvKeys, PrintMode, Sgr,
+};
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -43,7 +50,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Stripes of the concurrent seen-set (answer deduplication).
+/// Stripes of the concurrent seen-set (answer deduplication) and of the
+/// concurrent `Jv` key set (repeat skipping).
 const SEEN_SHARDS: usize = 16;
 
 /// A unit of frontier work: extend `answers[0]` in the direction of
@@ -55,9 +63,9 @@ const BOOTSTRAP: Task = (u32::MAX, u32::MAX);
 /// shared `MsGraph`'s scratch kernel.
 type Workspace = EvalScratch<Arc<MsGraph<'static>>>;
 
-/// One deterministic-driver pool job: evaluate a contiguous chunk of
-/// `ExtendPair`s, yielding each pair's produced answer (or `None`).
-type ChunkJob = Box<dyn FnOnce() -> Vec<Option<Vec<SepId>>> + Send>;
+/// One deterministic-driver pool job: extend a contiguous chunk of a
+/// drained batch's `Jv` sets, yielding each result in batch order.
+type ChunkJob = Box<dyn FnOnce() -> Vec<Vec<SepId>> + Send>;
 
 /// Streaming iterator over all minimal triangulations of a graph,
 /// computed by a pool of work-stealing threads sharing one memoized
@@ -241,6 +249,8 @@ struct UnorderedShared {
     ms: Arc<MsGraph<'static>>,
     sched: Scheduler<Task>,
     seen: Vec<Mutex<FxHashSet<Vec<SepId>>>>,
+    /// Every `Jv` some task has claimed for `Extend`, striped like `seen`.
+    extended: Vec<Mutex<JvKeys<SepId>>>,
     registry: RwLock<Registry>,
     /// The sequential separator source (`A_V`); `None` once exhausted.
     cursor: Mutex<Option<MinSepState>>,
@@ -319,17 +329,25 @@ impl UnorderedShared {
                     reg.nodes[task.1 as usize],
                 )
             };
-            // Same evaluation the sequential frontier runs inline —
-            // `false` when `v ∈ J` made the extension a no-op. Runs
+            // The same `Jv` the sequential frontier builds (nothing when
+            // `v ∈ J`), extended only by the first task to claim it — a
+            // repeat's answer is already admitted or on its way. Runs
             // through the worker's own workspace, so a steady-state task
-            // allocates only when its answer is genuinely new.
-            let pair = ExtendPair {
-                answer: j,
-                direction: Some(v),
-            };
-            if pair.evaluate_with(&self.ms, ws) {
-                self.offer(&mut ws.out, tx);
+            // allocates only when its answer or its `Jv` is new.
+            ws.jv.clear();
+            if !build_jv(&self.ms, &j, &v, &mut ws.sgr, &mut ws.jv) {
+                return;
             }
+            let shard = mintri_core::memo::stripe_of(&ws.jv, SEEN_SHARDS);
+            let claimed = self.extended[shard]
+                .lock()
+                .expect("a worker panicked holding a Jv key shard")
+                .insert(&ws.jv);
+            if !claimed {
+                return;
+            }
+            self.ms.extend_with(&ws.jv, &mut ws.out, &mut ws.sgr);
+            self.offer(&mut ws.out, tx);
         }
     }
 
@@ -450,6 +468,9 @@ impl UnorderedStream {
             seen: (0..SEEN_SHARDS)
                 .map(|_| Mutex::new(FxHashSet::default()))
                 .collect(),
+            extended: (0..SEEN_SHARDS)
+                .map(|_| Mutex::new(JvKeys::default()))
+                .collect(),
             registry: RwLock::new(Registry::default()),
             cursor: Mutex::new(Some(ms.start_nodes())),
             node_iter_done: AtomicBool::new(false),
@@ -520,8 +541,8 @@ impl Drop for UnorderedStream {
 /// queue/processed/seen state here — the frontier is the single source of
 /// truth for the paper's schedule, which is what makes the emitted stream
 /// identical to the sequential enumerator's in both print modes.
-/// Pull-driven — no channel, no resident enumeration threads; work
-/// happens inside `next_answer`.
+/// Pull-driven — no channel; work happens inside `next_answer`, on a
+/// [`WorkPool`] each driver builds for itself and joins on drop.
 struct DeterministicDriver {
     frontier: Frontier<Arc<MsGraph<'static>>>,
     pool: WorkPool,
@@ -530,12 +551,10 @@ struct DeterministicDriver {
     /// and scratch checkout over many pairs.
     threads: usize,
     /// Pool of warm kernel workspaces, checked out per chunk job and
-    /// returned afterwards — the pool's workers are shared across
-    /// drivers, so workspaces cannot live on the worker threads
-    /// themselves.
+    /// returned afterwards: [`WorkPool`] jobs are plain `FnOnce` boxes
+    /// with no worker-local state, so the workspaces travel with the
+    /// jobs. Batches run inline use the frontier's own workspace.
     scratches: Arc<Mutex<Vec<Workspace>>>,
-    /// Workspace for batches evaluated inline on the driver thread.
-    local: Workspace,
     /// External abort (the query layer's cancellation): checked between
     /// batches, so a cancel takes effect at the next emission boundary.
     stop: Arc<AtomicBool>,
@@ -548,52 +567,43 @@ impl DeterministicDriver {
             pool: WorkPool::with_live_gauge(config.resolved_threads(), &config.threads_live),
             threads: config.resolved_threads(),
             scratches: Arc::new(Mutex::new(Vec::new())),
-            local: Workspace::default(),
             stop: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Evaluates one drained batch and absorbs its results in batch
+    /// Extends one drained batch and absorbs its results in batch
     /// order. Small batches (or a single-thread pool) run inline through
-    /// the driver's own workspace; larger ones are split into ≈`threads`
-    /// contiguous, order-preserving chunks so each pool job evaluates
-    /// many pairs against one checked-out workspace.
-    fn evaluate_batch(&mut self, batch: Vec<ExtendPair<SepId>>) {
+    /// the frontier's own workspace; larger ones are split into
+    /// ≈`threads` contiguous, order-preserving chunks so each pool job
+    /// extends many `Jv` sets against one checked-out workspace.
+    fn evaluate_batch(&mut self, batch: ExtendBatch<SepId>) {
         if batch.len() < 2 || self.threads < 2 {
-            let ms = Arc::clone(self.frontier.sgr());
-            for pair in &batch {
-                let produced = pair.evaluate_with(&ms, &mut self.local);
-                self.frontier
-                    .absorb_one(produced.then_some(&mut self.local.out));
-            }
+            self.frontier.extend_inline(batch);
             return;
         }
+        let batch = Arc::new(batch);
         let chunk_len = batch.len().div_ceil(self.threads).max(1);
-        let mut chunks: Vec<Vec<ExtendPair<SepId>>> = Vec::new();
-        let mut rest = batch;
-        while rest.len() > chunk_len {
-            let tail = rest.split_off(chunk_len);
-            chunks.push(std::mem::replace(&mut rest, tail));
-        }
-        chunks.push(rest);
-        let jobs: Vec<ChunkJob> = chunks
-            .into_iter()
-            .map(|chunk| {
+        let jobs: Vec<ChunkJob> = (0..batch.len())
+            .step_by(chunk_len)
+            .map(|start| {
+                let chunk = start..(start + chunk_len).min(batch.len());
+                let batch = Arc::clone(&batch);
                 let ms = Arc::clone(self.frontier.sgr());
                 let scratches = Arc::clone(&self.scratches);
                 Box::new(move || {
                     let mut ws = scratches.lock().unwrap().pop().unwrap_or_default();
                     let results = chunk
-                        .iter()
-                        .map(|pair| pair.evaluate_with(&ms, &mut ws).then(|| ws.out.clone()))
+                        .map(|i| {
+                            ms.extend_with(batch.get(i), &mut ws.out, &mut ws.sgr);
+                            ws.out.clone()
+                        })
                         .collect();
                     scratches.lock().unwrap().push(ws);
                     results
                 }) as ChunkJob
             })
             .collect();
-        let results: Vec<Option<Vec<SepId>>> =
-            self.pool.run_batch(jobs).into_iter().flatten().collect();
+        let results: Vec<Vec<SepId>> = self.pool.run_batch(jobs).into_iter().flatten().collect();
         self.frontier.absorb(results);
     }
 

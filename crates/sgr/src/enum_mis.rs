@@ -20,11 +20,11 @@
 //!
 //! The schedule itself — queue/processed/seen bookkeeping, node-pulling,
 //! the print-mode split — lives in [`Frontier`]; this iterator is the
-//! sequential driver that evaluates each drained batch inline. Parallel
+//! sequential driver that extends each drained batch inline. Parallel
 //! drivers (the engine crate) share the same `Frontier` and differ only
 //! in where the `Extend` calls run.
 
-use crate::frontier::{EvalScratch, Frontier};
+use crate::frontier::Frontier;
 use crate::{EnumMisStats, PrintMode, Sgr};
 
 /// Iterator over all maximal independent sets of an SGR.
@@ -36,11 +36,9 @@ use crate::{EnumMisStats, PrintMode, Sgr};
 /// `EnumMis` owns its SGR; pass `&S` (the blanket `Sgr for &S` impl) to
 /// borrow one instead.
 pub struct EnumMis<S: Sgr> {
-    frontier: Frontier<S>,
-    /// The stream's private evaluation workspace: drained pairs are
-    /// evaluated through it one at a time and absorbed incrementally, so
+    /// The schedule; its own workspace extends each drained batch, so
     /// steady-state iteration allocates only for genuinely new answers.
-    scratch: EvalScratch<S>,
+    frontier: Frontier<S>,
 }
 
 impl<S: Sgr> EnumMis<S> {
@@ -48,7 +46,6 @@ impl<S: Sgr> EnumMis<S> {
     pub fn new(sgr: S, mode: PrintMode) -> Self {
         EnumMis {
             frontier: Frontier::new(sgr, mode),
-            scratch: EvalScratch::default(),
         }
     }
 
@@ -74,11 +71,7 @@ impl<S: Sgr> Iterator for EnumMis<S> {
     fn next(&mut self) -> Option<Vec<S::Node>> {
         while !self.frontier.has_emissions() && !self.frontier.is_complete() {
             let batch = self.frontier.drain_pending();
-            for pair in &batch {
-                let produced = pair.evaluate_with(self.frontier.sgr(), &mut self.scratch);
-                self.frontier
-                    .absorb_one(produced.then_some(&mut self.scratch.out));
-            }
+            self.frontier.extend_inline(batch);
         }
         self.frontier.pop_emission()
     }
@@ -190,6 +183,58 @@ mod tests {
         assert_eq!(sorted.len(), 3);
     }
 
+    /// An SGR that records every `Extend` input it is handed.
+    struct Recording<'g> {
+        inner: ExplicitSgr<'g>,
+        bases: std::cell::RefCell<Vec<Vec<u32>>>,
+    }
+
+    impl Sgr for Recording<'_> {
+        type Node = u32;
+        type NodeCursor = u32;
+        type Scratch = ();
+
+        fn start_nodes(&self) -> u32 {
+            self.inner.start_nodes()
+        }
+
+        fn next_node(&self, cursor: &mut u32) -> Option<u32> {
+            self.inner.next_node(cursor)
+        }
+
+        fn edge(&self, u: &u32, v: &u32) -> bool {
+            self.inner.edge(u, v)
+        }
+
+        fn extend(&self, base: &[u32]) -> Vec<u32> {
+            self.bases.borrow_mut().push(base.to_vec());
+            self.inner.extend(base)
+        }
+    }
+
+    /// Every `Extend` input is sorted and handed out once; the pairs
+    /// whose `Jv` repeats are counted, not extended.
+    #[test]
+    fn each_jv_is_extended_once_and_sorted() {
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]);
+        for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
+            let sgr = Recording {
+                inner: ExplicitSgr::new(&g),
+                bases: Default::default(),
+            };
+            let mut e = EnumMis::new(&sgr, mode);
+            assert_eq!(e.by_ref().count(), 7, "C7 has 7 maximal independent sets");
+            let stats = e.stats();
+            let mut bases = sgr.bases.take();
+            assert_eq!(bases.len(), stats.extend_calls);
+            assert!(bases.iter().all(|b| b.windows(2).all(|w| w[0] < w[1])));
+            bases.sort();
+            bases.dedup();
+            assert_eq!(bases.len(), stats.extend_calls, "a Jv was extended twice");
+            assert!(stats.extend_repeats > 0);
+        }
+    }
+
     /// Driving the `Frontier` by hand (the way an external driver would)
     /// produces the same stream as the `EnumMis` iterator.
     #[test]
@@ -203,7 +248,7 @@ mod tests {
         loop {
             while !frontier.has_emissions() && !frontier.is_complete() {
                 let batch = frontier.drain_pending();
-                let results = batch.iter().map(|p| p.evaluate(&&sgr)).collect();
+                let results = batch.iter().map(|jv| sgr.extend(jv)).collect();
                 frontier.absorb(results);
             }
             match frontier.pop_emission() {

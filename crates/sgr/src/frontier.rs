@@ -5,25 +5,37 @@
 //! the seen-set `Q ∪ P`, the generated node list `V`, node-pulling when
 //! the queue runs dry, revisiting processed answers in the direction of a
 //! newly pulled node, and the `UponGeneration` / `UponPop` printing split
-//! of Section 3.2.2 — but performs **no** `Extend` or edge-oracle calls
-//! itself. Instead it advances in explicit batches:
+//! of Section 3.2.2 — plus the set of `Jv` inputs already sent to
+//! `Extend`. It advances in explicit batches:
 //!
-//! 1. [`Frontier::drain_pending`] moves the schedule to its next step and
-//!    returns that step's independent [`ExtendPair`]s (all directions of
-//!    one popped answer, or one fresh node against every processed
-//!    answer);
-//! 2. the caller evaluates each pair — inline via [`ExtendPair::evaluate`]
-//!    (the sequential [`EnumMis`](crate::EnumMis) iterator) or fanned out
-//!    over a thread pool (the engine's deterministic parallel driver);
+//! 1. [`Frontier::drain_pending`] moves the schedule to its next step,
+//!    builds that step's `Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}` sets (all
+//!    directions of one popped answer, or one fresh node against every
+//!    processed answer) and returns the ones no earlier pair produced as
+//!    an [`ExtendBatch`];
+//! 2. the caller runs `Extend` on each `Jv` — inline via
+//!    [`Frontier::extend_inline`] (the sequential [`EnumMis`](crate::EnumMis)
+//!    iterator) or fanned out over a thread pool (the engine's
+//!    deterministic parallel driver);
 //! 3. [`Frontier::absorb`] feeds the results back **in batch order**,
 //!    which is what keeps every consumer's emission order identical to
 //!    the sequential algorithm.
+//!
+//! **Repeated `Jv` sets are skipped.** Many pairs `(J, v)` produce the
+//! same `Jv`, and `Extend` depends only on the set it is given (see
+//! [`Sgr::extend`]), so a repeat can only rebuild an answer already in
+//! the seen-set. The frontier keys every `Jv` on its *sorted* node list
+//! in a [`JvKeys`] set and hands out only first occurrences, deciding in
+//! `drain_pending` — that is, in absorb order, where the first `Extend`
+//! of a key always precedes its repeats. Skipping therefore changes
+//! neither the answers nor their order, and every driver of the same
+//! frontier skips exactly the same pairs.
 //!
 //! Because the schedule itself lives here once, the sequential iterator
 //! and any parallel driver cannot drift apart: they differ only in *where*
 //! the pure `Extend` calls run.
 
-use crate::Sgr;
+use crate::{JvKeys, Sgr};
 use mintri_graph::FxHashSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -42,9 +54,14 @@ pub enum PrintMode {
 /// Running counters, exposed for the benchmark harness and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnumMisStats {
-    /// Calls to the SGR `extend` operation.
+    /// Calls to the SGR `extend` operation actually made.
     pub extend_calls: usize,
-    /// Calls to the SGR `edge` oracle.
+    /// Pairs whose `Jv` repeated an earlier pair's and so were not
+    /// extended. `extend_calls + extend_repeats` is the `Extend` count of
+    /// the literal Figure 1 loop.
+    pub extend_repeats: usize,
+    /// Calls to the SGR `edge` oracle, including those that built a
+    /// repeated `Jv`.
     pub edge_queries: usize,
     /// Nodes pulled from the SGR node iterator so far (`|V|`).
     pub nodes_generated: usize,
@@ -52,89 +69,107 @@ pub struct EnumMisStats {
     pub answers: usize,
 }
 
-/// One independent unit of `EnumMIS` work: extend the processed answer
-/// `J` in the direction of node `v` (`Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}`,
-/// then `Extend`). The bootstrap `Extend(∅)` call is the pair with an
-/// empty answer and no direction.
+/// Counter-wise sum: how per-atom stats are totalled.
+impl std::ops::AddAssign for EnumMisStats {
+    fn add_assign(&mut self, other: Self) {
+        self.extend_calls += other.extend_calls;
+        self.extend_repeats += other.extend_repeats;
+        self.edge_queries += other.edge_queries;
+        self.nodes_generated += other.nodes_generated;
+        self.answers += other.answers;
+    }
+}
+
+/// Appends `Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}`, sorted, to `jv` for the
+/// sorted answer `J`, making `|J|` edge queries through `scratch`.
+/// Returns `false`, appending nothing and querying nothing, when `v ∈ J`:
+/// the extension would reproduce `J` itself, so lines 11/20 of Figure 1
+/// skip it.
+pub fn build_jv<S: Sgr>(
+    sgr: &S,
+    answer: &[S::Node],
+    v: &S::Node,
+    scratch: &mut S::Scratch,
+    jv: &mut Vec<S::Node>,
+) -> bool {
+    let at = answer.partition_point(|u| u < v);
+    if answer.get(at) == Some(v) {
+        return false;
+    }
+    let (below, above) = answer.split_at(at);
+    jv.extend(
+        below
+            .iter()
+            .filter(|u| !sgr.edge_with(v, u, scratch))
+            .cloned(),
+    );
+    jv.push(v.clone());
+    jv.extend(
+        above
+            .iter()
+            .filter(|u| !sgr.edge_with(v, u, scratch))
+            .cloned(),
+    );
+    true
+}
+
+/// One schedule step's `Extend` inputs: the distinct, never-before-seen
+/// `Jv` sets, each sorted, in absorb order, stored back to back.
 #[derive(Debug, Clone)]
-pub struct ExtendPair<N> {
-    /// `J` — a processed answer, sorted (empty for the bootstrap call).
-    pub answer: Arc<Vec<N>>,
-    /// `v` — the direction node; `None` for the bootstrap call.
-    pub direction: Option<N>,
+pub struct ExtendBatch<N> {
+    nodes: Vec<N>,
+    /// `ends[i]`: one past input `i`'s last node.
+    ends: Vec<usize>,
 }
 
-impl<N: Clone + Ord> ExtendPair<N> {
-    /// Evaluates this pair against `sgr`: `None` when `v ∈ J` (the
-    /// extension would reproduce `J` itself, lines 11/20 skip it),
-    /// otherwise the maximal independent set `Extend(Jv)`.
-    ///
-    /// Pure in the SGR: safe to run on any thread holding (a clone of)
-    /// the SGR, which is exactly how the parallel driver uses it.
-    pub fn evaluate<S: Sgr<Node = N>>(&self, sgr: &S) -> Option<Vec<N>> {
-        let Some(v) = &self.direction else {
-            return Some(sgr.extend(&self.answer));
-        };
-        if self.answer.binary_search(v).is_ok() {
-            return None;
+impl<N> Default for ExtendBatch<N> {
+    fn default() -> Self {
+        ExtendBatch {
+            nodes: Vec::new(),
+            ends: Vec::new(),
         }
-        let mut jv = Vec::with_capacity(self.answer.len() + 1);
-        jv.push(v.clone());
-        for u in self.answer.iter() {
-            if !sgr.edge(v, u) {
-                jv.push(u.clone());
-            }
-        }
-        let k = sgr.extend(&jv);
-        debug_assert!(
-            jv.iter().all(|u| k.contains(u)),
-            "Extend must return a superset of its input"
-        );
-        Some(k)
-    }
-
-    /// [`ExtendPair::evaluate`] through a reusable [`EvalScratch`]:
-    /// returns `true` iff the pair produced an extension, which is then
-    /// in `ws.out`. Identical decisions and identical result contents —
-    /// only the allocations differ (none, once the scratch is warm and
-    /// the SGR kernel is too).
-    pub fn evaluate_with<S: Sgr<Node = N>>(&self, sgr: &S, ws: &mut EvalScratch<S>) -> bool {
-        let Some(v) = &self.direction else {
-            sgr.extend_with(&self.answer, &mut ws.out, &mut ws.sgr);
-            return true;
-        };
-        if self.answer.binary_search(v).is_ok() {
-            return false;
-        }
-        ws.jv.clear();
-        ws.jv.push(v.clone());
-        for u in self.answer.iter() {
-            if !sgr.edge_with(v, u, &mut ws.sgr) {
-                ws.jv.push(u.clone());
-            }
-        }
-        sgr.extend_with(&ws.jv, &mut ws.out, &mut ws.sgr);
-        debug_assert!(
-            ws.jv.iter().all(|u| ws.out.contains(u)),
-            "Extend must return a superset of its input"
-        );
-        true
     }
 }
 
-/// Per-worker evaluation workspace for [`ExtendPair::evaluate_with`]: the
-/// SGR's own kernel scratch plus the `Jv` and result buffers. One per
-/// engine worker or sequential stream, never shared — with a warm
-/// workspace (and an SGR kernel behind it) a steady-state evaluation
-/// performs zero heap allocations.
+impl<N> ExtendBatch<N> {
+    /// Number of `Extend` inputs.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the step needs no `Extend` call.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th `Jv`, sorted.
+    pub fn get(&self, i: usize) -> &[N] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.nodes[start..self.ends[i]]
+    }
+
+    /// Every `Jv` in absorb order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[N]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.ends.clear();
+    }
+}
+
+/// Per-worker evaluation workspace: the SGR's own kernel scratch plus the
+/// `Jv` and result buffers. One per engine worker or sequential stream,
+/// never shared — with a warm workspace (and an SGR kernel behind it) a
+/// steady-state `Jv` build plus `Extend` performs zero heap allocations.
 pub struct EvalScratch<S: Sgr> {
     /// The SGR-specific kernel scratch, forwarded to
     /// [`Sgr::edge_with`] / [`Sgr::extend_with`].
     pub sgr: S::Scratch,
-    /// `Jv` under construction.
-    jv: Vec<S::Node>,
-    /// The extension produced by the last [`ExtendPair::evaluate_with`]
-    /// that returned `true`.
+    /// `Jv` under construction (see [`build_jv`]).
+    pub jv: Vec<S::Node>,
+    /// The last extension produced through this workspace.
     pub out: Vec<S::Node>,
 }
 
@@ -153,7 +188,7 @@ impl<S: Sgr> Default for EvalScratch<S> {
 /// ```text
 /// while !frontier.has_emissions() && !frontier.is_complete() {
 ///     let batch = frontier.drain_pending();
-///     let results = …evaluate each pair, preserving order…;
+///     let results = …Extend each Jv of the batch, preserving order…;
 ///     frontier.absorb(results);
 /// }
 /// frontier.pop_emission()
@@ -171,14 +206,18 @@ pub struct Frontier<S: Sgr> {
     processed: Vec<Arc<Vec<S::Node>>>,
     /// Membership structure for `Q ∪ P` (answers ever created).
     seen: FxHashSet<Arc<Vec<S::Node>>>,
+    /// Every `Jv` handed out so far, sorted.
+    extended: JvKeys<S::Node>,
+    /// The stream's own workspace: builds every `Jv` and runs the
+    /// batches evaluated on the calling thread.
+    ws: EvalScratch<S>,
+    /// The batch under construction; its buffers come back through
+    /// [`Frontier::extend_inline`] for reuse.
+    batch: ExtendBatch<S::Node>,
     /// Answers awaiting emission to the consumer.
     pending: VecDeque<Vec<S::Node>>,
-    /// `|J|` of each pair handed out by the last `drain_pending`,
-    /// awaiting `absorb`/`absorb_one` — all absorption needs for its
-    /// one-to-one check and edge-query accounting, so the pairs
-    /// themselves are not retained. A deque so `absorb_one` can consume
-    /// the batch front-to-back incrementally.
-    in_flight: VecDeque<usize>,
+    /// Size of the last drained batch, awaiting `absorb`.
+    in_flight: usize,
     started: bool,
     complete: bool,
     stats: EnumMisStats,
@@ -197,8 +236,11 @@ impl<S: Sgr> Frontier<S> {
             queue: VecDeque::new(),
             processed: Vec::new(),
             seen: FxHashSet::default(),
+            extended: JvKeys::default(),
+            ws: EvalScratch::default(),
+            batch: ExtendBatch::default(),
             pending: VecDeque::new(),
-            in_flight: VecDeque::new(),
+            in_flight: 0,
             started: false,
             complete: false,
             stats: EnumMisStats::default(),
@@ -232,29 +274,37 @@ impl<S: Sgr> Frontier<S> {
     }
 
     /// Advances the schedule to its next step and returns that step's
-    /// batch of independent extend calls (lines 8–15 on a popped answer,
-    /// lines 16–24 on a freshly pulled node). An empty batch means the
-    /// step produced emissions without extend work, or the schedule is
-    /// complete — re-check [`Frontier::has_emissions`] /
-    /// [`Frontier::is_complete`] and loop.
+    /// batch of independent `Extend` inputs (lines 8–15 on a popped
+    /// answer, lines 16–24 on a freshly pulled node), minus the pairs
+    /// with `v ∈ J` and the pairs whose `Jv` an earlier pair produced. An
+    /// empty batch means the step produced emissions without extend work,
+    /// or the schedule is complete — re-check [`Frontier::has_emissions`]
+    /// / [`Frontier::is_complete`] and loop.
     ///
     /// Every returned batch must be answered by exactly one
-    /// [`Frontier::absorb`] call before the next `drain_pending`.
-    pub fn drain_pending(&mut self) -> Vec<ExtendPair<S::Node>> {
-        assert!(
-            self.in_flight.is_empty(),
+    /// [`Frontier::absorb`] (or [`Frontier::extend_inline`]) call before
+    /// the next `drain_pending`.
+    pub fn drain_pending(&mut self) -> ExtendBatch<S::Node> {
+        assert_eq!(
+            self.in_flight, 0,
             "drain_pending called with a batch still in flight; absorb it first"
         );
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        self.fill(&mut batch);
+        self.in_flight = batch.len();
+        batch
+    }
+
+    fn fill(&mut self, batch: &mut ExtendBatch<S::Node>) {
         if self.complete {
-            return Vec::new();
+            return;
         }
         if !self.started {
             // lines 1–3: bootstrap with Extend(∅)
             self.started = true;
-            return self.hand_out(vec![ExtendPair {
-                answer: Arc::new(Vec::new()),
-                direction: None,
-            }]);
+            self.push_jv(batch, &[], None);
+            return;
         }
         loop {
             if let Some(j) = self.queue.pop_front() {
@@ -264,112 +314,118 @@ impl<S: Sgr> Frontier<S> {
                     self.stats.answers += 1;
                 }
                 self.processed.push(Arc::clone(&j));
-                let batch: Vec<ExtendPair<S::Node>> = self
-                    .nodes
-                    .iter()
-                    .map(|v| ExtendPair {
-                        answer: Arc::clone(&j),
-                        direction: Some(v.clone()),
-                    })
-                    .collect();
-                if batch.is_empty() && self.pending.is_empty() {
-                    continue; // nothing to extend toward yet; keep popping
+                let nodes = std::mem::take(&mut self.nodes);
+                for v in &nodes {
+                    self.push_jv(batch, &j, Some(v));
                 }
-                return self.hand_out(batch);
+                self.nodes = nodes;
+                if batch.is_empty() && self.pending.is_empty() {
+                    continue; // nothing new to extend toward; keep popping
+                }
+                return;
             }
             // lines 16–24: queue is dry — pull the next node
             if self.node_iter_done {
                 self.complete = true;
-                return Vec::new();
+                return;
             }
             match self.sgr.next_node(&mut self.cursor) {
                 None => {
                     self.node_iter_done = true;
                     self.complete = true;
-                    return Vec::new();
+                    return;
                 }
                 Some(v) => {
-                    self.nodes.push(v.clone());
                     self.stats.nodes_generated += 1;
-                    let batch: Vec<ExtendPair<S::Node>> = self
-                        .processed
-                        .iter()
-                        .map(|j| ExtendPair {
-                            answer: Arc::clone(j),
-                            direction: Some(v.clone()),
-                        })
-                        .collect();
-                    if batch.is_empty() {
-                        continue; // no processed answers yet (unreachable post-bootstrap)
+                    let processed = std::mem::take(&mut self.processed);
+                    for j in &processed {
+                        self.push_jv(batch, j, Some(&v));
                     }
-                    return self.hand_out(batch);
+                    self.processed = processed;
+                    self.nodes.push(v);
+                    if batch.is_empty() {
+                        continue; // nothing new to extend; pull on
+                    }
+                    return;
                 }
             }
         }
     }
 
-    fn hand_out(&mut self, batch: Vec<ExtendPair<S::Node>>) -> Vec<ExtendPair<S::Node>> {
-        self.in_flight = batch.iter().map(|pair| pair.answer.len()).collect();
-        batch
+    /// Appends the pair `(J, v)`'s `Jv` to `batch` unless `v ∈ J` or an
+    /// earlier pair — in this batch or a previous one — produced the same
+    /// set. `None` is the bootstrap direction (`Jv = ∅`).
+    fn push_jv(
+        &mut self,
+        batch: &mut ExtendBatch<S::Node>,
+        answer: &[S::Node],
+        v: Option<&S::Node>,
+    ) {
+        let start = batch.nodes.len();
+        if let Some(v) = v {
+            if !build_jv(&self.sgr, answer, v, &mut self.ws.sgr, &mut batch.nodes) {
+                return;
+            }
+            self.stats.edge_queries += answer.len();
+        }
+        if self.extended.insert(&batch.nodes[start..]) {
+            batch.ends.push(batch.nodes.len());
+        } else {
+            batch.nodes.truncate(start);
+            self.stats.extend_repeats += 1;
+        }
     }
 
-    /// Feeds back the results of the last drained batch, **in batch
-    /// order** (`None` where `v ∈ J` skipped the call). Registers each
-    /// new maximal independent set exactly once and counts the stats the
-    /// evaluations imply: one `extend` per `Some`, plus its `|J|` edge
-    /// queries.
-    pub fn absorb(&mut self, results: Vec<Option<Vec<S::Node>>>) {
+    /// Runs `Extend` on every `Jv` of the last drained batch on the
+    /// calling thread, through the frontier's own workspace, absorbing
+    /// each result in batch order as it lands. Duplicate answers — the
+    /// overwhelming majority in steady state — absorb without allocating.
+    pub fn extend_inline(&mut self, batch: ExtendBatch<S::Node>) {
         assert_eq!(
-            self.in_flight.len(),
+            self.in_flight,
+            batch.len(),
+            "extend_inline must answer the drained batch"
+        );
+        for jv in batch.iter() {
+            self.sgr.extend_with(jv, &mut self.ws.out, &mut self.ws.sgr);
+            debug_assert!(
+                jv.iter().all(|u| self.ws.out.contains(u)),
+                "Extend must return a superset of its input"
+            );
+            let mut out = std::mem::take(&mut self.ws.out);
+            self.absorb_one(&mut out);
+            self.ws.out = out;
+        }
+        self.in_flight = 0;
+        self.batch = batch;
+    }
+
+    /// Feeds back the `Extend` results of the last drained batch, one per
+    /// `Jv`, **in batch order**. Registers each new maximal independent
+    /// set exactly once.
+    pub fn absorb(&mut self, results: Vec<Vec<S::Node>>) {
+        assert_eq!(
+            self.in_flight,
             results.len(),
             "absorb must answer the drained batch one-to-one"
         );
-        for result in results {
-            let answer_len = self
-                .in_flight
-                .pop_front()
-                .expect("in_flight length checked above");
-            if let Some(answer) = result {
-                self.stats.extend_calls += 1;
-                self.stats.edge_queries += answer_len;
-                self.offer(answer);
-            }
+        for mut answer in results {
+            self.absorb_one(&mut answer);
         }
+        self.in_flight = 0;
     }
 
-    /// Feeds back **one** result of the drained batch, front-to-back in
-    /// batch order — the incremental sibling of [`Frontier::absorb`].
-    /// `None` where `v ∈ J` skipped the call; otherwise the caller's
-    /// result buffer, which is sorted in place and copied only when the
-    /// answer is genuinely new. Duplicate answers — the overwhelming
-    /// majority in steady state — absorb without allocating.
-    pub fn absorb_one(&mut self, result: Option<&mut Vec<S::Node>>) {
-        let answer_len = self
-            .in_flight
-            .pop_front()
-            .expect("absorb_one called with no drained pair in flight");
-        if let Some(answer) = result {
-            self.stats.extend_calls += 1;
-            self.stats.edge_queries += answer_len;
-            answer.sort_unstable();
-            if self.seen.contains(answer as &Vec<S::Node>) {
-                return;
-            }
-            self.register(Arc::new(answer.clone()));
-        }
-    }
-
-    /// Canonicalizes and registers a freshly created answer; queues it
-    /// and — in `UponGeneration` mode — emits it.
-    fn offer(&mut self, mut answer: Vec<S::Node>) {
+    /// Canonicalizes one `Extend` result in place and registers it if it
+    /// is new; queues it and — in `UponGeneration` mode — emits it. Only
+    /// a new answer is copied, at its exact size, so the caller's buffer
+    /// stays reusable.
+    fn absorb_one(&mut self, answer: &mut Vec<S::Node>) {
+        self.stats.extend_calls += 1;
         answer.sort_unstable();
-        if self.seen.contains(&answer) {
+        if self.seen.contains(answer) {
             return;
         }
-        self.register(Arc::new(answer));
-    }
-
-    fn register(&mut self, answer: Arc<Vec<S::Node>>) {
+        let answer = Arc::new(answer.clone());
         self.seen.insert(Arc::clone(&answer));
         if self.mode == PrintMode::UponGeneration {
             self.pending.push_back((*answer).clone());

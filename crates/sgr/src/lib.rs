@@ -33,13 +33,15 @@
 mod enum_mis;
 mod explicit;
 mod frontier;
+mod jv_keys;
 mod seth;
 
 pub mod bruteforce;
 
 pub use enum_mis::EnumMis;
 pub use explicit::ExplicitSgr;
-pub use frontier::{EnumMisStats, EvalScratch, ExtendPair, Frontier, PrintMode};
+pub use frontier::{build_jv, EnumMisStats, EvalScratch, ExtendBatch, Frontier, PrintMode};
+pub use jv_keys::JvKeys;
 pub use seth::{CnfFormula, SethNode, SethSgr};
 
 use std::hash::Hash;
@@ -54,7 +56,8 @@ use std::hash::Hash;
 /// 2. [`Sgr::edge`] decides adjacency in polynomial time;
 /// 3. every independent set of `G(x)` has size polynomial in `|x|`;
 /// 4. [`Sgr::extend`] grows an independent set into a maximal independent
-///    set containing it, in polynomial time.
+///    set containing it, in polynomial time, and its result depends only
+///    on the *set* it is given.
 pub trait Sgr {
     /// Nodes of the represented graph. Answers are sorted vectors of these.
     type Node: Clone + Eq + Ord + Hash;
@@ -82,6 +85,11 @@ pub trait Sgr {
 
     /// Extends the independent set `base` into a maximal independent set
     /// containing it. `base` is guaranteed independent.
+    ///
+    /// The result must depend only on the set `base` — not on the order
+    /// of its nodes, and not on earlier calls. [`Frontier`] relies on
+    /// this: it extends each distinct `Jv` once, passes it sorted, and
+    /// answers every repeat of that set with the first call's result.
     fn extend(&self, base: &[Self::Node]) -> Vec<Self::Node>;
 
     /// [`Sgr::edge`] through a reusable scratch space. Must return exactly

@@ -23,6 +23,11 @@
 //!   every file write. A query never blocks on `fsync` (and by default
 //!   the worker doesn't fsync either — crash-safety comes from
 //!   publication, not durability-at-all-costs).
+//! * **Graph loads read the store's own writes.** Registry graph puts
+//!   and removals stay in a small in-memory map until the worker has
+//!   handled them, and [`Store::load_graph`] consults it first — so a
+//!   serving layer may age a graph out of RAM the moment it is queued
+//!   and still reload it, without waiting on [`Store::flush`].
 //! * **Crash-safe publication.** The worker writes `.name.tmp` in the
 //!   destination directory, then `rename`s over the final name —
 //!   readers see the old complete file or the new complete file, never
@@ -49,6 +54,7 @@ pub use snapshot::{
     ProfileSnapshot, StoredOrder, HEADER_LEN, MAGIC, VERSION,
 };
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -121,6 +127,16 @@ struct Shared {
     max_disk_bytes: Option<u64>,
     fsync: bool,
     counters: Counters,
+    /// Registry graph puts (`Some(encoded snapshot)`) and removals
+    /// (`None`) the worker has not handled yet, by file name, each with
+    /// the sequence number of its latest queued job.
+    unpublished_graphs: Mutex<UnpublishedGraphs>,
+}
+
+#[derive(Default)]
+struct UnpublishedGraphs {
+    next_seq: u64,
+    by_name: HashMap<String, (u64, Option<Vec<u8>>)>,
 }
 
 enum Job {
@@ -136,6 +152,13 @@ enum Job {
     },
     /// Barrier: ack once every job enqueued before it has been handled.
     Flush(mpsc::SyncSender<()>),
+    /// The graph job with sequence number `seq` ahead of it in the queue
+    /// has been handled: drop its unpublished entry unless a later job
+    /// for the same name replaced it.
+    GraphHandled {
+        name: String,
+        seq: u64,
+    },
 }
 
 const ANSWERS_DIR: &str = "answers";
@@ -166,6 +189,7 @@ impl Store {
             max_disk_bytes: config.max_disk_bytes,
             fsync: config.fsync,
             counters: Counters::default(),
+            unpublished_graphs: Mutex::default(),
         });
         let mut entries = 0u64;
         let mut bytes = 0u64;
@@ -278,19 +302,66 @@ impl Store {
         self.load(PLANS_DIR, &plan_name(fingerprint), PlanSnapshot::decode)
     }
 
-    /// Persists a registry graph under its wire id (write-behind).
+    /// Persists a registry graph under its wire id (write-behind). Until
+    /// the write lands, [`Store::load_graph`] answers from memory.
     pub fn put_graph(&self, snap: &GraphSnapshot) {
-        self.enqueue(Job::Write {
-            subdir: GRAPHS_DIR,
-            name: graph_name(&snap.id),
-            bytes: snap.encode(),
-            overwrite: true,
-        });
+        let name = graph_name(&snap.id);
+        let bytes = snap.encode();
+        self.enqueue_graph_job(
+            name.clone(),
+            Some(bytes.clone()),
+            Job::Write {
+                subdir: GRAPHS_DIR,
+                name,
+                bytes,
+                overwrite: true,
+            },
+        );
     }
 
-    /// Loads the registry graph published under `id`.
+    /// Loads the registry graph under `id`: the latest queued put or
+    /// removal if the worker has not handled it yet, else the published
+    /// file.
     pub fn load_graph(&self, id: &str) -> Option<GraphSnapshot> {
-        self.load(GRAPHS_DIR, &graph_name(id), GraphSnapshot::decode)
+        let name = graph_name(id);
+        let queued = {
+            let unpublished = self
+                .shared
+                .unpublished_graphs
+                .lock()
+                .expect("a thread panicked holding the unpublished-graph map");
+            unpublished
+                .by_name
+                .get(&name)
+                .map(|(_, bytes)| bytes.clone())
+        };
+        let Some(bytes) = queued else {
+            return self.load(GRAPHS_DIR, &name, GraphSnapshot::decode);
+        };
+        let c = &self.shared.counters;
+        c.loads.fetch_add(1, Ordering::Relaxed);
+        let snap = bytes.and_then(|bytes| GraphSnapshot::decode(&bytes).ok());
+        if snap.is_none() {
+            c.load_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        snap
+    }
+
+    /// Records `job` (a put or removal of the graph file `name`) as
+    /// unpublished and queues it, followed by the marker that retires the
+    /// record once handled. The lock spans both sends, so sequence
+    /// numbers follow queue order.
+    fn enqueue_graph_job(&self, name: String, bytes: Option<Vec<u8>>, job: Job) {
+        let mut unpublished = self
+            .shared
+            .unpublished_graphs
+            .lock()
+            .expect("a thread panicked holding the unpublished-graph map");
+        let seq = unpublished.next_seq;
+        unpublished.next_seq += 1;
+        unpublished.by_name.insert(name.clone(), (seq, bytes));
+        self.enqueue(job);
+        self.enqueue(Job::GraphHandled { name, seq });
     }
 
     /// Persists a learned cost profile (write-behind; last write wins —
@@ -315,12 +386,18 @@ impl Store {
         )
     }
 
-    /// Unpublishes the registry graph under `id` (write-behind).
+    /// Unpublishes the registry graph under `id` (write-behind). Loads
+    /// miss from this call on.
     pub fn remove_graph(&self, id: &str) {
-        self.enqueue(Job::Remove {
-            subdir: GRAPHS_DIR,
-            name: graph_name(id),
-        });
+        let name = graph_name(id);
+        self.enqueue_graph_job(
+            name.clone(),
+            None,
+            Job::Remove {
+                subdir: GRAPHS_DIR,
+                name,
+            },
+        );
     }
 
     /// Blocks until every put/remove enqueued before this call has been
@@ -490,6 +567,19 @@ fn handle_job(shared: &Shared, job: Job) {
         }
         Job::Flush(ack) => {
             let _ = ack.send(());
+        }
+        Job::GraphHandled { name, seq } => {
+            let mut unpublished = shared
+                .unpublished_graphs
+                .lock()
+                .expect("a thread panicked holding the unpublished-graph map");
+            if unpublished
+                .by_name
+                .get(&name)
+                .is_some_and(|(s, _)| *s == seq)
+            {
+                unpublished.by_name.remove(&name);
+            }
         }
     }
 }
@@ -779,6 +869,38 @@ mod tests {
         assert_eq!(store.entries(), 0);
         assert_eq!(store.bytes_stored(), 0);
         assert!(store.load_graph("gx").is_none());
+    }
+
+    #[test]
+    fn graph_loads_read_queued_writes_and_removals() {
+        let dir = ScratchDir::new("unpublished");
+        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let snap = GraphSnapshot {
+            id: "gq".into(),
+            nodes: 3,
+            edges: vec![(0, 1), (1, 2)],
+        };
+        // Park the worker on a rendezvous ack, so everything queued
+        // behind it stays unpublished until the ack is taken.
+        let (ack_tx, ack_rx) = mpsc::sync_channel(0);
+        store.enqueue(Job::Flush(ack_tx));
+        store.put_graph(&snap);
+        assert_eq!(store.load_graph("gq"), Some(snap.clone()));
+        store.remove_graph("gq");
+        assert_eq!(store.load_graph("gq"), None);
+        store.put_graph(&snap);
+        assert_eq!(store.entries(), 0, "nothing is published yet");
+        ack_rx.recv().unwrap();
+        store.flush();
+        assert_eq!(store.entries(), 1);
+        assert!(store
+            .shared
+            .unpublished_graphs
+            .lock()
+            .unwrap()
+            .by_name
+            .is_empty());
+        assert_eq!(store.load_graph("gq"), Some(snap));
     }
 
     #[test]
