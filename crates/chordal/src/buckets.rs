@@ -1,8 +1,8 @@
 //! Weight buckets for maximum-cardinality searches: the not-yet-numbered
 //! vertices, one bitset per weight level.
 //!
-//! MCS (separator extraction, [`crate::minimal_separators_with`]) and
-//! MCS-M (triangulation, `mintri_triangulate::mcs_m_into`) both repeatedly
+//! MCS (reference separator extraction, [`crate::minimal_separators_with`])
+//! and MCS-M (triangulation, `mintri_triangulate::mcs_m_into`) both repeatedly
 //! take an unnumbered vertex of maximum weight and then raise the weights
 //! of some other unnumbered vertices. Keeping each level as a [`NodeSet`]
 //! makes the selection a lowest-set-bit lookup on the top level, and lets

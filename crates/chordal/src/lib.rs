@@ -8,10 +8,12 @@
 //!   Bron–Kerbosch as a general oracle),
 //! * clique trees and the minimal separators of a chordal graph
 //!   (Kumar–Madhavan, Theorem 2.2),
-//! * the scratch-space `ExtractMinSeps` of the `Extend` procedure
-//!   (Figure 3): [`minimal_separators_with`] reads the same separators
-//!   off one maximum-cardinality search (the clique-generator rule), in
-//!   the same sorted order, with no allocation once warm,
+//! * [`minimal_separators_with`], the reference scratch-space
+//!   `ExtractMinSeps` of the `Extend` procedure (Figure 3): it reads the
+//!   same separators off one maximum-cardinality search (the
+//!   clique-generator rule), in the same sorted order, with no allocation
+//!   once warm. `Extend` itself now takes them from MCS-M, which applies
+//!   the rule during triangulation (`mintri_triangulate::mcs_m_into`),
 //! * [`WeightBuckets`], the per-weight bitsets behind that search and
 //!   behind MCS-M's vertex selection,
 //! * chordal treewidth.

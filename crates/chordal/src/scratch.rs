@@ -1,6 +1,12 @@
-//! Scratch-space separator extraction for the `Extend` kernel: the
-//! minimal separators of a chordal graph from one maximum-cardinality
-//! search, into pooled buffers.
+//! Scratch-space separator extraction: the minimal separators of a
+//! chordal graph from one maximum-cardinality search, into pooled
+//! buffers.
+//!
+//! This is the reference implementation of the clique-generator rule.
+//! The `Extend` kernel no longer calls it: MCS-M
+//! (`mintri_triangulate::mcs_m_into`) applies the same rule while it
+//! builds the triangulation, and its unit proptests pin that output to
+//! this function's, sequence for sequence.
 //!
 //! [`minimal_separators_with`] visits exactly the sets
 //! [`CliqueForest::minimal_separators`] returns, in the same order,

@@ -17,7 +17,7 @@
 //! layer, across repeated queries on the same graph.
 
 use crate::memo::{ShardedInterner, ShardedPairMemo};
-use mintri_chordal::{minimal_separators_with, CliqueForest, ForestScratch};
+use mintri_chordal::CliqueForest;
 use mintri_graph::traversal::BfsScratch;
 use mintri_graph::{Graph, Node, NodeSet};
 use mintri_separators::{crossing, crossing_with, MinSepState};
@@ -44,10 +44,9 @@ pub struct ExtendScratch {
     seps: Vec<Arc<NodeSet>>,
     /// Clique-member buffer for [`Graph::saturate_with`].
     members: Vec<Node>,
-    /// MCS-M workspace: fill edges and the elimination order land here.
+    /// MCS-M workspace: fill edges, the elimination order and the
+    /// minimal separators of the triangulation land here.
     tri: TriScratch,
-    /// Separator-extraction workspace (one MCS over the chordal result).
-    forest: ForestScratch,
     /// BFS buffers for crossing (component-count) tests.
     bfs: BfsScratch,
 }
@@ -269,22 +268,12 @@ impl<'g> MsGraph<'g> {
         if self.triangulator.guarantees_minimal()
             && self.triangulator.triangulate_into(&ws.gphi, &mut ws.tri)
         {
-            // The backend wrote fill + PEO into the workspace: add the
-            // fill in place (`g[φ]` is not needed again this call, which
-            // saves the full graph clone the allocating path pays) and
-            // read the separators off one MCS of the chordal result.
-            // A chordal graph has one set of minimal separators, and
-            // `minimal_separators_with` emits it sorted, exactly as
-            // `CliqueForest::minimal_separators` does, so the interned
-            // ids — and hence the enumeration order — are identical.
-            for &(u, v) in &ws.tri.fill {
-                ws.gphi.add_edge(u, v);
-            }
-            let (gphi, tri, forest) = (&ws.gphi, &ws.tri, &mut ws.forest);
-            let interner = &self.interner;
-            minimal_separators_with(gphi, &tri.peo, forest, |sep| {
-                out.push(interner.intern_ref(sep));
-            });
+            // The backend wrote `MinSep(h)` into the workspace, sorted and
+            // deduplicated. A chordal graph has one set of minimal
+            // separators and `CliqueForest::minimal_separators` emits it in
+            // the same order, so the interned ids — and hence the
+            // enumeration order — match the allocating path.
+            out.extend(ws.tri.separators().map(|sep| self.interner.intern_ref(sep)));
         } else {
             // Allocating fallback: a black-box backend without a kernel
             // hook (or one that needs the sandwich step).

@@ -14,9 +14,9 @@
 //! `MinSep(g)` (exponential): for any *minimal triangulation* `h` of
 //! `g`, the clique minimal separators of `g` are precisely the minimal
 //! separators of `h` that induce cliques in `g` (Berry, Pogorelčnik,
-//! Simonet 2010). `h` has at most `|V| − 1` minimal separators, read
-//! off its clique forest — so each decomposition step is one MCS-M run
-//! plus a clique-forest extraction, polynomial overall.
+//! Simonet 2010). `h` has at most `|V| − 1` minimal separators, which
+//! MCS-M reports as it builds `h` — so each decomposition step is one
+//! MCS-M run through a workspace reused across steps, polynomial overall.
 //!
 //! ```
 //! use mintri_graph::Graph;
@@ -35,7 +35,7 @@
 
 use mintri_graph::traversal::{components_after_removing, components_within};
 use mintri_graph::{Graph, NodeSet};
-use mintri_triangulate::{minimal_triangulation, McsM};
+use mintri_triangulate::{mcs_m_into, TriScratch};
 
 /// The clique-minimal-separator decomposition of a graph: connected
 /// components, atoms, and the separators the decomposition split on.
@@ -65,30 +65,43 @@ impl AtomDecomposition {
 
 /// A clique minimal separator of `g`, if one exists — found through a
 /// minimal triangulation, never through `MinSep(g)` enumeration. The
-/// choice is canonical (the lexicographically smallest candidate of the
-/// MCS-M triangulation's clique forest), so the decomposition is
-/// deterministic.
+/// choice is canonical (the smallest candidate, in [`NodeSet`] order,
+/// among the minimal separators of the MCS-M triangulation), so the
+/// decomposition is deterministic.
 ///
 /// `g` may be disconnected; only separators of a single component are
 /// returned (the empty set is not a clique separator in this sense —
 /// split disconnected graphs into components first).
 pub fn find_clique_minimal_separator(g: &Graph) -> Option<NodeSet> {
-    let h = minimal_triangulation(g, &McsM);
-    let mut candidates = mintri_chordal::minimal_separators_of_chordal(&h.graph);
-    candidates.sort();
-    candidates.into_iter().find(|s| g.is_clique(s))
+    clique_minimal_separator_with(g, &mut TriScratch::default())
+}
+
+/// [`find_clique_minimal_separator`] through a reusable MCS-M workspace,
+/// whose separators come out sorted: the first clique among them is the
+/// canonical choice.
+fn clique_minimal_separator_with(g: &Graph, ws: &mut TriScratch) -> Option<NodeSet> {
+    mcs_m_into(g, ws);
+    ws.separators().find(|s| g.is_clique(s)).cloned()
 }
 
 /// Computes the full [`AtomDecomposition`] of `g`: connected components
 /// first, then Leimer's recursive split of each component by clique
 /// minimal separators into blocks `C ∪ N(C)` until no clique separator
-/// remains. Polynomial: one MCS-M triangulation per split.
+/// remains. Polynomial: one MCS-M triangulation per split, all through
+/// one workspace.
 pub fn atom_decomposition(g: &Graph) -> AtomDecomposition {
+    let mut ws = TriScratch::default();
+    decompose_by(g, &mut |sub| clique_minimal_separator_with(sub, &mut ws))
+}
+
+/// [`atom_decomposition`] with the clique-minimal-separator finder as a
+/// parameter (the tests run the allocating reference through it).
+fn decompose_by(g: &Graph, find: &mut impl FnMut(&Graph) -> Option<NodeSet>) -> AtomDecomposition {
     let components = components_within(g, &g.node_set());
     let mut atoms = Vec::new();
     let mut separators = Vec::new();
     for comp in &components {
-        decompose_piece(g, comp.clone(), &mut atoms, &mut separators);
+        decompose_piece(g, comp.clone(), find, &mut atoms, &mut separators);
     }
     separators.sort();
     separators.dedup();
@@ -101,9 +114,15 @@ pub fn atom_decomposition(g: &Graph) -> AtomDecomposition {
 
 /// Recursively splits the induced subgraph `g[piece]`, pushing its atoms
 /// and the separators used. `piece` is connected.
-fn decompose_piece(g: &Graph, piece: NodeSet, atoms: &mut Vec<NodeSet>, seps: &mut Vec<NodeSet>) {
+fn decompose_piece(
+    g: &Graph,
+    piece: NodeSet,
+    find: &mut impl FnMut(&Graph) -> Option<NodeSet>,
+    atoms: &mut Vec<NodeSet>,
+    seps: &mut Vec<NodeSet>,
+) {
     let (sub, old_of) = g.induced_subgraph(&piece);
-    let Some(sep_local) = find_clique_minimal_separator(&sub) else {
+    let Some(sep_local) = find(&sub) else {
         atoms.push(piece);
         return;
     };
@@ -114,7 +133,7 @@ fn decompose_piece(g: &Graph, piece: NodeSet, atoms: &mut Vec<NodeSet>, seps: &m
     for comp in components_after_removing(&sub, &sep_local) {
         let mut block = sub.neighborhood_of_set(&comp);
         block.union_with(&comp);
-        decompose_piece(g, lift(&block, &old_of, g.num_nodes()), atoms, seps);
+        decompose_piece(g, lift(&block, &old_of, g.num_nodes()), find, atoms, seps);
     }
 }
 
@@ -128,6 +147,72 @@ fn lift(local: &NodeSet, old_of: &[mintri_graph::Node], n: usize) -> NodeSet {
 mod tests {
     use super::*;
     use crate::all_minimal_separators;
+    use mintri_triangulate::{minimal_triangulation, McsM};
+    use mintri_workloads::random::{chained_cycles, chord_cycle, erdos_renyi};
+    use mintri_workloads::PgmFamily;
+    use proptest::prelude::*;
+
+    /// The allocating finder the workspace one replaced, kept as its
+    /// oracle: one MCS-M triangulation, then the clique forest's minimal
+    /// separators, sorted, and the first that is a clique.
+    fn allocating_clique_minimal_separator(g: &Graph) -> Option<NodeSet> {
+        let h = minimal_triangulation(g, &McsM);
+        let mut candidates = mintri_chordal::minimal_separators_of_chordal(&h.graph);
+        candidates.sort();
+        candidates.into_iter().find(|s| g.is_clique(s))
+    }
+
+    /// `atom_decomposition` and the oracle finder decompose `g` into the
+    /// same components, atoms (in order) and separators.
+    fn assert_matches_allocating(g: &Graph) -> AtomDecomposition {
+        let got = atom_decomposition(g);
+        let want = decompose_by(g, &mut allocating_clique_minimal_separator);
+        assert_eq!(got.components, want.components);
+        assert_eq!(got.atoms, want.atoms);
+        assert_eq!(got.separators, want.separators);
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sparse to dense random graphs (sparse ones split often).
+        #[test]
+        fn decomposition_matches_allocating_finder_on_gnp(
+            n in 0usize..80,
+            percent in 1u64..40,
+            seed in any::<u64>(),
+        ) {
+            assert_matches_allocating(&erdos_renyi(n, percent as f64 / 100.0, seed));
+        }
+
+        /// Cycles chained through cut vertices, and cycles split by a chord.
+        #[test]
+        fn decomposition_matches_allocating_finder_on_glued_cycles(
+            lengths in proptest::collection::vec(3usize..9, 1..6),
+            n in 5usize..14,
+            j in any::<u32>(),
+        ) {
+            assert_matches_allocating(&chained_cycles(&lengths));
+            assert_matches_allocating(&chord_cycle(n, 2 + j % (n as u32 - 3)));
+        }
+    }
+
+    /// The benchmark corpus's family instances (generator seed 2017) up
+    /// to Promedas_03, which splits into 97 atoms; Pedigree, by far the
+    /// slowest to decompose, gets a single instance.
+    #[test]
+    fn decomposition_matches_allocating_finder_on_paper_families() {
+        for family in PgmFamily::ALL {
+            let count = if family == PgmFamily::Pedigree { 1 } else { 4 };
+            for instance in family.instances(count, 2017) {
+                let d = assert_matches_allocating(&instance.graph);
+                if instance.name == "Promedas_03" {
+                    assert_eq!((d.atoms.len(), d.separators.len()), (97, 84));
+                }
+            }
+        }
+    }
 
     /// Ground-truth atom check (exponential; small graphs only): a piece
     /// is an atom iff it has no clique separator, i.e. no minimal

@@ -9,9 +9,18 @@
 //! a fill edge. The original graph plus the fill edges is a minimal
 //! triangulation, and the numbering (reversed) is a perfect elimination
 //! order of it.
+//!
+//! The kernel also reports the minimal separators of that triangulation
+//! `h` (MCS-M+, Berry–Pogorelčnik–Simonet). A vertex's weight is exactly
+//! its number of numbered neighbours in `h`, so the numbering is a
+//! maximum-cardinality search of `h`, and the clique-generator rule of
+//! MCS on chordal graphs applies unchanged: a vertex numbered with a
+//! positive weight no larger than the previous vertex's starts a new
+//! maximal clique, and its numbered neighbourhood in `h` is a minimal
+//! separator. Every minimal separator of `h` appears this way.
 
 use crate::types::{TriScratch, Triangulation, Triangulator};
-use mintri_graph::Graph;
+use mintri_graph::{Graph, NodeSet};
 
 /// The MCS-M minimal triangulation algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,10 +63,11 @@ pub fn mcs_m(g: &Graph) -> Triangulation {
     }
 }
 
-/// The MCS-M core: writes the fill edges and perfect elimination order
-/// into `ws` without building the chordal graph (callers that need it add
-/// `ws.fill` to their own copy). Allocation-free once the workspace has
-/// seen a graph at least this large.
+/// The MCS-M core: writes the fill edges, perfect elimination order and
+/// minimal separators ([`TriScratch::separators`]) into `ws` without
+/// building the chordal graph (callers that need it add `ws.fill` to
+/// their own copy). Allocation-free once the workspace has seen a graph
+/// at least this large.
 ///
 /// Each step works a word at a time. The next vertex `v` is the lowest
 /// set bit of the top weight level (max weight, then smallest id). The
@@ -71,10 +81,23 @@ pub fn mcs_m(g: &Graph) -> Triangulation {
 /// heavier vertex is reached (none can qualify any more) or every heavier
 /// vertex is (all of them qualify). A step costs `O(n)` word operations
 /// per bitset word: at most `n` thresholds and `n` absorbed vertices.
+///
+/// Every qualified `u` becomes a neighbour of `v` in the triangulation,
+/// so `v` joins `u`'s row of numbered neighbours. When a vertex is
+/// numbered, its row is complete; the clique-generator rule (see the
+/// module docs) picks the rows that are separators, which are then
+/// sorted and deduplicated in place.
 pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
     let n = g.num_nodes();
     ws.fill.clear();
     ws.peo.clear();
+    ws.generators.clear();
+    if ws.rows.len() < n {
+        ws.rows.resize_with(n, NodeSet::default);
+    }
+    for row in &mut ws.rows[..n] {
+        row.reset(n);
+    }
     ws.buckets.reset(n);
     ws.unnumbered.reset_full(n);
     for set in [
@@ -88,7 +111,13 @@ pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
         set.reset(n);
     }
 
-    while let Some((v, _)) = ws.buckets.pop_max() {
+    let mut prev_label = 0;
+    while let Some((v, label)) = ws.buckets.pop_max() {
+        debug_assert_eq!(label, ws.rows[v as usize].len());
+        if label > 0 && label <= prev_label {
+            ws.generators.push(v);
+        }
+        prev_label = label;
         ws.unnumbered.remove(v);
         // Intersecting with a weight level keeps unnumbered vertices only,
         // so `reach` may hold `v` and numbered vertices harmlessly.
@@ -136,6 +165,7 @@ pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
 
         for u in ws.qualified.iter() {
             ws.buckets.increment(u);
+            ws.rows[u as usize].insert(v);
             if !g.has_edge(u, v) {
                 ws.fill.push((u.min(v), u.max(v)));
             }
@@ -144,13 +174,20 @@ pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
     }
 
     ws.peo.reverse();
+    let rows = &ws.rows;
+    ws.generators
+        .sort_unstable_by(|&a, &b| rows[a as usize].cmp(&rows[b as usize]));
+    ws.generators
+        .dedup_by(|a, b| rows[*a as usize] == rows[*b as usize]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mintri_chordal::{is_chordal, is_perfect_elimination_order};
-    use mintri_graph::{Node, NodeSet};
+    use mintri_chordal::{
+        is_chordal, is_perfect_elimination_order, minimal_separators_with, ForestScratch,
+    };
+    use mintri_graph::Node;
     use mintri_workloads::random::erdos_renyi;
     use mintri_workloads::PgmFamily;
     use proptest::prelude::*;
@@ -225,8 +262,45 @@ mod tests {
         assert_eq!(got, fill);
     }
 
+    /// The separators `mcs_m_into` collects are, sequence for sequence,
+    /// the ones the reference extraction `minimal_separators_with` reads
+    /// off `g` plus the fill with a second search.
+    fn assert_separators_match_second_search(
+        g: &Graph,
+        ws: &mut TriScratch,
+        forest: &mut ForestScratch,
+    ) {
+        mcs_m_into(g, ws);
+        let mut h = g.clone();
+        for &(u, v) in &ws.fill {
+            h.add_edge(u, v);
+        }
+        let mut expected = Vec::new();
+        minimal_separators_with(&h, &ws.peo, forest, |s| expected.push(s.clone()));
+        let got: Vec<NodeSet> = ws.separators().cloned().collect();
+        assert_eq!(got, expected);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random graphs up to 150 vertices (1-, 2- and 3-word bitsets),
+        /// from sparse to dense, through one shared workspace.
+        #[test]
+        fn collected_separators_match_second_search(
+            n in 0usize..150,
+            percent in 1u64..60,
+            seed in any::<u64>(),
+        ) {
+            thread_local! {
+                static WS: std::cell::RefCell<(TriScratch, ForestScratch)> = Default::default();
+            }
+            let g = erdos_renyi(n, percent as f64 / 100.0, seed);
+            WS.with(|ws| {
+                let (tri, forest) = &mut *ws.borrow_mut();
+                assert_separators_match_second_search(&g, tri, forest);
+            });
+        }
 
         /// Random graphs up to 150 vertices (1-, 2- and 3-word bitsets),
         /// from sparse to dense, through one shared workspace.
@@ -250,6 +324,16 @@ mod tests {
         for family in PgmFamily::ALL {
             for instance in family.instances(2, 7) {
                 assert_matches_oracle(&instance.graph, &mut ws);
+            }
+        }
+    }
+
+    #[test]
+    fn collected_separators_match_second_search_on_paper_families() {
+        let (mut ws, mut forest) = (TriScratch::default(), ForestScratch::default());
+        for family in PgmFamily::ALL {
+            for instance in family.instances(2, 7) {
+                assert_separators_match_second_search(&instance.graph, &mut ws, &mut forest);
             }
         }
     }

@@ -51,12 +51,13 @@ pub trait Triangulator: Send + Sync {
     }
 
     /// Scratch-space variant of [`Triangulator::triangulate`]: writes the
-    /// fill edges and perfect elimination order of a **minimal**
-    /// triangulation into `ws` without materializing the chordal graph,
-    /// allocation-free once the workspace is warm. Returns `false` — the
-    /// default — when the backend has no scratch kernel; callers fall back
-    /// to the allocating path. Only backends with
-    /// [`Triangulator::guarantees_minimal`] may return `true`.
+    /// fill edges, a perfect elimination order and the minimal
+    /// separators `MinSep(h)` of a **minimal** triangulation `h` into
+    /// `ws` without materializing the chordal graph, allocation-free once
+    /// the workspace is warm. Returns `false` — the default — when the
+    /// backend has no scratch kernel; callers fall back to the allocating
+    /// path. Only backends with [`Triangulator::guarantees_minimal`] may
+    /// return `true`.
     fn triangulate_into(&self, g: &Graph, ws: &mut TriScratch) -> bool {
         let _ = (g, ws);
         false
@@ -67,9 +68,10 @@ pub trait Triangulator: Send + Sync {
 }
 
 /// Reusable workspace for [`Triangulator::triangulate_into`]: the fill
-/// list and elimination order a successful call produces, plus the MCS-M
-/// search buffers behind them. One per worker or sequential stream; every
-/// buffer grows to the largest graph seen and is reused thereafter.
+/// list, elimination order and minimal separators a successful call
+/// produces, plus the MCS-M search buffers behind them. One per worker or
+/// sequential stream; every buffer grows to the largest graph seen and is
+/// reused thereafter.
 #[derive(Default)]
 pub struct TriScratch {
     /// Fill edges of the last successful run, each with `u < v`.
@@ -86,6 +88,21 @@ pub struct TriScratch {
     pub(crate) heavier: NodeSet,
     pub(crate) fresh: NodeSet,
     pub(crate) qualified: NodeSet,
+    /// Per vertex, its neighbours in the triangulation numbered before it.
+    pub(crate) rows: Vec<NodeSet>,
+    /// The vertices whose `rows` are the minimal separators, one per
+    /// distinct separator, sorted by row.
+    pub(crate) generators: Vec<Node>,
+}
+
+impl TriScratch {
+    /// The minimal separators of the last successful run's triangulation,
+    /// sorted by [`NodeSet`] order and without duplicates — the sequence
+    /// `mintri_chordal::minimal_separators_with` reads off the chordal
+    /// graph with a second search.
+    pub fn separators(&self) -> impl ExactSizeIterator<Item = &NodeSet> + '_ {
+        self.generators.iter().map(|&v| &self.rows[v as usize])
+    }
 }
 
 /// One triangulator shared by many owners (the planning layer hands a
