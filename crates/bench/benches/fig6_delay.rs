@@ -5,7 +5,7 @@
 //! per family.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_workloads::PgmFamily;
 use std::hint::black_box;
 use std::time::Duration;
@@ -25,10 +25,11 @@ fn bench(c: &mut Criterion) {
         for algo in mintri_bench::AlgoChoice::BOTH {
             group.bench_function(format!("{}_{}_first20", algo.name(), inst.name), |b| {
                 b.iter(|| {
-                    let outcome = AnytimeSearch::new(black_box(&inst.graph))
+                    let outcome = Query::stats()
                         .triangulator(algo.triangulator())
                         .budget(EnumerationBudget::results(20))
-                        .run();
+                        .run_local(black_box(&inst.graph))
+                        .wait();
                     black_box(outcome.records.len())
                 })
             });

@@ -3,7 +3,7 @@
 //! Tracks the time to the first 10 triangulations of `G(40, p)`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_workloads::random::erdos_renyi;
 use std::hint::black_box;
 use std::time::Duration;
@@ -19,10 +19,11 @@ fn bench(c: &mut Criterion) {
         for algo in mintri_bench::AlgoChoice::BOTH {
             group.bench_function(format!("{}_n40_p{}_first10", algo.name(), p), |b| {
                 b.iter(|| {
-                    let outcome = AnytimeSearch::new(black_box(&g))
+                    let outcome = Query::stats()
                         .triangulator(algo.triangulator())
                         .budget(EnumerationBudget::results(10))
-                        .run();
+                        .run_local(black_box(&g))
+                        .wait();
                     black_box(outcome.records.len())
                 })
             });

@@ -3,7 +3,7 @@
 //! fill instrumentation, plus the running-minimum extraction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_workloads::pgm::promedas;
 use std::hint::black_box;
 use std::time::Duration;
@@ -17,9 +17,10 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     group.bench_function("promedas_case_study_50_results", |b| {
         b.iter(|| {
-            let outcome = AnytimeSearch::new(black_box(&g))
+            let outcome = Query::stats()
                 .budget(EnumerationBudget::results(50))
-                .run();
+                .run_local(black_box(&g))
+                .wait();
             let widths = outcome.running_min(|r| r.width);
             let fills = outcome.running_min(|r| r.fill);
             black_box((outcome.records.len(), widths.len(), fills.len()))

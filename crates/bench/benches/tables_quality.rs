@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mintri_bench::AlgoChoice;
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_workloads::PgmFamily;
 use std::hint::black_box;
 use std::time::Duration;
@@ -19,10 +19,11 @@ fn bench(c: &mut Criterion) {
     for algo in AlgoChoice::BOTH {
         group.bench_function(format!("{}_quality_100_results", algo.name()), |b| {
             b.iter(|| {
-                let outcome = AnytimeSearch::new(black_box(&inst.graph))
+                let outcome = Query::stats()
                     .triangulator(algo.triangulator())
                     .budget(EnumerationBudget::results(100))
-                    .run();
+                    .run_local(black_box(&inst.graph))
+                    .wait();
                 black_box(outcome.quality())
             })
         });

@@ -57,9 +57,10 @@ fn main() -> std::io::Result<()> {
     let rounds = args.get_usize("rounds", 3).max(1);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Chord-cycles exercise the flat path; chained cycles decompose
-    // into one atom per cycle, so the composed odometer (where Auto's
-    // cursor and thread-split decisions live) carries real queries.
+    // Chord-cycles plan to one atom, whose stream runs unwrapped;
+    // chained cycles decompose into one atom per cycle, so the composed
+    // odometer (where Auto's cursor and thread-split decisions live)
+    // carries real queries.
     let n = if quick { 10 } else { 12 };
     let mut graphs: Vec<Graph> = (2..(n as Node - 1)).map(|j| chord_cycle(n, j)).collect();
     graphs.push(chained_cycles(&[4, 5, 6]));

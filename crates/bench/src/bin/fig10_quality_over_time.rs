@@ -8,7 +8,7 @@
 //! Flags as in `fig9_cumulative`.
 
 use mintri_bench::Args;
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_workloads::pgm::promedas;
 use std::time::Duration;
 
@@ -20,9 +20,10 @@ fn main() {
     let findings = args.get_usize("findings", 72);
     let g = promedas(diseases, findings, 4, seed);
 
-    let outcome = AnytimeSearch::new(&g)
+    let outcome = Query::stats()
         .budget(EnumerationBudget::time(Duration::from_millis(budget_ms)))
-        .run();
+        .run_local(&g)
+        .wait();
 
     println!("measure,elapsed_ms,value");
     for (at, w) in outcome.running_min(|r| r.width) {

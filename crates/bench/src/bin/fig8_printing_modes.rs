@@ -10,7 +10,7 @@
 //! Flags: `--query` (default 7), `--bucket-ms` (default 10).
 
 use mintri_bench::Args;
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_sgr::PrintMode;
 use mintri_workloads::tpch_query;
 
@@ -26,10 +26,11 @@ fn main() {
         ("UG", PrintMode::UponGeneration),
         ("UP", PrintMode::UponPop),
     ] {
-        let outcome = AnytimeSearch::new(&q.graph)
+        let outcome = Query::stats()
             .mode(mode)
             .budget(EnumerationBudget::unlimited())
-            .run();
+            .run_local(&q.graph)
+            .wait();
         let mut buckets: Vec<usize> = Vec::new();
         for r in &outcome.records {
             println!("{},{},{}", name, r.index, r.at.as_micros());

@@ -9,7 +9,7 @@
 //! Promedas-like graph).
 
 use mintri_bench::Args;
-use mintri_core::{AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query};
 use mintri_workloads::pgm::promedas;
 use std::time::Duration;
 
@@ -26,9 +26,10 @@ fn main() {
         g.num_edges()
     );
 
-    let outcome = AnytimeSearch::new(&g)
+    let outcome = Query::stats()
         .budget(EnumerationBudget::time(Duration::from_millis(budget_ms)))
-        .run();
+        .run_local(&g)
+        .wait();
 
     let first_width = outcome.records.first().map(|r| r.width).unwrap_or(0);
     let min_width = outcome.records.iter().map(|r| r.width).min().unwrap_or(0);

@@ -1,5 +1,6 @@
 //! End-to-end win of the ranked best-k gear: the same best-k query,
-//! exhaustive (`--no-ranked`: scan every result, keep the top k) vs.
+//! exhaustive (`ExecPolicy::fixed().with_ranked(false)`: scan every
+//! result, keep the top k) vs.
 //! ranked (output-sensitive: stop after ~k pulls), both cold — no warm
 //! sessions, no replay caches. Emits `BENCH_ranked.json` so future PRs
 //! can watch the ranked gear stay ahead; `bench_check --ranked` gates

@@ -1,5 +1,6 @@
 //! End-to-end win of the atom-decomposition planning layer: the same
-//! enumeration query, unreduced (whole-graph frontier, `--no-plan`) vs.
+//! enumeration query, unreduced (whole-graph frontier,
+//! `ExecPolicy::fixed().with_planned(false)`) vs.
 //! planned (per-atom streams + product composer), on workloads with
 //! several non-trivial atoms. Emits `BENCH_reduction.json` so future PRs
 //! can watch the reduction stay ahead.

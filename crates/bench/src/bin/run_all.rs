@@ -1,13 +1,14 @@
 //! Runs the entire Section 6 reproduction — every figure and table — and
-//! writes the outputs under `results/`. One command to regenerate
-//! everything referenced by EXPERIMENTS.md.
+//! writes the outputs under `results/`. One command to regenerate what
+//! the `fig6_pgm_delay` … `fig10_quality_over_time`, `table1_width_stats`
+//! and `table2_fill_stats` binaries produce one at a time.
 //!
 //! Flags: `--out-dir` (default `results`), `--scale` multiplier applied to
 //! all default budgets (default 1; the paper's 30-minute runs would be
 //! roughly `--scale 900`).
 
 use mintri_bench::{run_budgeted, AlgoChoice, Args};
-use mintri_core::{AnytimeSearch, EnumerationBudget, QualityStats};
+use mintri_core::{EnumerationBudget, QualityStats, Query};
 use mintri_sgr::PrintMode;
 use mintri_workloads::pgm::promedas;
 use mintri_workloads::{all_queries, random_suite, PgmFamily};
@@ -82,7 +83,7 @@ fn main() -> std::io::Result<()> {
         ("UG", PrintMode::UponGeneration),
         ("UP", PrintMode::UponPop),
     ] {
-        let o = AnytimeSearch::new(&q7.graph).mode(mode).run();
+        let o = Query::stats().mode(mode).run_local(&q7.graph).wait();
         for r in &o.records {
             let _ = writeln!(fig8, "{},{},{}", name, r.index, r.at.as_micros());
         }
@@ -92,9 +93,10 @@ fn main() -> std::io::Result<()> {
 
     // Figures 9 & 10 (case study)
     let case = promedas(24, 72, 4, 7);
-    let o = AnytimeSearch::new(&case)
+    let o = Query::stats()
         .budget(EnumerationBudget::time(Duration::from_millis(8000 * scale)))
-        .run();
+        .run_local(&case)
+        .wait();
     let first_w = o.records.first().map(|r| r.width).unwrap_or(0);
     let min_w = o.records.iter().map(|r| r.width).min().unwrap_or(0);
     let mut fig9 = String::from("elapsed_ms,total,min_width_results,leq_w1_results\n");

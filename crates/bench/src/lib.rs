@@ -2,8 +2,11 @@
 //!
 //! Shared plumbing for the binaries that regenerate every table and figure
 //! of the paper's Section 6 (see `src/bin/`) and for the Criterion
-//! micro-benchmarks (see `benches/`). EXPERIMENTS.md maps each binary to
-//! its table/figure and records paper-vs-measured outcomes.
+//! micro-benchmarks (see `benches/`). Each binary names its figure or
+//! table in its module docs: `fig6_pgm_delay`, `fig7_random_delay`,
+//! `fig8_printing_modes`, `fig9_cumulative`, `fig10_quality_over_time`,
+//! `table1_width_stats`, `table2_fill_stats` and `tpch_stats`;
+//! `run_all` regenerates them all.
 
 pub mod args;
 pub mod baseline;

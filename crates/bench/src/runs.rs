@@ -1,6 +1,6 @@
 //! Budgeted enumeration runs shared by the figure/table binaries.
 
-use mintri_core::{AnytimeOutcome, AnytimeSearch, EnumerationBudget};
+use mintri_core::{EnumerationBudget, Query, QueryOutcome};
 use mintri_graph::Graph;
 use mintri_sgr::PrintMode;
 use mintri_triangulate::{LbTriang, McsM, Triangulator};
@@ -48,12 +48,13 @@ impl AlgoChoice {
 
 /// Runs the enumeration on `g` for at most `budget_ms` milliseconds (the
 /// scaled-down version of the paper's 30-minute executions).
-pub fn run_budgeted(g: &Graph, algo: AlgoChoice, budget_ms: u64) -> AnytimeOutcome {
-    AnytimeSearch::new(g)
+pub fn run_budgeted(g: &Graph, algo: AlgoChoice, budget_ms: u64) -> QueryOutcome {
+    Query::stats()
         .triangulator(algo.triangulator())
         .mode(PrintMode::UponGeneration)
         .budget(EnumerationBudget::time(Duration::from_millis(budget_ms)))
-        .run()
+        .run_local(g)
+        .wait()
 }
 
 #[cfg(test)]

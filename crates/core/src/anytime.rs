@@ -1,42 +1,9 @@
-//! The anytime driver: run the enumeration under a time/result budget
-//! while recording per-result quality, reproducing the measurement
-//! methodology of Section 6 (delays, width/fill statistics, quality over
-//! time).
+//! Budgets and per-result records of anytime runs: the measurement
+//! vocabulary of Section 6 (delays, width/fill statistics, quality over
+//! time). [`Task::Stats`](crate::query::Task) runs the instrumented scan
+//! and reports these in [`QueryOutcome`](crate::query::QueryOutcome).
 
-use mintri_graph::Graph;
-use mintri_sgr::PrintMode;
-use mintri_triangulate::{Triangulation, Triangulator};
 use std::time::{Duration, Instant};
-
-/// How [`AnytimeSearch::run`] produces its triangulation stream.
-///
-/// The default drives the in-process sequential enumerator. `Streamed`
-/// delegates to an externally supplied stream factory — this is the hook
-/// the `mintri-engine` crate uses to plug its **parallel** enumeration in
-/// (`mintri_engine::parallel_strategy(threads)`), keeping the budgeting
-/// and quality-recording machinery here identical across strategies.
-pub enum SearchStrategy {
-    /// The classic single-threaded `EnumMIS` iterator.
-    Sequential,
-    /// A custom stream built from the search's graph, triangulator and
-    /// print mode (e.g. the engine's work-stealing parallel enumerator).
-    Streamed(StreamFactory),
-}
-
-/// Factory for [`SearchStrategy::Streamed`]: builds the triangulation
-/// stream an anytime run will consume.
-pub type StreamFactory = Box<
-    dyn FnOnce(&Graph, Box<dyn Triangulator>, PrintMode) -> Box<dyn Iterator<Item = Triangulation>>,
->;
-
-impl std::fmt::Debug for SearchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SearchStrategy::Sequential => f.write_str("Sequential"),
-            SearchStrategy::Streamed(_) => f.write_str("Streamed(..)"),
-        }
-    }
-}
 
 /// Stopping condition for an anytime run. Whichever limit trips first ends
 /// the run; with neither set, the run continues to completion.
@@ -103,48 +70,6 @@ pub struct ResultRecord {
     pub fill: usize,
 }
 
-/// The outcome of an anytime run.
-#[derive(Debug, Clone, Default)]
-pub struct AnytimeOutcome {
-    /// Per-result records in production order.
-    pub records: Vec<ResultRecord>,
-    /// `true` iff the enumeration finished before the budget tripped (the
-    /// record list is then the complete `MinTri(g)`).
-    pub completed: bool,
-    /// Total wall-clock time of the run.
-    pub elapsed: Duration,
-}
-
-impl AnytimeOutcome {
-    /// Mean delay between consecutive results (Section 6.2's measurement).
-    pub fn average_delay(&self) -> Option<Duration> {
-        if self.records.is_empty() {
-            return None;
-        }
-        Some(self.elapsed / self.records.len() as u32)
-    }
-
-    /// Table 1 / Table 2 statistics for this run.
-    pub fn quality(&self) -> Option<QualityStats> {
-        QualityStats::from_records(&self.records)
-    }
-
-    /// The running minimum of a measure over time: `(elapsed, value)` at
-    /// every improvement, for Figure 10.
-    pub fn running_min(&self, measure: impl Fn(&ResultRecord) -> usize) -> Vec<(Duration, usize)> {
-        let mut out = Vec::new();
-        let mut best = usize::MAX;
-        for r in &self.records {
-            let v = measure(r);
-            if v < best {
-                best = v;
-                out.push((r.at, v));
-            }
-        }
-        out
-    }
-}
-
 /// The width/fill statistics of Tables 1 and 2, computed per run: result
 /// counts, minima, counts at-least-as-good-as-the-first, and relative
 /// improvement over the first result (which is what the plain underlying
@@ -199,146 +124,19 @@ impl QualityStats {
     }
 }
 
-/// Builder for budgeted, instrumented enumeration runs.
-///
-/// ```
-/// use mintri_core::{AnytimeSearch, EnumerationBudget};
-/// use mintri_graph::Graph;
-///
-/// let g = Graph::cycle(6);
-/// let outcome = AnytimeSearch::new(&g)
-///     .budget(EnumerationBudget::results(5))
-///     .run();
-/// assert_eq!(outcome.records.len(), 5);
-/// let q = outcome.quality().unwrap();
-/// assert!(q.min_width <= q.first_width);
-/// ```
-pub struct AnytimeSearch<'g> {
-    g: &'g Graph,
-    triangulator: Box<dyn Triangulator>,
-    mode: PrintMode,
-    budget: EnumerationBudget,
-    strategy: SearchStrategy,
-}
-
-impl<'g> AnytimeSearch<'g> {
-    /// Defaults: MCS-M, upon-generation printing, unlimited budget,
-    /// sequential strategy.
-    pub fn new(g: &'g Graph) -> Self {
-        AnytimeSearch {
-            g,
-            triangulator: Box::new(mintri_triangulate::McsM),
-            mode: PrintMode::UponGeneration,
-            budget: EnumerationBudget::unlimited(),
-            strategy: SearchStrategy::Sequential,
-        }
-    }
-
-    /// Sets the triangulation backend.
-    pub fn triangulator(mut self, t: Box<dyn Triangulator>) -> Self {
-        self.triangulator = t;
-        self
-    }
-
-    /// Sets the print mode.
-    pub fn mode(mut self, mode: PrintMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the budget.
-    pub fn budget(mut self, budget: EnumerationBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the enumeration strategy (sequential by default; see
-    /// [`SearchStrategy`] for the parallel hook).
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Runs the enumeration, recording one [`ResultRecord`] per
-    /// triangulation.
-    ///
-    /// The sequential strategy is a thin adapter over the typed query
-    /// front door: it runs [`Task::Stats`](crate::query::Task) via
-    /// [`Query::run_local`](crate::query::Query::run_local) and converts
-    /// the [`QueryOutcome`](crate::query::QueryOutcome).
-    pub fn run(self) -> AnytimeOutcome {
-        let AnytimeSearch {
-            g,
-            triangulator,
-            mode,
-            budget,
-            strategy,
-        } = self;
-        match strategy {
-            SearchStrategy::Sequential => {
-                let outcome = crate::query::Query::stats()
-                    .triangulator(triangulator)
-                    .mode(mode)
-                    .budget(budget)
-                    .run_local(g)
-                    .wait();
-                AnytimeOutcome {
-                    records: outcome.records,
-                    completed: outcome.completed,
-                    elapsed: outcome.elapsed,
-                }
-            }
-            SearchStrategy::Streamed(factory) => {
-                Self::record(budget, factory(g, triangulator, mode))
-            }
-        }
-    }
-
-    /// Applies the budget to an arbitrary triangulation stream, recording
-    /// one [`ResultRecord`] per item — the measurement loop shared by all
-    /// strategies.
-    pub fn record(
-        budget: EnumerationBudget,
-        stream: impl IntoIterator<Item = Triangulation>,
-    ) -> AnytimeOutcome {
-        let started = Instant::now();
-        let mut records = Vec::new();
-        let mut stream = stream.into_iter();
-        let mut completed = false;
-        loop {
-            if budget.exhausted(records.len(), started) {
-                break;
-            }
-            match stream.next() {
-                None => {
-                    completed = true;
-                    break;
-                }
-                Some(tri) => {
-                    records.push(ResultRecord {
-                        index: records.len(),
-                        at: started.elapsed(),
-                        width: tri.width(),
-                        fill: tri.fill_count(),
-                    });
-                }
-            }
-        }
-        AnytimeOutcome {
-            records,
-            completed,
-            elapsed: started.elapsed(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Query, QueryOutcome};
+    use mintri_graph::Graph;
+
+    fn stats(g: &Graph, budget: EnumerationBudget) -> QueryOutcome {
+        Query::stats().budget(budget).run_local(g).wait()
+    }
 
     #[test]
     fn unlimited_run_completes_and_counts() {
-        let outcome = AnytimeSearch::new(&Graph::cycle(6)).run();
+        let outcome = stats(&Graph::cycle(6), EnumerationBudget::unlimited());
         assert!(outcome.completed);
         assert_eq!(outcome.records.len(), 14);
         assert!(outcome.average_delay().is_some());
@@ -346,16 +144,14 @@ mod tests {
 
     #[test]
     fn result_budget_truncates() {
-        let outcome = AnytimeSearch::new(&Graph::cycle(7))
-            .budget(EnumerationBudget::results(10))
-            .run();
+        let outcome = stats(&Graph::cycle(7), EnumerationBudget::results(10));
         assert!(!outcome.completed);
         assert_eq!(outcome.records.len(), 10);
     }
 
     #[test]
     fn timestamps_are_monotone() {
-        let outcome = AnytimeSearch::new(&Graph::cycle(6)).run();
+        let outcome = stats(&Graph::cycle(6), EnumerationBudget::unlimited());
         for w in outcome.records.windows(2) {
             assert!(w[0].at <= w[1].at);
             assert_eq!(w[0].index + 1, w[1].index);
@@ -364,7 +160,7 @@ mod tests {
 
     #[test]
     fn quality_stats_on_cycles() {
-        let outcome = AnytimeSearch::new(&Graph::cycle(6)).run();
+        let outcome = stats(&Graph::cycle(6), EnumerationBudget::unlimited());
         let q = outcome.quality().unwrap();
         assert_eq!(q.num_results, 14);
         // every minimal triangulation of a cycle has width 2 and fill n-3
@@ -392,7 +188,7 @@ mod tests {
                 (6, 2),
             ],
         );
-        let outcome = AnytimeSearch::new(&g).run();
+        let outcome = stats(&g, EnumerationBudget::unlimited());
         let series = outcome.running_min(|r| r.fill);
         assert!(!series.is_empty());
         for w in series.windows(2) {
@@ -408,9 +204,7 @@ mod tests {
     #[test]
     fn time_budget_is_respected() {
         // zero time budget -> at most the check granularity (0 results)
-        let outcome = AnytimeSearch::new(&Graph::cycle(8))
-            .budget(EnumerationBudget::time(Duration::ZERO))
-            .run();
+        let outcome = stats(&Graph::cycle(8), EnumerationBudget::time(Duration::ZERO));
         assert!(outcome.records.is_empty());
         assert!(!outcome.completed);
     }

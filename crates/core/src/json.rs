@@ -19,7 +19,7 @@
 //!    append fields, [`JsonObject::finish`] into a compact document.
 //! 3. The **wire codec**: [`query_to_json`] / [`query_from_json`]
 //!    round-trip a typed [`Query`] (task, backend by name, print mode,
-//!    budget, delivery, threads, plan, ranked — everything except the
+//!    budget, execution policy — everything except the
 //!    process-local [`CancelToken`](crate::query::CancelToken), which
 //!    parses fresh), [`graph_to_json`] / [`graph_from_json`] carry the
 //!    full edge list, [`outcome_json`] / [`response_document`]
@@ -667,10 +667,9 @@ fn delivery_name(delivery: Delivery) -> &'static str {
 /// [`Triangulator::name`] — see [`triangulator_from_name`] for the
 /// names that round-trip; parameterized/custom backends collapse to
 /// their name's default on decode), print mode, budget, and the
-/// execution policy — emitted twice: as the authoritative `"policy"`
-/// object, and as the legacy flat `delivery`/`threads`/`plan`/`ranked`
-/// fields (the policy's pinned knobs) so pre-policy readers degrade to
-/// an equivalent `Fixed` execution instead of failing.
+/// execution policy as one `"policy"` object. (Documents carrying only
+/// the older flat `delivery`/`threads`/`plan`/`ranked` fields still
+/// decode, to the equivalent `Fixed` policy.)
 pub fn query_to_json(q: &Query) -> String {
     let mut budget = JsonObject::new();
     match q.budget.max_results {
@@ -707,10 +706,6 @@ pub fn query_to_json(q: &Query) -> String {
     );
     doc.raw("budget", budget.finish());
     doc.raw("policy", policy.finish());
-    doc.str("delivery", delivery_name(q.policy.delivery()));
-    doc.usize("threads", q.policy.threads());
-    doc.bool("plan", q.policy.planned());
-    doc.bool("ranked", q.policy.ranked());
     doc.bool("trace", q.trace);
     doc.finish()
 }
@@ -769,76 +764,58 @@ pub fn query_from_json(v: &JsonValue) -> Result<Query, String> {
 /// [`ExecPolicy::Fixed`], exactly what those knobs meant before the
 /// policy existed — else the [`ExecPolicy::Auto`] default.
 fn policy_from_json(v: &JsonValue) -> Result<ExecPolicy, String> {
-    let delivery_of = |field: &JsonValue, key: &str| -> Result<Delivery, String> {
-        match field.as_str() {
-            Some("unordered") => Ok(Delivery::Unordered),
-            Some("deterministic") => Ok(Delivery::Deterministic),
-            _ => Err(format!("`{key}` must be unordered or deterministic")),
+    match v.get("policy") {
+        Some(policy) => {
+            if policy.entries().is_none() {
+                return Err("`policy` must be an object".into());
+            }
+            let fixed = policy_knobs(policy, "policy.")?;
+            match policy.get("mode").and_then(JsonValue::as_str) {
+                Some("auto") => Ok(ExecPolicy::auto().with_delivery(fixed.delivery())),
+                Some("fixed") => Ok(fixed),
+                _ => Err("`policy.mode` must be auto or fixed".into()),
+            }
+        }
+        None if ["delivery", "threads", "plan", "ranked"]
+            .iter()
+            .any(|key| v.get(key).is_some()) =>
+        {
+            policy_knobs(v, "")
+        }
+        None => Ok(ExecPolicy::default()),
+    }
+}
+
+/// Reads the `threads`/`plan`/`ranked`/`delivery` knobs of `fields` into
+/// a pinned policy (absent knobs keep the [`ExecPolicy::fixed`]
+/// defaults); errors name each field as `prefix` + key.
+fn policy_knobs(fields: &JsonValue, prefix: &str) -> Result<ExecPolicy, String> {
+    let flag = |key: &str| match fields.get(key) {
+        Some(b) => b
+            .as_bool()
+            .ok_or(format!("`{prefix}{key}` must be a boolean")),
+        None => Ok(true),
+    };
+    let threads = match fields.get("threads") {
+        Some(n) => n
+            .as_usize()
+            .ok_or(format!("`{prefix}threads` must be a non-negative integer"))?,
+        None => 0,
+    };
+    let delivery = match fields.get("delivery").map(JsonValue::as_str) {
+        None | Some(Some("unordered")) => Delivery::Unordered,
+        Some(Some("deterministic")) => Delivery::Deterministic,
+        Some(_) => {
+            return Err(format!(
+                "`{prefix}delivery` must be unordered or deterministic"
+            ))
         }
     };
-    if let Some(policy) = v.get("policy") {
-        if policy.entries().is_none() {
-            return Err("`policy` must be an object".into());
-        }
-        let delivery = match policy.get("delivery") {
-            Some(d) => delivery_of(d, "policy.delivery")?,
-            None => Delivery::Unordered,
-        };
-        return match policy.get("mode").and_then(JsonValue::as_str) {
-            Some("auto") => Ok(ExecPolicy::Auto { delivery }),
-            Some("fixed") => {
-                let threads = match policy.get("threads") {
-                    Some(n) => n
-                        .as_usize()
-                        .ok_or("`policy.threads` must be a non-negative integer")?,
-                    None => 0,
-                };
-                let planned = match policy.get("plan") {
-                    Some(b) => b.as_bool().ok_or("`policy.plan` must be a boolean")?,
-                    None => true,
-                };
-                let ranked = match policy.get("ranked") {
-                    Some(b) => b.as_bool().ok_or("`policy.ranked` must be a boolean")?,
-                    None => true,
-                };
-                Ok(ExecPolicy::Fixed {
-                    threads,
-                    planned,
-                    ranked,
-                    delivery,
-                })
-            }
-            _ => Err("`policy.mode` must be auto or fixed".into()),
-        };
-    }
-    // Legacy flat fields: presence of any knob means the caller wrote a
-    // pre-policy query — honor it as a pinned Fixed execution.
-    let delivery = v.get("delivery");
-    let threads = v.get("threads");
-    let plan = v.get("plan");
-    let ranked = v.get("ranked");
-    if delivery.is_none() && threads.is_none() && plan.is_none() && ranked.is_none() {
-        return Ok(ExecPolicy::default());
-    }
     Ok(ExecPolicy::Fixed {
-        threads: match threads {
-            Some(n) => n
-                .as_usize()
-                .ok_or("`threads` must be a non-negative integer")?,
-            None => 0,
-        },
-        planned: match plan {
-            Some(b) => b.as_bool().ok_or("`plan` must be a boolean")?,
-            None => true,
-        },
-        ranked: match ranked {
-            Some(b) => b.as_bool().ok_or("`ranked` must be a boolean")?,
-            None => true,
-        },
-        delivery: match delivery {
-            Some(d) => delivery_of(d, "delivery")?,
-            None => Delivery::Unordered,
-        },
+        threads,
+        planned: flag("plan")?,
+        ranked: flag("ranked")?,
+        delivery,
     })
 }
 
@@ -1096,11 +1073,11 @@ mod tests {
         assert_eq!(back.budget.max_results, Some(42));
         assert_eq!(back.budget.time_limit, Some(Duration::from_millis(1500)));
         assert_eq!(back.policy, q.policy);
-        // The legacy flat fields ride along for pre-policy readers.
+        // The policy travels once, as the `policy` object.
         let v = JsonValue::parse(&doc).unwrap();
-        assert_eq!(v.get("threads").unwrap().as_usize(), Some(3));
-        assert_eq!(v.get("plan").unwrap().as_bool(), Some(false));
-        assert_eq!(v.get("delivery").unwrap().as_str(), Some("deterministic"));
+        for flat in ["threads", "plan", "ranked", "delivery"] {
+            assert!(v.get(flat).is_none(), "no flat `{flat}` duplicate");
+        }
     }
 
     #[test]

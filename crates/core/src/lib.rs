@@ -13,8 +13,9 @@
 //!   into the corresponding minimal triangulation (Corollary 4.8);
 //! * [`ProperTreeDecompositions`] — the Section 5 reduction, emitting every
 //!   proper tree decomposition (or one per bag-equivalence class);
-//! * [`AnytimeSearch`] — budgeted, instrumented runs recording the delay and
-//!   quality measurements of the paper's experimental study;
+//! * [`EnumerationBudget`], [`ResultRecord`] and [`QualityStats`] — the
+//!   budgets and the delay and quality measurements of the paper's
+//!   experimental study, recorded by [`Query::stats`];
 //! * [`BruteForce`] — exponential oracles used to validate all of the above
 //!   on small graphs.
 //!
@@ -46,8 +47,8 @@
 //! one [`TriangulationStream`] runs per non-trivial atom, and the
 //! product [`ComposedStream`] recombines them — so a graph of many
 //! small atoms pays the *sum* of small enumerations instead of one
-//! exponential blob. `ExecPolicy::fixed().with_planned(false)` forces
-//! the unreduced path.
+//! exponential blob. `ExecPolicy::fixed().with_planned(false)` runs
+//! [`Plan::unreduced`], one atom spanning the whole graph.
 
 mod anytime;
 mod bruteforce;
@@ -61,15 +62,12 @@ mod proper;
 pub mod query;
 mod ranked;
 
-pub use anytime::{
-    AnytimeOutcome, AnytimeSearch, EnumerationBudget, QualityStats, ResultRecord, SearchStrategy,
-    StreamFactory,
-};
+pub use anytime::{EnumerationBudget, QualityStats, ResultRecord};
 pub use bruteforce::BruteForce;
 pub use eager::{EagerMinimalTriangulations, EagerMsGraph};
 pub use enumerator::MinimalTriangulationsEnumerator;
 pub use msgraph::{ExtendScratch, MsGraph, MsGraphStats, SepId};
-pub use plan::{AtomStream, ComposedStream, Plan, PlannedAtom};
+pub use plan::{AtomStream, Composed, ComposedStream, OpenedAtom, Plan, PlannedAtom};
 pub use proper::{ProperTreeDecompositions, TdEnumerationMode};
 pub use query::{
     AtomDispatch, CancelHookGuard, CancelToken, CostMeasure, Delivery, DispatchKind, ExecPolicy,

@@ -12,27 +12,26 @@
 //! blob. Chordal atoms (cliques included) have a single, fill-free
 //! minimal triangulation and are dropped from the plan entirely.
 //!
-//! Everything downstream is unchanged: the composer implements
+//! Every query runs through a plan; with planning turned off it is
+//! [`Plan::unreduced`], one atom spanning the whole graph. Each executor
+//! opens one stream per atom — [`Query::run_local`](crate::query::Query)
+//! a sequential `EnumMIS`, `mintri_engine::Engine::run` a per-atom
+//! *session* stream, which is what makes warm memos and replayed answers
+//! shareable between different graphs that contain the same atom — and
+//! hands them to [`Plan::compose`]. The composers implement
 //! [`TriangulationStream`], so budgets, top-k selection, decomposition
 //! expansion, stats, cancellation and both deliveries in
-//! [`Response`](crate::query::Response) work over composed streams
-//! exactly as over flat ones. [`Query::run_local`](crate::query::Query)
-//! composes sequential per-atom streams; `mintri_engine::Engine::run`
-//! composes per-atom *session* streams, which is what makes warm memos
-//! and replayed answers shareable between different graphs that happen
-//! to contain the same atom.
+//! [`Response`](crate::query::Response) work over them unchanged.
 
-use crate::msgraph::MsGraph;
-use crate::query::{CostMeasure, TracedStream, TriangulationStream};
+use crate::query::{AtomDispatch, CostMeasure, DispatchKind, TracedStream, TriangulationStream};
 use crate::ranked::{cost_floor, RankedAtom, RankedComposed, RankedStream};
-use crate::MinimalTriangulationsEnumerator;
 use mintri_chordal::{is_chordal, treewidth_of_chordal};
 use mintri_graph::{Graph, Node};
 use mintri_separators::{atom_decomposition, AtomDecomposition};
-use mintri_sgr::{EnumMisStats, PrintMode};
-use mintri_telemetry::Counter;
-use mintri_telemetry::SpanHandle;
-use mintri_triangulate::{Triangulation, Triangulator};
+use mintri_sgr::EnumMisStats;
+use mintri_telemetry::{Counter, SpanHandle};
+use mintri_triangulate::Triangulation;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -71,20 +70,7 @@ impl Plan {
     /// MCS-M triangulation per split) and keeps the atoms that need
     /// enumeration.
     pub fn of(g: &Graph) -> Plan {
-        let decomposition = atom_decomposition(g);
-        let atoms = decomposition
-            .atoms
-            .iter()
-            .filter_map(|a| {
-                let (graph, old_of) = g.induced_subgraph(a);
-                (!is_chordal(&graph)).then_some(PlannedAtom { graph, old_of })
-            })
-            .collect();
-        Plan {
-            nodes: g.num_nodes(),
-            decomposition,
-            atoms,
-        }
+        Plan::from_decomposition(g, atom_decomposition(g))
     }
 
     /// Rebuilds the plan for `g` from an already-known decomposition —
@@ -109,69 +95,57 @@ impl Plan {
         }
     }
 
+    /// The plan that reduces nothing: one atom spanning all of `g`, with
+    /// identity `old_of`, and no decomposition run. This is how an
+    /// executor runs a query whose policy turns planning off. Even a
+    /// chordal `g` keeps its atom, so the whole-graph enumeration runs.
+    /// The `decomposition` field then names the whole node set as the
+    /// single component and atom, with no separators.
+    pub fn unreduced(g: &Graph) -> Plan {
+        let all = g.node_set();
+        Plan {
+            nodes: g.num_nodes(),
+            decomposition: AtomDecomposition {
+                components: vec![all.clone()],
+                atoms: vec![all],
+                separators: Vec::new(),
+            },
+            atoms: vec![PlannedAtom {
+                graph: g.clone(),
+                old_of: (0..g.num_nodes() as Node).collect(),
+            }],
+        }
+    }
+
+    /// The plan a query runs over: with `planned`, `planner`'s plan,
+    /// timed under a `plan` child span of `query` (when traced) stamped
+    /// with the atom count and whether it is unreduced; otherwise
+    /// [`Plan::unreduced`], which plans nothing and opens no span.
+    pub fn for_query<P: Borrow<Plan> + From<Plan>>(
+        planned: bool,
+        g: &Graph,
+        query: Option<&SpanHandle>,
+        planner: impl FnOnce() -> P,
+    ) -> P {
+        if !planned {
+            return Plan::unreduced(g).into();
+        }
+        let span = query.map(|q| q.child("plan"));
+        let plan = planner();
+        if let Some(span) = span {
+            span.attr("atoms", plan.borrow().atoms.len().to_string());
+            span.attr("unreduced", plan.borrow().is_unreduced().to_string());
+            span.finish();
+        }
+        plan
+    }
+
     /// `true` when planning cannot help: the graph is one single
-    /// non-trivial atom, so the composed path would wrap exactly the
-    /// unreduced enumeration. Executors use the flat path here, which
-    /// also preserves the historical sequential order and `EnumMIS`
-    /// counters bit for bit.
+    /// non-trivial atom with identity `old_of`. [`Plan::compose`] then
+    /// hands that atom's stream through unwrapped, which keeps the
+    /// whole-graph sequential order and `EnumMIS` counters bit for bit.
     pub fn is_unreduced(&self) -> bool {
         self.atoms.len() == 1 && self.atoms[0].graph.num_nodes() == self.nodes
-    }
-
-    /// The sequential execution of this plan: one in-thread `EnumMIS`
-    /// stream per atom, composed. This is what
-    /// [`Query::run_local`](crate::query::Query::run_local) runs for a
-    /// non-trivial plan.
-    pub fn into_sequential_stream(
-        self,
-        g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        mode: PrintMode,
-    ) -> ComposedStream<'static> {
-        self.into_traced_sequential_stream(g, triangulator, mode, None)
-    }
-
-    /// [`Plan::into_sequential_stream`] with optional tracing: when
-    /// `parent` is given, each atom's stream is wrapped in a
-    /// [`TracedStream`] under its own `atom` child span (attributes:
-    /// `index`, `nodes`, `dispatch`), so the query's trace carries
-    /// per-atom timings. With `parent = None` this *is* the untraced
-    /// path — no wrapper, no overhead.
-    pub fn into_traced_sequential_stream(
-        self,
-        g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        mode: PrintMode,
-        parent: Option<&SpanHandle>,
-    ) -> ComposedStream<'static> {
-        let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-        let children = self
-            .atoms
-            .into_iter()
-            .enumerate()
-            .map(|(index, atom)| {
-                let nodes = atom.graph.num_nodes();
-                let ms = MsGraph::shared(Arc::new(atom.graph), Box::new(Arc::clone(&shared)));
-                let stream: Box<dyn TriangulationStream + 'static> = Box::new(SequentialAtom(
-                    MinimalTriangulationsEnumerator::from_msgraph(ms, mode),
-                ));
-                let stream: Box<dyn TriangulationStream + 'static> = match parent {
-                    Some(span) => {
-                        let span = span.child("atom");
-                        span.attr("index", index.to_string());
-                        span.attr("nodes", nodes.to_string());
-                        span.attr("dispatch", "sequential");
-                        Box::new(TracedStream::new(stream, span))
-                    }
-                    None => stream,
-                };
-                AtomStream {
-                    stream,
-                    old_of: atom.old_of,
-                }
-            })
-            .collect();
-        ComposedStream::new(g.clone(), children)
     }
 
     /// The fixed width contribution of this plan's *chordal* atoms: the
@@ -193,85 +167,116 @@ impl Plan {
             .unwrap_or(0)
     }
 
-    /// The ranked execution of this plan: one in-thread
-    /// [`RankedStream`] per atom — each gated by its own admissible
-    /// [`cost_floor`] — composed through the [`RankedComposed`] level
-    /// odometer, which emits the composed triangulations in ascending
-    /// `measure` order without materializing the cross product. This is
-    /// what [`Query::run_local`](crate::query::Query::run_local) runs
-    /// for a ranked best-k over a non-trivial plan; the engine builds
-    /// the analogous composition over per-atom *session* streams.
+    /// **The composer both executors share.** `open(index, atom)` opens
+    /// one atom's stream and says how it is served; atoms are opened in
+    /// `order`, a permutation of the plan's atom indices that becomes the
+    /// cursor order (the last varies fastest).
     ///
-    /// When `parent` is given, each atom's underlying stream is wrapped
-    /// in a [`TracedStream`] under an `atom` span with
-    /// `dispatch="ranked"` (its `results` attribute then counts ranked
-    /// *expansions*, the raw pulls the frontier paid for). `expansions`
-    /// counts the same pulls on an engine telemetry counter.
-    pub fn into_ranked_stream(
-        self,
+    /// Each stream is traced under an `atom` child of `trace`, when
+    /// given. For a `ranked` query it is then wrapped in a
+    /// [`RankedStream`] gated by its [`cost_floor`] (counting raw pulls
+    /// on `expansions`), and the atoms recombine through
+    /// [`RankedComposed`]; otherwise through [`ComposedStream`]. An
+    /// unreduced plan ([`Plan::is_unreduced`]) is the one exception: its
+    /// single stream passes through without a composer.
+    pub fn compose<'a>(
+        &self,
         g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        mode: PrintMode,
-        measure: CostMeasure,
-        parent: Option<&SpanHandle>,
-        expansions: Option<Arc<Counter>>,
-    ) -> RankedComposed<'static> {
-        let width_const = match measure {
-            CostMeasure::Width => self.chordal_width(g),
-            CostMeasure::Fill => 0,
-        };
-        let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-        let children = self
-            .atoms
-            .into_iter()
-            .enumerate()
-            .map(|(index, atom)| {
-                let nodes = atom.graph.num_nodes();
-                let floor = cost_floor(&atom.graph, measure);
-                let ms = MsGraph::shared(Arc::new(atom.graph), Box::new(Arc::clone(&shared)));
-                let stream: Box<dyn TriangulationStream + 'static> = Box::new(SequentialAtom(
-                    MinimalTriangulationsEnumerator::from_msgraph(ms, mode),
-                ));
-                let stream: Box<dyn TriangulationStream + 'static> = match parent {
-                    Some(span) => {
-                        let span = span.child("atom");
-                        span.attr("index", index.to_string());
-                        span.attr("nodes", nodes.to_string());
-                        span.attr("dispatch", "ranked");
-                        Box::new(TracedStream::new(stream, span))
+        order: &[usize],
+        ranked: Option<CostMeasure>,
+        trace: Option<&SpanHandle>,
+        expansions: Option<&Arc<Counter>>,
+        mut open: impl FnMut(usize, &PlannedAtom) -> OpenedAtom<'a>,
+    ) -> Composed<'a> {
+        let mut dispatch = Vec::with_capacity(order.len());
+        let mut plain = Vec::new();
+        let mut ranked_atoms = Vec::new();
+        for &index in order {
+            let atom = &self.atoms[index];
+            let opened = open(index, atom);
+            let kind = match ranked {
+                Some(_) => DispatchKind::Ranked,
+                None => opened.kind,
+            };
+            let nodes = atom.graph.num_nodes();
+            dispatch.push(AtomDispatch {
+                index,
+                nodes,
+                threads: opened.threads,
+                kind,
+            });
+            let stream: Box<dyn TriangulationStream + 'a> = match trace {
+                Some(parent) => {
+                    let span = parent.child("atom");
+                    span.attr("index", index.to_string());
+                    span.attr("nodes", nodes.to_string());
+                    span.attr("dispatch", kind.name());
+                    Box::new(TracedStream::new(opened.stream, span))
+                }
+                None => opened.stream,
+            };
+            let old_of = atom.old_of.clone();
+            match ranked {
+                Some(measure) => {
+                    let mut stream =
+                        RankedStream::over(stream, measure, cost_floor(&atom.graph, measure));
+                    if let Some(counter) = expansions {
+                        stream = stream.with_expansion_counter(Arc::clone(counter));
                     }
-                    None => stream,
+                    ranked_atoms.push(RankedAtom { stream, old_of });
+                }
+                None => plain.push(AtomStream { stream, old_of }),
+            }
+        }
+        dispatch.sort_by_key(|d| d.index);
+        let stream: Box<dyn TriangulationStream + 'a> = match (ranked, self.is_unreduced()) {
+            (None, true) => plain.pop().expect("one atom").stream,
+            (Some(_), true) => Box::new(ranked_atoms.pop().expect("one atom").stream),
+            (None, false) => Box::new(ComposedStream::new(g.clone(), plain)),
+            (Some(measure), false) => {
+                // Chordal atoms add no fill, only width.
+                let width_const = match measure {
+                    CostMeasure::Width => self.chordal_width(g),
+                    CostMeasure::Fill => 0,
                 };
-                let mut stream = RankedStream::over(stream, measure, floor);
-                if let Some(counter) = &expansions {
-                    stream = stream.with_expansion_counter(Arc::clone(counter));
-                }
-                RankedAtom {
-                    stream,
-                    old_of: atom.old_of,
-                }
-            })
-            .collect();
-        RankedComposed::new(g.clone(), measure, width_const, children)
+                Box::new(RankedComposed::new(
+                    g.clone(),
+                    measure,
+                    width_const,
+                    ranked_atoms,
+                ))
+            }
+        };
+        Composed {
+            stream,
+            ranked: ranked.is_some(),
+            dispatch,
+        }
     }
 }
 
-/// A per-atom sequential stream (owns its subgraph through the
-/// `MsGraph`).
-struct SequentialAtom(MinimalTriangulationsEnumerator<'static>);
+/// One atom stream as an executor opened it, with how it is served.
+pub struct OpenedAtom<'a> {
+    /// The atom's triangulation stream, in atom-local node ids.
+    pub stream: Box<dyn TriangulationStream + 'a>,
+    /// Worker threads granted to the stream.
+    pub threads: usize,
+    /// How the stream is served (replaced by
+    /// [`DispatchKind::Ranked`] on the ranked gear).
+    pub kind: DispatchKind,
+}
 
-impl TriangulationStream for SequentialAtom {
-    fn next_tri(&mut self) -> Option<Triangulation> {
-        self.0.next()
-    }
-
-    fn finished(&self) -> bool {
-        true
-    }
-
-    fn enum_stats(&self) -> Option<EnumMisStats> {
-        Some(self.0.enum_stats())
-    }
+/// A plan's composed stream plus the per-atom dispatch record — what
+/// [`Response::over_composed`](crate::query::Response::over_composed)
+/// answers a query with.
+pub struct Composed<'a> {
+    /// The stream of the base graph's minimal triangulations; in
+    /// ascending cost order when `ranked`.
+    pub stream: Box<dyn TriangulationStream + 'a>,
+    /// `stream` is ranked.
+    pub ranked: bool,
+    /// One entry per atom, by plan index.
+    pub dispatch: Vec<AtomDispatch>,
 }
 
 /// One atom's contribution to a composed stream: the stream of its
@@ -293,8 +298,8 @@ struct AtomCursor<'a> {
     /// Index of the first cached result. Nonzero only for the *first*
     /// cursor, whose odometer digit never resets: its passed entries are
     /// dead and are trimmed, so single-atom composition streams in O(1)
-    /// memory like the flat path (every other cursor is revisited on
-    /// each product row and must keep its full cache).
+    /// memory like an unwrapped stream (every other cursor is revisited
+    /// on each product row and must keep its full cache).
     offset: usize,
     /// The drained stream ended by natural exhaustion.
     finished: bool,
@@ -363,9 +368,8 @@ impl AtomCursor<'_> {
 
 /// The product/merge composer: combines one [`AtomStream`] per planned
 /// atom into the stream of the base graph's minimal triangulations, and
-/// is itself a [`TriangulationStream`] — the execution layers hand it to
-/// [`Response::over_stream`](crate::query::Response::over_stream)
-/// unchanged.
+/// is itself a [`TriangulationStream`], which [`Plan::compose`] hands to
+/// the query's [`Response`](crate::query::Response) unchanged.
 ///
 /// Emission order is the lexicographic product (odometer) order: the
 /// *last* atom's stream varies fastest, each atom stream in its own

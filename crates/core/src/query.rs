@@ -28,22 +28,23 @@
 //! assert!(outcome.completed);
 //! // Best-k rides the ranked gear by default: output-sensitive, so only
 //! // ~k of C6's Catalan(4) = 14 triangulations are ever materialized.
-//! // `Query::ranked(false)` restores the exhaustive scan (scanned = 14).
+//! // `ExecPolicy::fixed().with_ranked(false)` restores the exhaustive
+//! // scan (scanned = 14).
 //! assert_eq!(outcome.scanned, 3);
 //! ```
 //!
-//! Execution layers implement [`TriangulationStream`] and hand it to
-//! [`Response::over_stream`]; all task logic (budgets, top-`k` selection,
-//! decomposition expansion, quality records, cancellation) lives here,
-//! once.
+//! Execution layers open one [`TriangulationStream`] per plan atom and
+//! hand them to [`Plan::compose`]; all task logic (budgets, top-`k`
+//! selection, decomposition expansion, quality records, cancellation)
+//! lives here, in [`Response`], once.
 
 /// The planning layer lives in [`crate::plan`]; re-exported here because
 /// a [`Plan`] is part of the query vocabulary (every executor routes a
 /// query through one).
-pub use crate::plan::{AtomStream, ComposedStream, Plan, PlannedAtom};
+pub use crate::plan::{AtomStream, Composed, ComposedStream, OpenedAtom, Plan, PlannedAtom};
 use crate::ranked::TopK;
 use crate::{
-    EnumerationBudget, MinimalTriangulationsEnumerator, QualityStats, ResultRecord,
+    EnumerationBudget, MinimalTriangulationsEnumerator, MsGraph, QualityStats, ResultRecord,
     TdEnumerationMode,
 };
 use mintri_chordal::CliqueForest;
@@ -148,17 +149,14 @@ pub enum Delivery {
     Deterministic,
 }
 
-/// **How** a query executes: the one typed knob consolidating what used
-/// to be four scattered `Query` fields (`threads`, `planned`, `ranked`,
-/// `delivery`).
+/// **How** a query executes: one typed knob for threads, planning,
+/// ranking and delivery.
 ///
 /// [`ExecPolicy::Auto`] — the default — lets the executor consult its
 /// learned per-atom cost profiles (`mintri_engine::profile`) to choose
 /// the thread split, the parallel-vs-sequential threshold and the cursor
 /// order of the product composer. [`ExecPolicy::Fixed`] pins every knob
-/// to an explicit value — bit-for-bit the pre-policy behavior, and what
-/// the deprecated builder methods ([`Query::threads`],
-/// [`Query::planned`], [`Query::ranked`], [`Query::delivery`]) construct.
+/// to an explicit value — bit-for-bit the pre-policy behavior.
 ///
 /// The invariant both variants honor: a policy may change *scheduling*
 /// — thread placement, dispatch choice, cursor order — never *answers*.
@@ -253,6 +251,15 @@ impl ExecPolicy {
         match self {
             ExecPolicy::Auto { .. } => true,
             ExecPolicy::Fixed { ranked, .. } => *ranked,
+        }
+    }
+
+    /// The measure `task` is ranked by: [`Task::BestK`] rides the ranked
+    /// gear unless this policy turns it off.
+    pub fn ranked_measure(&self, task: Task) -> Option<CostMeasure> {
+        match task {
+            Task::BestK { cost, .. } if self.ranked() => Some(cost),
+            _ => None,
         }
     }
 
@@ -590,13 +597,29 @@ impl QueryOutcome {
         }
         Some(self.elapsed / self.records.len() as u32)
     }
+
+    /// The running minimum of a measure over the scan records:
+    /// `(elapsed, value)` at every improvement, for Figure 10 (records
+    /// required, so [`Task::Stats`] only).
+    pub fn running_min(&self, measure: impl Fn(&ResultRecord) -> usize) -> Vec<(Duration, usize)> {
+        let mut out = Vec::new();
+        let mut best = usize::MAX;
+        for r in &self.records {
+            let v = measure(r);
+            if v < best {
+                best = v;
+                out.push((r.at, v));
+            }
+        }
+        out
+    }
 }
 
-/// A stream of minimal triangulations an executor hands to
-/// [`Response::over_stream`] — the single integration point between the
-/// query layer and any execution backend (sequential iterator, warm
-/// engine sessions, parallel drivers, replayed caches, remote
-/// transports).
+/// A stream of minimal triangulations an executor opens per plan atom
+/// for [`Plan::compose`] (or hands to [`Response::over_stream`]) — the
+/// single integration point between the query layer and any execution
+/// backend (sequential iterator, warm engine sessions, parallel drivers,
+/// replayed caches, remote transports).
 pub trait TriangulationStream {
     /// The next triangulation, or `None` when the stream ends.
     fn next_tri(&mut self) -> Option<Triangulation>;
@@ -625,7 +648,7 @@ pub trait TriangulationStream {
 /// dropped. The span stays open from stream setup to exhaustion, so its
 /// duration is the full drain wall time.
 ///
-/// Execution layers wrap each per-atom stream in one of these when the
+/// [`Plan::compose`] wraps each per-atom stream in one of these when the
 /// query is traced — untraced queries never construct one, so the hot
 /// path pays nothing. Deliberately, only the first pull reads the
 /// clock: per-item `Instant::now()` calls cost more than producing a
@@ -707,12 +730,11 @@ impl Drop for TracedStream<'_> {
     }
 }
 
-/// The zero-setup sequential stream behind [`Query::run_local`].
-struct SequentialStream<'g>(MinimalTriangulationsEnumerator<'g>);
-
-impl TriangulationStream for SequentialStream<'_> {
+/// The sequential iterator is the stream [`Query::run_local`] opens per
+/// atom.
+impl TriangulationStream for MinimalTriangulationsEnumerator<'_> {
     fn next_tri(&mut self) -> Option<Triangulation> {
-        self.0.next()
+        self.next()
     }
 
     fn finished(&self) -> bool {
@@ -721,7 +743,7 @@ impl TriangulationStream for SequentialStream<'_> {
     }
 
     fn enum_stats(&self) -> Option<EnumMisStats> {
-        Some(self.0.enum_stats())
+        Some(MinimalTriangulationsEnumerator::enum_stats(self))
     }
 }
 
@@ -751,13 +773,11 @@ pub struct Query {
     /// [`Task::Enumerate`] and [`Task::Decompose`] it bounds the emitted
     /// results.
     pub budget: EnumerationBudget,
-    /// **How** to execute (default [`ExecPolicy::Auto`]): the one typed
-    /// knob covering what used to be the `threads` / `plan` / `ranked` /
-    /// `delivery` fields. [`ExecPolicy::Fixed`] pins them all —
+    /// **How** to execute (default [`ExecPolicy::Auto`]): threads,
+    /// planning, ranking and delivery. [`ExecPolicy::Fixed`] pins them all —
     /// bit-for-bit the historical behavior; `Auto` lets a profiled
     /// executor choose the thread split, dispatch threshold and cursor
-    /// order (never the answers). The deprecated builder methods remain
-    /// as thin adapters that pin the policy.
+    /// order (never the answers).
     pub policy: ExecPolicy,
     /// Collect a per-query span trace (default `false`): plan
     /// decomposition, per-atom stream setup, dispatch choice,
@@ -828,53 +848,6 @@ impl Query {
         self
     }
 
-    /// Sets the delivery contract. **Deprecated adapter**: pins the
-    /// policy to [`ExecPolicy::Fixed`] with this delivery — bit-for-bit
-    /// the pre-policy behavior of the old `delivery` field.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_delivery(…)) — or keep Auto and set \
-                the contract with ExecPolicy::auto().with_delivery(…)"
-    )]
-    pub fn delivery(mut self, delivery: Delivery) -> Self {
-        self.policy = self.policy.pinned().with_delivery(delivery);
-        self
-    }
-
-    /// Sets the worker-thread request. **Deprecated adapter**: pins the
-    /// policy to [`ExecPolicy::Fixed`] with this thread count.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_threads(…))"
-    )]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.policy = self.policy.with_threads(threads);
-        self
-    }
-
-    /// Enables or disables the planning layer. **Deprecated adapter**:
-    /// pins the policy to [`ExecPolicy::Fixed`] with this knob.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_planned(…))"
-    )]
-    pub fn planned(mut self, plan: bool) -> Self {
-        self.policy = self.policy.with_planned(plan);
-        self
-    }
-
-    /// Enables or disables the ranked best-k gear. **Deprecated
-    /// adapter**: pins the policy to [`ExecPolicy::Fixed`] with this
-    /// knob.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_ranked(…))"
-    )]
-    pub fn ranked(mut self, ranked: bool) -> Self {
-        self.policy = self.policy.with_ranked(ranked);
-        self
-    }
-
     /// Enables or disables span tracing (see [`Query::trace`]).
     pub fn traced(mut self, trace: bool) -> Self {
         self.trace = trace;
@@ -894,12 +867,12 @@ impl Query {
     /// repeated or parallel traffic, hand the query to
     /// `mintri_engine::Engine::run` instead.
     ///
-    /// Unless the policy's planning knob is off, the graph is first decomposed into
-    /// atoms ([`Plan`]): each non-trivial atom enumerates on its own
-    /// (much smaller) subgraph and the composed product streams out.
-    /// Output order is the plan's odometer order — deterministic, and
-    /// identical to what an engine produces for the same query under
-    /// [`Delivery::Deterministic`] at any thread count.
+    /// The graph is first decomposed into atoms ([`Plan::of`], or
+    /// [`Plan::unreduced`] when the policy turns planning off); each
+    /// atom runs its own sequential `EnumMIS` and [`Plan::compose`]
+    /// recombines them. Output order is the plan's odometer order —
+    /// deterministic, and identical to what an engine produces for the
+    /// same query under [`Delivery::Deterministic`] at any thread count.
     pub fn run_local(self, g: &Graph) -> Response<'_> {
         let Query {
             task,
@@ -909,15 +882,7 @@ impl Query {
             cancel,
             policy,
             trace,
-            ..
         } = self;
-        let plan = policy.planned();
-        // Best-k rides the ranked gear unless the escape hatch is pulled.
-        let ranked = policy.ranked() && matches!(task, Task::BestK { .. });
-        let ranked_measure = match task {
-            Task::BestK { cost, .. } if ranked => Some(cost),
-            _ => None,
-        };
         let tracer = trace.then(TraceBuilder::new);
         let query_span = tracer.as_ref().map(|t| {
             let span = t.root_span("query");
@@ -925,99 +890,19 @@ impl Query {
             span.attr("dispatch", "local");
             span
         });
-        if plan {
-            let plan_span = query_span.as_ref().map(|q| q.child("plan"));
-            let plan = Plan::of(g);
-            if let Some(span) = &plan_span {
-                span.attr("atoms", plan.atoms.len().to_string());
-                span.attr("unreduced", plan.is_unreduced().to_string());
-                span.finish();
+        let plan = Plan::for_query(policy.planned(), g, query_span.as_ref(), || Plan::of(g));
+        let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
+        let order: Vec<usize> = (0..plan.atoms.len()).collect();
+        let ranked = policy.ranked_measure(task);
+        let composed = plan.compose(g, &order, ranked, query_span.as_ref(), None, |_, atom| {
+            let ms = MsGraph::shared(Arc::new(atom.graph.clone()), Box::new(Arc::clone(&shared)));
+            OpenedAtom {
+                stream: Box::new(MinimalTriangulationsEnumerator::from_msgraph(ms, mode)),
+                threads: 1,
+                kind: DispatchKind::Sequential,
             }
-            if !plan.is_unreduced() {
-                // One entry per planned atom: always sequential here;
-                // the ranked gear re-labels the live streams it drives.
-                let dispatch: Vec<AtomDispatch> = plan
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .map(|(index, atom)| AtomDispatch {
-                        index,
-                        nodes: atom.graph.num_nodes(),
-                        threads: 1,
-                        kind: if ranked {
-                            DispatchKind::Ranked
-                        } else {
-                            DispatchKind::Sequential
-                        },
-                    })
-                    .collect();
-                let response = match ranked_measure {
-                    Some(measure) => {
-                        let stream = plan.into_ranked_stream(
-                            g,
-                            triangulator,
-                            mode,
-                            measure,
-                            query_span.as_ref(),
-                            None,
-                        );
-                        Response::over_ranked_stream(task, budget, cancel, Box::new(stream))
-                    }
-                    None => {
-                        let stream = plan.into_traced_sequential_stream(
-                            g,
-                            triangulator,
-                            mode,
-                            query_span.as_ref(),
-                        );
-                        Response::over_stream(task, budget, cancel, Box::new(stream))
-                    }
-                }
-                .with_dispatch(dispatch);
-                return match (tracer, query_span) {
-                    (Some(t), Some(s)) => response.with_trace(t, s),
-                    _ => response,
-                };
-            }
-        }
-        let stream = SequentialStream(MinimalTriangulationsEnumerator::with_config(
-            g,
-            triangulator,
-            mode,
-        ));
-        let stream: Box<dyn TriangulationStream + '_> = match query_span.as_ref() {
-            Some(q) => {
-                let span = q.child("atom");
-                span.attr("index", "0");
-                span.attr("nodes", g.num_nodes().to_string());
-                span.attr("dispatch", if ranked { "ranked" } else { "sequential" });
-                Box::new(TracedStream::new(Box::new(stream), span))
-            }
-            None => Box::new(stream),
-        };
-        let dispatch = vec![AtomDispatch {
-            index: 0,
-            nodes: g.num_nodes(),
-            threads: 1,
-            kind: if ranked {
-                DispatchKind::Ranked
-            } else {
-                DispatchKind::Sequential
-            },
-        }];
-        let response = match ranked_measure {
-            Some(measure) => {
-                let floor = crate::ranked::cost_floor(g, measure);
-                let stream = crate::ranked::RankedStream::over(stream, measure, floor);
-                Response::over_ranked_stream(task, budget, cancel, Box::new(stream))
-            }
-            None => Response::over_stream(task, budget, cancel, stream),
-        }
-        .with_dispatch(dispatch);
-        match (tracer, query_span) {
-            (Some(t), Some(s)) => response.with_trace(t, s),
-            _ => response,
-        }
+        });
+        Response::over_composed(task, budget, cancel, composed, tracer.zip(query_span))
     }
 }
 
@@ -1056,12 +941,12 @@ pub struct Response<'a> {
     completed: bool,
     cancelled: bool,
     replay: bool,
-    /// The source emits in ascending cost order ([`Response::over_ranked_stream`]):
+    /// The source emits in ascending cost order ([`Composed::ranked`]):
     /// [`Task::BestK`] streams the first `k` results directly instead of
     /// scanning everything.
     ranked: bool,
     enum_stats: Option<EnumMisStats>,
-    /// The per-atom dispatch the executor chose ([`Response::with_dispatch`]).
+    /// The per-atom dispatch the executor chose ([`Composed::dispatch`]).
     dispatch: Vec<AtomDispatch>,
     done_at: Option<Duration>,
     /// Buffered emissions ([`Task::BestK`] results after the scan).
@@ -1069,7 +954,7 @@ pub struct Response<'a> {
     /// The current triangulation's decomposition class
     /// ([`Task::Decompose`] with [`TdEnumerationMode::AllDecompositions`]).
     class: Option<Box<dyn Iterator<Item = TreeDecomposition>>>,
-    /// The query's tracer, when tracing ([`Response::with_trace`]).
+    /// The query's tracer, when tracing ([`Response::over_composed`]).
     trace: Option<TraceBuilder>,
     /// The root `query` span; finished by [`Response::end_stream`].
     query_span: Option<SpanHandle>,
@@ -1116,46 +1001,35 @@ impl<'a> Response<'a> {
         }
     }
 
-    /// Like [`Response::over_stream`], but `source` is contracted to emit
-    /// in ascending cost order under the query's measure — a
-    /// [`RankedStream`](crate::ranked::RankedStream) or
-    /// [`RankedComposed`](crate::ranked::RankedComposed). [`Task::BestK`]
-    /// then streams the first `k` results directly: the answer is exact
-    /// after ~`k` pulls ([`QueryOutcome::completed`] is set once `k`
-    /// winners are out), the budget bounds the emissions (`scanned` =
-    /// emitted), and a cancel still yields the already-proven prefix.
-    pub fn over_ranked_stream(
+    /// The response over a plan's composed stream ([`Plan::compose`]) —
+    /// the constructor both executors use. A ranked stream is contracted
+    /// to emit in ascending cost order under the query's measure:
+    /// [`Task::BestK`] then streams the first `k` results directly (the
+    /// answer is exact after ~`k` pulls, [`QueryOutcome::completed`] is
+    /// set once `k` winners are out, the budget bounds the emissions, and
+    /// a cancel still yields the already-proven prefix). The dispatch
+    /// record surfaces as [`QueryOutcome::dispatch`]. With a tracer and
+    /// its root `query` span the response takes over the span lifecycle:
+    /// a `first_result` child opens immediately (its duration is the
+    /// delay to the first pulled result), a `drain` child covers first
+    /// result → end of stream, and the query span is stamped with the
+    /// final `produced`/`scanned` counts when the stream ends.
+    pub fn over_composed(
         task: Task,
         budget: EnumerationBudget,
         cancel: CancelToken,
-        source: Box<dyn TriangulationStream + 'a>,
+        composed: Composed<'a>,
+        trace: Option<(TraceBuilder, SpanHandle)>,
     ) -> Response<'a> {
-        let mut response = Response::over_stream(task, budget, cancel, source);
-        response.ranked = true;
+        let mut response = Response::over_stream(task, budget, cancel, composed.stream);
+        response.ranked = composed.ranked;
+        response.dispatch = composed.dispatch;
+        if let Some((tracer, query_span)) = trace {
+            response.first_span = Some(query_span.child("first_result"));
+            response.trace = Some(tracer);
+            response.query_span = Some(query_span);
+        }
         response
-    }
-
-    /// Attaches a tracer and its root `query` span to this response. The
-    /// response takes over the span lifecycle: a `first_result` child
-    /// opens immediately (its duration is the delay to the first pulled
-    /// result), a `drain` child covers first result → end of stream, and
-    /// the query span is stamped with the final `produced`/`scanned`
-    /// counts when the stream ends. Executors call this right after
-    /// [`Response::over_stream`] on traced queries.
-    pub fn with_trace(mut self, trace: TraceBuilder, query_span: SpanHandle) -> Self {
-        self.first_span = Some(query_span.child("first_result"));
-        self.trace = Some(trace);
-        self.query_span = Some(query_span);
-        self
-    }
-
-    /// Attaches the executor's per-atom dispatch record, surfaced as
-    /// [`QueryOutcome::dispatch`]. Executors call this right after
-    /// constructing the response — every query reports its actual
-    /// dispatch, traced or not.
-    pub fn with_dispatch(mut self, dispatch: Vec<AtomDispatch>) -> Self {
-        self.dispatch = dispatch;
-        self
     }
 
     /// `true` when this response replays a previously completed
@@ -1693,40 +1567,6 @@ mod tests {
         );
         assert_eq!(pinned.with_ranked(false).threads(), 4);
         assert!(!pinned.with_planned(false).planned());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_pin_an_equivalent_fixed_policy() {
-        // The old builder chain must still compile and produce exactly
-        // the knobs it used to set on the flat fields.
-        let q = Query::enumerate()
-            .threads(3)
-            .planned(false)
-            .ranked(false)
-            .delivery(Delivery::Deterministic);
-        assert_eq!(
-            q.policy,
-            ExecPolicy::Fixed {
-                threads: 3,
-                planned: false,
-                ranked: false,
-                delivery: Delivery::Deterministic,
-            }
-        );
-        // …and the results are unchanged: same enumeration either way.
-        let g = Graph::cycle(6);
-        let via_old = Query::enumerate()
-            .planned(false)
-            .run_local(&g)
-            .triangulations()
-            .len();
-        let via_new = Query::enumerate()
-            .policy(ExecPolicy::fixed().with_planned(false))
-            .run_local(&g)
-            .triangulations()
-            .len();
-        assert_eq!(via_old, via_new);
     }
 
     #[test]

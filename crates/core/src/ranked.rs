@@ -25,8 +25,9 @@
 //!
 //! The typed front door for this workload is
 //! [`Task::BestK`](crate::query::Task) — `Query::best_k(k, cost)` — which
-//! routes through the ranked gear by default (`Query::ranked(false)` is
-//! the escape hatch); [`best_k_of_stream`] remains for
+//! routes through the ranked gear by default
+//! (`ExecPolicy::fixed().with_ranked(false)` is the escape hatch);
+//! [`best_k_of_stream`] remains for
 //! application-specific (non-serializable) cost closures over any
 //! triangulation stream.
 

@@ -84,15 +84,11 @@ pub use pool::WorkPool;
 #[cfg(feature = "parallel")]
 pub use sched::{Backoff, Idle, Scheduler};
 
-/// The delivery contract now lives with the rest of the query vocabulary
-/// in `mintri_core::query`; re-exported here so existing
-/// `mintri_engine::Delivery` paths keep working.
-pub use mintri_core::query::Delivery;
 /// The typed query front door, re-exported for convenience: build a
 /// [`Query`], hand it to [`Engine::run`], consume the [`Response`].
 pub use mintri_core::query::{
-    AtomDispatch, CancelHookGuard, CancelToken, CostMeasure, DispatchKind, ExecPolicy, Query,
-    QueryItem, QueryOutcome, Response, Task,
+    AtomDispatch, CancelHookGuard, CancelToken, CostMeasure, Delivery, DispatchKind, ExecPolicy,
+    Query, QueryItem, QueryOutcome, Response, Task,
 };
 
 use mintri_telemetry::Gauge;
@@ -145,36 +141,6 @@ impl EngineConfig {
     }
 }
 
-/// A [`mintri_core::SearchStrategy`] that runs `AnytimeSearch` over the
-/// parallel enumerator — `AnytimeSearch::new(&g).strategy(parallel_strategy(8))`.
-///
-/// `Unordered` delivery: budgeted searches want throughput, and the
-/// recorded quality statistics are order-insensitive aggregates. Pass a
-/// full [`EngineConfig`] via [`parallel_strategy_with`] to override.
-#[cfg(feature = "parallel")]
-pub fn parallel_strategy(threads: usize) -> mintri_core::SearchStrategy {
-    parallel_strategy_with(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    })
-}
-
-/// [`parallel_strategy`] with an explicit configuration. The search's
-/// [`mintri_sgr::PrintMode`] is forwarded: `Deterministic` delivery
-/// honors it exactly like the sequential enumerator; `Unordered`
-/// delivery has no meaningful print discipline and ignores it.
-#[cfg(feature = "parallel")]
-pub fn parallel_strategy_with(config: EngineConfig) -> mintri_core::SearchStrategy {
-    mintri_core::SearchStrategy::Streamed(Box::new(move |g, triangulator, mode| {
-        Box::new(ParallelEnumerator::with_config_and_mode(
-            g,
-            triangulator,
-            &config,
-            mode,
-        ))
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,17 +160,22 @@ mod tests {
 
     #[cfg(feature = "parallel")]
     #[test]
-    fn anytime_parallel_strategy_runs_under_budget() {
-        use mintri_core::{AnytimeSearch, EnumerationBudget};
+    fn parallel_stats_query_runs_under_budget() {
+        use mintri_core::EnumerationBudget;
         use mintri_graph::Graph;
 
         let g = Graph::cycle(7);
-        let outcome = AnytimeSearch::new(&g)
-            .strategy(parallel_strategy(2))
-            .budget(EnumerationBudget::results(10))
-            .run();
+        let policy = ExecPolicy::fixed().with_threads(2);
+        let outcome = Engine::new()
+            .run(
+                &g,
+                Query::stats()
+                    .policy(policy)
+                    .budget(EnumerationBudget::results(10)),
+            )
+            .wait();
         assert_eq!(outcome.records.len(), 10);
-        let full = AnytimeSearch::new(&g).strategy(parallel_strategy(2)).run();
+        let full = Engine::new().run(&g, Query::stats().policy(policy)).wait();
         assert!(full.completed);
         assert_eq!(full.records.len(), 42);
     }

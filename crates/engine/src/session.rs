@@ -22,12 +22,9 @@ use crate::profile::{Prediction, ProfileView, Profiler, ProfilerInstruments, Run
 use crate::telemetry::EngineTelemetry;
 use crate::EngineConfig;
 use mintri_core::query::{
-    AtomDispatch, AtomStream, CancelToken, ComposedStream, CostMeasure, Delivery, DispatchKind,
-    Plan, Query, Response, Task, TracedStream, TriangulationStream,
+    CancelToken, Delivery, DispatchKind, OpenedAtom, Plan, Query, Response, TriangulationStream,
 };
-use mintri_core::{
-    cost_floor, MsGraph, MsGraphStats, RankedAtom, RankedComposed, RankedStream, SepId,
-};
+use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashMap, FxHasher, Graph, NodeSet};
 use mintri_sgr::{EnumMis, EnumMisStats, PrintMode};
 use mintri_store::{AnswerSnapshot, MemoSummary, PlanSnapshot, Store, StoredOrder};
@@ -247,8 +244,7 @@ enum Source {
 }
 
 /// The engine's replay-aware triangulation stream: what every
-/// [`Engine::run`] response consumes — one per planned atom (composed),
-/// or one for the whole graph when the plan reduces nothing. On natural
+/// [`Engine::run`] response consumes, one per planned atom. On natural
 /// exhaustion of a live run it deposits the complete answer list back
 /// into its session for future replays, under the order key the run was
 /// executed with.
@@ -636,12 +632,6 @@ impl Engine {
     pub fn predicted_wall_us(&self, g: &Graph, backend: &'static str) -> Option<u64> {
         let plan = self.plan_for(g);
         let store = self.store.as_deref();
-        if plan.is_unreduced() {
-            return self
-                .profiler
-                .predict(graph_fingerprint(g), backend, store)
-                .map(|p| p.wall_us);
-        }
         let mut total = 0u64;
         let mut known = false;
         for atom in &plan.atoms {
@@ -827,31 +817,29 @@ impl Engine {
     /// the warm sessions for `g`'s plan and returns the unified
     /// [`Response`] stream.
     ///
-    /// Unless the query disables planning, `g` is first decomposed into
-    /// clique-minimal-separator atoms
-    /// ([`Plan`](mintri_core::query::Plan)); **sessions are keyed per
-    /// atom subgraph** (fingerprint + backend), one replay-aware stream
-    /// runs per non-trivial atom, and the product composer recombines
-    /// them. Two queries on *different* graphs that share an atom
-    /// therefore share that atom's warm memo and recorded answers — the
-    /// cross-query reuse whole-graph keying cannot express. A plan that
-    /// reduces nothing (one atom spanning the graph) falls back to the
-    /// whole-graph session below.
+    /// `g` is first decomposed into clique-minimal-separator atoms
+    /// ([`Plan`](mintri_core::query::Plan); a policy with planning off
+    /// gets [`Plan::unreduced`], one atom spanning `g`). **Sessions are
+    /// keyed per atom subgraph** (fingerprint + backend), one
+    /// replay-aware stream runs per atom, and [`Plan::compose`]
+    /// recombines them. Two queries on *different* graphs that share an
+    /// atom therefore share that atom's warm memo and recorded answers.
     ///
-    /// Per-atom (and whole-graph) dispatch, in order:
+    /// Per-atom dispatch, in order:
     ///
     /// 1. **Replay** — if a completed answer list compatible with the
     ///    query's [`Delivery`] contract and [`PrintMode`] is cached, it
     ///    is served with zero `Extend` calls ([`Response::is_replay`]),
     ///    for every task: ranked and decomposition queries replay just
     ///    like plain enumerations.
-    /// 2. **Parallel** — otherwise, when the effective thread count
-    ///    (`query.threads`, or this engine's configured parallelism when
-    ///    `0`) exceeds one and the `parallel` feature is compiled in,
-    ///    the query runs on the work-stealing pool under the requested
-    ///    delivery contract. The query's `CancelToken` aborts the
-    ///    workers mid-stream (all atoms at once).
-    /// 3. **Sequential** — else the plain `EnumMIS` iterator runs over
+    /// 2. **Hydrate** — else a compatible answer list in the attached
+    ///    store is re-interned and replayed.
+    /// 3. **Parallel** — otherwise, when the atom's thread grant exceeds
+    ///    one and the `parallel` feature is compiled in, the atom runs on
+    ///    the work-stealing pool under the requested delivery contract.
+    ///    The query's `CancelToken` aborts the workers mid-stream (all
+    ///    atoms at once).
+    /// 4. **Sequential** — else the plain `EnumMIS` iterator runs over
     ///    the session's warm memo.
     ///
     /// A live run that drains to natural completion deposits its answer
@@ -872,21 +860,20 @@ impl Engine {
         // for bit. Either way the knobs are read through the policy.
         let auto = policy.is_auto();
         let delivery = policy.delivery();
-        let threads = policy.threads();
-        let planned = policy.planned();
         let backend = triangulator.name();
-        // Best-k rides the ranked gear unless the escape hatch is pulled.
         // Ranked composition needs deterministic per-atom production
-        // indices for its tie order, so the per-atom streams are forced
-        // onto the deterministic contract (an `Ordered` replay cache
-        // still serves them — lazily, never drained past the frontier).
-        let ranked_measure = match task {
-            Task::BestK { cost, .. } if policy.ranked() => Some(cost),
-            _ => None,
+        // indices for its tie order, so the per-atom streams of a ranked
+        // query are forced onto the deterministic contract (an `Ordered`
+        // replay cache still serves them — lazily, never drained past
+        // the frontier).
+        let ranked_measure = policy.ranked_measure(task);
+        let atom_delivery = match ranked_measure {
+            Some(_) => {
+                self.telemetry.ranked_queries.inc();
+                Delivery::Deterministic
+            }
+            None => delivery,
         };
-        if ranked_measure.is_some() {
-            self.telemetry.ranked_queries.inc();
-        }
         let tracer = trace.then(TraceBuilder::new);
         let query_span = tracer.as_ref().map(|t| {
             let span = t.root_span("query");
@@ -894,294 +881,108 @@ impl Engine {
             span.attr("dispatch", "engine");
             span
         });
-        let effective_threads = match threads {
+        let effective_threads = match policy.threads() {
             0 => self.config.resolved_threads(),
             n => n,
         };
-        if planned {
-            let plan_span = query_span.as_ref().map(|q| q.child("plan"));
-            let plan = self.plan_for(g);
-            if let Some(span) = &plan_span {
-                span.attr("atoms", plan.atoms.len().to_string());
-                span.attr("unreduced", plan.is_unreduced().to_string());
-                span.finish();
+        let plan = Plan::for_query(policy.planned(), g, query_span.as_ref(), || {
+            self.plan_for(g)
+        });
+        let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
+        let last = plan.atoms.len().saturating_sub(1);
+        // Profile-driven scheduling, `Auto` only. On a cold profile every
+        // prediction is `None` and each decision below collapses to the
+        // `Fixed` behavior.
+        let predictions: Vec<Option<Prediction>> = if auto {
+            plan.atoms
+                .iter()
+                .map(|atom| {
+                    self.profiler.predict(
+                        graph_fingerprint(&atom.graph),
+                        backend,
+                        self.store.as_deref(),
+                    )
+                })
+                .collect()
+        } else {
+            vec![None; plan.atoms.len()]
+        };
+        // The pool atom — the one the thread budget centers on, and the
+        // one the composer varies fastest. Default (and `Fixed` always):
+        // the last atom. `Auto`: the atom with the largest predicted live
+        // wall, unknown counting as infinite and ties breaking toward the
+        // later index, so cold dispatch is exactly the fixed dispatch.
+        let mut pool = last;
+        if auto {
+            let mut best = 0u64;
+            for (i, p) in predictions.iter().enumerate() {
+                let wall = p.map(|p| p.wall_us).unwrap_or(u64::MAX);
+                if wall >= best {
+                    best = wall;
+                    pool = i;
+                }
             }
-            if !plan.is_unreduced() {
-                let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-                let last = plan.atoms.len().saturating_sub(1);
-                // Profile-driven scheduling, `Auto` only. On a cold
-                // profile every prediction is `None` and each decision
-                // below collapses to today's `Fixed` behavior.
-                let predictions: Vec<Option<Prediction>> = if auto {
-                    plan.atoms
-                        .iter()
-                        .map(|atom| {
-                            self.profiler.predict(
-                                graph_fingerprint(&atom.graph),
-                                backend,
-                                self.store.as_deref(),
-                            )
-                        })
-                        .collect()
-                } else {
-                    vec![None; plan.atoms.len()]
-                };
-                // The pool atom — the one the thread budget centers on,
-                // and the one the composer varies fastest. Default (and
-                // `Fixed` always): the last atom. `Auto`: the atom with
-                // the largest predicted live wall, unknown counting as
-                // infinite and ties breaking toward the later index, so
-                // cold dispatch is exactly the fixed dispatch.
-                let mut pool = last;
-                if auto {
-                    let mut best = 0u64;
-                    for (i, p) in predictions.iter().enumerate() {
-                        let wall = p.map(|p| p.wall_us).unwrap_or(u64::MAX);
-                        if wall >= best {
-                            best = wall;
-                            pool = i;
-                        }
-                    }
-                    if pool != last {
-                        self.telemetry.auto_pool_overrides.inc();
-                    }
-                }
-                // Parallel-vs-sequential threshold: when even the pool
-                // atom's predicted wall is sub-threshold, pool setup
-                // costs more than it buys — run everything sequential.
-                // (`get`, not an index: a fully-chordal graph plans to
-                // zero enumerated atoms.)
-                let demoted = auto
-                    && matches!(predictions.get(pool).copied().flatten().map(|p| p.wall_us),
-                        Some(w) if w < AUTO_SEQUENTIAL_WALL_US);
-                if demoted && effective_threads > 1 {
-                    self.telemetry.auto_sequential_demotions.inc();
-                }
-                // The per-atom thread budget. `Fixed`: the pool (last)
-                // atom takes the whole budget, the rest run sequential
-                // — PR 4's rule, bit for bit. `Auto`: the budget splits
-                // proportionally to predicted wall across the atoms
-                // that can use it (see `split_thread_budget`).
-                let atom_threads: Vec<usize> = if auto {
-                    split_thread_budget(effective_threads, &predictions, pool, demoted)
-                } else {
-                    (0..plan.atoms.len())
-                        .map(|i| if i == pool { effective_threads } else { 1 })
-                        .collect()
-                };
-                // `stream_for` wants the *requested* count for the pool
-                // atom under `Fixed` (`0` = engine default, resolved
-                // there identically) — preserve the old call shape.
-                let atom_threads_raw: Vec<usize> = if auto {
-                    atom_threads.clone()
-                } else {
-                    (0..plan.atoms.len())
-                        .map(|i| if i == pool { threads } else { 1 })
-                        .collect()
-                };
-                // Cursor order. The composer varies the last child
-                // fastest and lets child 0 trim its cache, so under
-                // `Auto` + unordered + unranked the pool atom goes
-                // last and the most result-rich atom goes first.
-                // Ranked and deterministic queries keep plan order:
-                // their emission order is part of the answer contract.
-                let order: Vec<usize> =
-                    if auto && ranked_measure.is_none() && delivery == Delivery::Unordered {
-                        let mut others: Vec<usize> =
-                            (0..plan.atoms.len()).filter(|&i| i != pool).collect();
-                        others.sort_by_key(|&i| {
-                            std::cmp::Reverse(predictions[i].map(|p| p.results).unwrap_or(0))
-                        });
-                        if pool < plan.atoms.len() {
-                            others.push(pool);
-                        }
-                        others
-                    } else {
-                        (0..plan.atoms.len()).collect()
-                    };
-                let mut dispatch: Vec<AtomDispatch> = Vec::with_capacity(plan.atoms.len());
-                let response = if let Some(measure) = ranked_measure {
-                    let children = order
-                        .iter()
-                        .map(|&i| {
-                            let atom = &plan.atoms[i];
-                            let session =
-                                self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
-                            let stream = self.stream_for(
-                                &session,
-                                mode,
-                                Delivery::Deterministic,
-                                atom_threads_raw[i],
-                                Some(&cancel),
-                            );
-                            dispatch.push(AtomDispatch {
-                                index: i,
-                                nodes: atom.graph.num_nodes(),
-                                threads: atom_threads[i],
-                                kind: DispatchKind::Ranked,
-                            });
-                            let stream = Self::maybe_traced(
-                                stream,
-                                query_span.as_ref(),
-                                i,
-                                atom.graph.num_nodes(),
-                                DispatchKind::Ranked,
-                            );
-                            let floor = cost_floor(&atom.graph, measure);
-                            let stream = RankedStream::over(stream, measure, floor)
-                                .with_expansion_counter(Arc::clone(
-                                    &self.telemetry.ranked_expansions,
-                                ));
-                            RankedAtom {
-                                stream,
-                                old_of: atom.old_of.clone(),
-                            }
-                        })
-                        .collect();
-                    let width_const = match measure {
-                        CostMeasure::Width => plan.chordal_width(g),
-                        CostMeasure::Fill => 0,
-                    };
-                    let composed = RankedComposed::new(g.clone(), measure, width_const, children);
-                    let timed = FirstResultTimed::new(
-                        Box::new(composed),
-                        Arc::clone(&self.telemetry.ranked_first_result_us),
-                    );
-                    Response::over_ranked_stream(task, budget, cancel, Box::new(timed))
-                } else {
-                    let children = order
-                        .iter()
-                        .map(|&i| {
-                            let atom = &plan.atoms[i];
-                            let session =
-                                self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
-                            let stream = self.stream_for(
-                                &session,
-                                mode,
-                                delivery,
-                                atom_threads_raw[i],
-                                Some(&cancel),
-                            );
-                            let kind = dispatch_kind(stream.served_kind(), atom_threads[i]);
-                            dispatch.push(AtomDispatch {
-                                index: i,
-                                nodes: atom.graph.num_nodes(),
-                                threads: atom_threads[i],
-                                kind,
-                            });
-                            let stream = Self::maybe_traced(
-                                stream,
-                                query_span.as_ref(),
-                                i,
-                                atom.graph.num_nodes(),
-                                kind,
-                            );
-                            AtomStream {
-                                stream,
-                                old_of: atom.old_of.clone(),
-                            }
-                        })
-                        .collect();
-                    let composed = ComposedStream::new(g.clone(), children);
-                    Response::over_stream(task, budget, cancel, Box::new(composed))
-                };
-                dispatch.sort_by_key(|d| d.index);
-                let response = response.with_dispatch(dispatch);
-                return match (tracer, query_span) {
-                    (Some(t), Some(s)) => response.with_trace(t, s),
-                    _ => response,
-                };
+            if pool != last {
+                self.telemetry.auto_pool_overrides.inc();
             }
         }
-        let session = self.session_keyed(g, triangulator);
-        // Whole-graph dispatch: `Auto` applies the same parallel-vs-
-        // sequential threshold from the learned whole-graph profile.
-        let (flat_raw, flat_eff) = if auto && effective_threads > 1 {
-            match self
-                .profiler
-                .predict(graph_fingerprint(g), backend, self.store.as_deref())
-            {
-                Some(p) if p.wall_us < AUTO_SEQUENTIAL_WALL_US => {
-                    self.telemetry.auto_sequential_demotions.inc();
-                    (1, 1)
+        // Parallel-vs-sequential threshold: when even the pool atom's
+        // predicted wall is sub-threshold, pool setup costs more than it
+        // buys — run everything sequential. (`get`, not an index: a
+        // fully-chordal graph plans to zero enumerated atoms.)
+        let demoted = auto
+            && matches!(predictions.get(pool).copied().flatten().map(|p| p.wall_us),
+                Some(w) if w < AUTO_SEQUENTIAL_WALL_US);
+        if demoted && effective_threads > 1 {
+            self.telemetry.auto_sequential_demotions.inc();
+        }
+        // The per-atom thread budget. `Fixed` (no predictions): the pool
+        // (last) atom takes the whole budget, the rest run sequential.
+        // `Auto`: the budget splits proportionally to predicted wall
+        // across the atoms that can use it.
+        let atom_threads = split_thread_budget(effective_threads, &predictions, pool, demoted);
+        // Cursor order. The composer varies the last child fastest and
+        // lets child 0 trim its cache, so under `Auto` + unordered +
+        // unranked the pool atom goes last and the most result-rich atom
+        // goes first. Ranked and deterministic queries keep plan order:
+        // their emission order is part of the answer contract.
+        let order: Vec<usize> =
+            if auto && ranked_measure.is_none() && delivery == Delivery::Unordered {
+                let mut others: Vec<usize> = (0..plan.atoms.len()).filter(|&i| i != pool).collect();
+                others.sort_by_key(|&i| {
+                    std::cmp::Reverse(predictions[i].map(|p| p.results).unwrap_or(0))
+                });
+                if pool < plan.atoms.len() {
+                    others.push(pool);
                 }
-                _ => (threads, effective_threads),
-            }
-        } else {
-            (threads, effective_threads)
-        };
-        let mut dispatch: Vec<AtomDispatch> = Vec::with_capacity(1);
-        let response = if let Some(measure) = ranked_measure {
-            let stream = self.stream_for(
-                &session,
-                mode,
-                Delivery::Deterministic,
-                flat_raw,
-                Some(&cancel),
-            );
-            dispatch.push(AtomDispatch {
-                index: 0,
-                nodes: g.num_nodes(),
-                threads: flat_eff,
-                kind: DispatchKind::Ranked,
-            });
-            let stream = Self::maybe_traced(
-                stream,
-                query_span.as_ref(),
-                0,
-                g.num_nodes(),
-                DispatchKind::Ranked,
-            );
-            let floor = cost_floor(g, measure);
-            let stream = RankedStream::over(stream, measure, floor)
-                .with_expansion_counter(Arc::clone(&self.telemetry.ranked_expansions));
-            let timed = FirstResultTimed::new(
-                Box::new(stream),
+                others
+            } else {
+                (0..plan.atoms.len()).collect()
+            };
+        let mut composed = plan.compose(
+            g,
+            &order,
+            ranked_measure,
+            query_span.as_ref(),
+            Some(&self.telemetry.ranked_expansions),
+            |i, atom| {
+                let session = self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
+                let stream =
+                    self.stream_for(&session, mode, atom_delivery, atom_threads[i], &cancel);
+                OpenedAtom {
+                    kind: dispatch_kind(stream.served_kind(), atom_threads[i]),
+                    stream: Box::new(stream),
+                    threads: atom_threads[i],
+                }
+            },
+        );
+        if composed.ranked {
+            composed.stream = Box::new(FirstResultTimed::new(
+                composed.stream,
                 Arc::clone(&self.telemetry.ranked_first_result_us),
-            );
-            Response::over_ranked_stream(task, budget, cancel, Box::new(timed))
-        } else {
-            let stream = self.stream_for(&session, mode, delivery, flat_raw, Some(&cancel));
-            let kind = dispatch_kind(stream.served_kind(), flat_eff);
-            dispatch.push(AtomDispatch {
-                index: 0,
-                nodes: g.num_nodes(),
-                threads: flat_eff,
-                kind,
-            });
-            let stream = Self::maybe_traced(stream, query_span.as_ref(), 0, g.num_nodes(), kind);
-            Response::over_stream(task, budget, cancel, stream)
-        };
-        let response = response.with_dispatch(dispatch);
-        match (tracer, query_span) {
-            (Some(t), Some(s)) => response.with_trace(t, s),
-            _ => response,
+            ));
         }
-    }
-
-    /// Wraps `stream` in a [`TracedStream`] under an `atom` span when the
-    /// query is traced; the untraced path boxes the stream unchanged.
-    /// The `dispatch` attribute records how the stream was actually
-    /// served — the same [`DispatchKind`] the response's outcome
-    /// reports (`ranked` for streams feeding a ranked frontier, whose
-    /// `results` attribute then counts the frontier's expansions).
-    fn maybe_traced(
-        stream: EngineEnumeration,
-        query_span: Option<&mintri_telemetry::SpanHandle>,
-        index: usize,
-        nodes: usize,
-        kind: DispatchKind,
-    ) -> Box<dyn TriangulationStream + 'static> {
-        match query_span {
-            Some(parent) => {
-                let span = parent.child("atom");
-                span.attr("index", index.to_string());
-                span.attr("nodes", nodes.to_string());
-                span.attr("dispatch", kind.name());
-                Box::new(TracedStream::new(Box::new(stream), span))
-            }
-            None => Box::new(stream),
-        }
+        Response::over_composed(task, budget, cancel, composed, tracer.zip(query_span))
     }
 
     /// The cached (or freshly computed) [`Plan`] for `g`. Planning is
@@ -1286,39 +1087,27 @@ impl Engine {
         total
     }
 
-    /// The replay-aware stream behind every query: cached answers when
-    /// the delivery contract allows, otherwise a live (parallel or
-    /// sequential) run against the warm session memo.
+    /// The replay-aware stream behind every atom of a query: cached
+    /// answers when the delivery contract allows, otherwise a live
+    /// (parallel or sequential) run on `threads` workers against the
+    /// warm session memo.
     fn stream_for(
         &self,
         session: &Arc<GraphSession>,
         mode: PrintMode,
         delivery: Delivery,
         threads: usize,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> EngineEnumeration {
         if let Some(answers) = session.replayable(delivery, mode) {
             self.telemetry.replay_hits.inc();
-            return EngineEnumeration {
-                profile: self.capture(session, RunKind::Replay),
-                session: Arc::clone(session),
-                source: Source::Cached { answers, next: 0 },
-                recorded: None,
-                spill: None,
-                created: Instant::now(),
-                wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
-                #[cfg(feature = "parallel")]
-                _cancel_hook: None,
-            };
+            let source = Source::Cached { answers, next: 0 };
+            return self.enumeration(session, RunKind::Replay, source, None);
         }
         self.telemetry.replay_misses.inc();
         if let Some(hydrated) = self.hydrate_stream(session, mode, delivery) {
             return hydrated;
         }
-        let threads = match threads {
-            0 => self.config.resolved_threads(),
-            n => n,
-        };
         self.live_stream(session, mode, delivery, threads, cancel)
     }
 
@@ -1386,17 +1175,8 @@ impl Engine {
             self.telemetry
                 .store_hydrate_us
                 .record_duration(start.elapsed());
-            return Some(EngineEnumeration {
-                profile: self.capture(session, RunKind::Hydrate),
-                session: Arc::clone(session),
-                source: Source::Cached { answers, next: 0 },
-                recorded: None,
-                spill: None,
-                created: Instant::now(),
-                wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
-                #[cfg(feature = "parallel")]
-                _cancel_hook: None,
-            });
+            let source = Source::Cached { answers, next: 0 };
+            return Some(self.enumeration(session, RunKind::Hydrate, source, None));
         }
         self.telemetry.store_misses.inc();
         None
@@ -1409,35 +1189,28 @@ impl Engine {
         mode: PrintMode,
         delivery: Delivery,
         threads: usize,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> EngineEnumeration {
-        if threads > 1 {
-            let par = crate::ParallelEnumerator::from_msgraph_with_mode(
-                Arc::clone(&session.ms),
-                &EngineConfig {
-                    threads,
-                    delivery,
-                    ..self.config.clone()
-                },
-                mode,
-            );
-            let cancel_hook = cancel.map(|token| token.on_cancel(par.abort_hook()));
-            let key = match delivery {
-                Delivery::Unordered => AnswerKey::Unordered,
-                Delivery::Deterministic => AnswerKey::Ordered(mode),
-            };
-            return EngineEnumeration {
-                profile: self.capture(session, RunKind::Live),
-                session: Arc::clone(session),
-                source: Source::Live(par),
-                recorded: Some((key, Vec::new())),
-                spill: self.spill_handle(),
-                created: Instant::now(),
-                wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
-                _cancel_hook: cancel_hook,
-            };
+        if threads <= 1 {
+            return self.sequential_stream(session, mode);
         }
-        self.sequential_stream(session, mode)
+        let par = crate::ParallelEnumerator::from_msgraph_with_mode(
+            Arc::clone(&session.ms),
+            &EngineConfig {
+                threads,
+                delivery,
+                ..self.config.clone()
+            },
+            mode,
+        );
+        let cancel_hook = cancel.on_cancel(par.abort_hook());
+        let key = match delivery {
+            Delivery::Unordered => AnswerKey::Unordered,
+            Delivery::Deterministic => AnswerKey::Ordered(mode),
+        };
+        let mut stream = self.enumeration(session, RunKind::Live, Source::Live(par), Some(key));
+        stream._cancel_hook = Some(cancel_hook);
+        stream
     }
 
     #[cfg(not(feature = "parallel"))]
@@ -1447,48 +1220,57 @@ impl Engine {
         mode: PrintMode,
         _delivery: Delivery,
         _threads: usize,
-        _cancel: Option<&CancelToken>,
+        _cancel: &CancelToken,
     ) -> EngineEnumeration {
         self.sequential_stream(session, mode)
     }
 
     fn sequential_stream(&self, session: &Arc<GraphSession>, mode: PrintMode) -> EngineEnumeration {
+        let source = Source::Sequential(Box::new(EnumMis::new(Arc::clone(&session.ms), mode)));
+        self.enumeration(
+            session,
+            RunKind::Live,
+            source,
+            Some(AnswerKey::Ordered(mode)),
+        )
+    }
+
+    /// Wraps `source` into the engine's stream over `session`. Every
+    /// stream carries the cost-profile capture (recorded at drop, keyed
+    /// like the session) and the stream-lifetime histogram; a live run
+    /// also records its answers under `record` for the deposit, written
+    /// through to the store when the engine has one.
+    fn enumeration(
+        &self,
+        session: &Arc<GraphSession>,
+        kind: RunKind,
+        source: Source,
+        record: Option<AnswerKey>,
+    ) -> EngineEnumeration {
         EngineEnumeration {
-            profile: self.capture(session, RunKind::Live),
+            profile: Some(ProfileCapture {
+                profiler: Arc::clone(&self.profiler),
+                store: self.store.clone(),
+                fingerprint: graph_fingerprint(&session.graph),
+                backend: session.backend,
+                nodes: session.graph.num_nodes() as u32,
+                kind,
+                results: 0,
+                first_us: None,
+                extends_start: session.stats().extends as u64,
+                completed: false,
+            }),
             session: Arc::clone(session),
-            source: Source::Sequential(Box::new(EnumMis::new(Arc::clone(&session.ms), mode))),
-            recorded: Some((AnswerKey::Ordered(mode), Vec::new())),
-            spill: self.spill_handle(),
+            source,
+            recorded: record.map(|key| (key, Vec::new())),
+            spill: record
+                .and(self.store.as_ref())
+                .map(|store| (Arc::clone(store), Arc::clone(&self.telemetry.store_spills))),
             created: Instant::now(),
             wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
             #[cfg(feature = "parallel")]
             _cancel_hook: None,
         }
-    }
-
-    /// The write-through handle live streams carry: the store plus the
-    /// spill counter, or `None` on a store-less engine.
-    fn spill_handle(&self) -> Option<(Arc<Store>, Arc<Counter>)> {
-        self.store
-            .as_ref()
-            .map(|store| (Arc::clone(store), Arc::clone(&self.telemetry.store_spills)))
-    }
-
-    /// The cost-profile deposit every engine stream carries: recorded at
-    /// drop, keyed like the session it serves.
-    fn capture(&self, session: &Arc<GraphSession>, kind: RunKind) -> Option<ProfileCapture> {
-        Some(ProfileCapture {
-            profiler: Arc::clone(&self.profiler),
-            store: self.store.clone(),
-            fingerprint: graph_fingerprint(&session.graph),
-            backend: session.backend,
-            nodes: session.graph.num_nodes() as u32,
-            kind,
-            results: 0,
-            first_us: None,
-            extends_start: session.stats().extends as u64,
-            completed: false,
-        })
     }
 }
 

@@ -42,11 +42,9 @@
 //! pins the classic knobs. `--explain` prints the dispatch the engine
 //! actually chose for each atom (replay/hydrate/parallel/sequential/
 //! ranked plus the thread grant) to stderr; in `--format json` the
-//! same record rides in `outcome.dispatch`. The old switches remain as
-//! deprecated aliases for `--policy fixed`: `--no-plan` forces the
-//! unreduced whole-graph path, `--no-ranked` forces best-k onto the
-//! exhaustive scan-everything path (same winners, same order — the
-//! ranked gear is an optimization, not a semantic change).
+//! same record rides in `outcome.dispatch`. Unknown flags are errors
+//! that name the flag, so a typo never falls back to a default
+//! silently.
 //!
 //! Graphs: DIMACS `.col` (default), 0-based edge lists, or UAI network
 //! files — select explicitly with `--input-format`. (For compatibility,
@@ -110,7 +108,30 @@ fn main() -> ExitCode {
 }
 
 /// Flags that take no value (present means `true`).
-const SWITCH_FLAGS: &[&str] = &["no-plan", "no-ranked", "trace", "explain"];
+const SWITCH_FLAGS: &[&str] = &["trace", "explain"];
+
+/// Flags that take a value; with [`SWITCH_FLAGS`], every flag any
+/// command reads.
+const VALUE_FLAGS: &[&str] = &[
+    "input",
+    "input-format",
+    "format",
+    "algo",
+    "limit",
+    "budget-ms",
+    "k",
+    "by",
+    "one-per-class",
+    "policy",
+    "threads",
+    "delivery",
+    "store-dir",
+    "store-budget-mb",
+    "addr",
+    "max-sessions",
+    "workers",
+    "slow-query-ms",
+];
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
@@ -119,6 +140,9 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<HashMap<String, Str
         let key = arg
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {arg:?}"))?;
+        if !SWITCH_FLAGS.contains(&key) && !VALUE_FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         let value = if SWITCH_FLAGS.contains(&key) {
             "true".to_string()
         } else {
@@ -241,38 +265,16 @@ fn parse_budget(flags: &HashMap<String, String>) -> Result<EnumerationBudget, St
     })
 }
 
-/// `--policy auto|fixed` (plus the deprecated `--no-plan`/`--no-ranked`
-/// aliases) → the query's [`ExecPolicy`]. `auto` is the default: the
-/// engine's learned cost profiles drive the schedule. The legacy
-/// switches still work — they select a `fixed` policy with a
-/// deprecation note — but cannot be combined with an explicit
-/// `--policy auto`, which they would contradict.
+/// `--policy auto|fixed` → the query's [`ExecPolicy`]. `auto` is the
+/// default: the engine's learned cost profiles drive the schedule;
+/// `fixed` pins the classic knobs (planning and the ranked gear on).
 fn pick_policy(flags: &HashMap<String, String>) -> Result<ExecPolicy, String> {
-    let delivery = pick_delivery(flags)?;
-    let legacy: Vec<&str> = ["no-plan", "no-ranked"]
-        .into_iter()
-        .filter(|k| flags.contains_key(*k))
-        .collect();
-    match flags.get("policy").map(String::as_str) {
-        None | Some("auto") if legacy.is_empty() => Ok(ExecPolicy::auto().with_delivery(delivery)),
-        Some("auto") => Err(format!(
-            "--{} pins a fixed schedule and contradicts --policy auto; drop it or use --policy fixed",
-            legacy[0]
-        )),
-        None | Some("fixed") => {
-            if flags.get("policy").is_none() {
-                eprintln!(
-                    "warning: --{} is a deprecated alias for --policy fixed",
-                    legacy.join(" and --")
-                );
-            }
-            Ok(ExecPolicy::fixed()
-                .with_planned(!flags.contains_key("no-plan"))
-                .with_ranked(!flags.contains_key("no-ranked"))
-                .with_delivery(delivery))
-        }
-        Some(other) => Err(format!("unknown --policy {other:?} (use auto or fixed)")),
-    }
+    let policy = match flags.get("policy").map(String::as_str) {
+        None | Some("auto") => ExecPolicy::auto(),
+        Some("fixed") => ExecPolicy::fixed(),
+        Some(other) => return Err(format!("unknown --policy {other:?} (use auto or fixed)")),
+    };
+    Ok(policy.with_delivery(pick_delivery(flags)?))
 }
 
 /// Builds the typed query for one enumeration command — the single place

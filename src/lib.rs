@@ -28,8 +28,9 @@
 //!   instrumented anytime scan of the paper's experiments. Budgets
 //!   ([`prelude::EnumerationBudget`]), the triangulation backend
 //!   ([`prelude::Triangulator`]), the print discipline
-//!   ([`prelude::PrintMode`]), delivery contract and thread count are
-//!   all builder parameters of the same query.
+//!   ([`prelude::PrintMode`]) and the execution policy
+//!   ([`prelude::ExecPolicy`]: threads, planning, ranking, delivery)
+//!   are all builder parameters of the same query.
 //! * **Where to run it** is a two-way choice:
 //!   [`core::query::Query::run_local`] executes sequentially on the
 //!   calling thread with zero setup (scripts, tests, one-shot calls);
@@ -49,13 +50,14 @@
 //! Before any of that, **both executors plan**: the graph is decomposed
 //! into connected components and clique-minimal-separator atoms
 //! ([`prelude::Plan`], over [`prelude::atom_decomposition`]); each
-//! non-trivial atom enumerates on its own small subgraph and a product
-//! composer ([`prelude::ComposedStream`]) recombines the per-atom
+//! non-trivial atom enumerates on its own small subgraph and one
+//! composer ([`prelude::Plan::compose`]) recombines the per-atom
 //! streams — minimal triangulations factor over atoms, so the answer
 //! set is identical while the work drops from one exponential blob to a
 //! sum of small enumerations. The engine keys its sessions per atom, so
-//! different graphs sharing an atom share its warm cache. Opt out per
-//! query with `Query::planned(false)` (CLI: `--no-plan`).
+//! different graphs sharing an atom share its warm cache. With
+//! `ExecPolicy::fixed().with_planned(false)` the plan is one atom
+//! spanning the whole graph, whose stream runs unwrapped.
 //!
 //! The two execution paths agree exactly: `Deterministic` delivery
 //! reproduces `run_local`'s output stream, and `Unordered` reproduces
@@ -85,14 +87,13 @@ pub mod prelude {
     pub use mintri_chordal::{is_chordal, maximal_cliques, treewidth_of_chordal, CliqueForest};
     pub use mintri_core::best_k_of_stream;
     pub use mintri_core::{
-        AnytimeSearch, AtomDispatch, BruteForce, CancelToken, ComposedStream, CostMeasure,
-        Delivery, DispatchKind, EagerMinimalTriangulations, EnumerationBudget, ExecPolicy,
-        MinimalTriangulationsEnumerator, Plan, PlannedAtom, ProperTreeDecompositions, Query,
-        QueryItem, QueryOutcome, Response, SearchStrategy, Task, TdEnumerationMode,
-        TriangulationStream,
+        AtomDispatch, BruteForce, CancelToken, ComposedStream, CostMeasure, Delivery, DispatchKind,
+        EagerMinimalTriangulations, EnumerationBudget, ExecPolicy, MinimalTriangulationsEnumerator,
+        Plan, PlannedAtom, ProperTreeDecompositions, Query, QueryItem, QueryOutcome, Response,
+        Task, TdEnumerationMode, TriangulationStream,
     };
     #[cfg(feature = "parallel")]
-    pub use mintri_engine::{parallel_strategy, parallel_strategy_with, ParallelEnumerator};
+    pub use mintri_engine::ParallelEnumerator;
     pub use mintri_engine::{Engine, EngineConfig, GraphSession};
     pub use mintri_graph::{Graph, Node, NodeSet};
     pub use mintri_separators::{

@@ -7,8 +7,13 @@ use std::process::Command;
 
 const DIMACS_C6: &str = "p edge 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 6 1\n";
 
-fn graph_file() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("mintri_cli_json_c6_{}.col", std::process::id()));
+/// A temp DIMACS C6 file, named per test (`tag`) so parallel tests never
+/// remove each other's input.
+fn graph_file(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "mintri_cli_json_c6_{tag}_{}.col",
+        std::process::id()
+    ));
     std::fs::write(&path, DIMACS_C6).expect("write temp graph");
     path
 }
@@ -30,7 +35,7 @@ fn run_json(args: &[&str]) -> JsonValue {
 
 #[test]
 fn every_json_command_parses_back() {
-    let path = graph_file();
+    let path = graph_file("json");
     let input = path.to_str().unwrap();
 
     let doc = run_json(&["stats", "--input", input, "--format", "json"]);
@@ -59,5 +64,30 @@ fn every_json_command_parses_back() {
     let doc = run_json(&["decompose", "--input", input, "--format", "json"]);
     assert!(!doc.get("results").unwrap().as_array().unwrap().is_empty());
 
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let path = graph_file("flags");
+    let input = path.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec!["enumerate", "--input", input, "--polcy", "fixed"],
+            "--polcy",
+        ),
+        (
+            vec!["enumerate", "--input", input, "--no-plan"],
+            "--no-plan",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mintri"))
+            .args(&args)
+            .output()
+            .expect("run mintri");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "mintri {args:?} must fail");
+        assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
+    }
     std::fs::remove_file(&path).ok();
 }

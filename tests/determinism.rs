@@ -51,7 +51,7 @@ fn separator_stream_is_reproducible() {
 #[test]
 fn workload_generators_are_seed_stable_snapshots() {
     // golden values: if these change, seeded reproducibility broke and
-    // every number in EXPERIMENTS.md silently shifts. Pinned against the
+    // every number the Section 6 binaries print silently shifts. Pinned against the
     // vendored xoshiro256++ `rand` stand-in (crates/vendor/rand).
     let g = promedas(24, 72, 4, 7);
     assert_eq!((g.num_nodes(), g.num_edges()), (96, 295));

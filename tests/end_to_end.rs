@@ -2,8 +2,7 @@
 //! validated minimal triangulations and proper tree decompositions.
 
 use mintri::core::{
-    AnytimeSearch, BruteForce, EnumerationBudget, MinimalTriangulationsEnumerator,
-    ProperTreeDecompositions,
+    BruteForce, EnumerationBudget, MinimalTriangulationsEnumerator, ProperTreeDecompositions,
 };
 use mintri::prelude::*;
 use mintri::sgr::PrintMode;
@@ -117,9 +116,10 @@ fn facade_prelude_covers_the_workflow() {
 #[test]
 fn budgeted_run_agrees_with_unbudgeted_prefix() {
     let g = Graph::cycle(8);
-    let budgeted = AnytimeSearch::new(&g)
+    let budgeted = Query::stats()
         .budget(EnumerationBudget::results(10))
-        .run();
+        .run_local(&g)
+        .wait();
     assert_eq!(budgeted.records.len(), 10);
     let full: Vec<_> = MinimalTriangulationsEnumerator::new(&g).collect();
     assert_eq!(full.len(), 132); // Catalan(6)

@@ -19,25 +19,109 @@ fn edges_of(tris: &[Triangulation]) -> Vec<Vec<(Node, Node)>> {
     tris.iter().map(|t| t.graph.edges()).collect()
 }
 
+/// Runs `query` through `run_local`, or through a fresh engine when
+/// `engine` is set, and returns the emitted edge lists plus the outcome.
+fn run_on(g: &Graph, query: Query, engine: bool) -> (Vec<Vec<(Node, Node)>>, QueryOutcome) {
+    let mut response = if engine {
+        Engine::new().run(g, query)
+    } else {
+        query.run_local(g)
+    };
+    let edges = edges_of(&response.triangulations());
+    (edges, response.outcome())
+}
+
+fn atom_spans(outcome: &QueryOutcome) -> usize {
+    let trace = outcome.trace.as_ref().expect("traced query");
+    let query = trace.find("query").expect("root query span");
+    query.children.iter().filter(|c| c.name == "atom").count()
+}
+
 #[test]
 fn unplanned_run_local_is_the_sequential_iterator_bit_for_bit() {
-    // `--no-plan` contract: with planning off, `run_local` IS the
-    // whole-graph sequential enumerator, bit for bit, in both modes.
-    for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
-        let g = erdos_renyi(14, 0.3, 5);
-        let via_query = edges_of(
-            &Query::enumerate()
-                .policy(ExecPolicy::fixed().with_planned(false))
-                .mode(mode)
-                .budget(EnumerationBudget::results(300))
-                .run_local(&g)
-                .triangulations(),
-        );
-        let direct: Vec<_> = MinimalTriangulationsEnumerator::with_config(&g, Box::new(McsM), mode)
-            .take(300)
-            .map(|t| t.graph.edges())
-            .collect();
-        assert_eq!(via_query, direct, "mode {mode:?}");
+    // A plan that reduces nothing — planning off, or a graph whose plan
+    // is one atom spanning it — hands the whole-graph sequential
+    // enumerator through unwrapped, on both executors: the same order
+    // and `EnumMIS` counters, one dispatch entry and one `atom` span.
+    let single_atom: Vec<Graph> = (0..)
+        .map(|seed| erdos_renyi(12, 0.35, seed))
+        .filter(|g| Plan::of(g).is_unreduced())
+        .take(3)
+        .collect();
+    // C4 and C5 glued at vertex 0, plus a pendant path: several atoms.
+    let multi_atom = Graph::from_edges(
+        11,
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (0, 4),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 0),
+            (7, 8),
+            (8, 9),
+            (9, 10),
+        ],
+    );
+    assert!(Plan::of(&multi_atom).atoms.len() > 1);
+    let unplanned = ExecPolicy::fixed().with_planned(false);
+    let mut cases: Vec<(&Graph, ExecPolicy)> = vec![(&multi_atom, unplanned)];
+    for g in &single_atom {
+        cases.push((g, ExecPolicy::fixed()));
+        cases.push((g, unplanned));
+    }
+    for (g, policy) in cases {
+        let policy = policy.with_threads(1);
+        let sole = |kind| {
+            vec![AtomDispatch {
+                index: 0,
+                nodes: g.num_nodes(),
+                threads: 1,
+                kind,
+            }]
+        };
+        for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
+            let mut direct = MinimalTriangulationsEnumerator::with_config(g, Box::new(McsM), mode);
+            let expected: Vec<_> = direct.by_ref().take(300).map(|t| t.graph.edges()).collect();
+            let expected_stats = direct.enum_stats();
+            for engine in [false, true] {
+                let query = Query::enumerate()
+                    .policy(policy)
+                    .mode(mode)
+                    .budget(EnumerationBudget::results(300))
+                    .traced(true);
+                let (edges, outcome) = run_on(g, query, engine);
+                let at = format!("{policy:?} {mode:?} engine={engine}");
+                assert_eq!(edges, expected, "{at}");
+                assert_eq!(outcome.enum_stats, Some(expected_stats), "{at}");
+                assert_eq!(outcome.dispatch, sole(DispatchKind::Sequential), "{at}");
+                assert_eq!(atom_spans(&outcome), 1, "{at}");
+            }
+        }
+        // Best-k rides the ranked gear over the same unwrapped stream.
+        let expected = edges_of(&best_k_of_stream(
+            MinimalTriangulationsEnumerator::new(g),
+            5,
+            EnumerationBudget::unlimited(),
+            |t| t.fill_count(),
+        ));
+        let best_k = || {
+            Query::best_k(5, CostMeasure::Fill)
+                .policy(policy)
+                .traced(true)
+        };
+        let (local_edges, local) = run_on(g, best_k(), false);
+        let (engine_edges, served) = run_on(g, best_k(), true);
+        assert_eq!(local_edges, expected, "{policy:?}");
+        assert_eq!(engine_edges, expected, "{policy:?}");
+        assert_eq!(local.enum_stats, served.enum_stats, "{policy:?}");
+        for outcome in [&local, &served] {
+            assert_eq!(outcome.dispatch, sole(DispatchKind::Ranked), "{policy:?}");
+            assert_eq!(atom_spans(outcome), 1, "{policy:?}");
+        }
     }
 }
 
@@ -159,23 +243,6 @@ fn decompose_task_matches_proper_tree_decompositions() {
         .map(|d| (d.num_bags(), d.width()))
         .collect();
     assert_eq!(via_task, direct);
-}
-
-#[test]
-fn stats_task_agrees_with_anytime_search() {
-    let g = Graph::cycle(7);
-    let outcome = Query::stats()
-        .budget(EnumerationBudget::results(10))
-        .run_local(&g)
-        .wait();
-    let anytime = AnytimeSearch::new(&g)
-        .budget(EnumerationBudget::results(10))
-        .run();
-    assert_eq!(outcome.records.len(), anytime.records.len());
-    assert_eq!(outcome.completed, anytime.completed);
-    let (q1, q2) = (outcome.quality().unwrap(), anytime.quality().unwrap());
-    assert_eq!(q1.min_width, q2.min_width);
-    assert_eq!(q1.min_fill, q2.min_fill);
 }
 
 #[test]
