@@ -1,41 +1,14 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//!
-//! * crossing-test memoization on vs off (the `MSGraph` cache);
-//! * the triangulation backend inside `Extend` (MCS-M vs LB-Triang vs the
-//!   naive complete-fill + sandwich);
-//! * minimal-separator interning is exercised implicitly by both.
+//! Ablation benchmark for the black-box design choice: the triangulation
+//! backend inside `Extend` (MCS-M vs LB-Triang vs the naive complete-fill
+//! + sandwich). Minimal-separator interning is exercised implicitly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mintri_core::{MinimalTriangulationsEnumerator, MsGraph};
+use mintri_core::MinimalTriangulationsEnumerator;
 use mintri_sgr::PrintMode;
 use mintri_triangulate::{CompleteFill, LbTriang, McsM, Triangulator};
 use mintri_workloads::random::grid;
 use std::hint::black_box;
 use std::time::Duration;
-
-fn crossing_cache(c: &mut Criterion) {
-    let g = grid(6, 6);
-    let mut group = c.benchmark_group("ablation_crossing_cache");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    group.bench_function("cache_on_first30", |b| {
-        b.iter(|| {
-            let ms = MsGraph::new(black_box(&g));
-            let e = MinimalTriangulationsEnumerator::from_msgraph(ms, PrintMode::UponGeneration);
-            black_box(e.take(30).count())
-        })
-    });
-    group.bench_function("cache_off_first30", |b| {
-        b.iter(|| {
-            let ms = MsGraph::new(black_box(&g)).without_crossing_cache();
-            let e = MinimalTriangulationsEnumerator::from_msgraph(ms, PrintMode::UponGeneration);
-            black_box(e.take(30).count())
-        })
-    });
-    group.finish();
-}
 
 fn extend_backend(c: &mut Criterion) {
     let g = grid(5, 5);
@@ -65,5 +38,5 @@ fn extend_backend(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, crossing_cache, extend_backend);
+criterion_group!(benches, extend_backend);
 criterion_main!(benches);

@@ -6,7 +6,8 @@
 //!
 //! * [`MsGraph`] — the minimal separator graph of a graph `g`, presented as
 //!   a succinct graph representation (nodes stream from the
-//!   Berry–Bordat–Cogis enumerator, edges are memoized crossing tests,
+//!   Berry–Bordat–Cogis enumerator, edges are crossing tests read off
+//!   per-separator component labels,
 //!   expansion is the `Extend` procedure over any black-box triangulator);
 //! * [`MinimalTriangulationsEnumerator`] — `EnumMIS` over `MSGraph`,
 //!   materializing each maximal set of pairwise-parallel minimal separators

@@ -1,14 +1,13 @@
 //! Sharded, lock-striped concurrent memo tables behind [`crate::MsGraph`].
 //!
-//! The enumeration stack memoizes two things per input graph: the
-//! *separator interner* (content-addressed `NodeSet` → dense [`SepId`])
-//! and the *crossing relation* (unordered `SepId` pair → `bool`). Both
-//! used to live in `RefCell<FxHashMap>`s, which pinned `MsGraph` to one
-//! thread; they are now striped over `N` mutex-guarded shards selected by
-//! key hash, so concurrent `EnumMIS` workers — and concurrent *queries*
-//! sharing one warm [`crate::MsGraph`] through the engine's session layer
-//! — hit different stripes and compute each separator and each crossing
-//! test at most once per graph.
+//! The enumeration stack memoizes one table per input graph: the
+//! *separator interner* (content-addressed `NodeSet` → dense [`SepId`]),
+//! whose id → set direction also holds each separator's component labels
+//! once a crossing query needs them. The content → id direction is striped
+//! over `N` mutex-guarded shards selected by key hash, so concurrent
+//! `EnumMIS` workers — and concurrent *queries* sharing one warm
+//! [`crate::MsGraph`] through the engine's session layer — hit different
+//! stripes and intern each separator at most once per graph.
 //!
 //! Interned ids stay **dense and insertion-ordered** (`0, 1, 2, …`): the
 //! id → set direction is an append-only vector under a read-write lock,
@@ -19,7 +18,7 @@
 
 use mintri_graph::{FxHashMap, FxHasher, NodeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Dense identifier of an interned minimal separator.
 pub type SepId = u32;
@@ -56,7 +55,15 @@ pub struct ShardedInterner {
     shards: [Mutex<FxHashMap<Arc<NodeSet>, SepId>>; SHARDS],
     /// id → content, append-only; write-locked only when a new separator
     /// is first seen.
-    sets: RwLock<Vec<Arc<NodeSet>>>,
+    sets: RwLock<Vec<Interned>>,
+}
+
+/// One row of the id → content table.
+struct Interned {
+    set: Arc<NodeSet>,
+    /// Component labels of `g \ set`, filled on first use (see
+    /// [`ShardedInterner::set_labels`]).
+    labels: OnceLock<Box<[u32]>>,
 }
 
 impl Default for ShardedInterner {
@@ -96,7 +103,10 @@ impl ShardedInterner {
     fn insert_new(&self, shard: &mut FxHashMap<Arc<NodeSet>, SepId>, s: Arc<NodeSet>) -> SepId {
         let mut sets = self.sets.write().unwrap();
         let id = sets.len() as SepId;
-        sets.push(Arc::clone(&s));
+        sets.push(Interned {
+            set: Arc::clone(&s),
+            labels: OnceLock::new(),
+        });
         drop(sets);
         shard.insert(s, id);
         id
@@ -115,64 +125,36 @@ impl ShardedInterner {
     /// A shared handle on the separator behind `id` (refcount bump, no
     /// bitset copy).
     pub fn get(&self, id: SepId) -> Arc<NodeSet> {
-        Arc::clone(&self.sets.read().unwrap()[id as usize])
+        Arc::clone(&self.sets.read().unwrap()[id as usize].set)
     }
 
-    /// Runs `f` over the full id → set table (ids index the slice).
-    pub fn with_all<R>(&self, f: impl FnOnce(&[Arc<NodeSet>]) -> R) -> R {
-        f(&self.sets.read().unwrap())
-    }
-
-    /// Shared handles on the two separators behind `(a, b)` — refcount
-    /// bumps under a brief read lock, no bitset copies.
-    pub fn pair(&self, a: SepId, b: SepId) -> (Arc<NodeSet>, Arc<NodeSet>) {
+    /// Appends shared handles on the separators behind `ids` to `out`,
+    /// under one brief read lock.
+    pub fn extend_handles(&self, ids: &[SepId], out: &mut Vec<Arc<NodeSet>>) {
         let sets = self.sets.read().unwrap();
-        (Arc::clone(&sets[a as usize]), Arc::clone(&sets[b as usize]))
-    }
-}
-
-/// Concurrent memo table for a symmetric boolean relation over interned
-/// ids (the crossing relation `S ♮ T`), striped by pair hash.
-pub struct ShardedPairMemo {
-    shards: [Mutex<FxHashMap<(SepId, SepId), bool>>; SHARDS],
-}
-
-impl Default for ShardedPairMemo {
-    fn default() -> Self {
-        ShardedPairMemo {
-            shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
-        }
-    }
-}
-
-impl ShardedPairMemo {
-    /// Cached answer for the (unordered, pre-canonicalized) pair, if any.
-    pub fn get(&self, key: (SepId, SepId)) -> Option<bool> {
-        self.shards[shard_of(&key)]
-            .lock()
-            .unwrap()
-            .get(&key)
-            .copied()
+        out.extend(ids.iter().map(|&id| Arc::clone(&sets[id as usize].set)));
     }
 
-    /// Records an answer. Two threads racing on the same key write the
-    /// same value (the relation is a pure function of the graph), so
-    /// last-write-wins is correct.
-    pub fn insert(&self, key: (SepId, SepId), value: bool) {
-        self.shards[shard_of(&key)]
-            .lock()
-            .unwrap()
-            .insert(key, value);
+    /// Runs `f` over `a`'s component labels and `b`'s set under one read
+    /// lock, with no handle clones; `None` while `a` is still unlabelled.
+    pub fn with_labels<R>(
+        &self,
+        a: SepId,
+        b: SepId,
+        f: impl FnOnce(&[u32], &NodeSet) -> R,
+    ) -> Option<R> {
+        let sets = self.sets.read().unwrap();
+        let labels = sets[a as usize].labels.get()?;
+        Some(f(labels, &sets[b as usize].set))
     }
 
-    /// Total number of memoized pairs (test/diagnostic use).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
-    }
-
-    /// `true` when no pair has been memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Stores `a`'s component labels, computed outside the lock. Returns
+    /// `false`, dropping `labels`, when another thread stored them first.
+    pub fn set_labels(&self, a: SepId, labels: Box<[u32]>) -> bool {
+        self.sets.read().unwrap()[a as usize]
+            .labels
+            .set(labels)
+            .is_ok()
     }
 }
 
@@ -222,16 +204,5 @@ mod tests {
                 "id must resolve to the set that produced it"
             );
         }
-    }
-
-    #[test]
-    fn pair_memo_roundtrips() {
-        let memo = ShardedPairMemo::default();
-        assert_eq!(memo.get((1, 2)), None);
-        memo.insert((1, 2), true);
-        memo.insert((3, 4), false);
-        assert_eq!(memo.get((1, 2)), Some(true));
-        assert_eq!(memo.get((3, 4)), Some(false));
-        assert_eq!(memo.len(), 2);
     }
 }

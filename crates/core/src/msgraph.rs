@@ -4,23 +4,24 @@
 //!
 //! Performance notes (the "optimized version" of the paper's Section 7):
 //! separators are *interned* into dense `u32` ids, so `EnumMIS` hashes
-//! answers as sorted integer vectors instead of sets of bitsets, and the
-//! crossing relation is memoized per (unordered) id pair — each `S ♮ T`
-//! test runs the `O(n + m)` component count at most once. Both
-//! optimizations can be disabled for the ablation benchmarks.
+//! answers as sorted integer vectors instead of sets of bitsets, and each
+//! separator `S` carries the component labels of `g \ S`, computed by one
+//! `O(n + m)` search the first time `S` is asked about. `S ♮ T` (with `S`
+//! the lower id) is then a scan over `T`'s nodes for a second distinct
+//! label.
 //!
-//! Both memo tables are sharded concurrent structures (see
-//! [`crate::memo`]), which makes `MsGraph: Send + Sync`: the parallel
-//! engine fans `EnumMIS` out over a thread pool against a *single* shared
-//! `MsGraph`, so every interned separator and every memoized crossing test
-//! is computed once and reused across threads — and, through the session
-//! layer, across repeated queries on the same graph.
+//! The interner is a sharded concurrent structure (see [`crate::memo`]),
+//! which makes `MsGraph: Send + Sync`: the parallel engine fans `EnumMIS`
+//! out over a thread pool against a *single* shared `MsGraph`, so every
+//! interned separator and its labels are computed once and reused across
+//! threads — and, through the session layer, across repeated queries on
+//! the same graph.
 
-use crate::memo::{ShardedInterner, ShardedPairMemo};
+use crate::memo::ShardedInterner;
 use mintri_chordal::CliqueForest;
-use mintri_graph::traversal::BfsScratch;
+use mintri_graph::traversal::component_labels;
 use mintri_graph::{Graph, Node, NodeSet};
-use mintri_separators::{crossing, crossing_with, MinSepState};
+use mintri_separators::MinSepState;
 use mintri_sgr::Sgr;
 use mintri_triangulate::{minimal_triangulation, McsM, TriScratch, Triangulation, Triangulator};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,14 +29,14 @@ use std::sync::Arc;
 
 pub use crate::memo::SepId;
 
-/// Reusable workspace for the scratch-kernel `Extend`/crossing path.
+/// Reusable workspace for the scratch-kernel `Extend`.
 ///
 /// One instance belongs to exactly one worker (a sequential enumeration
 /// stream, or one engine worker thread) and is threaded through
-/// [`Sgr::extend_with`] / [`Sgr::edge_with`]. Every buffer is rebuilt *in
-/// place* per call, so after a warm-up pass over the graph's shapes the
-/// kernel performs zero heap allocations in steady state — the invariant
-/// pinned by the repository's `alloc_audit` test.
+/// [`Sgr::extend_with`]. Every buffer is rebuilt *in place* per call, so
+/// after a warm-up pass over the graph's shapes the kernel performs zero
+/// heap allocations in steady state — the invariant pinned by the
+/// repository's `alloc_audit` test.
 #[derive(Default)]
 pub struct ExtendScratch {
     /// `g[φ]`: the saturated graph, overwritten in place each `Extend`.
@@ -47,17 +48,15 @@ pub struct ExtendScratch {
     /// MCS-M workspace: fill edges, the elimination order and the
     /// minimal separators of the triangulation land here.
     tri: TriScratch,
-    /// BFS buffers for crossing (component-count) tests.
-    bfs: BfsScratch,
 }
 
 /// Counters exposed for benchmarks and tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MsGraphStats {
-    /// Crossing tests actually computed (cache misses when caching is on).
+    /// Component labellings computed, one BFS each. A thread that loses
+    /// a race to label the same separator drops its copy uncounted, so
+    /// this never exceeds `separators_interned`.
     pub crossing_computed: usize,
-    /// Crossing tests answered from the memo table.
-    pub crossing_cached: usize,
     /// `Extend` invocations.
     pub extends: usize,
     /// Distinct separators interned.
@@ -69,7 +68,6 @@ pub struct MsGraphStats {
 #[derive(Default)]
 struct AtomicStats {
     crossing_computed: AtomicUsize,
-    crossing_cached: AtomicUsize,
     extends: AtomicUsize,
 }
 
@@ -97,16 +95,15 @@ impl GraphHandle<'_> {
 /// pairwise-parallel minimal separators — in bijection with `MinTri(g)`
 /// (Theorem 4.1 / Corollary 4.2).
 ///
-/// `MsGraph` is `Send + Sync`: all interior state is sharded concurrent
-/// memo tables, so one instance can serve many worker threads (or many
-/// sequential queries) at once, sharing its separator/crossing caches.
+/// `MsGraph` is `Send + Sync`: all interior state lives in the sharded
+/// concurrent interner, so one instance can serve many worker threads (or
+/// many sequential queries) at once, sharing its separators and labels.
 pub struct MsGraph<'g> {
     g: GraphHandle<'g>,
     triangulator: Box<dyn Triangulator>,
     interner: ShardedInterner,
-    crossing_cache: Option<ShardedPairMemo>,
-    /// When `true` (default), `extend_with`/`edge_with` run through the
-    /// allocation-free scratch kernel; when `false` they delegate to the
+    /// When `true` (default), `extend_with` runs through the
+    /// allocation-free scratch kernel; when `false` it delegates to the
     /// historical allocating path (ablation switch).
     scratch_kernel: bool,
     stats: AtomicStats,
@@ -130,22 +127,15 @@ impl<'g> MsGraph<'g> {
             g,
             triangulator,
             interner: ShardedInterner::default(),
-            crossing_cache: Some(ShardedPairMemo::default()),
             scratch_kernel: true,
             stats: AtomicStats::default(),
         }
     }
 
-    /// Disables the crossing memo table (ablation switch).
-    pub fn without_crossing_cache(mut self) -> Self {
-        self.crossing_cache = None;
-        self
-    }
-
     /// Disables the scratch-space execution kernel (ablation switch):
-    /// `extend_with`/`edge_with` fall back to the allocating
-    /// [`Sgr::extend`]/[`Sgr::edge`] path. Answers are bit-for-bit
-    /// identical either way; only the allocation profile differs.
+    /// `extend_with` falls back to the allocating [`Sgr::extend`] path.
+    /// Answers are bit-for-bit identical either way; only the allocation
+    /// profile differs.
     pub fn without_scratch_kernel(mut self) -> Self {
         self.scratch_kernel = false;
         self
@@ -160,7 +150,6 @@ impl<'g> MsGraph<'g> {
     pub fn stats(&self) -> MsGraphStats {
         MsGraphStats {
             crossing_computed: self.stats.crossing_computed.load(Ordering::Relaxed),
-            crossing_cached: self.stats.crossing_cached.load(Ordering::Relaxed),
             extends: self.stats.extends.load(Ordering::Relaxed),
             separators_interned: self.interner.len(),
         }
@@ -185,12 +174,8 @@ impl<'g> MsGraph<'g> {
         // it: std's RwLock is writer-preferring, so holding the read
         // guard across the O(|φ|·n) saturation would stall every other
         // reader behind any queued intern() write.
-        let sets: Vec<Arc<NodeSet>> = self.interner.with_all(|sets| {
-            answer
-                .iter()
-                .map(|&id| Arc::clone(&sets[id as usize]))
-                .collect()
-        });
+        let mut sets = Vec::with_capacity(answer.len());
+        self.interner.extend_handles(answer, &mut sets);
         let mut h = self.g.get().clone();
         for s in &sets {
             h.saturate(s);
@@ -201,10 +186,7 @@ impl<'g> MsGraph<'g> {
     /// [`Self::saturate_answer`] into the workspace: `ws.gphi` becomes
     /// `g[φ]` with no graph or bitset allocation (buffers are reused).
     fn saturate_into(&self, answer: &[SepId], ws: &mut ExtendScratch) {
-        self.interner.with_all(|sets| {
-            ws.seps
-                .extend(answer.iter().map(|&id| Arc::clone(&sets[id as usize])));
-        });
+        self.interner.extend_handles(answer, &mut ws.seps);
         ws.gphi.clone_from(self.g.get());
         let (gphi, seps, members) = (&mut ws.gphi, &ws.seps, &mut ws.members);
         for s in seps {
@@ -223,39 +205,6 @@ impl<'g> MsGraph<'g> {
             graph: h,
             fill,
             peo: None,
-        }
-    }
-
-    fn crossing_uncached(&self, a: SepId, b: SepId) -> bool {
-        self.stats.crossing_computed.fetch_add(1, Ordering::Relaxed);
-        // Take Arc handles under a brief read lock and run the O(n + m)
-        // component count outside it (see saturate_answer).
-        let (s, t) = self.interner.pair(a, b);
-        crossing(self.g.get(), &s, &t)
-    }
-
-    /// Consults the crossing memo: `Ok(answer)` when the relation is
-    /// already known (identity, or a cache hit), `Err(canonical_key)` when
-    /// the caller must compute it and report back via [`Self::edge_record`].
-    fn edge_cached(&self, u: SepId, v: SepId) -> Result<bool, (SepId, SepId)> {
-        if u == v {
-            return Ok(false);
-        }
-        let key = (u.min(v), u.max(v));
-        if let Some(cache) = &self.crossing_cache {
-            if let Some(hit) = cache.get(key) {
-                self.stats.crossing_cached.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        Err(key)
-    }
-
-    /// Records a computed crossing answer for the canonical `key` (no-op
-    /// when the cache is ablated away).
-    fn edge_record(&self, key: (SepId, SepId), result: bool) {
-        if let Some(cache) = &self.crossing_cache {
-            cache.insert(key, result);
         }
     }
 
@@ -293,6 +242,22 @@ impl<'g> MsGraph<'g> {
     }
 }
 
+/// `true` iff `t`'s nodes carry two distinct non-zero `labels` — that is,
+/// `t` meets two components of the graph minus the labelled separator.
+fn meets_two_components(labels: &[u32], t: &NodeSet) -> bool {
+    let mut first = 0;
+    for v in t.iter() {
+        let label = labels[v as usize];
+        if label != 0 && label != first {
+            if first != 0 {
+                return true;
+            }
+            first = label;
+        }
+    }
+    false
+}
+
 /// `MsGraph<'static>` built over a shared graph — the form the engine's
 /// session layer caches and shares across queries and threads.
 impl MsGraph<'static> {
@@ -315,34 +280,24 @@ impl Sgr for MsGraph<'_> {
         cursor.next(self.g.get()).map(|s| self.interner.intern(s))
     }
 
+    /// `S_a ♮ S_b` for `(a, b) = (min, max)`: `S_b` meets two components
+    /// of `g \ S_a`. The scan runs under the interner's read lock; only
+    /// `S_a`'s first query runs its labelling search, outside the lock.
     fn edge(&self, &u: &SepId, &v: &SepId) -> bool {
-        match self.edge_cached(u, v) {
-            Ok(known) => known,
-            Err(key) => {
-                let result = self.crossing_uncached(key.0, key.1);
-                self.edge_record(key, result);
-                result
-            }
+        if u == v {
+            return false;
         }
-    }
-
-    /// [`Sgr::edge`] through the scratch kernel: cache misses run the
-    /// component count in `ws`-owned BFS buffers over `Arc` handles —
-    /// no bitset copies, no queue allocations.
-    fn edge_with(&self, &u: &SepId, &v: &SepId, ws: &mut ExtendScratch) -> bool {
-        if !self.scratch_kernel {
-            return self.edge(&u, &v);
+        let (a, b) = (u.min(v), u.max(v));
+        if let Some(crosses) = self.interner.with_labels(a, b, meets_two_components) {
+            return crosses;
         }
-        match self.edge_cached(u, v) {
-            Ok(known) => known,
-            Err(key) => {
-                self.stats.crossing_computed.fetch_add(1, Ordering::Relaxed);
-                let (s, t) = self.interner.pair(key.0, key.1);
-                let result = crossing_with(self.g.get(), &s, &t, &mut ws.bfs);
-                self.edge_record(key, result);
-                result
-            }
+        let labels = component_labels(self.g.get(), &self.interner.get(a));
+        if self.interner.set_labels(a, labels.into_boxed_slice()) {
+            self.stats.crossing_computed.fetch_add(1, Ordering::Relaxed);
         }
+        self.interner
+            .with_labels(a, b, meets_two_components)
+            .expect("labels were just stored")
     }
 
     /// [`Sgr::extend`] through the scratch kernel (or, with the kernel
@@ -419,16 +374,30 @@ mod tests {
     }
 
     #[test]
-    fn crossing_cache_counts() {
+    fn each_separator_is_labelled_at_most_once() {
         let g = Graph::cycle(6);
         let ms = MsGraph::new(&g);
         let a = ms.intern(NodeSet::from_iter(6, [0, 3]));
         let b = ms.intern(NodeSet::from_iter(6, [1, 4]));
+        let c = ms.intern(NodeSet::from_iter(6, [0, 2]));
         assert!(ms.edge(&a, &b));
         assert!(ms.edge(&b, &a));
+        assert!(!ms.edge(&a, &c));
+        assert_eq!(ms.stats().crossing_computed, 1, "only `a` was a lower id");
+        assert!(ms.edge(&b, &c), "{{1,4}} splits 0 from 2");
+        assert!(!ms.edge(&c, &c));
+        assert_eq!(ms.stats().crossing_computed, 2, "`b` labelled once too");
+        // a full sweep labels every separator, each exactly once
+        let ids: Vec<SepId> = ms.nodes().collect();
+        for _ in 0..2 {
+            for a in &ids {
+                for b in &ids {
+                    ms.edge(a, b);
+                }
+            }
+        }
         let s = ms.stats();
-        assert_eq!(s.crossing_computed, 1);
-        assert_eq!(s.crossing_cached, 1);
+        assert_eq!(s.crossing_computed, s.separators_interned - 1);
     }
 
     #[test]
@@ -476,5 +445,7 @@ mod tests {
                 });
             }
         });
+        let s = fresh.stats();
+        assert!(s.crossing_computed <= s.separators_interned);
     }
 }

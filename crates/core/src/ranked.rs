@@ -328,7 +328,7 @@ impl Ord for Entry {
 ///
 /// The stream pulls raw results — each pull is one *expansion* of the
 /// underlying `EnumMIS` schedule over the minimal-separator space, and
-/// reuses whatever crossing/interner memos the wrapped stream carries,
+/// reuses whatever interned separators and labels the wrapped stream carries,
 /// so warm engine sessions accelerate ranked queries exactly as they do
 /// exhaustive ones. A buffered result is emitted as soon as its cost is
 /// ≤ `floor` (nothing cheaper can still arrive, and a future cost-tie

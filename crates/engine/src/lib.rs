@@ -5,10 +5,11 @@
 //! the same `EnumMIS` frontier over a work-stealing thread pool and keeps
 //! per-graph state warm across queries. Three pieces stack up:
 //!
-//! 1. **Sharded memo tables** (in `mintri-core`): `MsGraph`'s separator
-//!    interner and crossing-test memo are lock-striped concurrent
-//!    structures, so one graph's expensive primitives are computed once
-//!    and shared by every thread and every query that touches the graph.
+//! 1. **Sharded memo table** (in `mintri-core`): `MsGraph`'s separator
+//!    interner, which also holds each separator's component labels for
+//!    the crossing test, is a lock-striped concurrent structure, so one
+//!    graph's expensive primitives are computed once and shared by every
+//!    thread and every query that touches the graph.
 //! 2. **[`ParallelEnumerator`]** (`parallel` feature, on by default):
 //!    fans the `EnumMIS` extension frontier — the independent
 //!    `(answer, separator)` pairs — out over worker threads, deduplicates

@@ -136,7 +136,7 @@ impl ParallelEnumerator {
 
     /// Runs over an existing (possibly already warm) shared [`MsGraph`] —
     /// the entry point the session layer uses so repeated queries reuse
-    /// interned separators and memoized crossing tests.
+    /// interned separators and their component labels.
     pub fn from_msgraph(ms: Arc<MsGraph<'static>>, config: &EngineConfig) -> Self {
         Self::from_msgraph_with_mode(ms, config, PrintMode::UponGeneration)
     }

@@ -6,7 +6,7 @@
 //!
 //! A [`GraphSession`] holds the shared, internally synchronized
 //! [`MsGraph`] for one (graph, triangulation backend) pair — so its
-//! interned separators and memoized crossing tests survive across
+//! interned separators and their component labels survive across
 //! queries — plus, once any enumeration has run to completion, the full
 //! answer list, keyed by the order contract it was recorded under
 //! (unordered discovery, or a sequential [`PrintMode`] schedule). Later
@@ -149,7 +149,8 @@ impl GraphSession {
         self.backend
     }
 
-    /// The shared memoized `MSGraph` (interner + crossing memo).
+    /// The shared memoized `MSGraph` (interner + per-separator component
+    /// labels).
     pub fn msgraph(&self) -> &Arc<MsGraph<'static>> {
         &self.ms
     }
@@ -669,7 +670,6 @@ impl Engine {
         let t = &self.telemetry;
         t.memo_extends.set(stats.extends as i64);
         t.memo_crossing_computed.set(stats.crossing_computed as i64);
-        t.memo_crossing_cached.set(stats.crossing_cached as i64);
         t.memo_separators_interned
             .set(stats.separators_interned as i64);
         t.sessions_live.set(self.sessions_cached() as i64);
@@ -1079,7 +1079,6 @@ impl Engine {
             for (_, session) in entries {
                 let s = session.stats();
                 total.crossing_computed += s.crossing_computed;
-                total.crossing_cached += s.crossing_cached;
                 total.extends += s.extends;
                 total.separators_interned += s.separators_interned;
             }

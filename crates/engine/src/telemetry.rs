@@ -66,10 +66,9 @@ pub struct EngineTelemetry {
     /// [`Engine::refresh_gauges`](crate::Engine::refresh_gauges): the
     /// summed `extends` / crossing counters of every live session.
     pub memo_extends: Arc<Gauge>,
-    /// Crossing tests computed (memo misses), summed over live sessions.
+    /// Component labellings computed (one BFS each), summed over live
+    /// sessions.
     pub memo_crossing_computed: Arc<Gauge>,
-    /// Crossing tests answered from the memo, summed over live sessions.
-    pub memo_crossing_cached: Arc<Gauge>,
     /// Distinct separators interned, summed over live sessions.
     pub memo_separators_interned: Arc<Gauge>,
     /// Stream observations folded into the cost-profile layer.
@@ -172,11 +171,7 @@ impl EngineTelemetry {
             ),
             memo_crossing_computed: g(
                 "mintri_engine_memo_crossing_computed",
-                "Crossing tests computed, summed over live sessions",
-            ),
-            memo_crossing_cached: g(
-                "mintri_engine_memo_crossing_cached",
-                "Crossing tests served from the memo, summed over live sessions",
+                "Component labellings computed, summed over live sessions",
             ),
             memo_separators_interned: g(
                 "mintri_engine_memo_separators_interned",

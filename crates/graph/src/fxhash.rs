@@ -4,8 +4,8 @@
 //! separator ids, answer vectors). The std SipHash is measurably slow for
 //! such keys, so we bundle the Firefox/rustc "Fx" multiply-rotate hash —
 //! reimplemented here because external hashing crates are not on the offline
-//! dependency allowlist (see DESIGN.md). HashDoS resistance is irrelevant:
-//! all keys are internally generated.
+//! dependency allowlist. HashDoS resistance is irrelevant: all keys are
+//! internally generated.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -93,56 +93,19 @@ pub fn count_components_meeting(g: &Graph, sep: &NodeSet, targets: &NodeSet) -> 
     count
 }
 
-/// Reusable buffers for the restricted-component searches above.
+/// Component labels of `g \ removed`: `0` on `removed`, then `1, 2, …`
+/// per component, in the order of [`components_after_removing`].
 ///
-/// One per worker or sequential stream; the five sets grow to the ambient
-/// graph size the first time and are reused thereafter, making the
-/// steady-state traversals allocation-free. The crossing test — the
-/// innermost loop of the enumeration — runs through these.
-#[derive(Default)]
-pub struct BfsScratch {
-    allowed: NodeSet,
-    pending: NodeSet,
-    comp: NodeSet,
-    frontier: NodeSet,
-    next: NodeSet,
-}
-
-impl BfsScratch {
-    /// [`count_components_meeting`] without per-call allocations. Computes
-    /// exactly the same quantity: the number of distinct components of
-    /// `g \ sep` that `targets \ sep` meets.
-    pub fn count_components_meeting(
-        &mut self,
-        g: &Graph,
-        sep: &NodeSet,
-        targets: &NodeSet,
-    ) -> usize {
-        let n = g.num_nodes();
-        self.allowed.reset_full(n);
-        self.allowed.difference_with(sep);
-        self.pending.clone_from(targets);
-        self.pending.difference_with(sep);
-        let mut count = 0;
-        while let Some(start) = self.pending.first() {
-            // Inlined `component_of` over the scratch sets: the next
-            // frontier is N(frontier) ∩ allowed \ comp, word-parallel.
-            self.comp.reset(n);
-            self.comp.insert(start);
-            self.frontier.reset(n);
-            self.frontier.insert(start);
-            while !self.frontier.is_empty() {
-                g.neighborhood_of_set_into(&self.frontier, &mut self.next);
-                self.next.intersect_with(&self.allowed);
-                self.next.difference_with(&self.comp);
-                self.comp.union_with(&self.next);
-                std::mem::swap(&mut self.frontier, &mut self.next);
-            }
-            self.pending.difference_with(&self.comp);
-            count += 1;
+/// With `S`'s labels at hand, the number of components of `g \ S` that a
+/// set meets is a scan over that set's nodes — no further search.
+pub fn component_labels(g: &Graph, removed: &NodeSet) -> Vec<u32> {
+    let mut labels = vec![0; g.num_nodes()];
+    for (label, comp) in (1..).zip(components_after_removing(g, removed)) {
+        for v in comp.iter() {
+            labels[v as usize] = label;
         }
-        count
     }
+    labels
 }
 
 #[cfg(test)]
@@ -218,30 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_counting_matches_allocating_version() {
-        let mut ws = BfsScratch::default();
-        let graphs = [
-            Graph::cycle(6),
-            Graph::path(5),
-            two_triangles(),
-            Graph::complete(4),
-            Graph::new(3),
-        ];
-        for g in &graphs {
-            let n = g.num_nodes();
-            // every pair of singleton-ish subsets, reusing one scratch across
-            // graphs of different sizes
-            for a in 0..n as Node {
-                for b in 0..n as Node {
-                    let sep = NodeSet::from_iter(n, [a]);
-                    let targets = NodeSet::from_iter(n, [b, (b + 1) % n.max(1) as Node]);
-                    assert_eq!(
-                        ws.count_components_meeting(g, &sep, &targets),
-                        count_components_meeting(g, &sep, &targets),
-                    );
-                }
-            }
-        }
+    fn labels_number_the_components() {
+        let g = Graph::cycle(6);
+        let sep = NodeSet::from_iter(6, [0, 3]);
+        // removing {0,3} splits C6 into {1,2} and {4,5}
+        assert_eq!(component_labels(&g, &sep), vec![0, 1, 1, 0, 2, 2]);
+        assert_eq!(
+            component_labels(&Graph::new(2), &NodeSet::new(2)),
+            vec![1, 2]
+        );
     }
 
     #[test]

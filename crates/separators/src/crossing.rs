@@ -1,7 +1,7 @@
 //! The crossing relation `S ♮ T` between minimal separators (Section 2.2)
 //! and a direct minimal-separator test.
 
-use mintri_graph::traversal::{components_after_removing, count_components_meeting, BfsScratch};
+use mintri_graph::traversal::{components_after_removing, count_components_meeting};
 use mintri_graph::{Graph, NodeSet};
 
 /// `true` iff `s` crosses `t` in `g` (`S ♮ T`): there are nodes `u, v ∈ T`
@@ -12,13 +12,6 @@ use mintri_graph::{Graph, NodeSet};
 /// Kloks–Kratsch–Spinrad), which the property tests verify.
 pub fn crossing(g: &Graph, s: &NodeSet, t: &NodeSet) -> bool {
     count_components_meeting(g, s, t) >= 2
-}
-
-/// [`crossing`] through a reusable [`BfsScratch`] — the same decision with
-/// zero allocations once the scratch buffers are warm. This is the form
-/// the enumeration kernel calls on every uncached edge query.
-pub fn crossing_with(g: &Graph, s: &NodeSet, t: &NodeSet, scratch: &mut BfsScratch) -> bool {
-    scratch.count_components_meeting(g, s, t) >= 2
 }
 
 /// `true` iff `s` and `t` are parallel (non-crossing).

@@ -36,4 +36,4 @@ pub use berry::{all_minimal_separators, MinSepState, MinimalSeparatorIter};
 pub use cliquesep::{
     clique_minimal_separators, is_clique_minimal_separator, minimal_uv_separators,
 };
-pub use crossing::{are_parallel, crossing, crossing_with, is_minimal_separator};
+pub use crossing::{are_parallel, crossing, is_minimal_separator};

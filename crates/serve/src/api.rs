@@ -729,7 +729,6 @@ impl AppState {
         let mut memo_doc = JsonObject::new();
         memo_doc.usize("extends", memo.extends);
         memo_doc.usize("crossing_computed", memo.crossing_computed);
-        memo_doc.usize("crossing_cached", memo.crossing_cached);
         memo_doc.usize("separators_interned", memo.separators_interned);
         let t = self.engine.telemetry();
         let mut engine_doc = JsonObject::new();

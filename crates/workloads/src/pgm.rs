@@ -1,6 +1,6 @@
 //! Synthetic stand-ins for the UAI probabilistic-inference benchmarks of
-//! Section 6.1.3 (the original network files are not redistributable; see
-//! DESIGN.md's substitution table). Each generator reproduces the topology
+//! Section 6.1.3 (the original network files are not redistributable). Each
+//! generator reproduces the topology
 //! class and published node/edge ranges of its dataset:
 //!
 //! * **Promedas** — layered noisy-or Bayesian networks (diseases →

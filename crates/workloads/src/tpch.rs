@@ -3,7 +3,7 @@
 //!
 //! The paper used the LogiQL encodings provided privately by LogicBlox;
 //! these hand encodings are derived from the public TPC-H query
-//! definitions instead (see DESIGN.md's substitution table). The published
+//! definitions instead. The published
 //! shape properties hold: every query graph has at most 23 nodes and at
 //! most 46 edges, the largest relation has arity 8, roughly half of the
 //! graphs are chordal (a single minimal triangulation), most of the rest

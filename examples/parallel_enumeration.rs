@@ -91,8 +91,9 @@ fn main() {
     // Sessions are keyed per planned atom, so aggregate across them.
     let stats = engine.memo_stats();
     println!(
-        "warm session state: {} separators interned, {} crossing tests \
-         computed (shared by every future query touching these atoms)",
+        "warm session state: {} separators interned, {} of them labelled \
+         by components for crossing tests (shared by every future query \
+         touching these atoms)",
         stats.separators_interned, stats.crossing_computed
     );
 }

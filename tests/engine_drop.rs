@@ -83,8 +83,11 @@ fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
 
 #[test]
 fn cross_thread_cancel_unblocks_a_draining_consumer() {
+    // C30 has Catalan(28) ≈ 2.6e14 minimal triangulations, so no drain
+    // completes before the cancel lands, however fast the build runs.
+    let g = Graph::cycle(30);
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let (engine, g) = launch(4);
+        let (engine, _) = launch(4);
         let live = &engine.telemetry().threads_live;
         // Safety net: if cancellation were broken the budget still ends
         // the run, and the `cancelled` assertion below catches the bug

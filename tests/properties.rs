@@ -3,8 +3,8 @@
 //! invariants on *every* input, not just the hand-picked ones.
 
 use mintri::core::{
-    BruteForce, CostMeasure, Delivery, MinimalTriangulationsEnumerator, ProperTreeDecompositions,
-    Query,
+    BruteForce, CostMeasure, Delivery, MinimalTriangulationsEnumerator, MsGraph,
+    ProperTreeDecompositions, Query, SepId,
 };
 use mintri::engine::{Engine, EngineConfig};
 use mintri::prelude::*;
@@ -15,6 +15,7 @@ use mintri::sgr::ExplicitSgr;
 use mintri::triangulate::{
     eliminate, lb_triang, mcs_m, minimal_triangulation_sandwich, CompleteFill, OrderingStrategy,
 };
+use mintri::workloads::PgmFamily;
 use proptest::prelude::*;
 
 /// A random graph on `3..=max_n` nodes with independent edge bits.
@@ -106,7 +107,7 @@ proptest! {
     }
 
     /// The component-counting crossing test agrees with the definitional
-    /// one, and is symmetric.
+    /// one, and is symmetric; `MsGraph`'s label-scan edges agree with it.
     #[test]
     fn crossing_test_is_correct_and_symmetric(g in graph_strategy(7)) {
         let seps = all_minimal_separators(&g);
@@ -116,6 +117,10 @@ proptest! {
                 prop_assert_eq!(crossing(&g, s, t), crossing(&g, t, s));
             }
         }
+        let ms = MsGraph::new(&g);
+        let ids: Vec<SepId> = ms.nodes().collect();
+        prop_assert_eq!(ids.len(), seps.len());
+        assert_label_crossing_matches_reference(&g, &ms, &ids);
     }
 
     /// MCS-M always produces a minimal triangulation whose reported PEO is
@@ -270,6 +275,38 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// `ms.edge(a, b) == crossing(g, S_a, S_b)` for every pair of `ids`, in
+/// both orders, and no separator crosses itself.
+fn assert_label_crossing_matches_reference(g: &Graph, ms: &MsGraph<'_>, ids: &[SepId]) {
+    for &a in ids {
+        assert!(!ms.edge(&a, &a), "separator {a} crosses itself");
+        let s = ms.separator(a);
+        for &b in ids {
+            let t = ms.separator(b);
+            assert_eq!(ms.edge(&a, &b), crossing(g, &s, &t), "edge({a}, {b})");
+        }
+    }
+}
+
+/// Label crossing on the paper-family graphs (instance 0 of each family,
+/// generator seed 2017). Their minimal separators are too many to pull
+/// in full, so the check covers the first 120 separators a short
+/// enumeration interns (from its first answers and node pulls).
+#[test]
+fn label_crossing_matches_reference_on_pgm_families() {
+    for family in PgmFamily::ALL {
+        let g = family.instances(1, 2017).pop().unwrap().graph;
+        let ms = MsGraph::new(&g);
+        EnumMis::new(&ms, PrintMode::UponGeneration)
+            .take(3)
+            .for_each(drop);
+        let interned = ms.stats().separators_interned.min(120) as SepId;
+        let ids: Vec<SepId> = (0..interned).collect();
+        assert_label_crossing_matches_reference(&g, &ms, &ids);
+        assert!(ms.stats().crossing_computed <= ms.stats().separators_interned);
     }
 }
 
