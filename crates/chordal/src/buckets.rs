@@ -2,20 +2,19 @@
 //! vertices, one bitset per weight level.
 //!
 //! MCS (reference separator extraction, [`crate::minimal_separators_with`])
-//! and MCS-M (triangulation, `mintri_triangulate::mcs_m_into`) both repeatedly
-//! take an unnumbered vertex of maximum weight and then raise the weights
-//! of some other unnumbered vertices. Keeping each level as a [`NodeSet`]
-//! makes the selection a lowest-set-bit lookup on the top level, and lets
-//! MCS-M intersect whole levels with its reach set a word at a time.
+//! repeatedly takes an unnumbered vertex of maximum weight and then raises
+//! the weights of some other unnumbered vertices. Keeping each level as a
+//! [`NodeSet`] makes the selection a lowest-set-bit lookup on the top
+//! level. (MCS-M, `mintri_triangulate::mcs_m_into`, keeps the same levels
+//! as rows of a flat word buffer of its own.)
 
 use mintri_graph::{Node, NodeSet};
 
 /// The unnumbered vertices of a graph on `0..n`, bucketed by weight.
 ///
 /// Weights start at 0 and only grow; a vertex's weight stays below `n`
-/// (it counts numbered vertices in both searches). Every buffer is reused
-/// across [`WeightBuckets::reset`] calls, so a warm instance never
-/// allocates.
+/// (it counts numbered vertices). Every buffer is reused across
+/// [`WeightBuckets::reset`] calls, so a warm instance never allocates.
 #[derive(Default)]
 pub struct WeightBuckets {
     weight: Vec<u32>,

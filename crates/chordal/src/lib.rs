@@ -14,8 +14,7 @@
 //!   clique-generator rule), in the same sorted order, with no allocation
 //!   once warm. `Extend` itself now takes them from MCS-M, which applies
 //!   the rule during triangulation (`mintri_triangulate::mcs_m_into`),
-//! * [`WeightBuckets`], the per-weight bitsets behind that search and
-//!   behind MCS-M's vertex selection,
+//! * [`WeightBuckets`], the per-weight bitsets behind that search,
 //! * chordal treewidth.
 //!
 //! ```

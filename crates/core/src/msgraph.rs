@@ -20,7 +20,7 @@
 use crate::memo::ShardedInterner;
 use mintri_chordal::CliqueForest;
 use mintri_graph::traversal::component_labels;
-use mintri_graph::{Graph, Node, NodeSet};
+use mintri_graph::{Graph, NodeSet};
 use mintri_separators::MinSepState;
 use mintri_sgr::Sgr;
 use mintri_triangulate::{minimal_triangulation, McsM, TriScratch, Triangulation, Triangulator};
@@ -39,14 +39,11 @@ pub use crate::memo::SepId;
 /// repository's `alloc_audit` test.
 #[derive(Default)]
 pub struct ExtendScratch {
-    /// `g[φ]`: the saturated graph, overwritten in place each `Extend`.
-    gphi: Graph,
     /// Shared handles on the answer's separators (cleared after use).
     seps: Vec<Arc<NodeSet>>,
-    /// Clique-member buffer for [`Graph::saturate_with`].
-    members: Vec<Node>,
-    /// MCS-M workspace: fill edges, the elimination order and the
-    /// minimal separators of the triangulation land here.
+    /// MCS-M workspace: `g[φ]` is saturated into its input bit matrix,
+    /// and the fill edges, the elimination order and the minimal
+    /// separators of the triangulation land here.
     tri: TriScratch,
 }
 
@@ -183,14 +180,13 @@ impl<'g> MsGraph<'g> {
         h
     }
 
-    /// [`Self::saturate_answer`] into the workspace: `ws.gphi` becomes
-    /// `g[φ]` with no graph or bitset allocation (buffers are reused).
+    /// [`Self::saturate_answer`] into the workspace: the input matrix of
+    /// `ws.tri` becomes `g[φ]` with no allocation once warm.
     fn saturate_into(&self, answer: &[SepId], ws: &mut ExtendScratch) {
         self.interner.extend_handles(answer, &mut ws.seps);
-        ws.gphi.clone_from(self.g.get());
-        let (gphi, seps, members) = (&mut ws.gphi, &ws.seps, &mut ws.members);
-        for s in seps {
-            gphi.saturate_with(s, members);
+        ws.tri.input.load(self.g.get());
+        for s in &ws.seps {
+            ws.tri.input.saturate(s);
         }
         ws.seps.clear();
     }
@@ -213,32 +209,43 @@ impl<'g> MsGraph<'g> {
     fn extend_into(&self, base: &[SepId], out: &mut Vec<SepId>, ws: &mut ExtendScratch) {
         self.stats.extends.fetch_add(1, Ordering::Relaxed);
         out.clear();
-        self.saturate_into(base, ws);
-        if self.triangulator.guarantees_minimal()
-            && self.triangulator.triangulate_into(&ws.gphi, &mut ws.tri)
-        {
-            // The backend wrote `MinSep(h)` into the workspace, sorted and
-            // deduplicated. A chordal graph has one set of minimal
-            // separators and `CliqueForest::minimal_separators` emits it in
-            // the same order, so the interned ids — and hence the
-            // enumeration order — match the allocating path.
-            out.extend(ws.tri.separators().map(|sep| self.interner.intern_ref(sep)));
-        } else {
-            // Allocating fallback: a black-box backend without a kernel
-            // hook (or one that needs the sandwich step).
-            let tri = minimal_triangulation(&ws.gphi, self.triangulator.as_ref());
-            let forest = match &tri.peo {
-                Some(peo) => CliqueForest::build_with_peo(&tri.graph, peo),
-                None => CliqueForest::build(&tri.graph),
-            };
-            out.extend(
-                forest
-                    .minimal_separators()
-                    .into_iter()
-                    .map(|s| self.interner.intern(s)),
-            );
+        if self.triangulator.guarantees_minimal() {
+            self.saturate_into(base, ws);
+            if self.triangulator.triangulate_loaded(&mut ws.tri) {
+                // The backend wrote `MinSep(h)` into the workspace, sorted
+                // and deduplicated. A chordal graph has one set of minimal
+                // separators and `CliqueForest::minimal_separators` emits
+                // it in the same order, so the interned ids — and hence
+                // the enumeration order — match the allocating path.
+                out.extend(ws.tri.separators().map(|sep| self.interner.intern_ref(sep)));
+                out.sort_unstable();
+                return;
+            }
         }
-        out.sort_unstable();
+        // Allocating fallback: a black-box backend without a kernel hook
+        // (or one that needs the sandwich step).
+        out.extend(self.extend_allocating(base));
+    }
+
+    /// The allocating `Extend` body (Figure 3): saturate `φ`, triangulate
+    /// with the black box (plus the sandwich step unless the backend
+    /// guarantees minimality), and read the maximal parallel set off the
+    /// minimal separators of the chordal result (clique-forest
+    /// extraction, Kumar–Madhavan). Sorted ids.
+    fn extend_allocating(&self, base: &[SepId]) -> Vec<SepId> {
+        let gphi = self.saturate_answer(base);
+        let tri = minimal_triangulation(&gphi, self.triangulator.as_ref());
+        let forest = match &tri.peo {
+            Some(peo) => CliqueForest::build_with_peo(&tri.graph, peo),
+            None => CliqueForest::build(&tri.graph),
+        };
+        let mut ids: Vec<SepId> = forest
+            .minimal_separators()
+            .into_iter()
+            .map(|s| self.interner.intern(s))
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -311,26 +318,10 @@ impl Sgr for MsGraph<'_> {
         self.extend_into(base, out, ws);
     }
 
-    /// The `Extend` procedure (Figure 3): saturate `φ`, triangulate with the
-    /// black box (plus the sandwich step unless the backend guarantees
-    /// minimality), and read the maximal parallel set off the minimal
-    /// separators of the chordal result (clique-forest extraction,
-    /// Kumar–Madhavan).
+    /// The `Extend` procedure (Figure 3) on the allocating path.
     fn extend(&self, base: &[SepId]) -> Vec<SepId> {
         self.stats.extends.fetch_add(1, Ordering::Relaxed);
-        let gphi = self.saturate_answer(base);
-        let tri = minimal_triangulation(&gphi, self.triangulator.as_ref());
-        let forest = match &tri.peo {
-            Some(peo) => CliqueForest::build_with_peo(&tri.graph, peo),
-            None => CliqueForest::build(&tri.graph),
-        };
-        let mut ids: Vec<SepId> = forest
-            .minimal_separators()
-            .into_iter()
-            .map(|s| self.interner.intern(s))
-            .collect();
-        ids.sort_unstable();
-        ids
+        self.extend_allocating(base)
     }
 }
 

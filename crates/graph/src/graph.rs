@@ -433,7 +433,8 @@ mod tests {
 
         /// Word-parallel saturation equals adding the clique's missing
         /// edges one pair at a time: same graph, same edge count, same
-        /// "added" count. Sizes up to 150 cover multi-word rows.
+        /// "added" count. `BitMatrix` saturation gives the same rows.
+        /// Sizes up to 150 cover multi-word rows.
         #[test]
         fn saturate_with_matches_pairwise_insertion(
             n in 1usize..150,
@@ -456,8 +457,14 @@ mod tests {
                     expected_added += usize::from(pairwise.add_edge(u, v));
                 }
             }
+            let mut matrix = crate::BitMatrix::default();
+            matrix.load(&word);
+            matrix.saturate(&clique);
             let mut buf = vec![7];
             prop_assert_eq!(word.saturate_with(&clique, &mut buf), expected_added);
+            for v in word.nodes() {
+                prop_assert_eq!(matrix.row(v), word.neighbors(v).words());
+            }
             prop_assert_eq!(buf, list);
             prop_assert_eq!(word.num_edges(), pairwise.num_edges());
             prop_assert_eq!(word, pairwise);

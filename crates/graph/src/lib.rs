@@ -26,12 +26,14 @@
 //! assert_eq!(comps.len(), 1); // the chords keep the rest connected
 //! ```
 
+mod bitmatrix;
 mod fxhash;
 mod graph;
 pub mod io;
 mod nodeset;
 pub mod traversal;
 
+pub use bitmatrix::BitMatrix;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
 pub use nodeset::{NodeSet, NodeSetIter};

@@ -158,6 +158,28 @@ impl NodeSet {
         self.trim();
     }
 
+    /// The backing words, lowest nodes first: `⌈capacity / 64⌉` of them,
+    /// with every bit at a position `>= capacity` zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Re-purposes the set as the nodes of `0..capacity` whose bits are
+    /// set in `words` (laid out as [`NodeSet::words`]), reusing the word
+    /// buffer. Words past `⌈capacity / 64⌉` and bits at positions
+    /// `>= capacity` are ignored.
+    ///
+    /// # Panics
+    /// Panics if `words` is shorter than `⌈capacity / 64⌉`.
+    pub fn assign_words(&mut self, capacity: usize, words: &[u64]) {
+        self.capacity = capacity as u32;
+        self.words.clear();
+        self.words
+            .extend_from_slice(&words[..capacity.div_ceil(BITS)]);
+        self.trim();
+    }
+
     /// In-place union: `self ∪= other`.
     #[inline]
     pub fn union_with(&mut self, other: &NodeSet) {
@@ -443,6 +465,19 @@ mod tests {
         let mut small = NodeSet::new(0);
         small.clone_from(&src);
         assert_eq!(small, src);
+    }
+
+    #[test]
+    fn assign_words_round_trips_and_trims() {
+        let src = NodeSet::from_iter(130, [0, 64, 129]);
+        let mut dst = NodeSet::from_iter(300, 0..300);
+        dst.assign_words(130, src.words());
+        assert_eq!(dst, src);
+        // extra words and bits past the capacity are dropped
+        dst.assign_words(65, &[u64::MAX, u64::MAX, 7]);
+        assert_eq!(dst, NodeSet::full(65));
+        dst.assign_words(0, &[1]);
+        assert_eq!(dst, NodeSet::new(0));
     }
 
     #[test]

@@ -18,9 +18,17 @@
 //! positive weight no larger than the previous vertex's starts a new
 //! maximal clique, and its numbered neighbourhood in `h` is a minimal
 //! separator. Every minimal separator of `h` appears this way.
+//!
+//! The search runs over flat words: the input graph is a row-major
+//! [`BitMatrix`](mintri_graph::BitMatrix), and the weight levels, the
+//! rows of numbered neighbours and the per-step sets are rows of one
+//! width in buffers of their own. The body is generic over that width as
+//! a constant, instantiated for one and two words (graphs of up to 128
+//! vertices, where every word loop has a constant trip count) and once
+//! with the width read at run time for larger graphs.
 
 use crate::types::{TriScratch, Triangulation, Triangulator};
-use mintri_graph::{Graph, NodeSet};
+use mintri_graph::{Graph, Node};
 
 /// The MCS-M minimal triangulation algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,8 +43,12 @@ impl Triangulator for McsM {
         true
     }
 
-    fn triangulate_into(&self, g: &Graph, ws: &mut TriScratch) -> bool {
-        mcs_m_into(g, ws);
+    fn triangulate_loaded(&self, ws: &mut TriScratch) -> bool {
+        match ws.input.width() {
+            1 => mcs_m_words::<1>(ws),
+            2 => mcs_m_words::<2>(ws),
+            _ => mcs_m_words::<RUNTIME_WIDTH>(ws),
+        }
         true
     }
 
@@ -67,7 +79,8 @@ pub fn mcs_m(g: &Graph) -> Triangulation {
 /// minimal separators ([`TriScratch::separators`]) into `ws` without
 /// building the chordal graph (callers that need it add `ws.fill` to
 /// their own copy). Allocation-free once the workspace has seen a graph
-/// at least this large.
+/// at least this large. Loads `g` into [`TriScratch::input`] and runs
+/// the same body as [`Triangulator::triangulate_loaded`].
 ///
 /// Each step works a word at a time. The next vertex `v` is the lowest
 /// set bit of the top weight level (max weight, then smallest id). The
@@ -80,105 +93,231 @@ pub fn mcs_m(g: &Graph) -> Triangulation {
 /// `u` only, which is the MCS-M rule. The search stops early once no
 /// heavier vertex is reached (none can qualify any more) or every heavier
 /// vertex is (all of them qualify). A step costs `O(n)` word operations
-/// per bitset word: at most `n` thresholds and `n` absorbed vertices.
+/// per row word: at most `n` thresholds and `n` absorbed vertices.
 ///
 /// Every qualified `u` becomes a neighbour of `v` in the triangulation,
 /// so `v` joins `u`'s row of numbered neighbours. When a vertex is
 /// numbered, its row is complete; the clique-generator rule (see the
 /// module docs) picks the rows that are separators, which are then
-/// sorted and deduplicated in place.
+/// sorted and deduplicated by [`NodeSet`](mintri_graph::NodeSet) order
+/// and written out as sets.
 pub fn mcs_m_into(g: &Graph, ws: &mut TriScratch) {
-    let n = g.num_nodes();
-    ws.fill.clear();
-    ws.peo.clear();
-    ws.generators.clear();
-    if ws.rows.len() < n {
-        ws.rows.resize_with(n, NodeSet::default);
-    }
-    for row in &mut ws.rows[..n] {
-        row.reset(n);
-    }
-    ws.buckets.reset(n);
-    ws.unnumbered.reset_full(n);
-    for set in [
-        &mut ws.reach,
-        &mut ws.component,
-        &mut ws.lighter,
-        &mut ws.heavier,
-        &mut ws.fresh,
-        &mut ws.qualified,
-    ] {
-        set.reset(n);
-    }
+    McsM.triangulate_into(g, ws);
+}
+
+/// The `W` of [`mcs_m_words`] that reads the row width at run time.
+const RUNTIME_WIDTH: usize = 0;
+
+/// The MCS-M body over the matrix in `ws.input`, for rows of `W` words
+/// (or, with `W = RUNTIME_WIDTH`, of the matrix's own width). See
+/// [`mcs_m_into`] for the algorithm.
+fn mcs_m_words<const W: usize>(ws: &mut TriScratch) {
+    let TriScratch {
+        input,
+        fill,
+        peo,
+        weight,
+        levels,
+        rows,
+        temps,
+        generators,
+        separators,
+    } = ws;
+    let n = input.num_nodes();
+    let w = if W == RUNTIME_WIDTH { input.width() } else { W };
+    debug_assert_eq!(w, input.width());
+    let adj = input.words();
+    let row = |v: usize| &adj[v * w..][..w];
+    fill.clear();
+    peo.clear();
+    generators.clear();
+    weight.clear();
+    weight.resize(n, 0);
+    levels.clear();
+    levels.resize(n.max(1) * w, 0);
+    rows.clear();
+    rows.resize(n * w, 0);
+    temps.clear();
+    temps.resize(7 * w, 0);
+    let (unnumbered, rest) = temps.split_at_mut(w);
+    let (reach, rest) = rest.split_at_mut(w);
+    let (component, rest) = rest.split_at_mut(w);
+    let (lighter, rest) = rest.split_at_mut(w);
+    let (heavier, rest) = rest.split_at_mut(w);
+    let (fresh, qualified) = rest.split_at_mut(w);
+    fill_first(&mut levels[..w], n);
+    fill_first(unnumbered, n);
+    // an upper bound on the highest non-empty weight level
+    let mut top = 0;
 
     let mut prev_label = 0;
-    while let Some((v, label)) = ws.buckets.pop_max() {
-        debug_assert_eq!(label, ws.rows[v as usize].len());
+    loop {
+        // max weight, then smallest id
+        let v = loop {
+            if let Some(v) = pop_first(&mut levels[top * w..][..w]) {
+                break Some(v);
+            }
+            if top == 0 {
+                break None;
+            }
+            top -= 1;
+        };
+        let Some(v) = v else { break };
+        let label = top;
+        debug_assert_eq!(label, weight[v] as usize);
+        debug_assert_eq!(
+            label,
+            rows[v * w..][..w]
+                .iter()
+                .map(|x| x.count_ones() as usize)
+                .sum::<usize>()
+        );
         if label > 0 && label <= prev_label {
-            ws.generators.push(v);
+            generators.push(v as Node);
         }
         prev_label = label;
-        ws.unnumbered.remove(v);
+        unnumbered[v / 64] &= !(1 << (v % 64));
         // Intersecting with a weight level keeps unnumbered vertices only,
         // so `reach` may hold `v` and numbered vertices harmlessly.
-        ws.reach.clone_from(g.neighbors(v));
-        ws.component.clear();
-        ws.lighter.clear();
-        ws.heavier.clone_from(&ws.unnumbered);
-        ws.qualified.clear();
-        'thresholds: for t in 0..=ws.buckets.top() {
-            if t > 0 && !ws.buckets.level(t - 1).is_empty() {
-                // lighter: weight < t; heavier: weight >= t
-                ws.lighter.union_with(ws.buckets.level(t - 1));
-                ws.heavier.difference_with(ws.buckets.level(t - 1));
-                loop {
-                    if ws.heavier.is_subset(&ws.reach) {
-                        // reach only grows: every heavier vertex will
-                        // qualify at its own threshold
-                        ws.qualified.union_with(&ws.heavier);
-                        break 'thresholds;
-                    }
-                    ws.fresh.clone_from(&ws.reach);
-                    ws.fresh.intersect_with(&ws.lighter);
-                    ws.fresh.difference_with(&ws.component);
-                    if ws.fresh.is_empty() {
-                        break;
-                    }
-                    ws.component.union_with(&ws.fresh);
-                    for a in ws.fresh.iter() {
-                        ws.reach.union_with(g.neighbors(a));
+        reach.copy_from_slice(row(v));
+        component.fill(0);
+        lighter.fill(0);
+        heavier.copy_from_slice(unnumbered);
+        qualified.fill(0);
+        'thresholds: for t in 0..=top {
+            if t > 0 {
+                let below = &levels[(t - 1) * w..][..w];
+                if below.iter().any(|&x| x != 0) {
+                    // lighter: weight < t; heavier: weight >= t
+                    union_with(lighter, below);
+                    difference_with(heavier, below);
+                    loop {
+                        if is_subset(heavier, reach) {
+                            // reach only grows: every heavier vertex will
+                            // qualify at its own threshold
+                            union_with(qualified, heavier);
+                            break 'thresholds;
+                        }
+                        // fresh = reach ∩ lighter \ C, which then joins C
+                        let mut any = 0;
+                        for (((f, c), &r), &l) in fresh
+                            .iter_mut()
+                            .zip(component.iter_mut())
+                            .zip(reach.iter())
+                            .zip(lighter.iter())
+                        {
+                            *f = r & l & !*c;
+                            *c |= *f;
+                            any |= *f;
+                        }
+                        if any == 0 {
+                            break;
+                        }
+                        for_each_bit(fresh, |a| union_with(reach, row(a)));
                     }
                 }
             }
             // Every reached lighter vertex is in `C` now; with no heavier
             // one reached, no later threshold can change anything.
-            if !ws.reach.intersects(&ws.heavier) {
+            if is_disjoint(reach, heavier) {
                 break;
             }
-            let level = ws.buckets.level(t);
-            if !level.is_empty() {
-                ws.fresh.clone_from(&ws.reach);
-                ws.fresh.intersect_with(level);
-                ws.qualified.union_with(&ws.fresh);
+            let level = &levels[t * w..][..w];
+            for ((q, &r), &l) in qualified.iter_mut().zip(reach.iter()).zip(level) {
+                *q |= r & l;
             }
         }
 
-        for u in ws.qualified.iter() {
-            ws.buckets.increment(u);
-            ws.rows[u as usize].insert(v);
-            if !g.has_edge(u, v) {
-                ws.fill.push((u.min(v), u.max(v)));
+        let (v_word, v_bit) = (v / 64, 1 << (v % 64));
+        for_each_bit(qualified, |u| {
+            let (u_word, u_bit) = (u / 64, 1 << (u % 64));
+            let k = weight[u] as usize;
+            levels[k * w + u_word] &= !u_bit;
+            levels[(k + 1) * w + u_word] |= u_bit;
+            weight[u] += 1;
+            top = top.max(k + 1);
+            rows[u * w + v_word] |= v_bit;
+            if adj[u * w + v_word] & v_bit == 0 {
+                fill.push((u.min(v) as Node, u.max(v) as Node));
             }
-        }
-        ws.peo.push(v);
+        });
+        peo.push(v as Node);
     }
 
-    ws.peo.reverse();
-    let rows = &ws.rows;
-    ws.generators
-        .sort_unstable_by(|&a, &b| rows[a as usize].cmp(&rows[b as usize]));
-    ws.generators
-        .dedup_by(|a, b| rows[*a as usize] == rows[*b as usize]);
+    peo.reverse();
+    let row_of = |v: Node| &rows[v as usize * w..][..w];
+    generators.sort_unstable_by(|&a, &b| row_of(a).cmp(row_of(b)));
+    generators.dedup_by(|a, b| row_of(*a) == row_of(*b));
+    if separators.len() < generators.len() {
+        separators.resize_with(generators.len(), Default::default);
+    }
+    for (set, &v) in separators.iter_mut().zip(generators.iter()) {
+        set.assign_words(n, row_of(v));
+    }
+}
+
+/// Sets the bits of `0..n` in `set`, whose other bits are zero.
+fn fill_first(set: &mut [u64], n: usize) {
+    for (i, word) in set.iter_mut().enumerate() {
+        let lo = i * 64;
+        *word = match n.saturating_sub(lo) {
+            0 => 0,
+            k if k >= 64 => u64::MAX,
+            k => (1 << k) - 1,
+        };
+    }
+}
+
+/// `a ∪= b`.
+#[inline(always)]
+fn union_with(a: &mut [u64], b: &[u64]) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x |= y;
+    }
+}
+
+/// `a \= b`.
+#[inline(always)]
+fn difference_with(a: &mut [u64], b: &[u64]) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x &= !y;
+    }
+}
+
+/// `a ⊆ b`.
+#[inline(always)]
+fn is_subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| x & !y == 0)
+}
+
+/// `a ∩ b = ∅`.
+#[inline(always)]
+fn is_disjoint(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| x & y == 0)
+}
+
+/// Calls `f` on every element of `set`, in increasing order.
+#[inline(always)]
+fn for_each_bit(set: &[u64], mut f: impl FnMut(usize)) {
+    for (i, &word) in set.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(i * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Removes and returns the smallest element of `set`, if any.
+fn pop_first(set: &mut [u64]) -> Option<usize> {
+    for (i, word) in set.iter_mut().enumerate() {
+        if *word != 0 {
+            let bit = word.trailing_zeros() as usize;
+            *word &= *word - 1;
+            return Some(i * 64 + bit);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -187,7 +326,7 @@ mod tests {
     use mintri_chordal::{
         is_chordal, is_perfect_elimination_order, minimal_separators_with, ForestScratch,
     };
-    use mintri_graph::Node;
+    use mintri_graph::{Node, NodeSet};
     use mintri_workloads::random::erdos_renyi;
     use mintri_workloads::PgmFamily;
     use proptest::prelude::*;
@@ -284,11 +423,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random graphs up to 150 vertices (1-, 2- and 3-word bitsets),
-        /// from sparse to dense, through one shared workspace.
+        /// Random graphs up to 300 vertices (the 1- and 2-word kernels
+        /// and the runtime-width one), from sparse to dense, through one
+        /// shared workspace.
         #[test]
         fn collected_separators_match_second_search(
-            n in 0usize..150,
+            n in 0usize..300,
             percent in 1u64..60,
             seed in any::<u64>(),
         ) {
@@ -302,11 +442,12 @@ mod tests {
             });
         }
 
-        /// Random graphs up to 150 vertices (1-, 2- and 3-word bitsets),
-        /// from sparse to dense, through one shared workspace.
+        /// Random graphs up to 300 vertices (the 1- and 2-word kernels
+        /// and the runtime-width one), from sparse to dense, through one
+        /// shared workspace.
         #[test]
         fn word_parallel_mcs_m_matches_bucket_search(
-            n in 0usize..150,
+            n in 0usize..300,
             percent in 1u64..60,
             seed in any::<u64>(),
         ) {
@@ -318,6 +459,16 @@ mod tests {
         }
     }
 
+    /// Random graphs on both sides of every row-width boundary, where
+    /// the kernel switches from one word to two and from two to the
+    /// runtime width.
+    fn width_boundary_graphs() -> impl Iterator<Item = Graph> {
+        [63, 64, 65, 127, 128, 129]
+            .into_iter()
+            .flat_map(|n| [(n, 0.05, 1), (n, 0.3, 2)])
+            .map(|(n, p, seed)| erdos_renyi(n, p, seed))
+    }
+
     #[test]
     fn word_parallel_mcs_m_matches_bucket_search_on_paper_families() {
         let mut ws = TriScratch::default();
@@ -325,6 +476,9 @@ mod tests {
             for instance in family.instances(2, 7) {
                 assert_matches_oracle(&instance.graph, &mut ws);
             }
+        }
+        for g in width_boundary_graphs() {
+            assert_matches_oracle(&g, &mut ws);
         }
     }
 
@@ -335,6 +489,9 @@ mod tests {
             for instance in family.instances(2, 7) {
                 assert_separators_match_second_search(&instance.graph, &mut ws, &mut forest);
             }
+        }
+        for g in width_boundary_graphs() {
+            assert_separators_match_second_search(&g, &mut ws, &mut forest);
         }
     }
 

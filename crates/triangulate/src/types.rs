@@ -1,8 +1,7 @@
 //! The triangulation result type and the pluggable `Triangulate` black box
 //! of the paper's `Extend` procedure (Figure 3).
 
-use mintri_chordal::WeightBuckets;
-use mintri_graph::{Graph, Node, NodeSet};
+use mintri_graph::{BitMatrix, Graph, Node, NodeSet};
 
 /// The result of triangulating a graph `g`: a chordal supergraph plus the
 /// fill edges that were added (`E(h) \ E(g)`, Section 2.3).
@@ -50,49 +49,65 @@ pub trait Triangulator: Send + Sync {
         false
     }
 
-    /// Scratch-space variant of [`Triangulator::triangulate`]: writes the
-    /// fill edges, a perfect elimination order and the minimal
-    /// separators `MinSep(h)` of a **minimal** triangulation `h` into
-    /// `ws` without materializing the chordal graph, allocation-free once
-    /// the workspace is warm. Returns `false` — the default — when the
-    /// backend has no scratch kernel; callers fall back to the allocating
-    /// path. Only backends with [`Triangulator::guarantees_minimal`] may
-    /// return `true`.
-    fn triangulate_into(&self, g: &Graph, ws: &mut TriScratch) -> bool {
-        let _ = (g, ws);
+    /// The scratch kernel hook: triangulates the graph already loaded
+    /// into [`TriScratch::input`] and writes the fill edges, a perfect
+    /// elimination order and the minimal separators `MinSep(h)` of a
+    /// **minimal** triangulation `h` into `ws`, without materializing the
+    /// chordal graph and allocation-free once the workspace is warm.
+    /// Callers that build the input in place (`Extend` saturates `g[φ]`
+    /// straight into the matrix) call this directly. Returns `false` —
+    /// the default — when the backend has no scratch kernel; callers fall
+    /// back to the allocating path. Only backends with
+    /// [`Triangulator::guarantees_minimal`] may return `true`.
+    fn triangulate_loaded(&self, ws: &mut TriScratch) -> bool {
+        let _ = ws;
         false
+    }
+
+    /// Scratch-space variant of [`Triangulator::triangulate`]: loads `g`
+    /// into [`TriScratch::input`], then runs
+    /// [`Triangulator::triangulate_loaded`].
+    fn triangulate_into(&self, g: &Graph, ws: &mut TriScratch) -> bool {
+        ws.input.load(g);
+        self.triangulate_loaded(ws)
     }
 
     /// Short human-readable name (used by the benchmark harness).
     fn name(&self) -> &'static str;
 }
 
-/// Reusable workspace for [`Triangulator::triangulate_into`]: the fill
-/// list, elimination order and minimal separators a successful call
-/// produces, plus the MCS-M search buffers behind them. One per worker or
-/// sequential stream; every buffer grows to the largest graph seen and is
-/// reused thereafter.
+/// Reusable workspace for the scratch kernel
+/// ([`Triangulator::triangulate_loaded`]): the input graph as a bit
+/// matrix, the fill list, elimination order and minimal separators a
+/// successful call produces, and the MCS-M search buffers behind them,
+/// all flat words. One per worker or sequential stream; every buffer
+/// grows to the largest graph seen and is reused thereafter.
 #[derive(Default)]
 pub struct TriScratch {
+    /// The graph the next kernel call triangulates, loaded by
+    /// [`Triangulator::triangulate_into`] or built in place by the caller.
+    pub input: BitMatrix,
     /// Fill edges of the last successful run, each with `u < v`.
     pub fill: Vec<(Node, Node)>,
     /// Perfect elimination order of the last successful run (index 0 is
     /// eliminated first).
     pub peo: Vec<Node>,
-    // MCS-M internals (see `mcs_m_into`)
-    pub(crate) buckets: WeightBuckets,
-    pub(crate) unnumbered: NodeSet,
-    pub(crate) reach: NodeSet,
-    pub(crate) component: NodeSet,
-    pub(crate) lighter: NodeSet,
-    pub(crate) heavier: NodeSet,
-    pub(crate) fresh: NodeSet,
-    pub(crate) qualified: NodeSet,
-    /// Per vertex, its neighbours in the triangulation numbered before it.
-    pub(crate) rows: Vec<NodeSet>,
+    // MCS-M internals (see `mcs_m_into`), each `width` words per set
+    /// Per unnumbered vertex, its weight.
+    pub(crate) weight: Vec<u32>,
+    /// Weight level `k` (words `k·width..`): the unnumbered vertices of
+    /// weight `k`.
+    pub(crate) levels: Vec<u64>,
+    /// Row `v`: the neighbours of `v` in the triangulation numbered
+    /// before it.
+    pub(crate) rows: Vec<u64>,
+    /// The unnumbered set and the six per-step sets of the search.
+    pub(crate) temps: Vec<u64>,
     /// The vertices whose `rows` are the minimal separators, one per
     /// distinct separator, sorted by row.
     pub(crate) generators: Vec<Node>,
+    /// The separators as sets, one per generator, in the same order.
+    pub(crate) separators: Vec<NodeSet>,
 }
 
 impl TriScratch {
@@ -101,7 +116,7 @@ impl TriScratch {
     /// `mintri_chordal::minimal_separators_with` reads off the chordal
     /// graph with a second search.
     pub fn separators(&self) -> impl ExactSizeIterator<Item = &NodeSet> + '_ {
-        self.generators.iter().map(|&v| &self.rows[v as usize])
+        self.separators[..self.generators.len()].iter()
     }
 }
 
@@ -116,8 +131,8 @@ impl<T: Triangulator + ?Sized> Triangulator for std::sync::Arc<T> {
         (**self).guarantees_minimal()
     }
 
-    fn triangulate_into(&self, g: &Graph, ws: &mut TriScratch) -> bool {
-        (**self).triangulate_into(g, ws)
+    fn triangulate_loaded(&self, ws: &mut TriScratch) -> bool {
+        (**self).triangulate_loaded(ws)
     }
 
     fn name(&self) -> &'static str {
