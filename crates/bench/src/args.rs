@@ -10,27 +10,40 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`. Flags must be `--key value` pairs.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+    /// Parses `std::env::args()`, accepting only the flags the binary
+    /// reads (`known`): anything else exits with status 2, naming the
+    /// flag, so a typo such as `--quik 1` never runs with the default.
+    pub fn parse(known: &[&str]) -> Self {
+        Self::from_iter(std::env::args().skip(1), known).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses an explicit argument list (for tests).
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = String>>(args: I) -> Self {
+    pub fn from_iter<I: IntoIterator<Item = String>>(
+        args: I,
+        known: &[&str],
+    ) -> Result<Self, String> {
         let mut values = HashMap::new();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                let value = iter.next().unwrap_or_else(|| {
-                    panic!("missing value for --{key}");
-                });
-                values.insert(key.to_string(), value);
-            } else {
-                panic!("unexpected positional argument {arg:?}; use --key value");
+            let key = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("unexpected argument {arg:?}; use --key value"))?;
+            if !known.contains(&key) {
+                return Err(format!(
+                    "unknown flag --{key} (known: --{})",
+                    known.join(", --")
+                ));
             }
+            let value = iter
+                .next()
+                .ok_or_else(|| format!("missing value for --{key}"))?;
+            values.insert(key.to_string(), value);
         }
-        Args { values }
+        Ok(Args { values })
     }
 
     /// A `u64` argument with a default.
@@ -62,21 +75,29 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str], known: &[&str]) -> Result<Args, String> {
+        Args::from_iter(list.iter().map(|s| s.to_string()), known)
+    }
+
     #[test]
     fn parses_key_value_pairs() {
-        let a = Args::from_iter(
-            ["--budget-ms", "500", "--family", "grids"]
-                .iter()
-                .map(|s| s.to_string()),
+        let a = args(
+            &["--budget-ms", "500", "--family", "grids"],
+            &["budget-ms", "family"],
         );
+        let a = a.unwrap();
         assert_eq!(a.get_u64("budget-ms", 0), 500);
         assert_eq!(a.get_str("family", ""), "grids");
         assert_eq!(a.get_usize("instances", 3), 3);
     }
 
     #[test]
-    #[should_panic(expected = "missing value")]
-    fn rejects_dangling_flags() {
-        Args::from_iter(["--budget-ms".to_string()]);
+    fn rejects_dangling_and_unknown_flags_by_name() {
+        let e = args(&["--budget-ms"], &["budget-ms"]).unwrap_err();
+        assert!(e.contains("missing value for --budget-ms"), "{e}");
+        let e = args(&["--quik", "1"], &["out", "quick"]).unwrap_err();
+        assert!(e.contains("unknown flag --quik"), "{e}");
+        let e = args(&["--out", "x", "--min-kernal-ratio", "2"], &["out"]).unwrap_err();
+        assert!(e.contains("unknown flag --min-kernal-ratio"), "{e}");
     }
 }

@@ -8,23 +8,24 @@
 //! `BENCH_adaptive.json`.
 //!
 //! The gate reading is `run1_seconds / run2_seconds` — the second visit
-//! must be at least 1.2x the first (CI gates via
-//! `bench_check --adaptive`; in practice replay puts the ratio far
-//! higher, the floor guards against the profile/dispatch layer ever
+//! must be at least 1.2x the first (in practice replay puts the ratio
+//! far higher; the floor guards against the profile/dispatch layer ever
 //! making a repeat visit *slower*). Both runs must scan identical
-//! answer counts: adaptivity reschedules, it never answers.
+//! answer counts: adaptivity reschedules, it never answers. The document
+//! (`mintri_bench::doc` schema) gates `run1_scanned > 0`,
+//! `run2_scanned == run1_scanned`, `profile_entries > 0`, both
+//! `*_seconds > 0` and `run1_over_run2 >= 1.2`.
 //!
 //! Flags: `--out FILE` (default `BENCH_adaptive.json`), `--quick 1`
 //! (CI smoke: smaller cycles), `--rounds N` (cold/warm pairs, default
 //! 3; every round gets a fresh engine so run 1 is genuinely cold).
 
-use mintri_bench::Args;
+use mintri_bench::{Args, BenchDoc};
 use mintri_core::query::CostMeasure;
 use mintri_core::TdEnumerationMode;
 use mintri_engine::{Engine, EngineConfig, Query};
 use mintri_graph::{Graph, Node};
 use mintri_workloads::random::{chained_cycles, chord_cycle};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Measured {
@@ -51,7 +52,7 @@ fn drive(engine: &Engine, graphs: &[Graph]) -> Measured {
 }
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "quick", "rounds"]);
     let out_path = args.get_str("out", "BENCH_adaptive.json");
     let quick = args.get_usize("quick", 0) != 0;
     let rounds = args.get_usize("rounds", 3).max(1);
@@ -99,27 +100,21 @@ fn main() -> std::io::Result<()> {
          over {run1_scanned} answers, {profile_entries} profile entries"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"adaptive_gain\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"gate\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"mixed_C{n}_chord_chained_cycles\","
-    );
-    let _ = writeln!(json, "    \"queries_per_run\": {},", graphs.len() * 3);
-    let _ = writeln!(json, "    \"run1_seconds\": {run1_seconds:.6},");
-    let _ = writeln!(json, "    \"run2_seconds\": {run2_seconds:.6},");
-    let _ = writeln!(json, "    \"run1_over_run2\": {ratio:.2},");
-    let _ = writeln!(json, "    \"run1_scanned\": {run1_scanned},");
-    let _ = writeln!(json, "    \"run2_scanned\": {run2_scanned},");
-    let _ = writeln!(json, "    \"profile_entries\": {profile_entries}");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    let mut doc = BenchDoc::new("adaptive_gain", quick);
+    doc.metric("rounds", "count", rounds as f64);
+    doc.metric("queries_per_run", "count", (graphs.len() * 3) as f64);
+    doc.metric("run1_seconds", "s", run1_seconds);
+    doc.metric("run2_seconds", "s", run2_seconds);
+    doc.metric("run1_over_run2", "ratio", ratio);
+    doc.metric("run1_scanned", "count", run1_scanned as f64);
+    doc.metric("run2_scanned", "count", run2_scanned as f64);
+    doc.metric("profile_entries", "count", profile_entries as f64);
+    doc.gate("run1_scanned", ">", 0.0);
+    doc.gate("run2_scanned", "==", "run1_scanned");
+    doc.gate("profile_entries", ">", 0.0);
+    doc.gate("run1_seconds", ">", 0.0);
+    doc.gate("run2_seconds", ">", 0.0);
+    doc.gate("run1_over_run2", ">=", 1.2);
+    doc.write(&out_path)?;
     Ok(())
 }

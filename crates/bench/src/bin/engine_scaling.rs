@@ -8,90 +8,65 @@
 //! (triangulations measured per configuration, default 1500),
 //! `--max-n N` (largest random-graph size, default 50).
 //!
-//! The JSON records the host's CPU count: on a single-core box the
-//! multi-thread rows measure coordination overhead, not scaling — so the
-//! top-level `"speedup_observable"` field is stamped `false` whenever
-//! `cpus == 1`, and readers (humans and future PRs comparing perf
-//! trajectories) must ignore `speedup_vs_sequential` in that case rather
-//! than mistake ≈1× coordination-overhead numbers for a scaling result.
+//! The document (`mintri_bench::doc` schema) records each workload as
+//! `NAME/{p,nodes,edges,results,sequential_seconds,…}` and each thread
+//! count as `NAME/threadsT/{seconds,avg_delay_us,speedup_vs_sequential}`;
+//! it gates only `workloads >= 1` and `NAME/results > 0` (the parallel
+//! counts are asserted equal to the sequential ones in-process). The
+//! header's `cpus` says whether the speedups mean anything: on one CPU
+//! the multi-thread rows measure coordination overhead, not scaling.
+//! `quick` is stamped when `--results` or `--max-n` is below its default.
 
-use mintri_bench::Args;
+use mintri_bench::{time_stream, Args, BenchDoc};
 use mintri_core::MinimalTriangulationsEnumerator;
 use mintri_engine::{Engine, ParallelEnumerator, Query};
 use mintri_workloads::random_suite;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Wall-clock seconds to stream the first `k` triangulations.
-fn time_stream<I: Iterator>(stream: I, k: usize) -> (usize, f64) {
-    let started = Instant::now();
-    let produced = stream.take(k).count();
-    (produced, started.elapsed().as_secs_f64())
-}
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "results", "max-n"]);
     let out_path = args.get_str("out", "BENCH_engine.json");
     let k = args.get_usize("results", 1500);
     let max_n = args.get_usize("max-n", 50);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let speedup_observable = cpus > 1;
-    if !speedup_observable {
+    let mut doc = BenchDoc::new("engine_scaling", k < 1500 || max_n < 50);
+    if doc.cpus == 1 {
         eprintln!(
             "warning: only 1 CPU visible — parallel rows measure coordination \
-             overhead, not scaling; stamping \"speedup_observable\": false"
+             overhead, not scaling"
         );
     }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"engine_scaling\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"speedup_observable\": {speedup_observable},");
-    let _ = writeln!(json, "  \"results_per_run\": {k},");
-    let _ = writeln!(json, "  \"workloads\": [");
+    doc.metric("results_per_run", "count", k as f64);
 
     let suite: Vec<_> = random_suite(max_n, 20, 42)
         .into_iter()
         .filter(|(p, _)| *p < 0.6) // densest family is too slow for a baseline
         .collect();
-    let mut first_workload = true;
+    doc.metric("workloads", "count", suite.len() as f64);
+    doc.gate("workloads", ">=", 1.0);
     for (p, inst) in &suite {
-        if !first_workload {
-            json.push_str(",\n");
-        }
-        first_workload = false;
         eprintln!("workload {} …", inst.name);
 
         let (seq_n, seq_s) = time_stream(MinimalTriangulationsEnumerator::new(&inst.graph), k);
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", inst.name);
-        let _ = writeln!(json, "      \"p\": {p},");
-        let _ = writeln!(json, "      \"nodes\": {},", inst.graph.num_nodes());
-        let _ = writeln!(json, "      \"edges\": {},", inst.graph.num_edges());
-        let _ = writeln!(json, "      \"results\": {seq_n},");
-        let _ = writeln!(
-            json,
-            "      \"sequential\": {{\"seconds\": {seq_s:.6}, \"avg_delay_us\": {:.3}}},",
-            1e6 * seq_s / seq_n.max(1) as f64
+        let m = |field: &str| format!("{}/{field}", inst.name);
+        doc.metric(m("p"), "ratio", *p);
+        doc.metric(m("nodes"), "count", inst.graph.num_nodes() as f64);
+        doc.metric(m("edges"), "count", inst.graph.num_edges() as f64);
+        doc.metric(m("results"), "count", seq_n as f64);
+        doc.metric(m("sequential_seconds"), "s", seq_s);
+        doc.metric(
+            m("sequential_avg_delay_us"),
+            "us",
+            1e6 * seq_s / seq_n.max(1) as f64,
         );
-        let _ = writeln!(json, "      \"parallel\": [");
-        for (i, threads) in [1usize, 2, 4, 8].into_iter().enumerate() {
+        doc.gate(m("results"), ">", 0.0);
+        for threads in [1usize, 2, 4, 8] {
             let (par_n, par_s) = time_stream(ParallelEnumerator::new(&inst.graph, threads), k);
             assert_eq!(par_n, seq_n, "parallel run must produce the same count");
-            let _ = writeln!(
-                json,
-                "        {{\"threads\": {threads}, \"seconds\": {par_s:.6}, \
-                 \"avg_delay_us\": {:.3}, \"speedup_vs_sequential\": {:.3}}}{}",
-                1e6 * par_s / par_n.max(1) as f64,
-                seq_s / par_s,
-                if i < 3 { "," } else { "" }
-            );
+            let t = |field: &str| m(&format!("threads{threads}/{field}"));
+            doc.metric(t("seconds"), "s", par_s);
+            doc.metric(t("avg_delay_us"), "us", 1e6 * par_s / par_n.max(1) as f64);
+            doc.metric(t("speedup_vs_sequential"), "ratio", seq_s / par_s);
         }
-        let _ = writeln!(json, "      ]");
-        let _ = write!(json, "    }}");
     }
-    json.push_str("\n  ],\n");
 
     // The serving story, measured on a graph whose enumeration *completes*
     // (replay requires a finished run): warm-session replay vs cold query.
@@ -99,15 +74,10 @@ fn main() -> std::io::Result<()> {
     let engine = Engine::new();
     let (replay_n, cold_s) = time_stream(engine.run(&small, Query::enumerate()), usize::MAX);
     let (_, warm_s) = time_stream(engine.run(&small, Query::enumerate()), usize::MAX);
-    let _ = writeln!(
-        json,
-        "  \"session_replay\": {{\"graph\": \"gnp_n18_p0.3\", \"results\": {replay_n}, \
-         \"cold_seconds\": {cold_s:.6}, \"warm_seconds\": {warm_s:.6}, \"speedup\": {:.1}}}",
-        cold_s / warm_s.max(1e-9)
-    );
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    doc.metric("session_replay/results", "count", replay_n as f64);
+    doc.metric("session_replay/cold_seconds", "s", cold_s);
+    doc.metric("session_replay/warm_seconds", "s", warm_s);
+    doc.metric("session_replay/speedup", "ratio", cold_s / warm_s.max(1e-9));
+    doc.write(&out_path)?;
     Ok(())
 }

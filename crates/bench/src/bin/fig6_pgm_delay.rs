@@ -12,7 +12,7 @@ use mintri_bench::{run_budgeted, AlgoChoice, Args};
 use mintri_workloads::PgmFamily;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["budget-ms", "instances", "seed", "algo"]);
     let budget_ms = args.get_u64("budget-ms", 1000);
     let instances = args.get_usize("instances", 4);
     let seed = args.get_u64("seed", 42);

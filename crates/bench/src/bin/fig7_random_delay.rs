@@ -11,7 +11,7 @@ use mintri_bench::{run_budgeted, AlgoChoice, Args};
 use mintri_workloads::random_suite;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["budget-ms", "max-n", "step", "seed", "algo"]);
     let budget_ms = args.get_u64("budget-ms", 1000);
     let max_n = args.get_usize("max-n", 90);
     let step = args.get_usize("step", 10);

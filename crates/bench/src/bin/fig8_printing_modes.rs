@@ -15,7 +15,7 @@ use mintri_sgr::PrintMode;
 use mintri_workloads::tpch_query;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["query", "bucket-ms"]);
     let number = args.get_u64("query", 7) as u8;
     let bucket_ms = args.get_u64("bucket-ms", 10).max(1);
     let q = tpch_query(number);

@@ -14,7 +14,7 @@ use mintri_workloads::pgm::promedas;
 use std::time::Duration;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["budget-ms", "seed", "diseases", "findings"]);
     let budget_ms = args.get_u64("budget-ms", 10_000);
     let seed = args.get_u64("seed", 7);
     let diseases = args.get_usize("diseases", 24);

@@ -2,7 +2,8 @@
 //! enumeration throughput (`Extend` calls per second) with the kernel on
 //! vs. ablated (`MsGraph::without_scratch_kernel`), on the chord-cycle
 //! family. Emits `BENCH_kernel.json` so CI can hold the kernel's speedup
-//! above a floor (`bench_check --kernel`, default ≥ 1.3×).
+//! above a floor: the document (`mintri_bench::doc` schema) gates
+//! `extends_per_sweep > 0`, both `*_seconds > 0` and `speedup >= 1.3`.
 //!
 //! Both sides run the *same* enumeration — the kernel is identity-
 //! preserving (see `tests/scratch_kernel.rs`) — so the delta is purely
@@ -20,12 +21,11 @@
 //! `--quick 1` (CI smoke: C10 family), `--rounds N` (default 5),
 //! `--reps N` (family sweeps per timed pass; default 3, quick 6).
 
-use mintri_bench::Args;
+use mintri_bench::{paired_rounds, Args, BenchDoc};
 use mintri_core::{MinimalTriangulationsEnumerator, MsGraph};
 use mintri_graph::{Graph, Node};
 use mintri_sgr::PrintMode;
 use mintri_workloads::random::chord_cycle;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One timed pass: `reps` cold sweeps over the whole family, each graph
@@ -52,41 +52,12 @@ fn run_family(graphs: &[Graph], kernel: bool, reps: usize) -> (usize, f64) {
     (extends, started.elapsed().as_secs_f64())
 }
 
-/// Paired rounds: each round times one ablated pass then one kernel pass
-/// back to back; the speedup estimate is the *median of the per-round
-/// time ratios* (ablated/kernel). Returns (extends per sweep, min
-/// ablated s, min kernel s, median speedup).
-fn measure(graphs: &[Graph], rounds: usize, reps: usize) -> (usize, f64, f64, f64) {
-    let _ = run_family(graphs, true, 1); // untimed warmup
-    let mut ablated = f64::INFINITY;
-    let mut kernel = f64::INFINITY;
-    let mut extends = 0;
-    let mut per_round = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let (n0, s0) = run_family(graphs, false, reps);
-        let (n1, s1) = run_family(graphs, true, reps);
-        assert_eq!(n0, n1, "the kernel must not change the Extend count");
-        extends = n0;
-        ablated = ablated.min(s0);
-        kernel = kernel.min(s1);
-        per_round.push(s0 / s1.max(1e-9));
-    }
-    per_round.sort_by(|a, b| a.total_cmp(b));
-    let speedup = if per_round.len() % 2 == 1 {
-        per_round[per_round.len() / 2]
-    } else {
-        (per_round[per_round.len() / 2 - 1] + per_round[per_round.len() / 2]) / 2.0
-    };
-    (extends, ablated, kernel, speedup)
-}
-
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "quick", "rounds", "reps"]);
     let out_path = args.get_str("out", "BENCH_kernel.json");
     let quick = args.get_usize("quick", 0) != 0;
     let rounds = args.get_usize("rounds", 5);
     let reps = args.get_usize("reps", if quick { 6 } else { 3 });
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // An n-cycle plus one chord at varying positions — the same cold
     // family the serve/telemetry gates sweep, rich enough that every
@@ -98,32 +69,33 @@ fn main() -> std::io::Result<()> {
         "kernel_gain: C{n} chord family, {} graphs, {rounds} rounds x {reps} sweeps",
         graphs.len()
     );
-    let (extends, ablated_s, kernel_s, speedup) = measure(&graphs, rounds, reps);
+    let (extends, ablated_s, kernel_s, speedup) = paired_rounds(
+        rounds,
+        reps,
+        "the kernel",
+        |kernel, reps| run_family(&graphs, kernel, reps),
+        |ablated, kernel| ablated / kernel.max(1e-9),
+    );
     let ablated_rate = extends as f64 * reps as f64 / ablated_s.max(1e-9);
     let kernel_rate = extends as f64 * reps as f64 / kernel_s.max(1e-9);
     eprintln!("  ablated: {extends} extends/sweep, {ablated_rate:.0}/s (min of {rounds})");
     eprintln!("  kernel:  {extends} extends/sweep, {kernel_rate:.0}/s (min of {rounds})");
     eprintln!("  speedup: {speedup:.3}x (median of {rounds} paired rounds)");
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"kernel_gain\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    // Single-threaded paired comparison: the ratio does not depend on
-    // the machine's core count.
-    let _ = writeln!(json, "  \"speedup_observable\": true,");
-    let _ = writeln!(json, "  \"family\": \"chord_cycle_n{n}\",");
-    let _ = writeln!(json, "  \"graphs\": {},", graphs.len());
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"reps_per_pass\": {reps},");
-    let _ = writeln!(json, "  \"extends_per_sweep\": {extends},");
-    let _ = writeln!(json, "  \"ablated_seconds\": {ablated_s:.6},");
-    let _ = writeln!(json, "  \"kernel_seconds\": {kernel_s:.6},");
-    let _ = writeln!(json, "  \"ablated_extends_per_sec\": {ablated_rate:.1},");
-    let _ = writeln!(json, "  \"kernel_extends_per_sec\": {kernel_rate:.1},");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.4}");
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    let mut doc = BenchDoc::new("kernel_gain", quick);
+    doc.metric("graphs", "count", graphs.len() as f64);
+    doc.metric("rounds", "count", rounds as f64);
+    doc.metric("reps_per_pass", "count", reps as f64);
+    doc.metric("extends_per_sweep", "count", extends as f64);
+    doc.metric("ablated_seconds", "s", ablated_s);
+    doc.metric("kernel_seconds", "s", kernel_s);
+    doc.metric("ablated_extends_per_sec", "1/s", ablated_rate);
+    doc.metric("kernel_extends_per_sec", "1/s", kernel_rate);
+    doc.metric("speedup", "ratio", speedup);
+    doc.gate("extends_per_sweep", ">", 0.0);
+    doc.gate("ablated_seconds", ">", 0.0);
+    doc.gate("kernel_seconds", ">", 0.0);
+    doc.gate("speedup", ">=", 1.3);
+    doc.write(&out_path)?;
     Ok(())
 }

@@ -16,50 +16,35 @@
 //! Flags: `--out FILE` (default `BENCH_query.json`), `--results K`
 //! (default 1500), `--max-n N` (default 40).
 //!
-//! Like `BENCH_engine.json`, the document stamps the host's CPU count
-//! and `"speedup_observable": false` when `cpus == 1` — single-core
-//! parallel numbers measure coordination overhead, not scaling (the
-//! overhead figures here are sequential and remain valid either way).
+//! The document (`mintri_bench::doc` schema) records each workload as
+//! `NAME/{direct,run_local,engine_cold,engine_replay}/…` and gates only
+//! `workloads >= 1` and `NAME/results > 0` (the counts of all paths are
+//! asserted equal in-process). The overhead figures are sequential, so
+//! they hold at any CPU count. `quick` is stamped when `--results` or
+//! `--max-n` is below its default.
 
+use mintri_bench::{time_stream, Args, BenchDoc};
 use mintri_core::query::{ExecPolicy, Query};
 use mintri_core::{EnumerationBudget, MinimalTriangulationsEnumerator};
 use mintri_engine::Engine;
 use mintri_workloads::random_suite;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Wall-clock seconds to stream the first `k` triangulations.
-fn time_stream<I: Iterator>(stream: I, k: usize) -> (usize, f64) {
-    let started = Instant::now();
-    let produced = stream.take(k).count();
-    (produced, started.elapsed().as_secs_f64())
-}
-
 fn main() -> std::io::Result<()> {
-    let args = mintri_bench::Args::parse();
+    let args = Args::parse(&["out", "results", "max-n"]);
     let out_path = args.get_str("out", "BENCH_query.json");
     let k = args.get_usize("results", 1500);
     let max_n = args.get_usize("max-n", 40);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup_observable = cpus > 1;
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"query_overhead\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"speedup_observable\": {speedup_observable},");
-    let _ = writeln!(json, "  \"results_per_run\": {k},");
-    let _ = writeln!(json, "  \"workloads\": [");
+    let mut doc = BenchDoc::new("query_overhead", k < 1500 || max_n < 40);
+    doc.metric("results_per_run", "count", k as f64);
 
     let suite: Vec<_> = random_suite(max_n, 20, 42)
         .into_iter()
         .filter(|(p, _)| *p < 0.6)
         .collect();
-    let mut first = true;
+    doc.metric("workloads", "count", suite.len() as f64);
+    doc.gate("workloads", ">=", 1.0);
     for (p, inst) in &suite {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
         eprintln!("workload {} …", inst.name);
         let g = &inst.graph;
 
@@ -106,37 +91,30 @@ fn main() -> std::io::Result<()> {
         };
 
         let pct = |s: f64| 100.0 * (s - direct_s) / direct_s;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", inst.name);
-        let _ = writeln!(json, "      \"p\": {p},");
-        let _ = writeln!(json, "      \"nodes\": {},", g.num_nodes());
-        let _ = writeln!(json, "      \"results\": {n_direct},");
-        let _ = writeln!(
-            json,
-            "      \"direct\": {{\"seconds\": {direct_s:.6}, \"avg_delay_us\": {:.3}}},",
-            1e6 * direct_s / n_direct.max(1) as f64
+        let m = |field: &str| format!("{}/{field}", inst.name);
+        doc.metric(m("p"), "ratio", *p);
+        doc.metric(m("nodes"), "count", g.num_nodes() as f64);
+        doc.metric(m("results"), "count", n_direct as f64);
+        doc.metric(m("direct/seconds"), "s", direct_s);
+        doc.metric(
+            m("direct/avg_delay_us"),
+            "us",
+            1e6 * direct_s / n_direct.max(1) as f64,
         );
-        let _ = writeln!(
-            json,
-            "      \"run_local\": {{\"seconds\": {local_s:.6}, \"overhead_pct\": {:.2}}},",
-            pct(local_s)
-        );
-        let _ = writeln!(
-            json,
-            "      \"engine_cold\": {{\"seconds\": {engine_s:.6}, \"overhead_pct\": {:.2}}}{}",
-            pct(engine_s),
-            if replay.is_some() { "," } else { "" }
-        );
+        doc.metric(m("run_local/seconds"), "s", local_s);
+        doc.metric(m("run_local/overhead_pct"), "pct", pct(local_s));
+        doc.metric(m("engine_cold/seconds"), "s", engine_s);
+        doc.metric(m("engine_cold/overhead_pct"), "pct", pct(engine_s));
         if let Some(replay_s) = replay {
-            let _ = writeln!(
-                json,
-                "      \"engine_replay\": {{\"seconds\": {replay_s:.6}, \"speedup_vs_direct\": {:.1}}}",
-                direct_s / replay_s.max(1e-9)
+            doc.metric(m("engine_replay/seconds"), "s", replay_s);
+            doc.metric(
+                m("engine_replay/speedup_vs_direct"),
+                "ratio",
+                direct_s / replay_s.max(1e-9),
             );
         }
-        let _ = write!(json, "    }}");
+        doc.gate(m("results"), ">", 0.0);
     }
-    json.push_str("\n  ],\n");
 
     // The serving story through the front door, on a graph whose
     // enumeration *completes* (replay requires a finished run): cold
@@ -160,15 +138,10 @@ fn main() -> std::io::Result<()> {
     let warm_n = warm.count();
     let warm_s = started.elapsed().as_secs_f64();
     assert_eq!(cold_n, warm_n);
-    let _ = writeln!(
-        json,
-        "  \"session_replay\": {{\"graph\": \"gnp_n18_p0.3\", \"results\": {cold_n}, \
-         \"cold_seconds\": {cold_s:.6}, \"warm_seconds\": {warm_s:.6}, \"speedup\": {:.1}}}",
-        cold_s / warm_s.max(1e-9)
-    );
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    doc.metric("session_replay/results", "count", cold_n as f64);
+    doc.metric("session_replay/cold_seconds", "s", cold_s);
+    doc.metric("session_replay/warm_seconds", "s", warm_s);
+    doc.metric("session_replay/speedup", "ratio", cold_s / warm_s.max(1e-9));
+    doc.write(&out_path)?;
     Ok(())
 }

@@ -3,8 +3,10 @@
 //! result, keep the top k) vs.
 //! ranked (output-sensitive: stop after ~k pulls), both cold — no warm
 //! sessions, no replay caches. Emits `BENCH_ranked.json` so future PRs
-//! can watch the ranked gear stay ahead; `bench_check --ranked` gates
-//! the speedup at `--min-ranked-ratio` (default 3).
+//! can watch the ranked gear stay ahead. The document
+//! (`mintri_bench::doc` schema) records each run as `NAME/COST/*` and
+//! gates `workloads >= 1` and, per run, `winners == k`, both
+//! `*_seconds > 0` and `speedup >= 3`.
 //!
 //! Workloads are the families where exhaustive best-k hurts most:
 //! * `bestk_C12_chord` — a 12-cycle plus one chord; the atom
@@ -23,11 +25,10 @@
 //! 5), `--reps N` (default 3, min-of-N timing), `--quick 1` (smoke mode
 //! for CI: smallest workload only).
 
-use mintri_bench::Args;
+use mintri_bench::{Args, BenchDoc};
 use mintri_core::query::{CostMeasure, ExecPolicy, Query};
 use mintri_graph::Graph;
 use mintri_workloads::random::{chained_cycles, chord_cycle};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One cold best-k run: (ordered winner fill lists, seconds to drain,
@@ -74,12 +75,11 @@ fn best_of(
 }
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "k", "reps", "quick"]);
     let out_path = args.get_str("out", "BENCH_ranked.json");
     let k = args.get_usize("k", 5);
     let reps = args.get_usize("reps", 3).max(1);
     let quick = args.get_usize("quick", 0) != 0;
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let workloads: Vec<(&str, Graph)> = if quick {
         vec![("bestk_C12_chord", chord_cycle(12, 2))]
@@ -90,15 +90,13 @@ fn main() -> std::io::Result<()> {
         ]
     };
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"ranked_gain\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"k\": {k},");
-    let _ = writeln!(json, "  \"workloads\": [");
-
-    let mut first_entry = true;
+    let costs = [CostMeasure::Width, CostMeasure::Fill];
+    let mut doc = BenchDoc::new("ranked_gain", quick);
+    doc.metric("k", "count", k as f64);
+    doc.metric("workloads", "count", (workloads.len() * costs.len()) as f64);
+    doc.gate("workloads", ">=", 1.0);
     for (name, g) in &workloads {
-        for cost in [CostMeasure::Width, CostMeasure::Fill] {
+        for cost in costs {
             let cost_name = match cost {
                 CostMeasure::Width => "width",
                 CostMeasure::Fill => "fill",
@@ -120,33 +118,21 @@ fn main() -> std::io::Result<()> {
                  ranked {ranked_s:.4}s (first {ranked_first_s:.4}s) — {speedup:.1}x"
             );
 
-            if !first_entry {
-                json.push_str(",\n");
-            }
-            first_entry = false;
-            let _ = writeln!(json, "    {{");
-            let _ = writeln!(json, "      \"name\": \"{name}\",");
-            let _ = writeln!(json, "      \"cost\": \"{cost_name}\",");
-            let _ = writeln!(json, "      \"nodes\": {},", g.num_nodes());
-            let _ = writeln!(json, "      \"winners\": {},", ranked_winners.len());
-            let _ = writeln!(json, "      \"exhaustive_seconds\": {exh_s:.6},");
-            let _ = writeln!(
-                json,
-                "      \"exhaustive_first_result_seconds\": {exh_first_s:.6},"
-            );
-            let _ = writeln!(json, "      \"ranked_seconds\": {ranked_s:.6},");
-            let _ = writeln!(
-                json,
-                "      \"ranked_first_result_seconds\": {ranked_first_s:.6},"
-            );
-            let _ = writeln!(json, "      \"first_result_speedup\": {first_speedup:.2},");
-            let _ = writeln!(json, "      \"speedup\": {speedup:.2}");
-            let _ = write!(json, "    }}");
+            let m = |field: &str| format!("{name}/{cost_name}/{field}");
+            doc.metric(m("nodes"), "count", g.num_nodes() as f64);
+            doc.metric(m("winners"), "count", ranked_winners.len() as f64);
+            doc.metric(m("exhaustive_seconds"), "s", exh_s);
+            doc.metric(m("exhaustive_first_result_seconds"), "s", exh_first_s);
+            doc.metric(m("ranked_seconds"), "s", ranked_s);
+            doc.metric(m("ranked_first_result_seconds"), "s", ranked_first_s);
+            doc.metric(m("first_result_speedup"), "ratio", first_speedup);
+            doc.metric(m("speedup"), "ratio", speedup);
+            doc.gate(m("winners"), "==", "k");
+            doc.gate(m("exhaustive_seconds"), ">", 0.0);
+            doc.gate(m("ranked_seconds"), ">", 0.0);
+            doc.gate(m("speedup"), ">=", 3.0);
         }
     }
-    json.push_str("\n  ]\n}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    doc.write(&out_path)?;
     Ok(())
 }

@@ -15,16 +15,16 @@
 //! Flags: `--out FILE` (default `BENCH_reduction.json`), `--quick 1`
 //! (smoke mode for CI: smallest workload only).
 //!
-//! Per the `BENCH_engine.json` convention the document stamps the host's
-//! CPU count and `"speedup_observable": false` when `cpus == 1` — the
-//! *planning* speedups here are sequential-vs-sequential and remain
-//! valid either way (the stamp gates only thread-scaling readings).
+//! The document (`mintri_bench::doc` schema) records each workload as
+//! `NAME/{nodes,atoms,results,unreduced_seconds,planned_seconds,speedup}`
+//! and gates `workloads >= 1` and, per workload, `results > 0` and both
+//! `*_seconds > 0`. The speedups are sequential-vs-sequential, so they
+//! hold at any CPU count.
 
-use mintri_bench::Args;
+use mintri_bench::{Args, BenchDoc};
 use mintri_core::query::{ExecPolicy, Plan, Query};
 use mintri_graph::Graph;
 use mintri_workloads::random::chained_cycles;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Seconds (and result count) to stream the whole enumeration.
@@ -38,11 +38,9 @@ fn time_enumeration(g: &Graph, planned: bool) -> (usize, f64) {
 }
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "quick"]);
     let out_path = args.get_str("out", "BENCH_reduction.json");
     let quick = args.get_usize("quick", 0) != 0;
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup_observable = cpus > 1;
 
     let workloads: Vec<(&str, Graph)> = if quick {
         vec![("3xC6_chain", chained_cycles(&[6, 6, 6]))]
@@ -55,18 +53,10 @@ fn main() -> std::io::Result<()> {
         ]
     };
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"reduction_gain\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"speedup_observable\": {speedup_observable},");
-    let _ = writeln!(json, "  \"workloads\": [");
-
-    let mut first = true;
+    let mut doc = BenchDoc::new("reduction_gain", quick);
+    doc.metric("workloads", "count", workloads.len() as f64);
+    doc.gate("workloads", ">=", 1.0);
     for (name, g) in &workloads {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
         let plan = Plan::of(g);
         eprintln!(
             "workload {name}: {} nodes, {} atoms …",
@@ -90,19 +80,17 @@ fn main() -> std::io::Result<()> {
              ({speedup:.1}x)"
         );
 
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{name}\",");
-        let _ = writeln!(json, "      \"nodes\": {},", g.num_nodes());
-        let _ = writeln!(json, "      \"atoms\": {},", plan.atoms.len());
-        let _ = writeln!(json, "      \"results\": {n_planned},");
-        let _ = writeln!(json, "      \"unreduced_seconds\": {unreduced_s:.6},");
-        let _ = writeln!(json, "      \"planned_seconds\": {planned_s:.6},");
-        let _ = writeln!(json, "      \"speedup\": {speedup:.2}");
-        let _ = write!(json, "    }}");
+        let m = |field: &str| format!("{name}/{field}");
+        doc.metric(m("nodes"), "count", g.num_nodes() as f64);
+        doc.metric(m("atoms"), "count", plan.atoms.len() as f64);
+        doc.metric(m("results"), "count", n_planned as f64);
+        doc.metric(m("unreduced_seconds"), "s", unreduced_s);
+        doc.metric(m("planned_seconds"), "s", planned_s);
+        doc.metric(m("speedup"), "ratio", speedup);
+        doc.gate(m("results"), ">", 0.0);
+        doc.gate(m("unreduced_seconds"), ">", 0.0);
+        doc.gate(m("planned_seconds"), ">", 0.0);
     }
-    json.push_str("\n  ]\n}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    doc.write(&out_path)?;
     Ok(())
 }

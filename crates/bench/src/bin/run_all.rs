@@ -17,7 +17,7 @@ use std::fs;
 use std::time::Duration;
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out-dir", "scale"]);
     let out_dir = args.get_str("out-dir", "results");
     let scale = args.get_u64("scale", 1).max(1);
     fs::create_dir_all(&out_dir)?;

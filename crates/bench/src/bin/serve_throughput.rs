@@ -20,22 +20,19 @@
 //! smoke: smaller cycle, fewer rounds), `--warm N` (warm requests,
 //! default 50).
 //!
-//! Per the `BENCH_engine.json` convention the document stamps the
-//! host's CPU count and `"speedup_observable": false` when `cpus == 1`
-//! — the replay-vs-compute ratios here are single-stream and remain
-//! valid either way (the stamp gates only thread-scaling readings).
-//!
-//! `bench_check` consumes this file and fails CI when the warm-replay
-//! gate (ratio, equal scan counts, `is_replay`) regresses.
+//! The document (`mintri_bench::doc` schema) gates the warm-replay
+//! tier: `warm_is_replay == 1`, `cold_scanned > 0`,
+//! `warm_scanned == cold_scanned` and `warm_over_cold >= 10`; the ratio
+//! is single-stream, so it holds at any CPU count. The `enumerate/*`
+//! metrics are ungated. `bench_check` evaluates the gates in CI.
 
-use mintri_bench::Args;
+use mintri_bench::{Args, BenchDoc};
 use mintri_core::json::{graph_to_json, JsonValue};
 use mintri_engine::Engine;
 use mintri_graph::{Graph, Node};
 use mintri_serve::client::Client;
 use mintri_serve::{ServeConfig, Server};
 use mintri_workloads::random::chord_cycle;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,12 +101,10 @@ fn enumerate_spec(graph_id: &str) -> String {
 }
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "quick", "warm"]);
     let out_path = args.get_str("out", "BENCH_serve.json");
     let quick = args.get_usize("quick", 0) != 0;
     let warm_rounds = args.get_usize("warm", 50);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup_observable = cpus > 1;
 
     // The chord family: quick keeps CI fast, full pushes the cold cost
     // up so the ratio reading is steadier.
@@ -177,42 +172,29 @@ fn main() -> std::io::Result<()> {
     handle.shutdown();
     server_thread.join().expect("server thread").ok();
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"serve_throughput\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"speedup_observable\": {speedup_observable},");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"gate\": {{");
-    let _ = writeln!(json, "    \"workload\": \"bestk_C{n}_chord\",");
-    let _ = writeln!(json, "    \"cold_requests\": {},", cold.requests);
-    let _ = writeln!(json, "    \"cold_seconds\": {:.6},", cold.seconds);
-    let _ = writeln!(json, "    \"cold_rps\": {cold_rps:.2},");
-    let _ = writeln!(json, "    \"warm_requests\": {},", warm.requests);
-    let _ = writeln!(json, "    \"warm_seconds\": {:.6},", warm.seconds);
-    let _ = writeln!(json, "    \"warm_rps\": {warm_rps:.2},");
-    let _ = writeln!(json, "    \"warm_over_cold\": {ratio:.2},");
-    let _ = writeln!(json, "    \"cold_scanned\": {cold_scanned},");
-    let _ = writeln!(json, "    \"warm_scanned\": {},", warm.scanned_last);
-    let _ = writeln!(json, "    \"warm_is_replay\": {}", warm.replay_last);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"enumerate\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"enumerate_C{}\",",
-        if quick { 7 } else { 8 }
+    let mut doc = BenchDoc::new("serve_throughput", quick);
+    doc.metric("cold_requests", "count", cold.requests as f64);
+    doc.metric("cold_seconds", "s", cold.seconds);
+    doc.metric("cold_rps", "1/s", cold_rps);
+    doc.metric("warm_requests", "count", warm.requests as f64);
+    doc.metric("warm_seconds", "s", warm.seconds);
+    doc.metric("warm_rps", "1/s", warm_rps);
+    doc.metric("warm_over_cold", "ratio", ratio);
+    doc.metric("cold_scanned", "count", cold_scanned as f64);
+    doc.metric("warm_scanned", "count", warm.scanned_last as f64);
+    doc.flag("warm_is_replay", warm.replay_last);
+    doc.metric(
+        "enumerate/results_per_response",
+        "count",
+        enum_cold.scanned_last as f64,
     );
-    let _ = writeln!(
-        json,
-        "    \"results_per_response\": {},",
-        enum_cold.scanned_last
-    );
-    let _ = writeln!(json, "    \"cold_rps\": {enum_cold_rps:.2},");
-    let _ = writeln!(json, "    \"warm_rps\": {enum_warm_rps:.2},");
-    let _ = writeln!(json, "    \"warm_is_replay\": {}", enum_warm.replay_last);
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    doc.metric("enumerate/cold_rps", "1/s", enum_cold_rps);
+    doc.metric("enumerate/warm_rps", "1/s", enum_warm_rps);
+    doc.flag("enumerate/warm_is_replay", enum_warm.replay_last);
+    doc.gate("warm_is_replay", "==", 1.0);
+    doc.gate("cold_scanned", ">", 0.0);
+    doc.gate("warm_scanned", "==", "cold_scanned");
+    doc.gate("warm_over_cold", ">=", 10.0);
+    doc.write(&out_path)?;
     Ok(())
 }

@@ -11,7 +11,9 @@
 //! completion so every graph deposits its answer list. The gate reading
 //! is `cold_seconds / hydrated_seconds` — hydration re-interns
 //! separators instead of re-running `EnumMIS`, so it must be a large
-//! multiple (CI gates >= 5x via `bench_check --store`).
+//! multiple. The document (`mintri_bench::doc` schema) gates
+//! `hydrated_is_replay == 1`, `cold_scanned > 0`,
+//! `hydrated_scanned == cold_scanned` and `cold_over_hydrated >= 5`.
 //!
 //! Flags: `--out FILE` (default `BENCH_store.json`), `--quick 1` (CI
 //! smoke: smaller cycles), `--rounds N` (passes per phase, default 3;
@@ -19,11 +21,10 @@
 //! genuinely cold, hydrated rounds reopen the same directory with a
 //! fresh engine).
 
-use mintri_bench::Args;
+use mintri_bench::{Args, BenchDoc};
 use mintri_engine::{Engine, EngineConfig, Query, Store, StoreConfig};
 use mintri_graph::{Graph, Node};
 use mintri_workloads::random::chord_cycle;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,11 +82,10 @@ fn drive(engine: &Engine, graphs: &[Graph]) -> Measured {
 }
 
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "quick", "rounds"]);
     let out_path = args.get_str("out", "BENCH_store.json");
     let quick = args.get_usize("quick", 0) != 0;
     let rounds = args.get_usize("rounds", 3).max(1);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let n = if quick { 10 } else { 12 };
     let graphs: Vec<Graph> = (2..(n as Node - 1)).map(|j| chord_cycle(n, j)).collect();
@@ -144,29 +144,24 @@ fn main() -> std::io::Result<()> {
          RAM-warm {ram_seconds:.4}s ({ram_ratio:.0}x) over {cold_scanned} answers"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"store_gain\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"gate\": {{");
-    let _ = writeln!(json, "    \"workload\": \"enumerate_C{n}_chord\",");
-    let _ = writeln!(json, "    \"queries_per_round\": {},", graphs.len());
-    let _ = writeln!(json, "    \"cold_seconds\": {cold_seconds:.6},");
-    let _ = writeln!(json, "    \"hydrated_seconds\": {hydrated_seconds:.6},");
-    let _ = writeln!(json, "    \"ram_seconds\": {ram_seconds:.6},");
-    let _ = writeln!(json, "    \"cold_over_hydrated\": {ratio:.2},");
-    let _ = writeln!(json, "    \"cold_over_ram\": {ram_ratio:.2},");
-    let _ = writeln!(json, "    \"cold_scanned\": {cold_scanned},");
-    let _ = writeln!(json, "    \"hydrated_scanned\": {hydrated_scanned},");
-    let _ = writeln!(json, "    \"ram_scanned\": {ram_scanned},");
-    let _ = writeln!(json, "    \"hydrated_is_replay\": {hydrated_is_replay},");
-    let _ = writeln!(json, "    \"store_entries\": {store_entries},");
-    let _ = writeln!(json, "    \"store_bytes\": {store_bytes}");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    let mut doc = BenchDoc::new("store_gain", quick);
+    doc.metric("rounds", "count", rounds as f64);
+    doc.metric("queries_per_round", "count", graphs.len() as f64);
+    doc.metric("cold_seconds", "s", cold_seconds);
+    doc.metric("hydrated_seconds", "s", hydrated_seconds);
+    doc.metric("ram_seconds", "s", ram_seconds);
+    doc.metric("cold_over_hydrated", "ratio", ratio);
+    doc.metric("cold_over_ram", "ratio", ram_ratio);
+    doc.metric("cold_scanned", "count", cold_scanned as f64);
+    doc.metric("hydrated_scanned", "count", hydrated_scanned as f64);
+    doc.metric("ram_scanned", "count", ram_scanned as f64);
+    doc.flag("hydrated_is_replay", hydrated_is_replay);
+    doc.metric("store_entries", "count", store_entries as f64);
+    doc.metric("store_bytes", "bytes", store_bytes as f64);
+    doc.gate("hydrated_is_replay", "==", 1.0);
+    doc.gate("cold_scanned", ">", 0.0);
+    doc.gate("hydrated_scanned", "==", "cold_scanned");
+    doc.gate("cold_over_hydrated", ">=", 5.0);
+    doc.write(&out_path)?;
     Ok(())
 }

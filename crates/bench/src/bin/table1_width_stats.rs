@@ -13,7 +13,7 @@ use mintri_core::QualityStats;
 use mintri_workloads::PgmFamily;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["budget-ms", "instances", "seed", "algo"]);
     let budget_ms = args.get_u64("budget-ms", 1000);
     let instances = args.get_usize("instances", 3);
     let seed = args.get_u64("seed", 42);

@@ -1,8 +1,9 @@
 //! Cost of the observability layer: engine enumeration with per-query
 //! span tracing (`Query::traced(true)`) vs. the same query untraced, on
 //! the chord-cycle family. Emits `BENCH_telemetry.json` so CI can hold
-//! the tracing tax under a hard ceiling (`bench_check --telemetry`,
-//! default ≤ 5%).
+//! the tracing tax under a hard ceiling: the document
+//! (`mintri_bench::doc` schema) gates `results > 0`, both `*_seconds > 0`
+//! and `overhead_pct <= 5`.
 //!
 //! The registry counters/histograms are *always* on — they are plain
 //! atomics on the hot paths and not separable — so the measured delta
@@ -22,12 +23,11 @@
 //! `--rounds N` (default 5, quick 9), `--reps N` (family sweeps per
 //! timed pass; default 3, quick 12).
 
-use mintri_bench::Args;
+use mintri_bench::{paired_rounds, Args, BenchDoc};
 use mintri_core::query::{ExecPolicy, Query};
 use mintri_engine::Engine;
 use mintri_graph::{Graph, Node};
 use mintri_workloads::random::chord_cycle;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One timed pass: `reps` cold engine sweeps over the whole family
@@ -58,39 +58,8 @@ fn run_family(graphs: &[Graph], traced: bool, reps: usize) -> (usize, f64) {
     (produced, started.elapsed().as_secs_f64())
 }
 
-/// Paired rounds: each round times one untraced pass then one traced
-/// pass back to back, and the overhead estimate is the *median of the
-/// per-round ratios*. Adjacent pairing cancels slow drift (frequency
-/// scaling, noisy neighbours on a shared box) that min-of-rounds over
-/// two separate series cannot; the median discards the odd preempted
-/// round. Returns (results per sweep, min untraced s, min traced s,
-/// median overhead pct).
-fn measure(graphs: &[Graph], rounds: usize, reps: usize) -> (usize, f64, f64, f64) {
-    let _ = run_family(graphs, false, 1); // untimed warmup
-    let mut untraced = f64::INFINITY;
-    let mut traced = f64::INFINITY;
-    let mut produced = 0;
-    let mut per_round = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let (n0, s0) = run_family(graphs, false, reps);
-        let (n1, s1) = run_family(graphs, true, reps);
-        assert_eq!(n0, n1, "tracing must not change the answer set");
-        produced = n0;
-        untraced = untraced.min(s0);
-        traced = traced.min(s1);
-        per_round.push(100.0 * (s1 - s0) / s0.max(1e-9));
-    }
-    per_round.sort_by(|a, b| a.total_cmp(b));
-    let overhead_pct = if per_round.len() % 2 == 1 {
-        per_round[per_round.len() / 2]
-    } else {
-        (per_round[per_round.len() / 2 - 1] + per_round[per_round.len() / 2]) / 2.0
-    };
-    (produced, untraced, traced, overhead_pct)
-}
-
 fn main() -> std::io::Result<()> {
-    let args = Args::parse();
+    let args = Args::parse(&["out", "quick", "rounds", "reps"]);
     let out_path = args.get_str("out", "BENCH_telemetry.json");
     let quick = args.get_usize("quick", 0) != 0;
     let rounds = args.get_usize("rounds", if quick { 9 } else { 5 });
@@ -98,7 +67,6 @@ fn main() -> std::io::Result<()> {
     // long enough (hundreds of ms) that scheduler jitter on a shared
     // box doesn't swamp a few-percent signal.
     let reps = args.get_usize("reps", if quick { 12 } else { 3 });
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Same family as `serve_throughput`: an n-cycle plus one chord at
     // varying positions — pairwise distinct fingerprints, so every
@@ -110,25 +78,29 @@ fn main() -> std::io::Result<()> {
         "telemetry_overhead: C{n} chord family, {} graphs, {rounds} rounds x {reps} sweeps",
         graphs.len()
     );
-    let (results, untraced_s, traced_s, overhead_pct) = measure(&graphs, rounds, reps);
+    let (results, untraced_s, traced_s, overhead_pct) = paired_rounds(
+        rounds,
+        reps,
+        "tracing",
+        |traced, reps| run_family(&graphs, traced, reps),
+        |untraced, traced| 100.0 * (traced - untraced) / untraced.max(1e-9),
+    );
     eprintln!("  untraced: {results} results/sweep in {untraced_s:.4}s (min of {rounds})");
     eprintln!("  traced:   {results} results/sweep in {traced_s:.4}s (min of {rounds})");
     eprintln!("  overhead: {overhead_pct:.2}% (median of {rounds} paired rounds)");
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"telemetry_overhead\",");
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"family\": \"chord_cycle_n{n}\",");
-    let _ = writeln!(json, "  \"graphs\": {},", graphs.len());
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"reps_per_pass\": {reps},");
-    let _ = writeln!(json, "  \"results\": {results},");
-    let _ = writeln!(json, "  \"untraced_seconds\": {untraced_s:.6},");
-    let _ = writeln!(json, "  \"traced_seconds\": {traced_s:.6},");
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.3}");
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json)?;
-    eprintln!("wrote {out_path}");
+    let mut doc = BenchDoc::new("telemetry_overhead", quick);
+    doc.metric("graphs", "count", graphs.len() as f64);
+    doc.metric("rounds", "count", rounds as f64);
+    doc.metric("reps_per_pass", "count", reps as f64);
+    doc.metric("results", "count", results as f64);
+    doc.metric("untraced_seconds", "s", untraced_s);
+    doc.metric("traced_seconds", "s", traced_s);
+    doc.metric("overhead_pct", "pct", overhead_pct);
+    doc.gate("results", ">", 0.0);
+    doc.gate("untraced_seconds", ">", 0.0);
+    doc.gate("traced_seconds", ">", 0.0);
+    doc.gate("overhead_pct", "<=", 5.0);
+    doc.write(&out_path)?;
     Ok(())
 }

@@ -20,7 +20,7 @@ use mintri_workloads::all_queries;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["baseline-ms", "cap"]);
     let baseline_ms = args.get_u64("baseline-ms", 2000);
     let cap = args.get_usize("cap", 100_000);
 

@@ -7,10 +7,19 @@
 //! `fig8_printing_modes`, `fig9_cumulative`, `fig10_quality_over_time`,
 //! `table1_width_stats`, `table2_fill_stats` and `tpch_stats`;
 //! `run_all` regenerates them all.
+//!
+//! The nine binaries that back the engine's own claims (`adaptive_gain`,
+//! `engine_scaling`, `kernel_gain`, `query_overhead`, `ranked_gain`,
+//! `reduction_gain`, `serve_throughput`, `store_gain`,
+//! `telemetry_overhead`) each write one `BENCH_*.json` [`BenchDoc`]:
+//! flat metrics plus the gates that must hold of them. `bench_check`
+//! evaluates any such document with [`BenchDoc::evaluate`].
 
 pub mod args;
 pub mod baseline;
+pub mod doc;
 pub mod runs;
 
 pub use args::Args;
-pub use runs::{run_budgeted, AlgoChoice};
+pub use doc::BenchDoc;
+pub use runs::{paired_rounds, run_budgeted, time_stream, AlgoChoice};

@@ -4,7 +4,7 @@ use mintri_core::{EnumerationBudget, Query, QueryOutcome};
 use mintri_graph::Graph;
 use mintri_sgr::PrintMode;
 use mintri_triangulate::{LbTriang, McsM, Triangulator};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The two triangulation backends of the paper's study (Section 6.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +55,52 @@ pub fn run_budgeted(g: &Graph, algo: AlgoChoice, budget_ms: u64) -> QueryOutcome
         .budget(EnumerationBudget::time(Duration::from_millis(budget_ms)))
         .run_local(g)
         .wait()
+}
+
+/// Wall-clock seconds to stream the first `k` items of `stream`, and
+/// how many it yielded.
+pub fn time_stream<I: Iterator>(stream: I, k: usize) -> (usize, f64) {
+    let started = Instant::now();
+    let produced = stream.take(k).count();
+    (produced, started.elapsed().as_secs_f64())
+}
+
+/// A/B timing in paired rounds. After an untimed one-rep warm-up of each
+/// side, every round times `pass(false, reps)` (A) then `pass(true, reps)`
+/// (B) back to back, and both must report the same count (`what` names
+/// the toggled feature in the assertion). Adjacent pairing cancels slow
+/// drift (frequency scaling, noisy neighbours on a shared box) that
+/// min-of-rounds over two separate series cannot; the median discards
+/// the odd preempted round. Returns (count, min A seconds, min B seconds,
+/// median over rounds of `ratio(a_seconds, b_seconds)`).
+pub fn paired_rounds(
+    rounds: usize,
+    reps: usize,
+    what: &str,
+    mut pass: impl FnMut(bool, usize) -> (usize, f64),
+    ratio: impl Fn(f64, f64) -> f64,
+) -> (usize, f64, f64, f64) {
+    pass(false, 1);
+    pass(true, 1);
+    let (mut count, mut a_min, mut b_min) = (0, f64::INFINITY, f64::INFINITY);
+    let mut per_round = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let (na, a) = pass(false, reps);
+        let (nb, b) = pass(true, reps);
+        assert_eq!(na, nb, "{what} must not change the count");
+        count = na;
+        a_min = a_min.min(a);
+        b_min = b_min.min(b);
+        per_round.push(ratio(a, b));
+    }
+    per_round.sort_by(f64::total_cmp);
+    let mid = per_round.len() / 2;
+    let median = if per_round.len() % 2 == 1 {
+        per_round[mid]
+    } else {
+        (per_round[mid - 1] + per_round[mid]) / 2.0
+    };
+    (count, a_min, b_min, median)
 }
 
 #[cfg(test)]

@@ -653,7 +653,7 @@ pub trait TriangulationStream {
 /// path pays nothing. Deliberately, only the first pull reads the
 /// clock: per-item `Instant::now()` calls cost more than producing a
 /// result on small atoms and would bust the tracing-overhead gate
-/// (`bench_check --telemetry`); every later pull is one counter bump.
+/// (`telemetry_overhead`'s `overhead_pct <= 5`); every later pull is one counter bump.
 pub struct TracedStream<'a> {
     inner: Box<dyn TriangulationStream + 'a>,
     span: SpanHandle,

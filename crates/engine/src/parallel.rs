@@ -104,30 +104,21 @@ impl ParallelEnumerator {
                 threads,
                 ..EngineConfig::default()
             },
+            PrintMode::UponGeneration,
         )
     }
 
-    /// Full configuration over a borrowed graph (cloned once), with the
-    /// default (`UponGeneration`) print discipline.
-    pub fn with_config(
-        g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        config: &EngineConfig,
-    ) -> Self {
-        Self::with_config_and_mode(g, triangulator, config, PrintMode::UponGeneration)
-    }
-
-    /// [`ParallelEnumerator::with_config`] plus an explicit print mode.
-    /// `Deterministic` delivery honors it exactly like the sequential
+    /// Full configuration over a borrowed graph (cloned once).
+    /// `Deterministic` delivery honors `mode` exactly like the sequential
     /// enumerator (`UponPop` = `EnumMISHold` order); `Unordered` delivery
     /// ignores it — emission there is discovery order by construction.
-    pub fn with_config_and_mode(
+    pub fn with_config(
         g: &Graph,
         triangulator: Box<dyn Triangulator>,
         config: &EngineConfig,
         mode: PrintMode,
     ) -> Self {
-        Self::from_msgraph_with_mode(
+        Self::from_msgraph(
             Arc::new(MsGraph::shared(Arc::new(g.clone()), triangulator)),
             config,
             mode,
@@ -136,18 +127,9 @@ impl ParallelEnumerator {
 
     /// Runs over an existing (possibly already warm) shared [`MsGraph`] —
     /// the entry point the session layer uses so repeated queries reuse
-    /// interned separators and their component labels.
-    pub fn from_msgraph(ms: Arc<MsGraph<'static>>, config: &EngineConfig) -> Self {
-        Self::from_msgraph_with_mode(ms, config, PrintMode::UponGeneration)
-    }
-
-    /// [`ParallelEnumerator::from_msgraph`] plus an explicit print mode
-    /// (see [`ParallelEnumerator::with_config_and_mode`]).
-    pub fn from_msgraph_with_mode(
-        ms: Arc<MsGraph<'static>>,
-        config: &EngineConfig,
-        mode: PrintMode,
-    ) -> Self {
+    /// interned separators and their component labels. `mode` as in
+    /// [`ParallelEnumerator::with_config`].
+    pub fn from_msgraph(ms: Arc<MsGraph<'static>>, config: &EngineConfig, mode: PrintMode) -> Self {
         let inner =
             match config.delivery {
                 Delivery::Unordered => {
@@ -657,6 +639,7 @@ mod tests {
                     delivery: Delivery::Deterministic,
                     ..EngineConfig::default()
                 },
+                PrintMode::UponGeneration,
             ));
             assert_eq!(sequential, parallel, "order must match on {g:?}");
         }
@@ -708,6 +691,7 @@ mod tests {
                     channel_capacity: 1,
                     ..EngineConfig::default()
                 },
+                PrintMode::UponGeneration,
             );
             let _first = e.next().expect("at least one triangulation");
             drop(e);
@@ -722,7 +706,7 @@ mod tests {
             Box::new(McsM),
             PrintMode::UponPop,
         ));
-        let parallel = edges_of(ParallelEnumerator::with_config_and_mode(
+        let parallel = edges_of(ParallelEnumerator::with_config(
             &g,
             Box::new(McsM),
             &EngineConfig {
@@ -766,6 +750,7 @@ mod tests {
                 delivery: Delivery::Deterministic,
                 ..EngineConfig::default()
             },
+            PrintMode::UponGeneration,
         );
         let n_par = par.by_ref().count();
         assert_eq!(n_seq, n_par);

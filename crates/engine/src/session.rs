@@ -1193,7 +1193,7 @@ impl Engine {
         if threads <= 1 {
             return self.sequential_stream(session, mode);
         }
-        let par = crate::ParallelEnumerator::from_msgraph_with_mode(
+        let par = crate::ParallelEnumerator::from_msgraph(
             Arc::clone(&session.ms),
             &EngineConfig {
                 threads,

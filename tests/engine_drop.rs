@@ -255,7 +255,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let live = &config.threads_live;
-        let mut e = ParallelEnumerator::with_config(&g, Box::new(McsM), &config);
+        let mut e = ParallelEnumerator::with_config(&g, Box::new(McsM), &config, PrintMode::UponGeneration);
         // The gauge counts this driver's workers: the deterministic pool
         // holds all of them until drop; unordered ones may already have
         // finished.

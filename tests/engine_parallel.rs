@@ -32,6 +32,7 @@ fn deterministic_parallel_edges(g: &Graph, threads: usize, limit: usize) -> Vec<
             delivery: Delivery::Deterministic,
             ..EngineConfig::default()
         },
+        PrintMode::UponGeneration,
     )
     .take(limit)
     .map(|t| t.graph.edges())
@@ -86,6 +87,7 @@ fn deterministic_stats_match_sequential_on_determinism_families() {
                     delivery: Delivery::Deterministic,
                     ..EngineConfig::default()
                 },
+                PrintMode::UponGeneration,
             );
             let n_par = par.by_ref().take(50).count();
             assert_eq!(n_seq, n_par);
