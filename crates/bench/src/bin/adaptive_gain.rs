@@ -11,44 +11,34 @@
 //! must be at least 1.2x the first (in practice replay puts the ratio
 //! far higher; the floor guards against the profile/dispatch layer ever
 //! making a repeat visit *slower*). Both runs must scan identical
-//! answer counts: adaptivity reschedules, it never answers. The document
-//! (`mintri_bench::doc` schema) gates `run1_scanned > 0`,
-//! `run2_scanned == run1_scanned`, `profile_entries > 0`, both
-//! `*_seconds > 0` and `run1_over_run2 >= 1.2`.
+//! answer counts: adaptivity reschedules, it never answers. The gates
+//! are the `doc.gate` calls in `main`.
 //!
 //! Flags: `--out FILE` (default `BENCH_adaptive.json`), `--quick 1`
 //! (CI smoke: smaller cycles), `--rounds N` (cold/warm pairs, default
 //! 3; every round gets a fresh engine so run 1 is genuinely cold).
 
-use mintri_bench::{Args, BenchDoc};
+use mintri_bench::{timed, Args, BenchDoc};
 use mintri_core::query::CostMeasure;
 use mintri_core::TdEnumerationMode;
 use mintri_engine::{Engine, EngineConfig, Query};
 use mintri_graph::{Graph, Node};
 use mintri_workloads::random::{chained_cycles, chord_cycle};
-use std::time::Instant;
-
-struct Measured {
-    seconds: f64,
-    scanned: usize,
-}
 
 /// Drives the mixed workload to completion on `engine` under the
-/// default (Auto) policy; total wall time and total item count.
-fn drive(engine: &Engine, graphs: &[Graph]) -> Measured {
-    let started = Instant::now();
-    let mut scanned = 0;
-    for g in graphs {
-        scanned += engine.run(g, Query::enumerate()).count();
-        scanned += engine.run(g, Query::best_k(3, CostMeasure::Width)).count();
-        scanned += engine
-            .run(g, Query::decompose(TdEnumerationMode::OnePerClass))
-            .count();
-    }
-    Measured {
-        seconds: started.elapsed().as_secs_f64(),
-        scanned,
-    }
+/// default (Auto) policy; total item count and wall time.
+fn drive(engine: &Engine, graphs: &[Graph]) -> (usize, f64) {
+    timed(|| {
+        let mut scanned = 0;
+        for g in graphs {
+            scanned += engine.run(g, Query::enumerate()).count();
+            scanned += engine.run(g, Query::best_k(3, CostMeasure::Width)).count();
+            scanned += engine
+                .run(g, Query::decompose(TdEnumerationMode::OnePerClass))
+                .count();
+        }
+        scanned
+    })
 }
 
 fn main() -> std::io::Result<()> {
@@ -81,12 +71,10 @@ fn main() -> std::io::Result<()> {
             threads: cpus.min(4),
             ..EngineConfig::default()
         });
-        let run1 = drive(&engine, &graphs);
-        run1_seconds += run1.seconds;
-        run1_scanned = run1.scanned;
-        let run2 = drive(&engine, &graphs);
-        run2_seconds += run2.seconds;
-        run2_scanned = run2.scanned;
+        let (scanned, seconds) = drive(&engine, &graphs);
+        (run1_scanned, run1_seconds) = (scanned, run1_seconds + seconds);
+        let (scanned, seconds) = drive(&engine, &graphs);
+        (run2_scanned, run2_seconds) = (scanned, run2_seconds + seconds);
         profile_entries = engine.profile_views().len();
     }
     assert!(
@@ -110,7 +98,7 @@ fn main() -> std::io::Result<()> {
     doc.metric("run2_scanned", "count", run2_scanned as f64);
     doc.metric("profile_entries", "count", profile_entries as f64);
     doc.gate("run1_scanned", ">", 0.0);
-    doc.gate("run2_scanned", "==", "run1_scanned");
+    doc.gate_eq("run2_scanned", "run1_scanned");
     doc.gate("profile_entries", ">", 0.0);
     doc.gate("run1_seconds", ">", 0.0);
     doc.gate("run2_seconds", ">", 0.0);

@@ -8,11 +8,8 @@
 //! (triangulations measured per configuration, default 1500),
 //! `--max-n N` (largest random-graph size, default 50).
 //!
-//! The document (`mintri_bench::doc` schema) records each workload as
-//! `NAME/{p,nodes,edges,results,sequential_seconds,…}` and each thread
-//! count as `NAME/threadsT/{seconds,avg_delay_us,speedup_vs_sequential}`;
-//! it gates only `workloads >= 1` and `NAME/results > 0` (the parallel
-//! counts are asserted equal to the sequential ones in-process). The
+//! The parallel counts are asserted equal to the sequential ones
+//! in-process; the gates are the `doc.gate` calls below. The
 //! header's `cpus` says whether the speedups mean anything: on one CPU
 //! the multi-thread rows measure coordination overhead, not scaling.
 //! `quick` is stamped when `--results` or `--max-n` is below its default.

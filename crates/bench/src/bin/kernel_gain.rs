@@ -2,8 +2,7 @@
 //! enumeration throughput (`Extend` calls per second) with the kernel on
 //! vs. ablated (`MsGraph::without_scratch_kernel`), on the chord-cycle
 //! family. Emits `BENCH_kernel.json` so CI can hold the kernel's speedup
-//! above a floor: the document (`mintri_bench::doc` schema) gates
-//! `extends_per_sweep > 0`, both `*_seconds > 0` and `speedup >= 1.3`.
+//! above a floor (the `doc.gate` calls in `main`).
 //!
 //! Both sides run the *same* enumeration — the kernel is identity-
 //! preserving (see `tests/scratch_kernel.rs`) — so the delta is purely
@@ -60,7 +59,7 @@ fn main() -> std::io::Result<()> {
     let reps = args.get_usize("reps", if quick { 6 } else { 3 });
 
     // An n-cycle plus one chord at varying positions — the same cold
-    // family the serve/telemetry gates sweep, rich enough that every
+    // family the store/telemetry gates sweep, rich enough that every
     // Extend saturates, triangulates and extracts separators.
     let n = if quick { 10 } else { 12 };
     let graphs: Vec<Graph> = (2..(n as Node - 1)).map(|j| chord_cycle(n, j)).collect();

@@ -16,19 +16,32 @@
 //! Flags: `--out FILE` (default `BENCH_query.json`), `--results K`
 //! (default 1500), `--max-n N` (default 40).
 //!
-//! The document (`mintri_bench::doc` schema) records each workload as
-//! `NAME/{direct,run_local,engine_cold,engine_replay}/…` and gates only
-//! `workloads >= 1` and `NAME/results > 0` (the counts of all paths are
-//! asserted equal in-process). The overhead figures are sequential, so
+//! The counts of all paths are asserted equal in-process; the gates are
+//! the `doc.gate` calls below. The overhead figures are sequential, so
 //! they hold at any CPU count. `quick` is stamped when `--results` or
 //! `--max-n` is below its default.
 
-use mintri_bench::{time_stream, Args, BenchDoc};
+use mintri_bench::{time_stream, timed, Args, BenchDoc};
 use mintri_core::query::{ExecPolicy, Query};
 use mintri_core::{EnumerationBudget, MinimalTriangulationsEnumerator};
 use mintri_engine::Engine;
+use mintri_graph::Graph;
 use mintri_workloads::random_suite;
-use std::time::Instant;
+
+fn one_thread() -> ExecPolicy {
+    ExecPolicy::fixed().with_threads(1)
+}
+
+/// The whole enumeration on one thread.
+fn full() -> Query {
+    Query::enumerate().policy(one_thread())
+}
+
+/// Runs [`full`] on `g` again; its result count if `engine` replayed it.
+fn run_replay(engine: &Engine, g: &Graph) -> Option<usize> {
+    let response = engine.run(g, full());
+    response.is_replay().then(|| response.count())
+}
 
 fn main() -> std::io::Result<()> {
     let args = Args::parse(&["out", "results", "max-n"]);
@@ -49,46 +62,21 @@ fn main() -> std::io::Result<()> {
         let g = &inst.graph;
 
         let (n_direct, direct_s) = time_stream(MinimalTriangulationsEnumerator::new(g), k);
-        let (n_local, local_s) = {
-            let started = Instant::now();
-            let produced = Query::enumerate()
-                .budget(EnumerationBudget::results(k))
-                .run_local(g)
-                .count();
-            (produced, started.elapsed().as_secs_f64())
-        };
+        let budget = || Query::enumerate().budget(EnumerationBudget::results(k));
+        let (n_local, local_s) = timed(|| budget().run_local(g).count());
         assert_eq!(n_direct, n_local, "the front door must not change counts");
 
         // Engine path: cold query, then the warm replay of the same query.
         // Replay needs a *completed* enumeration, so only time it when the
         // workload finishes within k results.
         let engine = Engine::new();
-        let (n_engine, engine_s) = {
-            let started = Instant::now();
-            let produced = engine
-                .run(
-                    g,
-                    Query::enumerate()
-                        .budget(EnumerationBudget::results(k))
-                        .policy(ExecPolicy::fixed().with_threads(1)),
-                )
-                .count();
-            (produced, started.elapsed().as_secs_f64())
-        };
+        let (n_engine, engine_s) = timed(|| engine.run(g, budget().policy(one_thread())).count());
         assert_eq!(n_direct, n_engine);
-        let replay = if n_direct < k {
-            let started = Instant::now();
-            let response = engine.run(
-                g,
-                Query::enumerate().policy(ExecPolicy::fixed().with_threads(1)),
-            );
-            let replayed = response.is_replay();
-            let produced = response.count();
-            assert!(replayed && produced == n_direct);
-            Some(started.elapsed().as_secs_f64())
-        } else {
-            None
-        };
+        let replay = (n_direct < k).then(|| {
+            let (replayed, replay_s) = timed(|| run_replay(&engine, g));
+            assert_eq!(replayed, Some(n_direct));
+            replay_s
+        });
 
         let pct = |s: f64| 100.0 * (s - direct_s) / direct_s;
         let m = |field: &str| format!("{}/{field}", inst.name);
@@ -121,23 +109,13 @@ fn main() -> std::io::Result<()> {
     // engine query vs. warm `is_replay()` serve of the same query.
     let small = mintri_workloads::random::erdos_renyi(18, 0.3, 42);
     let engine = Engine::new();
-    let started = Instant::now();
-    let cold_n = engine
-        .run(
-            &small,
-            Query::enumerate().policy(ExecPolicy::fixed().with_threads(1)),
-        )
-        .count();
-    let cold_s = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let warm = engine.run(
-        &small,
-        Query::enumerate().policy(ExecPolicy::fixed().with_threads(1)),
+    let (cold_n, cold_s) = timed(|| engine.run(&small, full()).count());
+    let (warm_n, warm_s) = timed(|| run_replay(&engine, &small));
+    assert_eq!(
+        warm_n,
+        Some(cold_n),
+        "the warm run must replay every answer"
     );
-    assert!(warm.is_replay());
-    let warm_n = warm.count();
-    let warm_s = started.elapsed().as_secs_f64();
-    assert_eq!(cold_n, warm_n);
     doc.metric("session_replay/results", "count", cold_n as f64);
     doc.metric("session_replay/cold_seconds", "s", cold_s);
     doc.metric("session_replay/warm_seconds", "s", warm_s);

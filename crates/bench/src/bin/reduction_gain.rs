@@ -15,26 +15,18 @@
 //! Flags: `--out FILE` (default `BENCH_reduction.json`), `--quick 1`
 //! (smoke mode for CI: smallest workload only).
 //!
-//! The document (`mintri_bench::doc` schema) records each workload as
-//! `NAME/{nodes,atoms,results,unreduced_seconds,planned_seconds,speedup}`
-//! and gates `workloads >= 1` and, per workload, `results > 0` and both
-//! `*_seconds > 0`. The speedups are sequential-vs-sequential, so they
-//! hold at any CPU count.
+//! The gates are the `doc.gate` calls below. The speedups are
+//! sequential-vs-sequential, so they hold at any CPU count.
 
-use mintri_bench::{Args, BenchDoc};
+use mintri_bench::{timed, Args, BenchDoc};
 use mintri_core::query::{ExecPolicy, Plan, Query};
 use mintri_graph::Graph;
 use mintri_workloads::random::chained_cycles;
-use std::time::Instant;
 
 /// Seconds (and result count) to stream the whole enumeration.
 fn time_enumeration(g: &Graph, planned: bool) -> (usize, f64) {
-    let started = Instant::now();
-    let produced = Query::enumerate()
-        .policy(ExecPolicy::fixed().with_planned(planned))
-        .run_local(g)
-        .count();
-    (produced, started.elapsed().as_secs_f64())
+    let policy = ExecPolicy::fixed().with_planned(planned);
+    timed(|| Query::enumerate().policy(policy).run_local(g).count())
 }
 
 fn main() -> std::io::Result<()> {

@@ -1,9 +1,7 @@
 //! Cost of the observability layer: engine enumeration with per-query
 //! span tracing (`Query::traced(true)`) vs. the same query untraced, on
 //! the chord-cycle family. Emits `BENCH_telemetry.json` so CI can hold
-//! the tracing tax under a hard ceiling: the document
-//! (`mintri_bench::doc` schema) gates `results > 0`, both `*_seconds > 0`
-//! and `overhead_pct <= 5`.
+//! the tracing tax under a hard ceiling (the `doc.gate` calls in `main`).
 //!
 //! The registry counters/histograms are *always* on — they are plain
 //! atomics on the hot paths and not separable — so the measured delta
@@ -68,7 +66,7 @@ fn main() -> std::io::Result<()> {
     // box doesn't swamp a few-percent signal.
     let reps = args.get_usize("reps", if quick { 12 } else { 3 });
 
-    // Same family as `serve_throughput`: an n-cycle plus one chord at
+    // Same family as `kernel_gain`: an n-cycle plus one chord at
     // varying positions — pairwise distinct fingerprints, so every
     // query is a genuine cold enumeration.
     let n = if quick { 10 } else { 12 };

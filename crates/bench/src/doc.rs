@@ -31,18 +31,6 @@ pub enum Threshold {
     Metric(String),
 }
 
-impl From<f64> for Threshold {
-    fn from(value: f64) -> Self {
-        Threshold::Value(value)
-    }
-}
-
-impl From<&str> for Threshold {
-    fn from(metric: &str) -> Self {
-        Threshold::Metric(metric.to_string())
-    }
-}
-
 /// One reading: a unique flat name, a unit (`s`, `count`, `ratio`,
 /// `pct`, `bool`, …) and the value, NaN when not finite.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,18 +94,22 @@ impl BenchDoc {
         });
     }
 
-    /// Records a boolean as a 0/1 metric.
-    pub fn flag(&mut self, name: impl Into<String>, value: bool) {
-        self.metric(name, "bool", if value { 1.0 } else { 0.0 });
-    }
-
-    /// States a gate; `op` is one of [`OPS`].
-    pub fn gate(&mut self, metric: impl Into<String>, op: &str, threshold: impl Into<Threshold>) {
+    /// States the gate `metric op threshold`; `op` is one of [`OPS`].
+    pub fn gate(&mut self, metric: impl Into<String>, op: &str, threshold: f64) {
         assert!(OPS.contains(&op), "unknown op {op:?}");
         self.gates.push(Gate {
             metric: metric.into(),
             op: op.to_string(),
-            threshold: threshold.into(),
+            threshold: Threshold::Value(threshold),
+        });
+    }
+
+    /// States the gate `metric == other`, both metrics of this document.
+    pub fn gate_eq(&mut self, metric: impl Into<String>, other: &str) {
+        self.gates.push(Gate {
+            metric: metric.into(),
+            op: "==".to_string(),
+            threshold: Threshold::Metric(other.to_string()),
         });
     }
 
@@ -130,8 +122,12 @@ impl BenchDoc {
     }
 
     /// Evaluates every gate. `Ok` holds one line per gate with the values
-    /// it compared; `Err` holds the lines of the gates that failed.
+    /// it compared; `Err` holds the lines of the gates that failed. A
+    /// document without gates fails: it would pass whatever it measured.
     pub fn evaluate(&self) -> Result<Vec<String>, Vec<String>> {
+        if self.gates.is_empty() {
+            return Err(vec!["no gates".to_string()]);
+        }
         let (mut passed, mut failed) = (Vec::new(), Vec::new());
         for gate in &self.gates {
             let rhs = match &gate.threshold {
@@ -158,6 +154,26 @@ impl BenchDoc {
         } else {
             Err(failed)
         }
+    }
+
+    /// Checks that `self` and `other`, two runs of the same bench, state
+    /// the same gates on whole-document metrics (names without `/`;
+    /// per-workload gates follow the workloads a run chose). Checking a
+    /// fresh run against the committed baseline this way catches a
+    /// producer that dropped a gate or moved a threshold.
+    pub fn same_gates_as(&self, other: &BenchDoc) -> Result<(), String> {
+        let fixed = |d: &BenchDoc| -> Vec<String> {
+            let fixed = d.gates.iter().filter(|g| !g.metric.contains('/'));
+            fixed.map(Gate::to_string).collect()
+        };
+        let (mine, theirs) = (fixed(self), fixed(other));
+        if mine != theirs {
+            return Err(format!(
+                "{} gates differ: {mine:?} vs {theirs:?}",
+                self.bench
+            ));
+        }
+        Ok(())
     }
 
     /// The document as a JSON value (non-finite numbers become `null`).
@@ -293,13 +309,21 @@ mod tests {
     use super::*;
 
     /// Whether `x op threshold` passes, with `x = 2` and `y = 3` recorded.
-    fn passes(metric: &str, op: &str, threshold: impl Into<Threshold>) -> bool {
+    fn passes(metric: &str, op: &str, threshold: Threshold) -> bool {
         let mut d = BenchDoc::new("unit", true);
         d.metric("x", "count", 2.0);
         d.metric("y", "count", 3.0);
         d.metric("nan", "count", f64::NAN);
-        d.gate(metric, op, threshold);
+        d.gates.push(Gate {
+            metric: metric.to_string(),
+            op: op.to_string(),
+            threshold,
+        });
         d.evaluate().is_ok()
+    }
+
+    fn named(metric: &str) -> Threshold {
+        Threshold::Metric(metric.to_string())
     }
 
     #[test]
@@ -310,20 +334,38 @@ mod tests {
             ("==", 2.0, 2.1),
             (">", 1.0, 2.0),
         ] {
-            assert!(passes("x", op, holds_at), "2 {op} {holds_at}");
-            assert!(!passes("x", op, fails_at), "2 {op} {fails_at}");
-            assert!(!passes("nan", op, 0.0), "NaN {op} 0");
-            assert!(!passes("x", op, "nan"), "2 {op} NaN");
-            assert!(!passes("absent", op, 0.0), "absent {op} 0");
+            let value = Threshold::Value;
+            assert!(passes("x", op, value(holds_at)), "2 {op} {holds_at}");
+            assert!(!passes("x", op, value(fails_at)), "2 {op} {fails_at}");
+            assert!(!passes("nan", op, value(0.0)), "NaN {op} 0");
+            assert!(!passes("x", op, named("nan")), "2 {op} NaN");
+            assert!(!passes("absent", op, value(0.0)), "absent {op} 0");
         }
+        assert!(BenchDoc::new("unit", true).evaluate().is_err(), "no gates");
     }
 
     #[test]
     fn a_threshold_can_name_another_metric() {
-        assert!(passes("x", "<=", "y"));
-        assert!(passes("y", ">", "x"));
-        assert!(!passes("x", "==", "y"));
-        assert!(!passes("x", "==", "absent"));
+        assert!(passes("x", "<=", named("y")));
+        assert!(passes("y", ">", named("x")));
+        assert!(!passes("x", "==", named("y")));
+        assert!(!passes("x", "==", named("absent")));
+    }
+
+    #[test]
+    fn runs_of_one_bench_must_state_the_same_whole_document_gates() {
+        let run = |floor: f64, workload: &str| {
+            let mut d = BenchDoc::new("unit", false);
+            d.gate("ratio", ">=", floor);
+            d.gate_eq("warm", "cold");
+            d.gate(format!("{workload}/results"), ">", 0.0);
+            d
+        };
+        assert!(run(10.0, "C8").same_gates_as(&run(10.0, "C12")).is_ok());
+        assert!(run(9.0, "C8").same_gates_as(&run(10.0, "C8")).is_err());
+        let mut dropped = run(10.0, "C8");
+        dropped.gates.remove(1);
+        assert!(dropped.same_gates_as(&run(10.0, "C8")).is_err());
     }
 
     #[test]

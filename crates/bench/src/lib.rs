@@ -22,4 +22,4 @@ pub mod runs;
 
 pub use args::Args;
 pub use doc::BenchDoc;
-pub use runs::{paired_rounds, run_budgeted, time_stream, AlgoChoice};
+pub use runs::{paired_rounds, run_budgeted, time_stream, timed, AlgoChoice};

@@ -57,12 +57,17 @@ pub fn run_budgeted(g: &Graph, algo: AlgoChoice, budget_ms: u64) -> QueryOutcome
         .wait()
 }
 
-/// Wall-clock seconds to stream the first `k` items of `stream`, and
-/// how many it yielded.
-pub fn time_stream<I: Iterator>(stream: I, k: usize) -> (usize, f64) {
+/// What `f` returns, and the wall-clock seconds it took.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let started = Instant::now();
-    let produced = stream.take(k).count();
-    (produced, started.elapsed().as_secs_f64())
+    let out = f();
+    (out, started.elapsed().as_secs_f64())
+}
+
+/// How many of the first `k` items `stream` yields, and the wall-clock
+/// seconds that took (building `stream` is not timed).
+pub fn time_stream<I: Iterator>(stream: I, k: usize) -> (usize, f64) {
+    timed(|| stream.take(k).count())
 }
 
 /// A/B timing in paired rounds. After an untimed one-rep warm-up of each
