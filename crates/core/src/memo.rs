@@ -1,24 +1,26 @@
-//! Sharded, lock-striped concurrent memo tables behind [`crate::MsGraph`].
+//! Sharded concurrent separator table behind [`crate::MsGraph`].
 //!
 //! The enumeration stack memoizes one table per input graph: the
 //! *separator interner* (content-addressed `NodeSet` → dense [`SepId`]),
-//! whose id → set direction also holds each separator's component labels
+//! whose id → row direction also holds each separator's component labels
 //! once a crossing query needs them. The content → id direction is striped
 //! over `N` mutex-guarded shards selected by key hash, so concurrent
 //! `EnumMIS` workers — and concurrent *queries* sharing one warm
 //! [`crate::MsGraph`] through the engine's session layer — hit different
 //! stripes and intern each separator at most once per graph.
 //!
-//! Interned ids stay **dense and insertion-ordered** (`0, 1, 2, …`): the
-//! id → set direction is an append-only vector under a read-write lock,
-//! taken for writing only on a genuinely new separator. Under a
-//! single-threaded caller the assignment order — and therefore the whole
-//! enumeration order — is identical to the historical `RefCell`
-//! implementation.
+//! Interned ids stay **dense and insertion-ordered** (`0, 1, 2, …`): a
+//! genuinely new separator takes the next id under a small id lock (lock
+//! order shard → id) and writes its row into an append-only segmented
+//! table. Segment `k` holds `64 << k` write-once rows and is itself
+//! allocated once, so rows never move and the id → row direction reads
+//! with no lock and no reference-count traffic. Under a single-threaded
+//! caller the assignment order — and therefore the whole enumeration
+//! order — is identical to the historical `RefCell` implementation.
 
 use mintri_graph::{FxHashMap, FxHasher, NodeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Dense identifier of an interned minimal separator.
 pub type SepId = u32;
@@ -27,6 +29,17 @@ pub type SepId = u32;
 /// 16 stripes keep contention negligible for any thread count this
 /// workspace targets while costing ~1 KiB of locks per graph.
 const SHARDS: usize = 16;
+
+/// Rows in the id table's first segment; segment `k` holds
+/// `FIRST_SEGMENT << k` rows, starting at id `FIRST_SEGMENT · (2^k − 1)`.
+const FIRST_SEGMENT: usize = 64;
+
+/// Segments needed to give every [`SepId`] a row:
+/// `64 · (2^27 − 1) > u32::MAX`.
+const SEGMENTS: usize = 27;
+
+const SHARD_POISONED: &str = "a thread panicked interning a separator";
+const ID_POISONED: &str = "a thread panicked assigning an id";
 
 /// Selects one of `stripes` lock stripes for `key` (`stripes` must be a
 /// power of two). The low hash bits feed the hash-map bucket index inside
@@ -43,34 +56,54 @@ fn shard_of<K: Hash>(key: &K) -> usize {
     stripe_of(key, SHARDS)
 }
 
+/// `(segment, offset)` of the row behind `id`.
+fn locate(id: usize) -> (usize, usize) {
+    let segment = (id / FIRST_SEGMENT + 1).ilog2() as usize;
+    (segment, id - FIRST_SEGMENT * ((1 << segment) - 1))
+}
+
 /// Content-addressed interner from [`NodeSet`] separators to dense
 /// [`SepId`]s, safe for concurrent use from many threads.
 ///
 /// Separators are stored as `Arc<NodeSet>`, shared between the
-/// content → id map and the id → content vector, so lookups hand out
-/// reference-counted handles instead of cloning bitsets under the lock.
+/// content → id map and the id → row table.
 pub struct ShardedInterner {
     /// content → id, striped by content hash (`Arc<NodeSet>: Borrow<NodeSet>`
     /// lets callers probe by reference, no allocation on the hit path).
     shards: [Mutex<FxHashMap<Arc<NodeSet>, SepId>>; SHARDS],
-    /// id → content, append-only; write-locked only when a new separator
-    /// is first seen.
-    sets: RwLock<Vec<Interned>>,
+    /// id → row, append-only: segment `k` holds `FIRST_SEGMENT << k` rows
+    /// (see [`locate`]), each written once, before its id is handed out.
+    segments: [OnceLock<Box<[OnceLock<Interned>]>>; SEGMENTS],
+    /// Ids assigned so far; the next new separator takes this value.
+    next: Mutex<usize>,
 }
 
-/// One row of the id → content table.
-struct Interned {
+/// One row of the id → row table: a separator and, once a crossing query
+/// needs them, the component labels of `g \ set`.
+pub(crate) struct Interned {
     set: Arc<NodeSet>,
-    /// Component labels of `g \ set`, filled on first use (see
-    /// [`ShardedInterner::set_labels`]).
     labels: OnceLock<Box<[u32]>>,
+}
+
+impl Interned {
+    /// The separator.
+    pub(crate) fn set(&self) -> &NodeSet {
+        &self.set
+    }
+
+    /// The separator's labels, computed by `label` on first use. Racing
+    /// callers wait for the first one, so `label` runs exactly once.
+    pub(crate) fn labels(&self, label: impl FnOnce(&NodeSet) -> Box<[u32]>) -> &[u32] {
+        self.labels.get_or_init(|| label(&self.set))
+    }
 }
 
 impl Default for ShardedInterner {
     fn default() -> Self {
         ShardedInterner {
             shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
-            sets: RwLock::new(Vec::new()),
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            next: Mutex::new(0),
         }
     }
 }
@@ -79,7 +112,7 @@ impl ShardedInterner {
     /// Interns `s`, returning its dense id; equal sets always map to the
     /// same id, no matter which thread got there first.
     pub fn intern(&self, s: NodeSet) -> SepId {
-        let mut shard = self.shards[shard_of(&s)].lock().unwrap();
+        let mut shard = self.shards[shard_of(&s)].lock().expect(SHARD_POISONED);
         if let Some(&id) = shard.get(&s) {
             return id;
         }
@@ -90,31 +123,41 @@ impl ShardedInterner {
     /// (the steady state of the enumeration kernel), cloning `s` only
     /// when it is genuinely new.
     pub fn intern_ref(&self, s: &NodeSet) -> SepId {
-        let mut shard = self.shards[shard_of(s)].lock().unwrap();
+        let mut shard = self.shards[shard_of(s)].lock().expect(SHARD_POISONED);
         if let Some(&id) = shard.get(s) {
             return id;
         }
         self.insert_new(&mut shard, Arc::new(s.clone()))
     }
 
-    /// Assigns the next dense id to a genuinely new separator. The caller
-    /// holds the (missed) shard lock, which is what makes the assignment
-    /// unique; lock order is always shard → sets, so this cannot deadlock.
+    /// Assigns the next dense id to a genuinely new separator and writes
+    /// its row. The caller holds the (missed) shard lock, which is what
+    /// makes the assignment unique; lock order is always shard → id, so
+    /// this cannot deadlock. The row is written before the id leaves this
+    /// function, so every id a caller can hold resolves.
     fn insert_new(&self, shard: &mut FxHashMap<Arc<NodeSet>, SepId>, s: Arc<NodeSet>) -> SepId {
-        let mut sets = self.sets.write().unwrap();
-        let id = sets.len() as SepId;
-        sets.push(Interned {
+        let mut next = self.next.lock().expect(ID_POISONED);
+        let id = SepId::try_from(*next).expect("more than u32::MAX separators");
+        let (segment, at) = locate(*next);
+        let rows = self.segments[segment].get_or_init(|| {
+            (0..FIRST_SEGMENT << segment)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        let row = Interned {
             set: Arc::clone(&s),
             labels: OnceLock::new(),
-        });
-        drop(sets);
+        };
+        assert!(rows[at].set(row).is_ok(), "id {id} assigned twice");
+        *next += 1;
+        drop(next);
         shard.insert(s, id);
         id
     }
 
     /// Number of distinct separators interned so far.
     pub fn len(&self) -> usize {
-        self.sets.read().unwrap().len()
+        *self.next.lock().expect(ID_POISONED)
     }
 
     /// `true` when nothing has been interned yet.
@@ -122,46 +165,26 @@ impl ShardedInterner {
         self.len() == 0
     }
 
+    /// The row behind `id`, read with no lock.
+    pub(crate) fn row(&self, id: SepId) -> &Interned {
+        let (segment, at) = locate(id as usize);
+        self.segments[segment]
+            .get()
+            .and_then(|rows| rows[at].get())
+            .expect("a SepId comes from this interner")
+    }
+
     /// A shared handle on the separator behind `id` (refcount bump, no
     /// bitset copy).
     pub fn get(&self, id: SepId) -> Arc<NodeSet> {
-        Arc::clone(&self.sets.read().unwrap()[id as usize].set)
-    }
-
-    /// Appends shared handles on the separators behind `ids` to `out`,
-    /// under one brief read lock.
-    pub fn extend_handles(&self, ids: &[SepId], out: &mut Vec<Arc<NodeSet>>) {
-        let sets = self.sets.read().unwrap();
-        out.extend(ids.iter().map(|&id| Arc::clone(&sets[id as usize].set)));
-    }
-
-    /// Runs `f` over `a`'s component labels and `b`'s set under one read
-    /// lock, with no handle clones; `None` while `a` is still unlabelled.
-    pub fn with_labels<R>(
-        &self,
-        a: SepId,
-        b: SepId,
-        f: impl FnOnce(&[u32], &NodeSet) -> R,
-    ) -> Option<R> {
-        let sets = self.sets.read().unwrap();
-        let labels = sets[a as usize].labels.get()?;
-        Some(f(labels, &sets[b as usize].set))
-    }
-
-    /// Stores `a`'s component labels, computed outside the lock. Returns
-    /// `false`, dropping `labels`, when another thread stored them first.
-    pub fn set_labels(&self, a: SepId, labels: Box<[u32]>) -> bool {
-        self.sets.read().unwrap()[a as usize]
-            .labels
-            .set(labels)
-            .is_ok()
+        Arc::clone(&self.row(id).set)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Barrier};
 
     #[test]
     fn interner_ids_are_dense_and_content_addressed() {
@@ -176,28 +199,79 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_located_across_segment_boundaries() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        assert_eq!(locate(960), (4, 0));
+        let (segment, at) = locate(u32::MAX as usize);
+        assert!(segment < SEGMENTS && at < FIRST_SEGMENT << segment);
+    }
+
+    /// Writers intern the same sets, crossing four segment boundaries
+    /// (ids 64, 192, 448 and 960), while readers resolve the ids they
+    /// publish. The barrier holds every writer halfway until each reader
+    /// has resolved at least one id, so reads overlap interning.
+    #[test]
     fn interner_is_race_free_across_threads() {
-        let interner = Arc::new(ShardedInterner::default());
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let interner = Arc::clone(&interner);
-                std::thread::spawn(move || {
-                    let mut ids = Vec::new();
-                    for i in 0..200u32 {
-                        // every thread interns the same 200 sets, rotated
-                        let i = (i + t * 25) % 200;
-                        ids.push((i, interner.intern(NodeSet::from_iter(256, [i, i + 1]))));
-                    }
-                    ids
+        const SETS: u32 = 1200;
+        const WRITERS: u32 = 4;
+        const READERS: usize = 2;
+        let interner = ShardedInterner::default();
+        let halfway = Barrier::new(WRITERS as usize + READERS);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..READERS).map(|_| mpsc::channel()).unzip();
+        let published = std::thread::scope(|scope| {
+            let readers: Vec<_> = receivers
+                .into_iter()
+                .map(|rx: mpsc::Receiver<(u32, SepId)>| {
+                    let (interner, halfway) = (&interner, &halfway);
+                    scope.spawn(move || {
+                        let mut seen = Vec::new();
+                        for (i, id) in rx {
+                            assert_eq!(interner.row(id).set().to_vec(), vec![i, i + 1]);
+                            if seen.is_empty() {
+                                halfway.wait();
+                            }
+                            seen.push((i, id));
+                        }
+                        seen
+                    })
                 })
-            })
-            .collect();
-        let all: Vec<_> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        assert_eq!(interner.len(), 200, "each distinct set interned once");
-        for (i, id) in all {
+                .collect();
+            for t in 0..WRITERS {
+                let tx = senders[t as usize % READERS].clone();
+                let (interner, halfway) = (&interner, &halfway);
+                scope.spawn(move || {
+                    for k in 0..SETS {
+                        if k == SETS / 2 {
+                            halfway.wait();
+                        }
+                        // every thread interns the same sets, rotated
+                        let i = (k + t * 300) % SETS;
+                        let id = interner.intern(NodeSet::from_iter(SETS as usize + 1, [i, i + 1]));
+                        tx.send((i, id)).expect("readers outlive writers");
+                    }
+                });
+            }
+            drop(senders);
+            readers
+                .into_iter()
+                .flat_map(|r| r.join().expect("reader panicked"))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            interner.len(),
+            SETS as usize,
+            "each distinct set interned once"
+        );
+        assert_eq!(published.len(), (SETS * WRITERS) as usize);
+        let mut ids: Vec<SepId> = published.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids, (0..SETS).collect::<Vec<_>>(), "ids are dense");
+        for (i, id) in published {
             assert_eq!(
                 interner.get(id).to_vec(),
                 vec![i, i + 1],

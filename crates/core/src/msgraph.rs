@@ -6,16 +6,19 @@
 //! separators are *interned* into dense `u32` ids, so `EnumMIS` hashes
 //! answers as sorted integer vectors instead of sets of bitsets, and each
 //! separator `S` carries the component labels of `g \ S`, computed by one
-//! `O(n + m)` search the first time `S` is asked about. `S ♮ T` (with `S`
-//! the lower id) is then a scan over `T`'s nodes for a second distinct
-//! label.
+//! `O(n + m)` search the first time `S` is asked about. `S ♮ T` is then a
+//! scan over `T`'s nodes for a second distinct label. Crossing is
+//! symmetric on minimal separators (Parra–Scheffler 1997), so one side's
+//! labels decide a pair: `edge` reads the lower id's, and `build_jv`
+//! fetches the direction node `v`'s labels once and scans every `u ∈ J`
+//! against them.
 //!
-//! The interner is a sharded concurrent structure (see [`crate::memo`]),
-//! which makes `MsGraph: Send + Sync`: the parallel engine fans `EnumMIS`
-//! out over a thread pool against a *single* shared `MsGraph`, so every
-//! interned separator and its labels are computed once and reused across
-//! threads — and, through the session layer, across repeated queries on
-//! the same graph.
+//! The interner is a sharded concurrent structure (see [`crate::memo`])
+//! whose rows read without a lock, which makes `MsGraph: Send + Sync`:
+//! the parallel engine fans `EnumMIS` out over a thread pool against a
+//! *single* shared `MsGraph`, so every interned separator and its labels
+//! are computed once and reused across threads — and, through the
+//! session layer, across repeated queries on the same graph.
 
 use crate::memo::ShardedInterner;
 use mintri_chordal::CliqueForest;
@@ -39,8 +42,6 @@ pub use crate::memo::SepId;
 /// repository's `alloc_audit` test.
 #[derive(Default)]
 pub struct ExtendScratch {
-    /// Shared handles on the answer's separators (cleared after use).
-    seps: Vec<Arc<NodeSet>>,
     /// MCS-M workspace: `g[φ]` is saturated into its input bit matrix,
     /// and the fill edges, the elimination order and the minimal
     /// separators of the triangulation land here.
@@ -50,9 +51,10 @@ pub struct ExtendScratch {
 /// Counters exposed for benchmarks and tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MsGraphStats {
-    /// Component labellings computed, one BFS each. A thread that loses
-    /// a race to label the same separator drops its copy uncounted, so
-    /// this never exceeds `separators_interned`.
+    /// Component labellings computed, one BFS each: every labelled
+    /// separator is counted once, whichever thread labelled it (racing
+    /// threads wait for the first), so this never exceeds
+    /// `separators_interned`.
     pub crossing_computed: usize,
     /// `Extend` invocations.
     pub extends: usize,
@@ -167,15 +169,9 @@ impl<'g> MsGraph<'g> {
     /// separator. For a maximal answer this *is* the corresponding minimal
     /// triangulation (Theorem 4.1 part 1).
     pub fn saturate_answer(&self, answer: &[SepId]) -> Graph {
-        // Take Arc handles under a brief read lock and saturate outside
-        // it: std's RwLock is writer-preferring, so holding the read
-        // guard across the O(|φ|·n) saturation would stall every other
-        // reader behind any queued intern() write.
-        let mut sets = Vec::with_capacity(answer.len());
-        self.interner.extend_handles(answer, &mut sets);
         let mut h = self.g.get().clone();
-        for s in &sets {
-            h.saturate(s);
+        for &id in answer {
+            h.saturate(self.interner.row(id).set());
         }
         h
     }
@@ -183,12 +179,19 @@ impl<'g> MsGraph<'g> {
     /// [`Self::saturate_answer`] into the workspace: the input matrix of
     /// `ws.tri` becomes `g[φ]` with no allocation once warm.
     fn saturate_into(&self, answer: &[SepId], ws: &mut ExtendScratch) {
-        self.interner.extend_handles(answer, &mut ws.seps);
         ws.tri.input.load(self.g.get());
-        for s in &ws.seps {
-            ws.tri.input.saturate(s);
+        for &id in answer {
+            ws.tri.input.saturate(self.interner.row(id).set());
         }
-        ws.seps.clear();
+    }
+
+    /// The component labels of `g \ S_id`, computed (and counted) on
+    /// first use.
+    fn labels(&self, id: SepId) -> &[u32] {
+        self.interner.row(id).labels(|set| {
+            self.stats.crossing_computed.fetch_add(1, Ordering::Relaxed);
+            component_labels(self.g.get(), set).into_boxed_slice()
+        })
     }
 
     /// Materializes an answer into a full [`Triangulation`] (saturation
@@ -249,9 +252,10 @@ impl<'g> MsGraph<'g> {
     }
 }
 
-/// `true` iff `t`'s nodes carry two distinct non-zero `labels` — that is,
-/// `t` meets two components of the graph minus the labelled separator.
-fn meets_two_components(labels: &[u32], t: &NodeSet) -> bool {
+/// `S ♮ T` from `S`'s component labels: `true` iff `t`'s nodes carry two
+/// distinct non-zero `labels`, that is, `T` meets two components of
+/// `g \ S`.
+fn crosses(labels: &[u32], t: &NodeSet) -> bool {
     let mut first = 0;
     for v in t.iter() {
         let label = labels[v as usize];
@@ -288,23 +292,31 @@ impl Sgr for MsGraph<'_> {
     }
 
     /// `S_a ♮ S_b` for `(a, b) = (min, max)`: `S_b` meets two components
-    /// of `g \ S_a`. The scan runs under the interner's read lock; only
-    /// `S_a`'s first query runs its labelling search, outside the lock.
+    /// of `g \ S_a`. Only `S_a`'s first query runs its labelling search.
     fn edge(&self, &u: &SepId, &v: &SepId) -> bool {
-        if u == v {
+        u != v && crosses(self.labels(u.min(v)), self.interner.row(u.max(v)).set())
+    }
+
+    /// `Jv` from `S_v`'s labels alone: `u ∈ J` stays iff `S_u` meets at
+    /// most one component of `g \ S_v`. By symmetry this is what `edge`
+    /// decides, with one label fetch per `Jv` instead of one per pair.
+    fn build_jv(
+        &self,
+        answer: &[SepId],
+        &v: &SepId,
+        _: &mut ExtendScratch,
+        jv: &mut Vec<SepId>,
+    ) -> bool {
+        let Err(at) = answer.binary_search(&v) else {
             return false;
-        }
-        let (a, b) = (u.min(v), u.max(v));
-        if let Some(crosses) = self.interner.with_labels(a, b, meets_two_components) {
-            return crosses;
-        }
-        let labels = component_labels(self.g.get(), &self.interner.get(a));
-        if self.interner.set_labels(a, labels.into_boxed_slice()) {
-            self.stats.crossing_computed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.interner
-            .with_labels(a, b, meets_two_components)
-            .expect("labels were just stored")
+        };
+        let labels = self.labels(v);
+        let parallel = |&u: &SepId| !crosses(labels, self.interner.row(u).set());
+        let (below, above) = answer.split_at(at);
+        jv.extend(below.iter().copied().filter(parallel));
+        jv.push(v);
+        jv.extend(above.iter().copied().filter(parallel));
+        true
     }
 
     /// [`Sgr::extend`] through the scratch kernel (or, with the kernel
@@ -436,7 +448,10 @@ mod tests {
                 });
             }
         });
+        // every pair was asked, so every separator but the highest id was
+        // a lower id and got labelled — each counted once, whichever
+        // thread won
         let s = fresh.stats();
-        assert!(s.crossing_computed <= s.separators_interned);
+        assert_eq!(s.crossing_computed, s.separators_interned - 1);
     }
 }

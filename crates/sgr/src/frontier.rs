@@ -81,10 +81,10 @@ impl std::ops::AddAssign for EnumMisStats {
 }
 
 /// Appends `Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}`, sorted, to `jv` for the
-/// sorted answer `J`, making `|J|` edge queries through `scratch`.
-/// Returns `false`, appending nothing and querying nothing, when `v ∈ J`:
-/// the extension would reproduce `J` itself, so lines 11/20 of Figure 1
-/// skip it.
+/// sorted answer `J`, through [`Sgr::build_jv`] (by default `|J|` edge
+/// queries through `scratch`). Returns `false`, appending nothing and
+/// querying nothing, when `v ∈ J`: the extension would reproduce `J`
+/// itself, so lines 11/20 of Figure 1 skip it.
 pub fn build_jv<S: Sgr>(
     sgr: &S,
     answer: &[S::Node],
@@ -92,25 +92,7 @@ pub fn build_jv<S: Sgr>(
     scratch: &mut S::Scratch,
     jv: &mut Vec<S::Node>,
 ) -> bool {
-    let at = answer.partition_point(|u| u < v);
-    if answer.get(at) == Some(v) {
-        return false;
-    }
-    let (below, above) = answer.split_at(at);
-    jv.extend(
-        below
-            .iter()
-            .filter(|u| !sgr.edge_with(v, u, scratch))
-            .cloned(),
-    );
-    jv.push(v.clone());
-    jv.extend(
-        above
-            .iter()
-            .filter(|u| !sgr.edge_with(v, u, scratch))
-            .cloned(),
-    );
-    true
+    sgr.build_jv(answer, v, scratch, jv)
 }
 
 /// One schedule step's `Extend` inputs: the distinct, never-before-seen

@@ -113,6 +113,37 @@ pub trait Sgr {
         out.extend(self.extend(base));
     }
 
+    /// Appends `Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}`, sorted, to `jv` for the
+    /// sorted answer `J`; see [`build_jv`]. The default makes `|J|` edge
+    /// queries through `scratch`. An override must append exactly the
+    /// nodes the default would and return what it returns.
+    fn build_jv(
+        &self,
+        answer: &[Self::Node],
+        v: &Self::Node,
+        scratch: &mut Self::Scratch,
+        jv: &mut Vec<Self::Node>,
+    ) -> bool {
+        let Err(at) = answer.binary_search(v) else {
+            return false;
+        };
+        let (below, above) = answer.split_at(at);
+        jv.extend(
+            below
+                .iter()
+                .filter(|u| !self.edge_with(v, u, scratch))
+                .cloned(),
+        );
+        jv.push(v.clone());
+        jv.extend(
+            above
+                .iter()
+                .filter(|u| !self.edge_with(v, u, scratch))
+                .cloned(),
+        );
+        true
+    }
+
     /// Convenience: the nodes of `G(x)` as an iterator (collecting cursor
     /// plumbing). Primarily for tests and small SGRs.
     fn nodes(&self) -> SgrNodeIter<'_, Self>
@@ -173,6 +204,16 @@ impl<S: Sgr> Sgr for &S {
     ) {
         (**self).extend_with(base, out, scratch)
     }
+
+    fn build_jv(
+        &self,
+        answer: &[Self::Node],
+        v: &Self::Node,
+        scratch: &mut Self::Scratch,
+        jv: &mut Vec<Self::Node>,
+    ) -> bool {
+        (**self).build_jv(answer, v, scratch, jv)
+    }
 }
 
 /// A shared SGR is an SGR: lets owners of an `Arc`'d representation (the
@@ -211,5 +252,15 @@ impl<S: Sgr> Sgr for std::sync::Arc<S> {
         scratch: &mut Self::Scratch,
     ) {
         (**self).extend_with(base, out, scratch)
+    }
+
+    fn build_jv(
+        &self,
+        answer: &[Self::Node],
+        v: &Self::Node,
+        scratch: &mut Self::Scratch,
+        jv: &mut Vec<Self::Node>,
+    ) -> bool {
+        (**self).build_jv(answer, v, scratch, jv)
     }
 }

@@ -3,7 +3,7 @@
 //! invariants on *every* input, not just the hand-picked ones.
 
 use mintri::core::{
-    BruteForce, CostMeasure, Delivery, MinimalTriangulationsEnumerator, MsGraph,
+    BruteForce, CostMeasure, Delivery, ExtendScratch, MinimalTriangulationsEnumerator, MsGraph,
     ProperTreeDecompositions, Query, SepId,
 };
 use mintri::engine::{Engine, EngineConfig};
@@ -11,7 +11,7 @@ use mintri::prelude::*;
 use mintri::separators::all_minimal_separators;
 use mintri::separators::bruteforce::{all_minimal_separators_bruteforce, crossing_bruteforce};
 use mintri::sgr::bruteforce::all_maximal_independent_sets;
-use mintri::sgr::ExplicitSgr;
+use mintri::sgr::{build_jv, ExplicitSgr};
 use mintri::triangulate::{
     eliminate, lb_triang, mcs_m, minimal_triangulation_sandwich, CompleteFill, OrderingStrategy,
 };
@@ -291,21 +291,103 @@ fn assert_label_crossing_matches_reference(g: &Graph, ms: &MsGraph<'_>, ids: &[S
     }
 }
 
-/// Label crossing on the paper-family graphs (instance 0 of each family,
-/// generator seed 2017). Their minimal separators are too many to pull
-/// in full, so the check covers the first 120 separators a short
-/// enumeration interns (from its first answers and node pulls).
+/// `MsGraph` seen only through its `edge` oracle, so its `build_jv` is
+/// the `Sgr` default: one `edge` query per `u ∈ J`.
+struct PerPair<'a>(&'a MsGraph<'a>);
+
+impl Sgr for PerPair<'_> {
+    type Node = SepId;
+    type NodeCursor = ();
+    type Scratch = ();
+
+    fn start_nodes(&self) {}
+
+    fn next_node(&self, _: &mut ()) -> Option<SepId> {
+        None
+    }
+
+    fn edge(&self, u: &SepId, v: &SepId) -> bool {
+        self.0.edge(u, v)
+    }
+
+    fn extend(&self, base: &[SepId]) -> Vec<SepId> {
+        self.0.extend(base)
+    }
+}
+
+/// `MsGraph::build_jv` (one label fetch per `Jv`, relying on crossing
+/// being symmetric) appends exactly what the per-pair default build over
+/// `edge` appends, and returns the same, for every `(answer, v)` with
+/// `v` in `ids` — over the given answers and, for each `v`, over
+/// `J = ids \ {v}`, which asks every pair in the `S_v` orientation.
+fn assert_bulk_jv_matches_per_pair(ms: &MsGraph<'_>, answers: &[Vec<SepId>], ids: &[SepId]) {
+    let (mut bulk, mut per_pair) = (Vec::new(), Vec::new());
+    for &v in ids {
+        let others: Vec<SepId> = ids.iter().copied().filter(|&u| u != v).collect();
+        for answer in answers.iter().chain([&others]) {
+            bulk.clear();
+            per_pair.clear();
+            assert_eq!(
+                build_jv(&ms, answer, &v, &mut ExtendScratch::default(), &mut bulk),
+                build_jv(&PerPair(ms), answer, &v, &mut (), &mut per_pair),
+                "v ∈ J must agree for v = {v}"
+            );
+            assert_eq!(bulk, per_pair, "Jv for v = {v}, J = {answer:?}");
+        }
+    }
+}
+
+/// The first `cap` separators of a short enumeration of `g` (its first
+/// three answers and the node pulls between them), and those answers.
+fn short_enumeration(ms: &MsGraph<'_>, cap: usize) -> (Vec<Vec<SepId>>, Vec<SepId>) {
+    let answers: Vec<Vec<SepId>> = EnumMis::new(ms, PrintMode::UponGeneration)
+        .take(3)
+        .collect();
+    let interned = ms.stats().separators_interned.min(cap) as SepId;
+    (answers, (0..interned).collect())
+}
+
+/// `G(n, p)` on both sides of the 64- and 128-node word boundaries.
+#[test]
+fn bulk_jv_matches_per_pair_on_gnp() {
+    for (seed, n) in (1u64..).zip([63usize, 64, 65, 127, 128, 129, 150]) {
+        let g = mintri::workloads::random::erdos_renyi(n, 4.0 / n as f64, seed);
+        let ms = MsGraph::new(&g);
+        let (answers, ids) = short_enumeration(&ms, 80);
+        assert!(ids.len() > 1, "G({n}, p) has too few separators to pin");
+        assert_label_crossing_matches_reference(&g, &ms, &ids);
+        assert_bulk_jv_matches_per_pair(&ms, &answers, &ids);
+    }
+}
+
+/// Nested separators: in the 4-cycle `0-1-2-3` with a pendant `4` on `0`,
+/// `{0}` cuts off the pendant and `{0, 2}` splits `1` from `3`, so
+/// `S_u ⊂ S_v`; the pin runs over every answer and every separator.
+#[test]
+fn bulk_jv_matches_per_pair_on_nested_separators() {
+    let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]);
+    let ms = MsGraph::new(&g);
+    let answers: Vec<Vec<SepId>> = EnumMis::new(&ms, PrintMode::UponGeneration).collect();
+    let ids: Vec<SepId> = ms.nodes().collect();
+    let sets: Vec<Vec<Node>> = ids.iter().map(|&id| ms.separator(id).to_vec()).collect();
+    assert!(sets.contains(&vec![0]) && sets.contains(&vec![0, 2]));
+    assert_label_crossing_matches_reference(&g, &ms, &ids);
+    assert_bulk_jv_matches_per_pair(&ms, &answers, &ids);
+}
+
+/// Label crossing, per pair and per `Jv`, on the paper-family graphs
+/// (instance 0 of each family, generator seed 2017). Their minimal
+/// separators are too many to pull in full, so the check covers the
+/// first 120 separators a short enumeration interns (from its first
+/// answers and node pulls).
 #[test]
 fn label_crossing_matches_reference_on_pgm_families() {
     for family in PgmFamily::ALL {
         let g = family.instances(1, 2017).pop().unwrap().graph;
         let ms = MsGraph::new(&g);
-        EnumMis::new(&ms, PrintMode::UponGeneration)
-            .take(3)
-            .for_each(drop);
-        let interned = ms.stats().separators_interned.min(120) as SepId;
-        let ids: Vec<SepId> = (0..interned).collect();
+        let (answers, ids) = short_enumeration(&ms, 120);
         assert_label_crossing_matches_reference(&g, &ms, &ids);
+        assert_bulk_jv_matches_per_pair(&ms, &answers, &ids);
         assert!(ms.stats().crossing_computed <= ms.stats().separators_interned);
     }
 }
