@@ -8,8 +8,8 @@
 # and ranked queries register, a deliberately slow best-k lands in the
 # slow-query ring, and a `"trace": true` response round-trips through
 # the core JSON parser via `bench_check --parse`), asserts `/v1/stats`
-# surfaces the learned per-atom cost profile (and that the stats
-# document itself round-trips `bench_check --parse`), proves malformed
+# reports sessions (and, with a store attached, the `store` block) and
+# round-trips `bench_check --parse`, proves malformed
 # input answers a structured 400 without killing the server, and fails
 # on any non-2xx or on a leaked server process.
 #
@@ -136,17 +136,13 @@ CODE=$(curl -s -o /tmp/smoke_400.json -w '%{http_code}' -X POST "$BASE/v1/query"
 grep -q '"error"' /tmp/smoke_400.json || fail "400 body must be structured"
 curl -sf "$BASE/healthz" >/dev/null || fail "server must survive malformed input"
 
-echo "== stats (learned cost profile included, document round-trips the core parser)"
+echo "== stats (sessions and counters, document round-trips the core parser)"
 curl -sf "$BASE/v1/stats" > /tmp/smoke_stats.json
 STATS=$(cat /tmp/smoke_stats.json)
 echo "$STATS" | grep -q '"sessions":' || fail "stats must report sessions"
 echo "$STATS" | grep -q '"replay_hits":' || fail "stats must report engine replay hits"
 echo "$STATS" | grep -q '"task":"best_k"' \
     || fail "slow-query ring must have captured the best-k request: $STATS"
-echo "$STATS" | grep -q '"profile":' || fail "stats must surface the learned cost profile: $STATS"
-echo "$STATS" | grep -q '"backend":"MCS_M"' \
-    || fail "the queries above must have left per-atom profile rows: $STATS"
-echo "$STATS" | grep -q '"live_runs":' || fail "profile rows must carry run counts: $STATS"
 "$BENCH_CHECK" --parse /tmp/smoke_stats.json \
     || fail "the stats document must round-trip through the core JSON parser"
 
@@ -219,6 +215,15 @@ awk -v v="$STORE_HITS" 'BEGIN { exit !(v + 0 >= 1) }' \
     || fail "the disk replay above must register store hits (got $STORE_HITS)"
 grep -q 'mintri_store_hydrate_microseconds' /tmp/smoke_metrics_restart.txt \
     || fail "metrics must expose the hydrate-latency histogram"
+
+echo "== stats with a store (sessions and the store block, document round-trips the core parser)"
+curl -sf "$BASE/v1/stats" > /tmp/smoke_stats_store.json
+STATS=$(cat /tmp/smoke_stats_store.json)
+echo "$STATS" | grep -q '"sessions":' || fail "stats must report sessions: $STATS"
+echo "$STATS" | grep -q '"store":{' || fail "stats must carry the store block: $STATS"
+echo "$STATS" | grep -q '"spills":' || fail "the store block must report spills: $STATS"
+"$BENCH_CHECK" --parse /tmp/smoke_stats_store.json \
+    || fail "the store-backed stats document must round-trip through the core JSON parser"
 
 echo "== store shutdown"
 kill "$SERVER_PID"

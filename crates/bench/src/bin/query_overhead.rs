@@ -29,7 +29,7 @@ use mintri_graph::Graph;
 use mintri_workloads::random_suite;
 
 fn one_thread() -> ExecPolicy {
-    ExecPolicy::fixed().with_threads(1)
+    ExecPolicy::default().with_threads(1)
 }
 
 /// The whole enumeration on one thread.

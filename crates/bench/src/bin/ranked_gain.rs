@@ -1,5 +1,5 @@
 //! End-to-end win of the ranked best-k gear: the same best-k query,
-//! exhaustive (`ExecPolicy::fixed().with_ranked(false)`: scan every
+//! exhaustive (`ExecPolicy::default().with_ranked(false)`: scan every
 //! result, keep the top k) vs.
 //! ranked (output-sensitive: stop after ~k pulls), both cold — no warm
 //! sessions, no replay caches. Emits `BENCH_ranked.json` so future PRs
@@ -38,7 +38,7 @@ fn time_best_k(
 ) -> (Vec<Vec<(u32, u32)>>, f64, f64) {
     let started = Instant::now();
     let mut response = Query::best_k(k, cost)
-        .policy(ExecPolicy::fixed().with_ranked(ranked))
+        .policy(ExecPolicy::default().with_ranked(ranked))
         .run_local(g);
     let mut first_s = 0.0;
     let mut winners = Vec::new();

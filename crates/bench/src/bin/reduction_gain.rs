@@ -1,6 +1,6 @@
 //! End-to-end win of the atom-decomposition planning layer: the same
 //! enumeration query, unreduced (whole-graph frontier,
-//! `ExecPolicy::fixed().with_planned(false)`) vs.
+//! `ExecPolicy::default().with_planned(false)`) vs.
 //! planned (per-atom streams + product composer), on workloads with
 //! several non-trivial atoms. Emits `BENCH_reduction.json` so future PRs
 //! can watch the reduction stay ahead.
@@ -25,7 +25,7 @@ use mintri_workloads::random::chained_cycles;
 
 /// Seconds (and result count) to stream the whole enumeration.
 fn time_enumeration(g: &Graph, planned: bool) -> (usize, f64) {
-    let policy = ExecPolicy::fixed().with_planned(planned);
+    let policy = ExecPolicy::default().with_planned(planned);
     timed(|| Query::enumerate().policy(policy).run_local(g).count())
 }
 

@@ -41,7 +41,7 @@ fn run_family(graphs: &[Graph], traced: bool, reps: usize) -> (usize, f64) {
             let mut response = engine.run(
                 g,
                 Query::enumerate()
-                    .policy(ExecPolicy::fixed().with_threads(1))
+                    .policy(ExecPolicy::default().with_threads(1))
                     .traced(traced),
             );
             produced += response.by_ref().count();

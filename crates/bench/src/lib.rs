@@ -8,8 +8,8 @@
 //! `table1_width_stats`, `table2_fill_stats` and `tpch_stats`;
 //! `run_all` regenerates them all.
 //!
-//! The nine binaries that back the engine's own claims (`adaptive_gain`,
-//! `engine_scaling`, `kernel_gain`, `query_overhead`, `ranked_gain`,
+//! The eight binaries that back the engine's own claims
+//! (`engine_scaling`, `kernel_gain`, `query_overhead`, `ranked_gain`,
 //! `reduction_gain`, `serve_throughput`, `store_gain`,
 //! `telemetry_overhead`) each write one `BENCH_*.json` [`BenchDoc`]:
 //! flat metrics plus the gates that must hold of them. `bench_check`

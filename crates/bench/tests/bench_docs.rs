@@ -8,8 +8,7 @@ use mintri_core::json::JsonValue;
 use std::path::PathBuf;
 
 /// Committed file stem → producing bench.
-const DOCS: [(&str, &str); 9] = [
-    ("adaptive", "adaptive_gain"),
+const DOCS: [(&str, &str); 8] = [
     ("engine", "engine_scaling"),
     ("kernel", "kernel_gain"),
     ("query", "query_overhead"),
@@ -87,7 +86,7 @@ fn every_committed_document_parses_and_passes_its_gates() {
 /// used to make, each pushed just past its old threshold.
 #[test]
 fn each_former_gate_rejects_a_document_pushed_past_it() {
-    let cases: [(&str, &str, Change); 32] = [
+    let cases: [(&str, &str, Change); 26] = [
         ("serve", "warm_is_replay", |_| Some(0.0)),
         ("serve", "cold_scanned", |_| Some(0.0)),
         ("serve", "warm_scanned", |cold| Some(cold + 1.0)),
@@ -114,12 +113,6 @@ fn each_former_gate_rejects_a_document_pushed_past_it() {
         ("kernel", "extends_per_sweep", |_| Some(0.0)),
         ("kernel", "ablated_seconds", |_| None),
         ("kernel", "kernel_seconds", |_| Some(-1.0)),
-        ("adaptive", "run1_scanned", |_| Some(0.0)),
-        ("adaptive", "run2_scanned", |run1| Some(run1 + 1.0)),
-        ("adaptive", "profile_entries", |_| Some(0.0)),
-        ("adaptive", "run1_over_run2", |_| Some(1.19)),
-        ("adaptive", "run1_seconds", |_| Some(f64::NAN)),
-        ("adaptive", "run2_seconds", |_| Some(0.0)),
     ];
     for (stem, metric, change) in cases {
         rejects(committed(stem), metric, change);

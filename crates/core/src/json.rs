@@ -669,7 +669,7 @@ fn delivery_name(delivery: Delivery) -> &'static str {
 /// their name's default on decode), print mode, budget, and the
 /// execution policy as one `"policy"` object. (Documents carrying only
 /// the older flat `delivery`/`threads`/`plan`/`ranked` fields still
-/// decode, to the equivalent `Fixed` policy.)
+/// decode, to the equivalent policy.)
 pub fn query_to_json(q: &Query) -> String {
     let mut budget = JsonObject::new();
     match q.budget.max_results {
@@ -681,19 +681,10 @@ pub fn query_to_json(q: &Query) -> String {
         None => budget.raw("time_limit_ms", "null".into()),
     }
     let mut policy = JsonObject::new();
-    policy.str("mode", q.policy.name());
-    if let ExecPolicy::Fixed {
-        threads,
-        planned,
-        ranked,
-        ..
-    } = q.policy
-    {
-        policy.usize("threads", threads);
-        policy.bool("plan", planned);
-        policy.bool("ranked", ranked);
-    }
-    policy.str("delivery", delivery_name(q.policy.delivery()));
+    policy.usize("threads", q.policy.threads);
+    policy.bool("plan", q.policy.planned);
+    policy.bool("ranked", q.policy.ranked);
+    policy.str("delivery", delivery_name(q.policy.delivery));
     let mut doc = JsonObject::new();
     doc.raw("task", task_json(&q.task));
     doc.str("triangulator", q.triangulator.name());
@@ -760,21 +751,17 @@ pub fn query_from_json(v: &JsonValue) -> Result<Query, String> {
 
 /// Decodes the execution policy of a wire query: the `"policy"` object
 /// when present (authoritative), else the legacy flat
-/// `delivery`/`threads`/`plan`/`ranked` fields — any of which pins an
-/// [`ExecPolicy::Fixed`], exactly what those knobs meant before the
-/// policy existed — else the [`ExecPolicy::Auto`] default.
+/// `delivery`/`threads`/`plan`/`ranked` fields, else the
+/// [`ExecPolicy::default`]. A `policy.mode` key, written by older
+/// documents, is ignored: both of its values started from the same
+/// knobs.
 fn policy_from_json(v: &JsonValue) -> Result<ExecPolicy, String> {
     match v.get("policy") {
         Some(policy) => {
             if policy.entries().is_none() {
                 return Err("`policy` must be an object".into());
             }
-            let fixed = policy_knobs(policy, "policy.")?;
-            match policy.get("mode").and_then(JsonValue::as_str) {
-                Some("auto") => Ok(ExecPolicy::auto().with_delivery(fixed.delivery())),
-                Some("fixed") => Ok(fixed),
-                _ => Err("`policy.mode` must be auto or fixed".into()),
-            }
+            policy_knobs(policy, "policy.")
         }
         None if ["delivery", "threads", "plan", "ranked"]
             .iter()
@@ -787,8 +774,8 @@ fn policy_from_json(v: &JsonValue) -> Result<ExecPolicy, String> {
 }
 
 /// Reads the `threads`/`plan`/`ranked`/`delivery` knobs of `fields` into
-/// a pinned policy (absent knobs keep the [`ExecPolicy::fixed`]
-/// defaults); errors name each field as `prefix` + key.
+/// a policy (absent knobs keep the [`ExecPolicy::default`] values);
+/// errors name each field as `prefix` + key.
 fn policy_knobs(fields: &JsonValue, prefix: &str) -> Result<ExecPolicy, String> {
     let flag = |key: &str| match fields.get(key) {
         Some(b) => b
@@ -811,7 +798,7 @@ fn policy_knobs(fields: &JsonValue, prefix: &str) -> Result<ExecPolicy, String> 
             ))
         }
     };
-    Ok(ExecPolicy::Fixed {
+    Ok(ExecPolicy {
         threads,
         planned: flag("plan")?,
         ranked: flag("ranked")?,
@@ -1059,7 +1046,7 @@ mod tests {
                 42,
                 Duration::from_millis(1500),
             ))
-            .policy(ExecPolicy::Fixed {
+            .policy(ExecPolicy {
                 threads: 3,
                 planned: false,
                 ranked: false,
@@ -1081,34 +1068,22 @@ mod tests {
     }
 
     #[test]
-    fn policy_codec_auto_round_trips_and_flat_fields_pin_fixed() {
-        // Auto (the default) survives the wire as Auto.
-        let q = Query::enumerate();
-        assert!(q.policy.is_auto());
-        let back = query_from_json(&JsonValue::parse(&query_to_json(&q)).unwrap()).unwrap();
-        assert_eq!(back.policy, ExecPolicy::default());
-        // Auto under a deterministic contract keeps both.
-        let q =
-            Query::enumerate().policy(ExecPolicy::auto().with_delivery(Delivery::Deterministic));
-        let back = query_from_json(&JsonValue::parse(&query_to_json(&q)).unwrap()).unwrap();
-        assert_eq!(
-            back.policy,
-            ExecPolicy::Auto {
-                delivery: Delivery::Deterministic
-            }
-        );
-        // A pre-policy document (flat fields only) decodes to the Fixed
+    fn policy_codec_round_trips_and_flat_fields_decode() {
+        for policy in [
+            ExecPolicy::default(),
+            ExecPolicy::default().with_delivery(Delivery::Deterministic),
+        ] {
+            let q = Query::enumerate().policy(policy);
+            let back = query_from_json(&JsonValue::parse(&query_to_json(&q)).unwrap()).unwrap();
+            assert_eq!(back.policy, policy);
+        }
+        // A pre-policy document (flat fields only) decodes to the
         // execution those knobs always meant.
         let flat = r#"{"task":{"type":"enumerate"},"threads":2,"ranked":false}"#;
         let q = query_from_json(&JsonValue::parse(flat).unwrap()).unwrap();
         assert_eq!(
             q.policy,
-            ExecPolicy::Fixed {
-                threads: 2,
-                planned: true,
-                ranked: false,
-                delivery: Delivery::Unordered,
-            }
+            ExecPolicy::default().with_threads(2).with_ranked(false)
         );
         // A policy object wins over contradictory flat fields.
         let both = r#"{"task":{"type":"enumerate"},"threads":7,"policy":{"mode":"auto"}}"#;
@@ -1117,10 +1092,9 @@ mod tests {
         // Malformed policies are rejected with their own errors.
         for bad in [
             r#"{"task":{"type":"enumerate"},"policy":"auto"}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"magic"}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"fixed","threads":-1}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"auto","delivery":"sorted"}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"fixed","plan":"yes"}}"#,
+            r#"{"task":{"type":"enumerate"},"policy":{"threads":-1}}"#,
+            r#"{"task":{"type":"enumerate"},"policy":{"delivery":"sorted"}}"#,
+            r#"{"task":{"type":"enumerate"},"policy":{"plan":"yes"}}"#,
         ] {
             let v = JsonValue::parse(bad).unwrap();
             assert!(query_from_json(&v).is_err(), "{bad} should fail");
@@ -1155,13 +1129,11 @@ mod tests {
             .unwrap();
         assert_eq!(q.task, Task::Enumerate);
         assert_eq!(q.triangulator.name(), "MCS_M");
-        assert!(
-            q.policy.is_auto(),
-            "a knob-free wire query gets the Auto default"
+        assert_eq!(
+            q.policy,
+            ExecPolicy::default(),
+            "a knob-free wire query gets the default policy"
         );
-        assert!(q.policy.planned());
-        assert!(q.policy.ranked(), "ranked defaults on for wire queries too");
-        assert_eq!(q.policy.threads(), 0);
 
         for bad in [
             r#"{"task":{"type":"mine_bitcoin"}}"#,

@@ -48,7 +48,7 @@
 //! one [`TriangulationStream`] runs per non-trivial atom, and the
 //! product [`ComposedStream`] recombines them — so a graph of many
 //! small atoms pays the *sum* of small enumerations instead of one
-//! exponential blob. `ExecPolicy::fixed().with_planned(false)` runs
+//! exponential blob. `ExecPolicy::default().with_planned(false)` runs
 //! [`Plan::unreduced`], one atom spanning the whole graph.
 
 mod anytime;

@@ -169,8 +169,8 @@ impl Plan {
 
     /// **The composer both executors share.** `open(index, atom)` opens
     /// one atom's stream and says how it is served; atoms are opened in
-    /// `order`, a permutation of the plan's atom indices that becomes the
-    /// cursor order (the last varies fastest).
+    /// plan order, which is also the cursor order (the last varies
+    /// fastest).
     ///
     /// Each stream is traced under an `atom` child of `trace`, when
     /// given. For a `ranked` query it is then wrapped in a
@@ -182,17 +182,15 @@ impl Plan {
     pub fn compose<'a>(
         &self,
         g: &Graph,
-        order: &[usize],
         ranked: Option<CostMeasure>,
         trace: Option<&SpanHandle>,
         expansions: Option<&Arc<Counter>>,
         mut open: impl FnMut(usize, &PlannedAtom) -> OpenedAtom<'a>,
     ) -> Composed<'a> {
-        let mut dispatch = Vec::with_capacity(order.len());
+        let mut dispatch = Vec::with_capacity(self.atoms.len());
         let mut plain = Vec::new();
         let mut ranked_atoms = Vec::new();
-        for &index in order {
-            let atom = &self.atoms[index];
+        for (index, atom) in self.atoms.iter().enumerate() {
             let opened = open(index, atom);
             let kind = match ranked {
                 Some(_) => DispatchKind::Ranked,
@@ -228,7 +226,6 @@ impl Plan {
                 None => plain.push(AtomStream { stream, old_of }),
             }
         }
-        dispatch.sort_by_key(|d| d.index);
         let stream: Box<dyn TriangulationStream + 'a> = match (ranked, self.is_unreduced()) {
             (None, true) => plain.pop().expect("one atom").stream,
             (Some(_), true) => Box::new(ranked_atoms.pop().expect("one atom").stream),
@@ -519,7 +516,7 @@ mod tests {
 
     fn sorted_edge_sets(g: &Graph, planned: bool) -> Vec<Vec<(Node, Node)>> {
         let mut out: Vec<_> = Query::enumerate()
-            .policy(crate::query::ExecPolicy::fixed().with_planned(planned))
+            .policy(crate::query::ExecPolicy::default().with_planned(planned))
             .run_local(g)
             .triangulations()
             .iter()
@@ -605,7 +602,7 @@ mod tests {
             .map(|t| t.graph.edges())
             .collect();
         let b: Vec<_> = Query::enumerate()
-            .policy(crate::query::ExecPolicy::fixed().with_planned(false))
+            .policy(crate::query::ExecPolicy::default().with_planned(false))
             .run_local(&g)
             .triangulations()
             .iter()

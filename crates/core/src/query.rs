@@ -28,7 +28,7 @@
 //! assert!(outcome.completed);
 //! // Best-k rides the ranked gear by default: output-sensitive, so only
 //! // ~k of C6's Catalan(4) = 14 triangulations are ever materialized.
-//! // `ExecPolicy::fixed().with_ranked(false)` restores the exhaustive
+//! // `ExecPolicy::default().with_ranked(false)` restores the exhaustive
 //! // scan (scanned = 14).
 //! assert_eq!(outcome.scanned, 3);
 //! ```
@@ -149,211 +149,74 @@ pub enum Delivery {
     Deterministic,
 }
 
-/// **How** a query executes: one typed knob for threads, planning,
-/// ranking and delivery.
+/// **How** a query executes: four independent knobs for threads,
+/// planning, ranking and delivery.
 ///
-/// [`ExecPolicy::Auto`] — the default — lets the executor consult its
-/// learned per-atom cost profiles (`mintri_engine::profile`) to choose
-/// the thread split, the parallel-vs-sequential threshold and the cursor
-/// order of the product composer. [`ExecPolicy::Fixed`] pins every knob
-/// to an explicit value — bit-for-bit the pre-policy behavior.
+/// The default asks the executor to choose the thread count, plans,
+/// ranks best-k and delivers unordered. With `threads == 0` the engine
+/// runs every per-atom stream under [`Delivery::Deterministic`]
+/// sequentially (ranked atom streams are deterministic, so they too),
+/// and gives an unordered query's last atom its configured thread
+/// count. An explicit `threads > 1` runs the parallel driver under
+/// either contract.
 ///
-/// The invariant both variants honor: a policy may change *scheduling*
-/// — thread placement, dispatch choice, cursor order — never *answers*.
-/// Under [`Delivery::Unordered`] the result **set** is identical either
-/// way; under [`Delivery::Deterministic`] the result **sequence** is
-/// bit-for-bit identical (adaptive cursor reordering is disabled there,
-/// because the composed emission order is part of the contract).
+/// A policy may change *scheduling*, never *answers*: under
+/// [`Delivery::Unordered`] the result **set** is fixed, under
+/// [`Delivery::Deterministic`] the result **sequence** is bit-for-bit
+/// the sequential enumerator's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecPolicy {
-    /// Profile-driven execution (the default). The executor picks
-    /// threads, dispatch and cursor order from its learned per-atom
-    /// statistics; with no profile yet (a cold engine, or
-    /// [`Query::run_local`]) every choice falls back to exactly the
-    /// [`ExecPolicy::fixed`] defaults.
-    Auto {
-        /// The result-ordering contract adaptive execution must honor.
-        delivery: Delivery,
-    },
-    /// Every knob pinned — today's behavior, bit for bit.
-    Fixed {
-        /// Worker threads: `0` lets the executor decide, `1` forces
-        /// sequential, `n > 1` requests a parallel run.
-        threads: usize,
-        /// Route through the planning layer (atom decomposition +
-        /// product composition).
-        planned: bool,
-        /// Route [`Task::BestK`] through the ranked gear.
-        ranked: bool,
-        /// The result-ordering contract.
-        delivery: Delivery,
-    },
+pub struct ExecPolicy {
+    /// Worker threads: `0` lets the executor decide, `1` forces
+    /// sequential, `n > 1` requests a parallel run.
+    pub threads: usize,
+    /// Route through the planning layer (atom decomposition + product
+    /// composition).
+    pub planned: bool,
+    /// Route [`Task::BestK`] through the ranked gear.
+    pub ranked: bool,
+    /// The result-ordering contract.
+    pub delivery: Delivery,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        ExecPolicy::Auto {
-            delivery: Delivery::Unordered,
-        }
-    }
-}
-
-impl ExecPolicy {
-    /// The profile-driven policy under the default (unordered) contract.
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// A fully pinned policy with the historical defaults: executor-chosen
-    /// thread count, planning on, ranked best-k on, unordered delivery.
-    pub fn fixed() -> Self {
-        ExecPolicy::Fixed {
+        ExecPolicy {
             threads: 0,
             planned: true,
             ranked: true,
             delivery: Delivery::Unordered,
         }
     }
+}
 
-    /// `true` for [`ExecPolicy::Auto`].
-    pub fn is_auto(&self) -> bool {
-        matches!(self, ExecPolicy::Auto { .. })
-    }
-
-    /// The policy's wire name (`"auto"` / `"fixed"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecPolicy::Auto { .. } => "auto",
-            ExecPolicy::Fixed { .. } => "fixed",
-        }
-    }
-
-    /// The effective worker-thread request (`0` = executor decides; what
-    /// `Auto` starts from before profiles adjust the split).
-    pub fn threads(&self) -> usize {
-        match self {
-            ExecPolicy::Auto { .. } => 0,
-            ExecPolicy::Fixed { threads, .. } => *threads,
-        }
-    }
-
-    /// Whether the planning layer runs (`Auto` always plans — the plan
-    /// is what the profiles are keyed on).
-    pub fn planned(&self) -> bool {
-        match self {
-            ExecPolicy::Auto { .. } => true,
-            ExecPolicy::Fixed { planned, .. } => *planned,
-        }
-    }
-
-    /// Whether [`Task::BestK`] rides the ranked gear.
-    pub fn ranked(&self) -> bool {
-        match self {
-            ExecPolicy::Auto { .. } => true,
-            ExecPolicy::Fixed { ranked, .. } => *ranked,
-        }
-    }
-
+impl ExecPolicy {
     /// The measure `task` is ranked by: [`Task::BestK`] rides the ranked
     /// gear unless this policy turns it off.
     pub fn ranked_measure(&self, task: Task) -> Option<CostMeasure> {
         match task {
-            Task::BestK { cost, .. } if self.ranked() => Some(cost),
+            Task::BestK { cost, .. } if self.ranked => Some(cost),
             _ => None,
         }
     }
 
-    /// The result-ordering contract.
-    pub fn delivery(&self) -> Delivery {
-        match self {
-            ExecPolicy::Auto { delivery } | ExecPolicy::Fixed { delivery, .. } => *delivery,
-        }
-    }
-
-    /// This policy with every knob pinned: `Auto` collapses to the
-    /// `Fixed` defaults it cold-starts from (preserving its delivery);
-    /// `Fixed` is returned unchanged.
-    pub fn pinned(self) -> Self {
-        ExecPolicy::Fixed {
-            threads: self.threads(),
-            planned: self.planned(),
-            ranked: self.ranked(),
-            delivery: self.delivery(),
-        }
-    }
-
-    /// Pins the policy and sets the thread count.
+    /// Sets the thread count.
     pub fn with_threads(self, threads: usize) -> Self {
-        match self.pinned() {
-            ExecPolicy::Fixed {
-                planned,
-                ranked,
-                delivery,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-            auto => auto,
-        }
+        ExecPolicy { threads, ..self }
     }
 
-    /// Pins the policy and sets the planning knob.
+    /// Sets the planning knob.
     pub fn with_planned(self, planned: bool) -> Self {
-        match self.pinned() {
-            ExecPolicy::Fixed {
-                threads,
-                ranked,
-                delivery,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-            auto => auto,
-        }
+        ExecPolicy { planned, ..self }
     }
 
-    /// Pins the policy and sets the ranked knob.
+    /// Sets the ranked knob.
     pub fn with_ranked(self, ranked: bool) -> Self {
-        match self.pinned() {
-            ExecPolicy::Fixed {
-                threads,
-                planned,
-                delivery,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-            auto => auto,
-        }
+        ExecPolicy { ranked, ..self }
     }
 
-    /// Sets the delivery contract, preserving the variant (an `Auto`
-    /// policy stays adaptive — the contract is input to its choices, not
-    /// one of them).
+    /// Sets the delivery contract.
     pub fn with_delivery(self, delivery: Delivery) -> Self {
-        match self {
-            ExecPolicy::Auto { .. } => ExecPolicy::Auto { delivery },
-            ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-        }
+        ExecPolicy { delivery, ..self }
     }
 }
 
@@ -392,8 +255,8 @@ impl DispatchKind {
 /// The per-atom dispatch record of one executed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtomDispatch {
-    /// The atom's index in the executed (possibly reordered) cursor
-    /// order; `0` for an unplanned whole-graph run.
+    /// The atom's index in the plan (also its cursor position); `0`
+    /// for an unplanned whole-graph run.
     pub index: usize,
     /// Nodes in the atom's subgraph.
     pub nodes: usize,
@@ -773,11 +636,8 @@ pub struct Query {
     /// [`Task::Enumerate`] and [`Task::Decompose`] it bounds the emitted
     /// results.
     pub budget: EnumerationBudget,
-    /// **How** to execute (default [`ExecPolicy::Auto`]): threads,
-    /// planning, ranking and delivery. [`ExecPolicy::Fixed`] pins them all —
-    /// bit-for-bit the historical behavior; `Auto` lets a profiled
-    /// executor choose the thread split, dispatch threshold and cursor
-    /// order (never the answers).
+    /// **How** to execute (default [`ExecPolicy::default`]): threads,
+    /// planning, ranking and delivery.
     pub policy: ExecPolicy,
     /// Collect a per-query span trace (default `false`): plan
     /// decomposition, per-atom stream setup, dispatch choice,
@@ -890,11 +750,10 @@ impl Query {
             span.attr("dispatch", "local");
             span
         });
-        let plan = Plan::for_query(policy.planned(), g, query_span.as_ref(), || Plan::of(g));
+        let plan = Plan::for_query(policy.planned, g, query_span.as_ref(), || Plan::of(g));
         let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-        let order: Vec<usize> = (0..plan.atoms.len()).collect();
         let ranked = policy.ranked_measure(task);
-        let composed = plan.compose(g, &order, ranked, query_span.as_ref(), None, |_, atom| {
+        let composed = plan.compose(g, ranked, query_span.as_ref(), None, |_, atom| {
             let ms = MsGraph::shared(Arc::new(atom.graph.clone()), Box::new(Arc::clone(&shared)));
             OpenedAtom {
                 stream: Box::new(MinimalTriangulationsEnumerator::from_msgraph(ms, mode)),
@@ -1343,7 +1202,7 @@ mod tests {
     fn best_k_budget_bounds_the_scan() {
         let g = Graph::cycle(9);
         let mut response = Query::best_k(2, CostMeasure::Width)
-            .policy(ExecPolicy::fixed().with_ranked(false))
+            .policy(ExecPolicy::default().with_ranked(false))
             .budget(EnumerationBudget::results(5))
             .run_local(&g);
         let best = response.triangulations();
@@ -1542,31 +1401,38 @@ mod tests {
         let dbg = format!("{q:?}");
         assert!(dbg.contains("Enumerate"));
         assert!(dbg.contains("MCS_M"), "{dbg}");
-        assert!(dbg.contains("Auto"), "default policy is Auto: {dbg}");
+        assert!(dbg.contains("threads: 0"), "default policy: {dbg}");
     }
 
     #[test]
     fn exec_policy_defaults_and_knobs() {
-        let auto = ExecPolicy::default();
-        assert!(auto.is_auto());
-        assert_eq!(auto.name(), "auto");
-        assert_eq!(auto.delivery(), Delivery::Unordered);
-        // Auto's cold-start knobs are exactly the Fixed defaults.
-        assert_eq!(auto.pinned(), ExecPolicy::fixed());
-        // with_delivery preserves the variant; the pinning setters don't.
-        assert!(auto.with_delivery(Delivery::Deterministic).is_auto());
-        let pinned = auto.with_threads(4);
+        let default = ExecPolicy::default();
         assert_eq!(
-            pinned,
-            ExecPolicy::Fixed {
-                threads: 4,
+            default,
+            ExecPolicy {
+                threads: 0,
                 planned: true,
                 ranked: true,
                 delivery: Delivery::Unordered,
             }
         );
-        assert_eq!(pinned.with_ranked(false).threads(), 4);
-        assert!(!pinned.with_planned(false).planned());
+        // Each builder sets its own knob and leaves the other three.
+        let set = default
+            .with_threads(4)
+            .with_planned(false)
+            .with_ranked(false)
+            .with_delivery(Delivery::Deterministic);
+        assert_eq!(
+            set,
+            ExecPolicy {
+                threads: 4,
+                planned: false,
+                ranked: false,
+                delivery: Delivery::Deterministic,
+            }
+        );
+        assert_eq!(default.with_ranked(false).threads, 0);
+        assert!(default.with_threads(4).planned);
     }
 
     #[test]

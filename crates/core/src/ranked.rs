@@ -26,7 +26,7 @@
 //! The typed front door for this workload is
 //! [`Task::BestK`](crate::query::Task) — `Query::best_k(k, cost)` — which
 //! routes through the ranked gear by default
-//! (`ExecPolicy::fixed().with_ranked(false)` is the escape hatch);
+//! (`ExecPolicy::default().with_ranked(false)` is the escape hatch);
 //! [`best_k_of_stream`] remains for
 //! application-specific (non-serializable) cost closures over any
 //! triangulation stream.
@@ -1186,7 +1186,7 @@ mod tests {
     /// path produces them (production order).
     fn production_order(g: &Graph) -> Vec<Triangulation> {
         Query::enumerate()
-            .policy(crate::query::ExecPolicy::fixed().with_planned(false))
+            .policy(crate::query::ExecPolicy::default().with_planned(false))
             .run_local(g)
             .triangulations()
     }
@@ -1251,7 +1251,7 @@ mod tests {
             let exhaustive: Vec<_> = top.into_vec().iter().map(|t| t.graph.edges()).collect();
 
             let ranked = Query::best_k(all.len(), measure)
-                .policy(crate::query::ExecPolicy::fixed().with_planned(false))
+                .policy(crate::query::ExecPolicy::default().with_planned(false))
                 .run_local(&g)
                 .triangulations();
             let ranked: Vec<_> = ranked.iter().map(|t| t.graph.edges()).collect();
@@ -1266,7 +1266,7 @@ mod tests {
     fn ranked_best_k_scans_only_k_on_a_tight_floor() {
         let g = Graph::cycle(9); // 429 minimal triangulations
         let mut response = Query::best_k(3, CostMeasure::Fill)
-            .policy(crate::query::ExecPolicy::fixed().with_planned(false))
+            .policy(crate::query::ExecPolicy::default().with_planned(false))
             .run_local(&g);
         let best = response.triangulations();
         assert_eq!(best.len(), 3);
@@ -1296,16 +1296,16 @@ mod tests {
         for measure in [CostMeasure::Width, CostMeasure::Fill] {
             for k in [1, 3, 100] {
                 for planned in [true, false] {
-                    let fixed = crate::query::ExecPolicy::fixed().with_planned(planned);
+                    let policy = crate::query::ExecPolicy::default().with_planned(planned);
                     let ranked: Vec<_> = Query::best_k(k, measure)
-                        .policy(fixed)
+                        .policy(policy)
                         .run_local(&g)
                         .triangulations()
                         .iter()
                         .map(|t| t.graph.edges())
                         .collect();
                     let exhaustive: Vec<_> = Query::best_k(k, measure)
-                        .policy(fixed.with_ranked(false))
+                        .policy(policy.with_ranked(false))
                         .run_local(&g)
                         .triangulations()
                         .iter()

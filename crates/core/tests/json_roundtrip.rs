@@ -46,18 +46,15 @@ fn budget_strategy() -> impl Strategy<Value = EnumerationBudget> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = ExecPolicy> {
-    let delivery = || prop_oneof![Just(Delivery::Unordered), Just(Delivery::Deterministic)];
-    prop_oneof![
-        delivery().prop_map(|delivery| ExecPolicy::Auto { delivery }),
-        (delivery(), 0usize..16, any::<bool>(), any::<bool>()).prop_map(
-            |(delivery, threads, planned, ranked)| ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            }
-        ),
-    ]
+    let delivery = prop_oneof![Just(Delivery::Unordered), Just(Delivery::Deterministic)];
+    (delivery, 0usize..16, any::<bool>(), any::<bool>()).prop_map(
+        |(delivery, threads, planned, ranked)| ExecPolicy {
+            threads,
+            planned,
+            ranked,
+            delivery,
+        },
+    )
 }
 
 fn query_strategy() -> impl Strategy<Value = Query> {
@@ -201,6 +198,25 @@ fn enum_stats_decode_rejects_gaps_and_accepts_older_documents() {
         assert!(
             enum_stats_from_json(&JsonValue::parse(bad).unwrap()).is_err(),
             "{bad}"
+        );
+    }
+}
+
+/// Documents written before the policy became one struct carry a
+/// `policy.mode` of `"auto"` or `"fixed"`. Both modes started from the
+/// same knobs, so the key is ignored and either decodes to the policy
+/// its knobs spell.
+#[test]
+fn old_policy_modes_decode_to_the_same_policy() {
+    for mode in ["auto", "fixed"] {
+        let doc = format!(
+            r#"{{"task":{{"type":"enumerate"}},"policy":{{"mode":"{mode}","delivery":"deterministic"}}}}"#
+        );
+        let q = query_from_json(&JsonValue::parse(&doc).unwrap()).unwrap();
+        assert_eq!(
+            q.policy,
+            ExecPolicy::default().with_delivery(Delivery::Deterministic),
+            "mode {mode}"
         );
     }
 }

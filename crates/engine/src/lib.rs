@@ -33,14 +33,16 @@
 //! [`Engine::run`] is the serving entry point: it takes a typed
 //! [`Query`] (what to compute — enumerate / best-k / decompose / stats —
 //! plus backend, budget and an `ExecPolicy` saying how to execute:
-//! `Auto`, the default, lets the engine's learned per-atom cost
-//! profiles ([`profile`]) steer dispatch; `Fixed` pins threads,
-//! planning, ranking and delivery by hand) and answers with a
+//! threads, planning, ranking and delivery) and answers with a
 //! [`Response`] (the blocking result stream plus `cancel()`,
 //! `outcome()` — including the per-atom dispatch actually taken — and
 //! `is_replay()`). Planning, sessions, completed-answer replay and the
 //! parallel drivers are dispatch details behind it; the zero-setup
-//! sequential path is `Query::run_local`, no engine required.
+//! sequential path is `Query::run_local`, no engine required. With the
+//! thread count left to the engine (`threads == 0`, the default), every
+//! per-atom stream under the deterministic contract — ranked best-k
+//! included — runs sequential, and an unordered query's last atom gets
+//! [`EngineConfig::threads`].
 //!
 //! ```
 //! use mintri_engine::{Engine, Query};
@@ -58,7 +60,6 @@
 //! (Direct parallel streaming lives in [`ParallelEnumerator`]'s docs; it
 //! needs the `parallel` feature.)
 
-pub mod profile;
 mod session;
 mod telemetry;
 
@@ -69,7 +70,6 @@ mod pool;
 #[cfg(feature = "parallel")]
 mod sched;
 
-pub use profile::{Prediction, ProfileView, Profiler};
 pub use session::{graph_fingerprint, Engine, GraphSession};
 pub use telemetry::EngineTelemetry;
 
@@ -166,7 +166,7 @@ mod tests {
         use mintri_graph::Graph;
 
         let g = Graph::cycle(7);
-        let policy = ExecPolicy::fixed().with_threads(2);
+        let policy = ExecPolicy::default().with_threads(2);
         let outcome = Engine::new()
             .run(
                 &g,

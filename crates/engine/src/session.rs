@@ -18,7 +18,6 @@
 //! — including queries on *different* graphs sharing an atom — is a
 //! cache replay (or at worst a warm-memo rerun).
 
-use crate::profile::{Prediction, ProfileView, Profiler, ProfilerInstruments, RunKind, RunRecord};
 use crate::telemetry::EngineTelemetry;
 use crate::EngineConfig;
 use mintri_core::query::{
@@ -37,12 +36,6 @@ use std::time::Instant;
 /// Cached plans colliding under one fingerprint (equality-verified on
 /// lookup, like sessions).
 type PlanBucket = Vec<(Graph, Arc<Plan>)>;
-
-/// Below this predicted live wall (µs), `ExecPolicy::Auto` demotes the
-/// dispatch to sequential: spinning the pool up costs more than it buys
-/// on sub-millisecond enumerations. Scheduling only — the answer set is
-/// identical either way.
-const AUTO_SEQUENTIAL_WALL_US: u64 = 2_000;
 
 /// Structural fingerprint of a graph: node count plus the canonical edge
 /// list, hashed. Sessions verify true equality on lookup, so a collision
@@ -227,6 +220,18 @@ fn plan_snapshot(g: &Graph, fingerprint: u64, plan: &Plan) -> PlanSnapshot {
     }
 }
 
+/// How a stream is served: what its dispatch record reports (live
+/// streams further split by thread count, see [`dispatch_kind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    /// A live enumeration (`Extend` calls happened).
+    Live,
+    /// Served from the in-RAM completed-answer cache.
+    Replay,
+    /// Served by hydrating a disk snapshot.
+    Hydrate,
+}
+
 enum Source {
     /// Replaying a previously completed enumeration — no `Extend` calls.
     Cached {
@@ -252,6 +257,9 @@ enum Source {
 pub(crate) struct EngineEnumeration {
     session: Arc<GraphSession>,
     source: Source,
+    /// How the stream is served; a replay and a disk hydration share
+    /// `Source::Cached`, so the source alone cannot tell them apart.
+    kind: RunKind,
     recorded: Option<(AnswerKey, Vec<Vec<SepId>>)>,
     /// The persistent tier (plus its spill counter), when the engine has
     /// one: a natural completion writes the deposited answer list
@@ -264,9 +272,6 @@ pub(crate) struct EngineEnumeration {
     /// at drop — two clock reads per stream total, so the always-on
     /// metric cannot perturb per-result delay.
     wall: Option<Arc<Histogram>>,
-    /// The cost-profile deposit made at drop: how this stream was
-    /// served plus the counters observed while streaming.
-    profile: Option<ProfileCapture>,
     /// Keeps the query token's abort hook registered for exactly this
     /// stream's lifetime — dropping the stream deregisters it, so a
     /// long-lived token does not accumulate hooks from finished runs.
@@ -274,66 +279,16 @@ pub(crate) struct EngineEnumeration {
     _cancel_hook: Option<mintri_core::query::CancelHookGuard>,
 }
 
-/// The per-stream observation the profile layer folds in at drop. One
-/// clock read per result at most (first result only) and one lock at
-/// drop — nothing on the `Extend` hot path.
-struct ProfileCapture {
-    profiler: Arc<Profiler>,
-    store: Option<Arc<Store>>,
-    fingerprint: u64,
-    backend: &'static str,
-    nodes: u32,
-    kind: RunKind,
-    results: u64,
-    first_us: Option<u64>,
-    /// The session's cumulative `Extend` counter at stream creation;
-    /// the drop-time delta is this run's attribution (approximate under
-    /// concurrent streams on one session — fine for scheduling).
-    extends_start: u64,
-    completed: bool,
-}
-
 impl Drop for EngineEnumeration {
     fn drop(&mut self) {
         if let Some(wall) = self.wall.take() {
             wall.record_duration(self.created.elapsed());
-        }
-        if let Some(p) = self.profile.take() {
-            let wall_us = self.created.elapsed().as_micros() as u64;
-            let extends = (self.session.stats().extends as u64).saturating_sub(p.extends_start);
-            p.profiler.record_run(
-                p.fingerprint,
-                p.backend,
-                p.nodes,
-                RunRecord {
-                    kind: p.kind,
-                    completed: p.completed,
-                    results: p.results,
-                    first_us: p.first_us,
-                    wall_us,
-                    extends,
-                },
-                p.store.as_deref(),
-            );
         }
     }
 }
 
 impl EngineEnumeration {
     fn next_pair(&mut self) -> Option<(Vec<SepId>, Triangulation)> {
-        let pair = self.next_pair_inner();
-        if let Some(p) = &mut self.profile {
-            if pair.is_some() {
-                p.results += 1;
-                if p.first_us.is_none() {
-                    p.first_us = Some(self.created.elapsed().as_micros() as u64);
-                }
-            }
-        }
-        pair
-    }
-
-    fn next_pair_inner(&mut self) -> Option<(Vec<SepId>, Triangulation)> {
         let pair = match &mut self.source {
             Source::Cached { answers, next } => {
                 let answer = answers.get(*next)?.clone();
@@ -381,11 +336,6 @@ impl EngineEnumeration {
     /// because a completed run is the freshest truth for its key).
     fn deposit(&mut self) {
         if let Some((key, rec)) = self.recorded.take() {
-            // A deposit is the proof of natural completion — the only
-            // observation allowed to teach the profile a full wall.
-            if let Some(p) = &mut self.profile {
-                p.completed = true;
-            }
             let answers = self.session.store_answers(key, rec);
             if let Some((store, spills)) = &self.spill {
                 store.put_answers(&answer_snapshot(&self.session, key, &answers), true);
@@ -397,17 +347,6 @@ impl EngineEnumeration {
     /// `true` when this stream replays a cached enumeration.
     pub fn is_replay(&self) -> bool {
         matches!(self.source, Source::Cached { .. })
-    }
-
-    /// How this stream is actually served, for dispatch reporting
-    /// (distinguishes a RAM replay from a disk hydration, which
-    /// `is_replay` deliberately conflates).
-    fn served_kind(&self) -> RunKind {
-        match &self.profile {
-            Some(p) => p.kind,
-            None if self.is_replay() => RunKind::Replay,
-            None => RunKind::Live,
-        }
     }
 }
 
@@ -475,10 +414,6 @@ pub struct Engine {
     store: Option<Arc<Store>>,
     /// Registered metric handles (and the registry they live in).
     telemetry: EngineTelemetry,
-    /// The learned per-atom cost profiles driving `ExecPolicy::Auto`
-    /// dispatch. Engine-lived (profiles outlive session eviction) and
-    /// persisted through `store` when one is attached.
-    profiler: Arc<Profiler>,
 }
 
 /// The session cache: fingerprint → colliding sessions (collisions are
@@ -571,19 +506,12 @@ impl Engine {
     pub fn with_config(mut config: EngineConfig) -> Self {
         let telemetry = EngineTelemetry::new(Arc::new(Registry::new()));
         config.threads_live = Arc::clone(&telemetry.threads_live);
-        let profiler = Arc::new(Profiler::new().instrumented(ProfilerInstruments {
-            runs_recorded: Arc::clone(&telemetry.profile_runs_recorded),
-            persists: Arc::clone(&telemetry.profile_persists),
-            hydrates: Arc::clone(&telemetry.profile_hydrates),
-            entries: Arc::clone(&telemetry.profile_entries),
-        }));
         Engine {
             config,
             sessions: Mutex::new(SessionStore::default()),
             plans: Mutex::new(FxHashMap::default()),
             store: None,
             telemetry,
-            profiler,
         }
     }
 
@@ -610,41 +538,6 @@ impl Engine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The learned cost-profile table. Mostly for inspection; the
-    /// engine consults it itself on every `ExecPolicy::Auto` dispatch.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Every profile the engine holds, hottest (slowest predicted
-    /// wall) first — the rows `/v1/stats` renders under `profile`.
-    pub fn profile_views(&self) -> Vec<ProfileView> {
-        self.profiler.views()
-    }
-
-    /// The profile's wall-clock prediction (µs) for serving `g` live
-    /// under `backend`: the summed predictions of its plan's atoms, or
-    /// the whole-graph prediction when the plan reduces nothing. `None`
-    /// until at least one contributing atom has a completed live run on
-    /// record. Serving layers use it to default timeouts for
-    /// known-slow graphs.
-    pub fn predicted_wall_us(&self, g: &Graph, backend: &'static str) -> Option<u64> {
-        let plan = self.plan_for(g);
-        let store = self.store.as_deref();
-        let mut total = 0u64;
-        let mut known = false;
-        for atom in &plan.atoms {
-            if let Some(p) = self
-                .profiler
-                .predict(graph_fingerprint(&atom.graph), backend, store)
-            {
-                total = total.saturating_add(p.wall_us);
-                known = true;
-            }
-        }
-        known.then_some(total)
     }
 
     /// The engine's registered metric handles: session churn, replay
@@ -837,8 +730,12 @@ impl Engine {
     /// 3. **Parallel** — otherwise, when the atom's thread grant exceeds
     ///    one and the `parallel` feature is compiled in, the atom runs on
     ///    the work-stealing pool under the requested delivery contract.
-    ///    The query's `CancelToken` aborts the workers mid-stream (all
-    ///    atoms at once).
+    ///    Only the last atom gets a grant above one: the policy's
+    ///    `threads`, or with `threads == 0` the configured thread count
+    ///    under [`Delivery::Unordered`] and one under
+    ///    [`Delivery::Deterministic`] (which every ranked atom stream
+    ///    runs under). The query's `CancelToken` aborts the workers
+    ///    mid-stream (all atoms at once).
     /// 4. **Sequential** — else the plain `EnumMIS` iterator runs over
     ///    the session's warm memo.
     ///
@@ -855,12 +752,6 @@ impl Engine {
             trace,
             cancel,
         } = query;
-        // The one typed execution decision: `Auto` consults the learned
-        // cost profiles below; `Fixed` reproduces the pinned knobs bit
-        // for bit. Either way the knobs are read through the policy.
-        let auto = policy.is_auto();
-        let delivery = policy.delivery();
-        let backend = triangulator.name();
         // Ranked composition needs deterministic per-atom production
         // indices for its tie order, so the per-atom streams of a ranked
         // query are forced onto the deterministic contract (an `Ordered`
@@ -872,7 +763,7 @@ impl Engine {
                 self.telemetry.ranked_queries.inc();
                 Delivery::Deterministic
             }
-            None => delivery,
+            None => policy.delivery,
         };
         let tracer = trace.then(TraceBuilder::new);
         let query_span = tracer.as_ref().map(|t| {
@@ -881,98 +772,32 @@ impl Engine {
             span.attr("dispatch", "engine");
             span
         });
-        let effective_threads = match policy.threads() {
+        // The thread grant of the last atom (the composer's fastest
+        // cursor); every other atom runs sequential. Left to the engine,
+        // a deterministic stream runs sequential too: its driver pays a
+        // pool start and a barrier per popped answer, and the ranked gear
+        // pulls it lazily, so more threads buy it nothing.
+        let pool_threads = match policy.threads {
+            0 if atom_delivery == Delivery::Deterministic => 1,
             0 => self.config.resolved_threads(),
             n => n,
         };
-        let plan = Plan::for_query(policy.planned(), g, query_span.as_ref(), || {
-            self.plan_for(g)
-        });
+        let plan = Plan::for_query(policy.planned, g, query_span.as_ref(), || self.plan_for(g));
         let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
         let last = plan.atoms.len().saturating_sub(1);
-        // Profile-driven scheduling, `Auto` only. On a cold profile every
-        // prediction is `None` and each decision below collapses to the
-        // `Fixed` behavior.
-        let predictions: Vec<Option<Prediction>> = if auto {
-            plan.atoms
-                .iter()
-                .map(|atom| {
-                    self.profiler.predict(
-                        graph_fingerprint(&atom.graph),
-                        backend,
-                        self.store.as_deref(),
-                    )
-                })
-                .collect()
-        } else {
-            vec![None; plan.atoms.len()]
-        };
-        // The pool atom — the one the thread budget centers on, and the
-        // one the composer varies fastest. Default (and `Fixed` always):
-        // the last atom. `Auto`: the atom with the largest predicted live
-        // wall, unknown counting as infinite and ties breaking toward the
-        // later index, so cold dispatch is exactly the fixed dispatch.
-        let mut pool = last;
-        if auto {
-            let mut best = 0u64;
-            for (i, p) in predictions.iter().enumerate() {
-                let wall = p.map(|p| p.wall_us).unwrap_or(u64::MAX);
-                if wall >= best {
-                    best = wall;
-                    pool = i;
-                }
-            }
-            if pool != last {
-                self.telemetry.auto_pool_overrides.inc();
-            }
-        }
-        // Parallel-vs-sequential threshold: when even the pool atom's
-        // predicted wall is sub-threshold, pool setup costs more than it
-        // buys — run everything sequential. (`get`, not an index: a
-        // fully-chordal graph plans to zero enumerated atoms.)
-        let demoted = auto
-            && matches!(predictions.get(pool).copied().flatten().map(|p| p.wall_us),
-                Some(w) if w < AUTO_SEQUENTIAL_WALL_US);
-        if demoted && effective_threads > 1 {
-            self.telemetry.auto_sequential_demotions.inc();
-        }
-        // The per-atom thread budget. `Fixed` (no predictions): the pool
-        // (last) atom takes the whole budget, the rest run sequential.
-        // `Auto`: the budget splits proportionally to predicted wall
-        // across the atoms that can use it.
-        let atom_threads = split_thread_budget(effective_threads, &predictions, pool, demoted);
-        // Cursor order. The composer varies the last child fastest and
-        // lets child 0 trim its cache, so under `Auto` + unordered +
-        // unranked the pool atom goes last and the most result-rich atom
-        // goes first. Ranked and deterministic queries keep plan order:
-        // their emission order is part of the answer contract.
-        let order: Vec<usize> =
-            if auto && ranked_measure.is_none() && delivery == Delivery::Unordered {
-                let mut others: Vec<usize> = (0..plan.atoms.len()).filter(|&i| i != pool).collect();
-                others.sort_by_key(|&i| {
-                    std::cmp::Reverse(predictions[i].map(|p| p.results).unwrap_or(0))
-                });
-                if pool < plan.atoms.len() {
-                    others.push(pool);
-                }
-                others
-            } else {
-                (0..plan.atoms.len()).collect()
-            };
         let mut composed = plan.compose(
             g,
-            &order,
             ranked_measure,
             query_span.as_ref(),
             Some(&self.telemetry.ranked_expansions),
             |i, atom| {
+                let threads = if i == last { pool_threads } else { 1 };
                 let session = self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
-                let stream =
-                    self.stream_for(&session, mode, atom_delivery, atom_threads[i], &cancel);
+                let stream = self.stream_for(&session, mode, atom_delivery, threads, &cancel);
                 OpenedAtom {
-                    kind: dispatch_kind(stream.served_kind(), atom_threads[i]),
+                    kind: dispatch_kind(stream.kind, threads),
                     stream: Box::new(stream),
-                    threads: atom_threads[i],
+                    threads,
                 }
             },
         );
@@ -1235,9 +1060,8 @@ impl Engine {
     }
 
     /// Wraps `source` into the engine's stream over `session`. Every
-    /// stream carries the cost-profile capture (recorded at drop, keyed
-    /// like the session) and the stream-lifetime histogram; a live run
-    /// also records its answers under `record` for the deposit, written
+    /// stream carries the stream-lifetime histogram; a live run also
+    /// records its answers under `record` for the deposit, written
     /// through to the store when the engine has one.
     fn enumeration(
         &self,
@@ -1247,20 +1071,9 @@ impl Engine {
         record: Option<AnswerKey>,
     ) -> EngineEnumeration {
         EngineEnumeration {
-            profile: Some(ProfileCapture {
-                profiler: Arc::clone(&self.profiler),
-                store: self.store.clone(),
-                fingerprint: graph_fingerprint(&session.graph),
-                backend: session.backend,
-                nodes: session.graph.num_nodes() as u32,
-                kind,
-                results: 0,
-                first_us: None,
-                extends_start: session.stats().extends as u64,
-                completed: false,
-            }),
             session: Arc::clone(session),
             source,
+            kind,
             recorded: record.map(|key| (key, Vec::new())),
             spill: record
                 .and(self.store.as_ref())
@@ -1287,55 +1100,6 @@ fn dispatch_kind(served: RunKind, threads: usize) -> DispatchKind {
             }
         }
     }
-}
-
-/// Splits `effective` worker threads across a plan's atoms under
-/// `ExecPolicy::Auto`, proportionally to predicted live wall.
-///
-/// The pool atom always anchors the budget. Other atoms join the split
-/// only when their predicted wall is known, above the sequential
-/// threshold, and within 4× of the pool's — a wide pool next to a
-/// near-instant atom should not give the fast atom idle workers. Cold
-/// profiles (no predictions) therefore reduce to "the pool atom takes
-/// everything", which is exactly the `Fixed` dispatch.
-fn split_thread_budget(
-    effective: usize,
-    predictions: &[Option<Prediction>],
-    pool: usize,
-    demoted: bool,
-) -> Vec<usize> {
-    let mut out = vec![1usize; predictions.len()];
-    if demoted || effective <= 1 || predictions.is_empty() {
-        return out;
-    }
-    out[pool] = effective;
-    let pool_wall = match predictions[pool] {
-        Some(p) => p.wall_us,
-        None => return out,
-    };
-    let sharers: Vec<(usize, u64)> = predictions
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != pool)
-        .filter_map(|(i, p)| p.map(|p| (i, p.wall_us)))
-        .filter(|&(_, w)| w >= AUTO_SEQUENTIAL_WALL_US && w.saturating_mul(4) >= pool_wall)
-        .collect();
-    if sharers.is_empty() {
-        return out;
-    }
-    let total = pool_wall + sharers.iter().map(|&(_, w)| w).sum::<u64>();
-    let mut remaining = effective.saturating_sub(1); // the pool keeps ≥ 1
-    for &(i, w) in &sharers {
-        if remaining == 0 {
-            break;
-        }
-        let share = ((effective as u64).saturating_mul(w) / total.max(1)).max(1) as usize;
-        let share = share.min(remaining);
-        out[i] = share;
-        remaining -= share;
-    }
-    out[pool] = remaining + 1;
-    out
 }
 
 /// Records the delay from ranked-stream creation to its first emitted
@@ -1667,7 +1431,7 @@ mod tests {
         // Ranked and exhaustive gears agree on the winners bit for bit.
         let mut exhaustive = engine.run(
             &g,
-            Query::best_k(3, CostMeasure::Fill).policy(ExecPolicy::fixed().with_ranked(false)),
+            Query::best_k(3, CostMeasure::Fill).policy(ExecPolicy::default().with_ranked(false)),
         );
         let fills = |ts: &[Triangulation]| ts.iter().map(|t| t.fill.clone()).collect::<Vec<_>>();
         assert_eq!(fills(&warm_winners), fills(&exhaustive.triangulations()));
@@ -1762,7 +1526,8 @@ mod tests {
         let _ = engine
             .run(
                 &g,
-                Query::best_k(3, CostMeasure::Fill).policy(ExecPolicy::fixed().with_ranked(false)),
+                Query::best_k(3, CostMeasure::Fill)
+                    .policy(ExecPolicy::default().with_ranked(false)),
             )
             .count();
         assert_eq!(t.ranked_queries.get(), 1);
@@ -1781,7 +1546,7 @@ mod tests {
             let n = engine
                 .run(
                     &g,
-                    Query::enumerate().policy(ExecPolicy::fixed().with_threads(4)),
+                    Query::enumerate().policy(ExecPolicy::default().with_threads(4)),
                 )
                 .count();
             assert_eq!(n, 42);
@@ -1789,7 +1554,7 @@ mod tests {
             let det = engine.run(
                 &g,
                 Query::enumerate().policy(
-                    ExecPolicy::fixed()
+                    ExecPolicy::default()
                         .with_threads(4)
                         .with_delivery(Delivery::Deterministic),
                 ),
@@ -1811,7 +1576,7 @@ mod tests {
                 .run(
                     &g,
                     Query::enumerate().policy(
-                        ExecPolicy::fixed()
+                        ExecPolicy::default()
                             .with_threads(4)
                             .with_delivery(Delivery::Deterministic)
                     )
@@ -1854,11 +1619,9 @@ mod tests {
         assert_eq!(ranked.outcome().dispatch[0].kind, DispatchKind::Ranked);
     }
 
+    #[cfg(feature = "parallel")]
     #[test]
-    fn cold_auto_dispatch_matches_fixed() {
-        // With no profile data, Auto must collapse to exactly the Fixed
-        // schedule: same pool placement, same thread grants, same
-        // results. Two fresh engines so neither run warms the other.
+    fn engine_chosen_threads_go_to_the_last_unordered_atom_only() {
         // C4 and C6 glued at a cut vertex → a two-atom plan.
         let g = Graph::from_edges(
             9,
@@ -1875,106 +1638,30 @@ mod tests {
                 (8, 3),
             ],
         );
-        for threads in [1, 4] {
-            let auto_engine = Engine::with_config(EngineConfig {
-                threads,
+        let cold = |policy: ExecPolicy| {
+            let engine = Engine::with_config(EngineConfig {
+                threads: 4,
                 ..EngineConfig::default()
             });
-            let fixed_engine = Engine::with_config(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            let (an, auto) = dispatch_of(&auto_engine, &g, Query::enumerate());
-            let (fnn, fixed) = dispatch_of(
-                &fixed_engine,
-                &g,
-                Query::enumerate().policy(ExecPolicy::fixed()),
-            );
-            assert_eq!(an, fnn);
-            assert_eq!(auto, fixed, "cold Auto diverged at threads={threads}");
-            assert_eq!(auto_engine.telemetry().auto_pool_overrides.get(), 0);
-            assert_eq!(auto_engine.telemetry().auto_sequential_demotions.get(), 0);
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn warm_profile_demotes_cheap_graphs_to_sequential() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
-        let g = Graph::cycle(7);
-        // Teach the profiler a known-cheap history directly (a wall
-        // measured in real time would make this test build-speed
-        // dependent): one completed live run, 50µs wall.
-        engine.profiler().record_run(
-            graph_fingerprint(&g),
-            "MCS_M",
-            g.num_nodes() as u32,
-            crate::profile::RunRecord {
-                kind: crate::profile::RunKind::Live,
-                completed: true,
-                results: 42,
-                first_us: Some(1),
-                wall_us: 50,
-                extends: 60,
-            },
-            None,
-        );
-        assert_eq!(
-            engine.predicted_wall_us(&g, "MCS_M"),
-            Some(50),
-            "the recorded run must leave a prediction behind"
-        );
-        let (n, warm) = dispatch_of(&engine, &g, Query::enumerate());
-        assert_eq!(n, 42);
-        assert_eq!(
-            warm,
-            vec![(DispatchKind::Sequential, 1)],
-            "a known-cheap atom must be demoted off the pool"
-        );
-        assert!(engine.telemetry().auto_sequential_demotions.get() >= 1);
-        // Fixed still takes the pool: the demotion is an Auto decision.
-        engine.clear_sessions();
-        let (_, fixed) = dispatch_of(
-            &engine,
-            &g,
-            Query::enumerate().policy(ExecPolicy::fixed().with_threads(4)),
-        );
-        assert_eq!(fixed, vec![(DispatchKind::Parallel, 4)]);
+            dispatch_of(&engine, &g, Query::enumerate().policy(policy))
+        };
+        let seq = (DispatchKind::Sequential, 1);
+        let par = (DispatchKind::Parallel, 4);
+        let (n, unordered) = cold(ExecPolicy::default());
+        assert_eq!(n, 28);
+        assert_eq!(unordered, vec![seq, par]);
+        let deterministic = ExecPolicy::default().with_delivery(Delivery::Deterministic);
+        assert_eq!(cold(deterministic), (28, vec![seq, seq]));
+        assert_eq!(cold(deterministic.with_threads(4)), (28, vec![seq, par]));
     }
 
     #[test]
-    fn auto_survives_a_plan_with_zero_enumerated_atoms() {
-        // A chordal graph reduces to no non-trivial atoms; Auto's
-        // prediction bookkeeping must cope with the empty plan.
+    fn a_plan_with_zero_enumerated_atoms_dispatches_nothing() {
+        // A chordal graph reduces to no non-trivial atoms.
         let engine = Engine::new();
         let g = Graph::cycle(3);
         let mut resp = engine.run(&g, Query::enumerate());
         assert_eq!(resp.by_ref().count(), 1);
         assert!(resp.outcome().dispatch.is_empty());
-    }
-
-    #[test]
-    fn profile_views_surface_recorded_runs() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
-        let g = Graph::cycle(6);
-        assert_eq!(engine.run(&g, Query::enumerate()).count(), 14);
-        let views = engine.profile_views();
-        assert_eq!(views.len(), 1);
-        let v = &views[0];
-        assert_eq!(v.backend, "MCS_M");
-        assert_eq!(v.live_runs, 1);
-        assert_eq!(v.results_total, 14);
-        assert_eq!(v.predicted_results, 14);
-        // A replayed run counts as a hit, not a live observation.
-        assert_eq!(engine.run(&g, Query::enumerate()).count(), 14);
-        let views = engine.profile_views();
-        assert_eq!(views[0].live_runs, 1);
-        assert_eq!(views[0].replay_hits, 1);
     }
 }

@@ -71,20 +71,6 @@ pub struct EngineTelemetry {
     pub memo_crossing_computed: Arc<Gauge>,
     /// Distinct separators interned, summed over live sessions.
     pub memo_separators_interned: Arc<Gauge>,
-    /// Stream observations folded into the cost-profile layer.
-    pub profile_runs_recorded: Arc<Counter>,
-    /// Cost-profile snapshots written to the persistent store.
-    pub profile_persists: Arc<Counter>,
-    /// Cost profiles warmed from a persisted snapshot.
-    pub profile_hydrates: Arc<Counter>,
-    /// Distinct `(atom, backend)` cost profiles held in RAM.
-    pub profile_entries: Arc<Gauge>,
-    /// Auto-policy dispatches where the profile moved the thread pool
-    /// off the default (last) atom.
-    pub auto_pool_overrides: Arc<Counter>,
-    /// Auto-policy dispatches demoted to sequential by a cheap
-    /// predicted wall.
-    pub auto_sequential_demotions: Arc<Counter>,
 }
 
 impl EngineTelemetry {
@@ -176,30 +162,6 @@ impl EngineTelemetry {
             memo_separators_interned: g(
                 "mintri_engine_memo_separators_interned",
                 "Distinct separators interned, summed over live sessions",
-            ),
-            profile_runs_recorded: c(
-                "mintri_engine_profile_runs_total",
-                "Stream observations folded into the cost-profile layer",
-            ),
-            profile_persists: c(
-                "mintri_engine_profile_persists_total",
-                "Cost-profile snapshots written to the persistent store",
-            ),
-            profile_hydrates: c(
-                "mintri_engine_profile_hydrates_total",
-                "Cost profiles warmed from a persisted snapshot",
-            ),
-            profile_entries: g(
-                "mintri_engine_profile_entries",
-                "Distinct (atom, backend) cost profiles held in RAM",
-            ),
-            auto_pool_overrides: c(
-                "mintri_engine_auto_pool_overrides_total",
-                "Auto dispatches that moved the thread pool off the last atom",
-            ),
-            auto_sequential_demotions: c(
-                "mintri_engine_auto_sequential_demotions_total",
-                "Auto dispatches demoted to sequential by a cheap predicted wall",
             ),
             registry,
         }

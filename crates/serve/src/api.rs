@@ -7,7 +7,7 @@
 //! | Method | Path         | Body                                        | Answer |
 //! |--------|--------------|---------------------------------------------|--------|
 //! | GET    | `/healthz`   | —                                           | `{"status":"ok",…}` |
-//! | GET    | `/v1/stats`  | —                                           | sessions, graphs, memo counters, cost profiles |
+//! | GET    | `/v1/stats`  | —                                           | sessions, graphs, memo and store counters |
 //! | POST   | `/v1/graphs` | `{"nodes":N,"edges":[[u,v],…]}`             | `{"graph_id":…}` |
 //! | POST   | `/v1/query`  | `{"graph_id"∣"graph", "query", ["timeout_ms"], ["stream"]}` | one response document (or NDJSON chunks) |
 //! | POST   | `/v1/batch`  | `{"queries":[spec,…]}`                      | `{"responses":[…]}` |
@@ -171,19 +171,6 @@ struct SlowLog {
 }
 
 const SLOW_LOG_CAPACITY: usize = 32;
-
-/// Most profile rows `/v1/stats` renders (hottest first — the views are
-/// already sorted by predicted wall).
-const PROFILE_STATS_ROWS: usize = 32;
-
-/// Headroom multiplier on the predicted wall when the server arms a
-/// default timeout for a known-slow graph: generous enough that an
-/// honest run never trips it, tight enough that a wedged one does.
-const AUTO_TIMEOUT_HEADROOM: u64 = 32;
-
-/// Floor on the profile-driven default timeout, so a marginally-slow
-/// prediction never arms a hair-trigger watchdog.
-const AUTO_TIMEOUT_FLOOR: Duration = Duration::from_secs(5);
 
 impl SlowLog {
     fn new() -> Self {
@@ -662,11 +649,7 @@ impl AppState {
             });
         }
         let timeout = match spec.get("timeout_ms") {
-            // No deadline from the client: a known-slow graph still gets
-            // a server-side default so one request can't hold a worker
-            // forever. An explicit `"timeout_ms": null` opts out.
-            None => self.auto_timeout(&query, &graph),
-            Some(JsonValue::Null) => None,
+            None | Some(JsonValue::Null) => None,
             Some(v) => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
                 HttpError::bad_request("`timeout_ms` must be a non-negative integer")
             })?)),
@@ -680,26 +663,6 @@ impl AppState {
             started: Instant::now(),
             _watchdog: watchdog,
         })
-    }
-
-    /// The profile-driven default timeout: under an `Auto` policy, if
-    /// the learned cost profile predicts this graph's full wall at or
-    /// above the slow-query threshold, arm a deadline with generous
-    /// headroom. Cold profiles and `Fixed` queries change nothing.
-    fn auto_timeout(&self, query: &Query, graph: &Graph) -> Option<Duration> {
-        if !query.policy.is_auto() {
-            return None;
-        }
-        let wall_us = self
-            .engine
-            .predicted_wall_us(graph, query.triangulator.name())?;
-        if wall_us < self.limits.slow_query_ms.saturating_mul(1_000) {
-            return None;
-        }
-        Some(
-            Duration::from_micros(wall_us.saturating_mul(AUTO_TIMEOUT_HEADROOM))
-                .max(AUTO_TIMEOUT_FLOOR),
-        )
     }
 
     /// Runs one spec to completion and renders the response document.
@@ -786,32 +749,6 @@ impl AppState {
             store_doc.raw("spills", t.store_spills.get().to_string());
             doc.raw("store", store_doc.finish());
         }
-        let views = self.engine.profile_views();
-        let atoms: Vec<String> = views
-            .iter()
-            .take(PROFILE_STATS_ROWS)
-            .map(|v| {
-                let mut entry = JsonObject::new();
-                entry.str("fingerprint", &format!("{:016x}", v.fingerprint));
-                entry.str("backend", v.backend);
-                entry.usize("nodes", v.nodes as usize);
-                entry.raw("live_runs", v.live_runs.to_string());
-                entry.raw("replay_hits", v.replay_hits.to_string());
-                entry.raw("hydrate_hits", v.hydrate_hits.to_string());
-                entry.raw("results_total", v.results_total.to_string());
-                entry.raw("extends_total", v.extends_total.to_string());
-                entry.raw("predicted_wall_us", v.predicted_wall_us.to_string());
-                entry.raw("predicted_results", v.predicted_results.to_string());
-                entry.raw("first_us_p50", v.first_us_p50.to_string());
-                entry.raw("first_us_p99", v.first_us_p99.to_string());
-                entry.raw("gap_us_p50", v.gap_us_p50.to_string());
-                entry.finish()
-            })
-            .collect();
-        let mut profile_doc = JsonObject::new();
-        profile_doc.usize("entries", views.len());
-        profile_doc.raw("atoms", format!("[{}]", atoms.join(",")));
-        doc.raw("profile", profile_doc.finish());
         doc.raw("requests", format!("[{}]", requests.join(",")));
         doc.raw("slow_queries", format!("[{}]", slow.join(",")));
         doc.raw("slow_query_ms", self.limits.slow_query_ms.to_string());

@@ -50,8 +50,8 @@ mod snapshot;
 
 pub use codec::{fnv1a64, CodecError};
 pub use snapshot::{
-    AnswerSnapshot, DigestSnapshot, EntryKind, GraphSnapshot, MemoSummary, PlanSnapshot,
-    ProfileSnapshot, StoredOrder, HEADER_LEN, MAGIC, VERSION,
+    AnswerSnapshot, EntryKind, GraphSnapshot, MemoSummary, PlanSnapshot, StoredOrder, HEADER_LEN,
+    MAGIC, VERSION,
 };
 
 use std::collections::HashMap;
@@ -164,7 +164,10 @@ enum Job {
 const ANSWERS_DIR: &str = "answers";
 const PLANS_DIR: &str = "plans";
 const GRAPHS_DIR: &str = "graphs";
-const PROFILES_DIR: &str = "profiles";
+/// Where older stores kept learned cost profiles, a retired entry kind.
+/// [`Store::open`] deletes it, so its bytes do not sit outside the
+/// budget's accounting.
+const RETIRED_PROFILES_DIR: &str = "profiles";
 const QUARANTINE_DIR: &str = "quarantine";
 const ENTRY_EXT: &str = "mts";
 
@@ -181,8 +184,8 @@ pub struct Store {
 
 impl Store {
     /// Opens (creating if needed) the store under `config.root`,
-    /// sweeping stale temp files and scanning the published entries
-    /// into the byte/entry counters.
+    /// sweeping stale temp files and a retired `profiles/` directory,
+    /// and scanning the published entries into the byte/entry counters.
     pub fn open(config: StoreConfig) -> io::Result<Store> {
         let shared = Arc::new(Shared {
             root: config.root,
@@ -191,15 +194,11 @@ impl Store {
             counters: Counters::default(),
             unpublished_graphs: Mutex::default(),
         });
+        // Best effort, like the temp-file sweep below.
+        let _ = fs::remove_dir_all(shared.root.join(RETIRED_PROFILES_DIR));
         let mut entries = 0u64;
         let mut bytes = 0u64;
-        for subdir in [
-            ANSWERS_DIR,
-            PLANS_DIR,
-            GRAPHS_DIR,
-            PROFILES_DIR,
-            QUARANTINE_DIR,
-        ] {
+        for subdir in [ANSWERS_DIR, PLANS_DIR, GRAPHS_DIR, QUARANTINE_DIR] {
             let dir = shared.root.join(subdir);
             fs::create_dir_all(&dir)?;
             if subdir == QUARANTINE_DIR {
@@ -362,28 +361,6 @@ impl Store {
         unpublished.by_name.insert(name.clone(), (seq, bytes));
         self.enqueue(job);
         self.enqueue(Job::GraphHandled { name, seq });
-    }
-
-    /// Persists a learned cost profile (write-behind; last write wins —
-    /// the engine always writes its merged view, so newer is better).
-    pub fn put_profile(&self, snap: &ProfileSnapshot) {
-        self.enqueue(Job::Write {
-            subdir: PROFILES_DIR,
-            name: profile_name(snap.fingerprint, &snap.backend),
-            bytes: snap.encode(),
-            overwrite: true,
-        });
-    }
-
-    /// Loads the cost profile for `(fingerprint, backend)`, with the
-    /// same miss/quarantine contract as [`Store::load_answers`]. A miss
-    /// only costs a cold schedule, never a wrong answer.
-    pub fn load_profile(&self, fingerprint: u64, backend: &str) -> Option<ProfileSnapshot> {
-        self.load(
-            PROFILES_DIR,
-            &profile_name(fingerprint, backend),
-            ProfileSnapshot::decode,
-        )
     }
 
     /// Unpublishes the registry graph under `id` (write-behind). Loads
@@ -615,10 +592,6 @@ fn graph_name(id: &str) -> String {
     format!("g-{}.{ENTRY_EXT}", sanitize(id))
 }
 
-fn profile_name(fingerprint: u64, backend: &str) -> String {
-    format!("f{fingerprint:016x}-{}.{ENTRY_EXT}", sanitize(backend))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,57 +739,18 @@ mod tests {
     }
 
     #[test]
-    fn profiles_round_trip_and_survive_a_reopen() {
-        let dir = ScratchDir::new("profiles");
-        let snap = ProfileSnapshot {
-            fingerprint: 0xfeed,
-            backend: "mcs-m".into(),
-            nodes: 7,
-            first_us: DigestSnapshot {
-                centroids: vec![(250.0f64.to_bits(), 2)],
-                count: 2,
-                min_bits: 200.0f64.to_bits(),
-                max_bits: 300.0f64.to_bits(),
-            },
-            gap_us: DigestSnapshot::default(),
-            live_runs: 2,
-            results_total: 10,
-            extends_total: 80,
-            wall_us_total: 900,
-            replay_hits: 5,
-            hydrate_hits: 1,
-        };
-        {
-            let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
-            store.put_profile(&snap);
-            store.flush();
-            assert_eq!(store.load_profile(0xfeed, "mcs-m").unwrap(), snap);
-            // A different backend is a different entry: miss.
-            assert!(store.load_profile(0xfeed, "lex-m").is_none());
-        }
+    fn open_removes_a_retired_profiles_dir() {
+        let dir = ScratchDir::new("retired-profiles");
+        let profiles = dir.0.join(RETIRED_PROFILES_DIR);
+        fs::create_dir_all(&profiles).unwrap();
+        fs::write(profiles.join(format!("x.{ENTRY_EXT}")), [0u8; 64]).unwrap();
         let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
-        assert_eq!(store.entries(), 1, "reopen scans the profiles dir too");
-        assert_eq!(store.load_profile(0xfeed, "mcs-m").unwrap(), snap);
-    }
-
-    #[test]
-    fn corrupt_profiles_are_quarantined_misses() {
-        let dir = ScratchDir::new("profile-corrupt");
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
-        let snap = ProfileSnapshot {
-            fingerprint: 0xabc,
-            backend: "mcs-m".into(),
-            ..ProfileSnapshot::default()
-        };
-        store.put_profile(&snap);
-        store.flush();
-        let path = dir.0.join(PROFILES_DIR).join(profile_name(0xabc, "mcs-m"));
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x04;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.load_profile(0xabc, "mcs-m").is_none());
-        assert_eq!(store.stats().corrupt_quarantined, 1);
+        assert!(!profiles.exists(), "the retired directory is gone");
+        assert_eq!(store.entries(), 0);
+        assert_eq!(store.bytes_stored(), 0);
+        // A second open finds nothing to remove.
+        drop(store);
+        Store::open(StoreConfig::at(&dir.0)).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ```text
 //! offset 0   magic   b"MTST"
 //!        4   version u16 LE   (this build reads exactly VERSION)
-//!        6   kind    u8       (1 answers, 2 plan, 3 graph, 4 profile)
+//!        6   kind    u8       (1 answers, 2 plan, 3 graph; 4 retired)
 //!        7   reserved u8      (zero)
 //!        8   payload length   u64 LE
 //!       16   payload FNV-1a64 u64 LE
@@ -32,7 +32,8 @@ pub const VERSION: u16 = 1;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 24;
 
-/// What a store file holds.
+/// What a store file holds. Value 4 named a retired entry kind (learned
+/// cost profiles); it is never reused, so a kind-4 file fails to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
     /// A completed-answer replay cache for one (atom, backend, order).
@@ -41,8 +42,6 @@ pub enum EntryKind {
     Plan = 2,
     /// One serve-registry graph.
     Graph = 3,
-    /// Learned per-atom runtime statistics (cost profile).
-    Profile = 4,
 }
 
 impl EntryKind {
@@ -51,7 +50,6 @@ impl EntryKind {
             1 => Ok(EntryKind::Answers),
             2 => Ok(EntryKind::Plan),
             3 => Ok(EntryKind::Graph),
-            4 => Ok(EntryKind::Profile),
             other => Err(CodecError::BadKind(other)),
         }
     }
@@ -163,80 +161,6 @@ pub struct GraphSnapshot {
     pub nodes: u32,
     /// Canonical edge list.
     pub edges: Vec<(u32, u32)>,
-}
-
-/// A serialized t-digest: merged centroids plus the exact extrema the
-/// engine's digest tracks. Means are `f64::to_bits` images (the varint
-/// codec speaks integers only); weights are observation counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DigestSnapshot {
-    /// `(mean_bits, weight)` per centroid, means ascending.
-    pub centroids: Vec<(u64, u64)>,
-    /// Total observations across all centroids.
-    pub count: u64,
-    /// `f64::to_bits` of the smallest observation.
-    pub min_bits: u64,
-    /// `f64::to_bits` of the largest observation.
-    pub max_bits: u64,
-}
-
-/// Learned runtime statistics for one `(atom fingerprint, backend)`
-/// pair — the store-level image of the engine's cost profile.
-///
-/// Unlike answer/plan snapshots this entry carries **no graph-equality
-/// proof**: a profile only steers *scheduling* (cursor order, thread
-/// split, dispatch mode, timeouts), never answers, so the worst a
-/// fingerprint collision can cost is a mis-tuned schedule — the same
-/// price as a cold start.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProfileSnapshot {
-    /// The atom graph's fingerprint (the disk address).
-    pub fingerprint: u64,
-    /// Triangulation backend the statistics were observed under.
-    pub backend: String,
-    /// Node count of the atom graph (a cheap sanity hint, not a proof).
-    pub nodes: u32,
-    /// First-result latency distribution, microseconds.
-    pub first_us: DigestSnapshot,
-    /// Inter-result gap distribution, microseconds.
-    pub gap_us: DigestSnapshot,
-    /// Completed live enumerations folded into the digests.
-    pub live_runs: u64,
-    /// Results emitted across those completed live runs.
-    pub results_total: u64,
-    /// `Extend` invocations across those runs (extends-per-result).
-    pub extends_total: u64,
-    /// Wall-clock microseconds across those runs (predicted-wall base).
-    pub wall_us_total: u64,
-    /// Streams answered from the in-RAM replay cache.
-    pub replay_hits: u64,
-    /// Streams answered by hydrating a disk snapshot.
-    pub hydrate_hits: u64,
-}
-
-fn enc_digest(e: &mut Enc, d: &DigestSnapshot) {
-    e.usize(d.centroids.len());
-    for &(mean_bits, weight) in &d.centroids {
-        e.u64(mean_bits);
-        e.u64(weight);
-    }
-    e.u64(d.count);
-    e.u64(d.min_bits);
-    e.u64(d.max_bits);
-}
-
-fn dec_digest(d: &mut Dec<'_>) -> Result<DigestSnapshot, CodecError> {
-    let n = d.len_prefix()?;
-    let mut centroids = Vec::with_capacity(n);
-    for _ in 0..n {
-        centroids.push((d.u64()?, d.u64()?));
-    }
-    Ok(DigestSnapshot {
-        centroids,
-        count: d.u64()?,
-        min_bits: d.u64()?,
-        max_bits: d.u64()?,
-    })
 }
 
 fn enc_edges(e: &mut Enc, edges: &[(u32, u32)]) {
@@ -403,50 +327,6 @@ impl GraphSnapshot {
     }
 }
 
-impl ProfileSnapshot {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(self.fingerprint);
-        e.str(&self.backend);
-        e.u32(self.nodes);
-        enc_digest(&mut e, &self.first_us);
-        enc_digest(&mut e, &self.gap_us);
-        e.u64(self.live_runs);
-        e.u64(self.results_total);
-        e.u64(self.extends_total);
-        e.u64(self.wall_us_total);
-        e.u64(self.replay_hits);
-        e.u64(self.hydrate_hits);
-        e.finish()
-    }
-
-    /// The full file bytes (header + payload).
-    pub fn encode(&self) -> Vec<u8> {
-        frame(EntryKind::Profile, self.encode_payload())
-    }
-
-    /// Parses full file bytes, verifying the header end to end.
-    pub fn decode(bytes: &[u8]) -> Result<ProfileSnapshot, CodecError> {
-        let payload = unframe(bytes, EntryKind::Profile)?;
-        let mut d = Dec::new(payload);
-        let snap = ProfileSnapshot {
-            fingerprint: d.u64()?,
-            backend: d.str()?,
-            nodes: d.u32()?,
-            first_us: dec_digest(&mut d)?,
-            gap_us: dec_digest(&mut d)?,
-            live_runs: d.u64()?,
-            results_total: d.u64()?,
-            extends_total: d.u64()?,
-            wall_us_total: d.u64()?,
-            replay_hits: d.u64()?,
-            hydrate_hits: d.u64()?,
-        };
-        expect_drained(&d)?;
-        Ok(snap)
-    }
-}
-
 /// Trailing garbage after a valid payload is corruption too.
 fn expect_drained(d: &Dec<'_>) -> Result<(), CodecError> {
     if d.is_empty() {
@@ -547,81 +427,23 @@ mod tests {
         assert_eq!(GraphSnapshot::decode(&snap.encode()).unwrap(), snap);
     }
 
-    fn sample_profile() -> ProfileSnapshot {
-        ProfileSnapshot {
-            fingerprint: 0x0123_4567_89ab_cdef,
-            backend: "mcs-m".to_string(),
-            nodes: 12,
-            first_us: DigestSnapshot {
-                centroids: vec![(120.5f64.to_bits(), 3), (900.0f64.to_bits(), 1)],
-                count: 4,
-                min_bits: 98.0f64.to_bits(),
-                max_bits: 900.0f64.to_bits(),
-            },
-            gap_us: DigestSnapshot {
-                centroids: vec![(7.25f64.to_bits(), 40)],
-                count: 40,
-                min_bits: 2.0f64.to_bits(),
-                max_bits: 31.0f64.to_bits(),
-            },
-            live_runs: 4,
-            results_total: 44,
-            extends_total: 391,
-            wall_us_total: 5_120,
-            replay_hits: 17,
-            hydrate_hits: 2,
-        }
-    }
-
     #[test]
-    fn profile_round_trips() {
-        let snap = sample_profile();
-        assert_eq!(ProfileSnapshot::decode(&snap.encode()).unwrap(), snap);
-    }
-
-    #[test]
-    fn profile_truncations_fail_cleanly() {
-        let bytes = sample_profile().encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                ProfileSnapshot::decode(&bytes[..cut]).is_err(),
-                "decoding a {cut}-byte prefix must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn profile_bit_flips_fail_cleanly() {
-        let snap = sample_profile();
-        let bytes = snap.encode();
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[byte] ^= 1 << bit;
-                if let Ok(decoded) = ProfileSnapshot::decode(&corrupt) {
-                    panic!(
-                        "flip at byte {byte} bit {bit} decoded Ok ({})",
-                        if decoded == snap {
-                            "identical — flip not covered by checksum"
-                        } else {
-                            "DIFFERENT SNAPSHOT"
-                        }
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn profile_kind_is_rejected_by_other_loaders() {
-        let profile = sample_profile();
+    fn retired_kind_4_fails_to_decode() {
+        // The header is outside the checksum, so this is a clean kind-4
+        // file as far as framing goes.
+        let mut bytes = sample_answers().encode();
+        bytes[6] = 4;
         assert!(matches!(
-            AnswerSnapshot::decode(&profile.encode()),
+            AnswerSnapshot::decode(&bytes),
             Err(CodecError::BadKind(4))
         ));
         assert!(matches!(
-            ProfileSnapshot::decode(&sample_answers().encode()),
-            Err(CodecError::BadKind(1))
+            PlanSnapshot::decode(&bytes),
+            Err(CodecError::BadKind(4))
+        ));
+        assert!(matches!(
+            GraphSnapshot::decode(&bytes),
+            Err(CodecError::BadKind(4))
         ));
     }
 

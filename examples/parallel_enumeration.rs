@@ -35,7 +35,7 @@ fn main() {
             &g,
             Query::enumerate()
                 .budget(EnumerationBudget::results(take))
-                .policy(ExecPolicy::fixed().with_threads(threads)),
+                .policy(ExecPolicy::default().with_threads(threads)),
         )
         .count();
     let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -53,7 +53,7 @@ fn main() {
             Query::enumerate()
                 .budget(EnumerationBudget::results(10))
                 .policy(
-                    ExecPolicy::fixed()
+                    ExecPolicy::default()
                         .with_threads(threads)
                         .with_delivery(Delivery::Deterministic),
                 ),

@@ -6,14 +6,14 @@
 //! mintri atoms        --input g.col [--format text|json]
 //! mintri triangulate  --input g.col [--algo mcsm|lbtriang|lexm|mindegree] [--format ...]
 //! mintri enumerate    --input g.col [--limit K] [--budget-ms T] [--algo ...]
-//!                     [--policy auto|fixed] [--explain] [--threads N]
+//!                     [--explain] [--threads N]
 //!                     [--delivery unordered|deterministic] [--store-dir DIR]
 //!                     [--format ...]
 //! mintri best-k       --input g.col [--k K] [--by width|fill] [--limit K]
-//!                     [--policy auto|fixed] [--explain] [--budget-ms T]
+//!                     [--explain] [--budget-ms T]
 //!                     [--threads N] [--delivery ...] [--format ...]
 //! mintri decompose    --input g.col [--limit K] [--one-per-class true]
-//!                     [--policy auto|fixed] [--explain] [--threads N]
+//!                     [--explain] [--threads N]
 //!                     [--delivery ...] [--format ...]
 //! mintri serve        [--addr HOST:PORT] [--threads N] [--max-sessions M]
 //!                     [--workers W] [--slow-query-ms T] [--store-dir DIR]
@@ -31,20 +31,18 @@
 //! `EnumMIS` counters) as one JSON document on stdout. `--threads N`
 //! (N > 1, or 0 for "all cores") executes the query on a `mintri-engine`
 //! work-stealing pool; `--delivery deterministic` makes the parallel
-//! output order match the single-threaded one.
+//! output order match the single-threaded one. (With `--threads 0` the
+//! engine picks: a deterministic run is then sequential, which is
+//! already the single-threaded order.)
 //!
 //! `mintri atoms` prints the clique-minimal-separator decomposition the
 //! planning layer enumerates over (components, atoms, separators).
 //!
-//! Execution is governed by `--policy`: `auto` (the default) lets the
-//! engine's learned per-atom cost profiles choose the schedule —
-//! thread split, cursor order, parallel-vs-sequential — while `fixed`
-//! pins the classic knobs. `--explain` prints the dispatch the engine
-//! actually chose for each atom (replay/hydrate/parallel/sequential/
-//! ranked plus the thread grant) to stderr; in `--format json` the
-//! same record rides in `outcome.dispatch`. Unknown flags are errors
-//! that name the flag, so a typo never falls back to a default
-//! silently.
+//! `--explain` prints the dispatch the engine actually chose for each
+//! atom (replay/hydrate/parallel/sequential/ranked plus the thread
+//! grant) to stderr; in `--format json` the same record rides in
+//! `outcome.dispatch`. Unknown flags are errors that name the flag, so a
+//! typo never falls back to a default silently.
 //!
 //! Graphs: DIMACS `.col` (default), 0-based edge lists, or UAI network
 //! files — select explicitly with `--input-format`. (For compatibility,
@@ -122,7 +120,6 @@ const VALUE_FLAGS: &[&str] = &[
     "k",
     "by",
     "one-per-class",
-    "policy",
     "threads",
     "delivery",
     "store-dir",
@@ -225,14 +222,21 @@ fn pick_delivery(flags: &HashMap<String, String>) -> Result<Delivery, String> {
     }
 }
 
+fn pick_threads(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+    flags
+        .get("threads")
+        .map(|s| {
+            s.parse()
+                .map_err(|_| "--threads must be an integer".to_string())
+        })
+        .transpose()
+}
+
 /// `--threads` → an [`EngineConfig`] for engine-backed execution, or
 /// `None` for the zero-setup local path (`--threads 1` and no flag both
 /// mean sequential).
 fn pick_engine_config(flags: &HashMap<String, String>) -> Result<Option<EngineConfig>, String> {
-    let threads: Option<usize> = flags
-        .get("threads")
-        .map(|s| s.parse().map_err(|_| "--threads must be an integer"))
-        .transpose()?;
+    let threads = pick_threads(flags)?;
     let delivery = pick_delivery(flags)?;
     match threads {
         None | Some(1) => Ok(None),
@@ -265,16 +269,14 @@ fn parse_budget(flags: &HashMap<String, String>) -> Result<EnumerationBudget, St
     })
 }
 
-/// `--policy auto|fixed` → the query's [`ExecPolicy`]. `auto` is the
-/// default: the engine's learned cost profiles drive the schedule;
-/// `fixed` pins the classic knobs (planning and the ranked gear on).
+/// `--threads` and `--delivery` → the query's [`ExecPolicy`]. An explicit
+/// `--threads N` is the query's request too, so a deterministic run on
+/// N > 1 threads takes the parallel driver; without the flag (or with
+/// 0) the engine picks.
 fn pick_policy(flags: &HashMap<String, String>) -> Result<ExecPolicy, String> {
-    let policy = match flags.get("policy").map(String::as_str) {
-        None | Some("auto") => ExecPolicy::auto(),
-        Some("fixed") => ExecPolicy::fixed(),
-        Some(other) => return Err(format!("unknown --policy {other:?} (use auto or fixed)")),
-    };
-    Ok(policy.with_delivery(pick_delivery(flags)?))
+    Ok(ExecPolicy::default()
+        .with_threads(pick_threads(flags)?.unwrap_or(0))
+        .with_delivery(pick_delivery(flags)?))
 }
 
 /// Builds the typed query for one enumeration command — the single place

@@ -56,7 +56,7 @@
 //! set is identical while the work drops from one exponential blob to a
 //! sum of small enumerations. The engine keys its sessions per atom, so
 //! different graphs sharing an atom share its warm cache. With
-//! `ExecPolicy::fixed().with_planned(false)` the plan is one atom
+//! `ExecPolicy::default().with_planned(false)` the plan is one atom
 //! spanning the whole graph, whose stream runs unwrapped.
 //!
 //! The two execution paths agree exactly: `Deterministic` delivery

@@ -80,6 +80,10 @@ fn unknown_flags_are_rejected_by_name() {
             vec!["enumerate", "--input", input, "--no-plan"],
             "--no-plan",
         ),
+        (
+            vec!["enumerate", "--input", input, "--policy", "auto"],
+            "--policy",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mintri"))
             .args(&args)

@@ -54,7 +54,11 @@ fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
         let live = &engine.telemetry().threads_live;
         let mut response = engine.run(
             &g,
-            Query::enumerate().policy(ExecPolicy::fixed().with_threads(4).with_delivery(delivery)),
+            Query::enumerate().policy(
+                ExecPolicy::default()
+                    .with_threads(4)
+                    .with_delivery(delivery),
+            ),
         );
         assert!(response.next().is_some(), "{delivery:?}: first result");
         assert!(response.next().is_some(), "{delivery:?}: second result");
@@ -95,7 +99,11 @@ fn cross_thread_cancel_unblocks_a_draining_consumer() {
         let mut response = engine.run(
             &g,
             Query::enumerate()
-                .policy(ExecPolicy::fixed().with_threads(4).with_delivery(delivery))
+                .policy(
+                    ExecPolicy::default()
+                        .with_threads(4)
+                        .with_delivery(delivery),
+                )
                 .budget(EnumerationBudget::results(200_000)),
         );
         let token = response.cancel_token();
@@ -130,7 +138,11 @@ fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
         let mut response = engine.run(
             &g,
             Query::enumerate()
-                .policy(ExecPolicy::fixed().with_threads(4).with_delivery(delivery))
+                .policy(
+                    ExecPolicy::default()
+                        .with_threads(4)
+                        .with_delivery(delivery),
+                )
                 .budget(EnumerationBudget::results(7)),
         );
         assert_eq!(response.by_ref().count(), 7, "{delivery:?}");
@@ -154,7 +166,11 @@ fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
         let mut response = engine.run(
             &g,
             Query::enumerate()
-                .policy(ExecPolicy::fixed().with_threads(4).with_delivery(delivery))
+                .policy(
+                    ExecPolicy::default()
+                        .with_threads(4)
+                        .with_delivery(delivery),
+                )
                 // Generous result cap as the hang safety-net; the clock
                 // trips far earlier.
                 .budget(EnumerationBudget::results_or_time(
@@ -185,7 +201,7 @@ fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
     // cancel lands; the results already out are proven winners.
     let mut response = engine.run(
         &g,
-        Query::best_k(100_000, CostMeasure::Fill).policy(ExecPolicy::fixed().with_threads(4)),
+        Query::best_k(100_000, CostMeasure::Fill).policy(ExecPolicy::default().with_threads(4)),
     );
     assert!(response.next().is_some(), "first ranked result");
     assert!(response.next().is_some(), "second ranked result");
@@ -213,7 +229,7 @@ fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
     let mut response = engine.run(
         &g,
         Query::best_k(100_000, CostMeasure::Fill)
-            .policy(ExecPolicy::fixed().with_threads(4))
+            .policy(ExecPolicy::default().with_threads(4))
             .budget(EnumerationBudget::results(5)),
     );
     assert_eq!(response.by_ref().count(), 5);

@@ -201,7 +201,7 @@ fn an_unordered_recording_never_hydrates_a_deterministic_query() {
             writer
                 .run(
                     &g,
-                    Query::enumerate().policy(ExecPolicy::fixed().with_threads(4))
+                    Query::enumerate().policy(ExecPolicy::default().with_threads(4))
                 )
                 .count(),
             42
@@ -211,7 +211,7 @@ fn an_unordered_recording_never_hydrates_a_deterministic_query() {
     let reader = engine_at(&dir);
     let det = reader.run(
         &g,
-        Query::enumerate().policy(ExecPolicy::fixed().with_delivery(Delivery::Deterministic)),
+        Query::enumerate().policy(ExecPolicy::default().with_delivery(Delivery::Deterministic)),
     );
     assert!(
         !det.is_replay(),

@@ -27,7 +27,7 @@ fn planned_local(g: &Graph) -> Vec<Vec<(Node, Node)>> {
 fn unreduced_local(g: &Graph) -> Vec<Vec<(Node, Node)>> {
     sorted_edges(
         Query::enumerate()
-            .policy(ExecPolicy::fixed().with_planned(false))
+            .policy(ExecPolicy::default().with_planned(false))
             .run_local(g)
             .triangulations(),
     )
@@ -99,7 +99,7 @@ fn composed_deterministic_order_is_stable_across_thread_counts() {
             .run(
                 &g,
                 Query::enumerate().policy(
-                    ExecPolicy::fixed()
+                    ExecPolicy::default()
                         .with_threads(threads)
                         .with_delivery(Delivery::Deterministic),
                 ),
@@ -115,7 +115,7 @@ fn composed_deterministic_order_is_stable_across_thread_counts() {
         let replay = engine.run(
             &g,
             Query::enumerate().policy(
-                ExecPolicy::fixed()
+                ExecPolicy::default()
                     .with_threads(threads)
                     .with_delivery(Delivery::Deterministic),
             ),
@@ -143,7 +143,7 @@ fn composed_unordered_engine_queries_match_the_set() {
             engine
                 .run(
                     &g,
-                    Query::enumerate().policy(ExecPolicy::fixed().with_threads(threads)),
+                    Query::enumerate().policy(ExecPolicy::default().with_threads(threads)),
                 )
                 .filter_map(QueryItem::into_triangulation)
                 .collect(),
@@ -233,7 +233,7 @@ proptest! {
             let engine = Engine::new();
             let got = sorted_edges(
                 engine
-                    .run(&g, Query::enumerate().policy(ExecPolicy::fixed().with_threads(threads)))
+                    .run(&g, Query::enumerate().policy(ExecPolicy::default().with_threads(threads)))
                     .filter_map(QueryItem::into_triangulation)
                     .collect(),
             );

@@ -48,7 +48,7 @@ fn best_k_fills_local(
 ) -> Vec<Vec<(Node, Node)>> {
     let mut resp = Query::best_k(k, cost)
         .policy(
-            ExecPolicy::fixed()
+            ExecPolicy::default()
                 .with_planned(planned)
                 .with_ranked(ranked),
         )
@@ -70,7 +70,7 @@ fn best_k_fills_engine(
     let mut resp = engine.run(
         g,
         Query::best_k(k, cost).policy(
-            ExecPolicy::fixed()
+            ExecPolicy::default()
                 .with_planned(planned)
                 .with_ranked(ranked)
                 .with_delivery(Delivery::Deterministic),

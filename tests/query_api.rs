@@ -67,10 +67,10 @@ fn unplanned_run_local_is_the_sequential_iterator_bit_for_bit() {
         ],
     );
     assert!(Plan::of(&multi_atom).atoms.len() > 1);
-    let unplanned = ExecPolicy::fixed().with_planned(false);
+    let unplanned = ExecPolicy::default().with_planned(false);
     let mut cases: Vec<(&Graph, ExecPolicy)> = vec![(&multi_atom, unplanned)];
     for g in &single_atom {
-        cases.push((g, ExecPolicy::fixed()));
+        cases.push((g, ExecPolicy::default()));
         cases.push((g, unplanned));
     }
     for (g, policy) in cases {
@@ -159,7 +159,7 @@ fn planned_run_local_matches_the_unreduced_answer_set() {
     let unreduced = {
         let mut v = edges_of(
             &Query::enumerate()
-                .policy(ExecPolicy::fixed().with_planned(false))
+                .policy(ExecPolicy::default().with_planned(false))
                 .run_local(&g)
                 .triangulations(),
         );
@@ -180,7 +180,7 @@ fn deterministic_engine_queries_match_run_local_exactly() {
             .run(
                 &g,
                 Query::enumerate().policy(
-                    ExecPolicy::fixed()
+                    ExecPolicy::default()
                         .with_threads(threads)
                         .with_delivery(Delivery::Deterministic),
                 ),
@@ -203,7 +203,7 @@ fn unordered_engine_queries_match_the_answer_set() {
         let mut got: Vec<_> = engine
             .run(
                 &g,
-                Query::enumerate().policy(ExecPolicy::fixed().with_threads(threads)),
+                Query::enumerate().policy(ExecPolicy::default().with_threads(threads)),
             )
             .filter_map(QueryItem::into_triangulation)
             .map(|t| t.graph.edges())

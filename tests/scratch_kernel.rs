@@ -57,7 +57,7 @@ fn engine_fills(g: &Graph, threads: usize, delivery: Delivery) -> Vec<Fill> {
     let mut resp = Engine::new().run(
         g,
         Query::enumerate().policy(
-            ExecPolicy::fixed()
+            ExecPolicy::default()
                 .with_planned(false)
                 .with_threads(threads)
                 .with_delivery(delivery),
@@ -94,7 +94,7 @@ fn assert_kernel_identity(g: &Graph, threads: &[usize]) {
 
     // run_local drives the same kernel through the front door.
     let local: Vec<Fill> = Query::enumerate()
-        .policy(ExecPolicy::fixed().with_planned(false))
+        .policy(ExecPolicy::default().with_planned(false))
         .run_local(g)
         .triangulations()
         .into_iter()
