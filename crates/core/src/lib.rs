@@ -37,7 +37,7 @@
 //! [`Response`] handle (stream + [`Response::cancel`] +
 //! [`Response::outcome`]). [`Query::run_local`] executes sequentially
 //! with zero setup; `mintri_engine::Engine::run` executes the same query
-//! with warm sessions, parallel drivers and completed-answer replay. The
+//! with warm sessions, parallel enumeration and completed-answer replay. The
 //! items above remain as the underlying kernel.
 //!
 //! ## The planning layer

@@ -5,7 +5,7 @@
 //! selection, proper tree decompositions, instrumented anytime runs — is
 //! a [`Task`] inside one request type, and every execution path — the
 //! zero-setup sequential iterator ([`Query::run_local`]), the engine's
-//! warm sessions, parallel drivers and completed-answer replay
+//! warm sessions, parallel enumeration and completed-answer replay
 //! (`mintri_engine::Engine::run`), and any future transport serializing
 //! queries over the wire — answers with the same [`Response`]: a blocking
 //! result stream plus [`Response::cancel`], [`Response::outcome`]
@@ -132,9 +132,11 @@ impl CostMeasure {
 
 /// When and in what order a query's results reach the consumer.
 ///
-/// Sequential execution ([`Query::run_local`], or an engine resolved to
+/// Sequential execution ([`Query::run_local`], or an engine stream on
 /// one thread) always produces the sequential order; the contract below
-/// is what a *parallel* executor must honor.
+/// is what a *parallel* executor must honor. The engine runs only
+/// `Unordered` streams in parallel: `Deterministic` is the sequential
+/// schedule itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Delivery {
     /// Stream each answer the moment any worker produces it. Fastest;
@@ -153,12 +155,11 @@ pub enum Delivery {
 /// planning, ranking and delivery.
 ///
 /// The default asks the executor to choose the thread count, plans,
-/// ranks best-k and delivers unordered. With `threads == 0` the engine
-/// runs every per-atom stream under [`Delivery::Deterministic`]
-/// sequentially (ranked atom streams are deterministic, so they too),
-/// and gives an unordered query's last atom its configured thread
-/// count. An explicit `threads > 1` runs the parallel driver under
-/// either contract.
+/// ranks best-k and delivers unordered. The engine runs every per-atom
+/// stream under [`Delivery::Deterministic`] sequentially, whatever
+/// `threads` says (ranked atom streams are deterministic, so they too).
+/// An unordered query's last atom gets `threads` workers, or the
+/// engine's configured count when `threads == 0`.
 ///
 /// A policy may change *scheduling*, never *answers*: under
 /// [`Delivery::Unordered`] the result **set** is fixed, under
@@ -167,7 +168,9 @@ pub enum Delivery {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Worker threads: `0` lets the executor decide, `1` forces
-    /// sequential, `n > 1` requests a parallel run.
+    /// sequential, `n > 1` requests a parallel run. Only
+    /// [`Delivery::Unordered`] streams run in parallel; a
+    /// [`Delivery::Deterministic`] stream is sequential at any value.
     pub threads: usize,
     /// Route through the planning layer (atom decomposition + product
     /// composition).
@@ -481,7 +484,7 @@ impl QueryOutcome {
 /// A stream of minimal triangulations an executor opens per plan atom
 /// for [`Plan::compose`] (or hands to [`Response::over_stream`]) — the
 /// single integration point between the query layer and any execution
-/// backend (sequential iterator, warm engine sessions, parallel drivers,
+/// backend (sequential iterator, warm engine sessions, parallel enumeration,
 /// replayed caches, remote transports).
 pub trait TriangulationStream {
     /// The next triangulation, or `None` when the stream ends.
@@ -616,7 +619,7 @@ impl TriangulationStream for MinimalTriangulationsEnumerator<'_> {
 /// ([`Query::enumerate`], [`Query::best_k`], [`Query::decompose`],
 /// [`Query::stats`]), refine it with the builder methods, then execute it
 /// with [`Query::run_local`] (sequential, zero setup) or
-/// `mintri_engine::Engine::run` (warm sessions, parallel drivers, answer
+/// `mintri_engine::Engine::run` (warm sessions, parallel enumeration, answer
 /// replay).
 ///
 /// The fields are public on purpose: a query is plain data — the request

@@ -1,9 +1,10 @@
 //! # mintri-engine — the parallel, cache-sharing enumeration engine
 //!
 //! The crates below this one implement the PODS 2017 algorithm as
-//! single-threaded iterators. This crate is the *serving* layer: it runs
-//! the same `EnumMIS` frontier over a work-stealing thread pool and keeps
-//! per-graph state warm across queries. Three pieces stack up:
+//! single-threaded iterators. This crate is the *serving* layer: it keeps
+//! per-graph state warm across queries and can run the `EnumMIS`
+//! frontier over worker threads when the result order is free. Three
+//! pieces stack up:
 //!
 //! 1. **Sharded memo table** (in `mintri-core`): `MsGraph`'s separator
 //!    interner, which also holds each separator's component labels for
@@ -12,12 +13,14 @@
 //!    thread and every query that touches the graph.
 //! 2. **[`ParallelEnumerator`]** (`parallel` feature, on by default):
 //!    fans the `EnumMIS` extension frontier — the independent
-//!    `(answer, separator)` pairs — out over worker threads, deduplicates
-//!    answers through a sharded seen-set, and streams triangulations
-//!    over a bounded channel. Two delivery modes:
-//!    [`Delivery::Unordered`] (fastest; set-equal to sequential) and
-//!    [`Delivery::Deterministic`] (bit-identical to the sequential
-//!    enumerator's output order — use it in tests and golden files).
+//!    `(answer, separator)` pairs — out over work-stealing threads,
+//!    deduplicates answers through a sharded seen-set, and streams
+//!    triangulations over a bounded channel. It serves
+//!    [`Delivery::Unordered`]: the answer set equals the sequential
+//!    enumerator's, the order is a race. [`Delivery::Deterministic`]
+//!    (the sequential enumerator's exact order — use it in tests and
+//!    golden files) is the sequential schedule itself, so the engine
+//!    always runs it on one thread.
 //! 3. **[`Engine`]**: sessions keyed by **atom subgraph** fingerprint.
 //!    Every query is first routed through the planning layer
 //!    (`mintri_core::query::Plan`): the graph splits into
@@ -37,12 +40,12 @@
 //! [`Response`] (the blocking result stream plus `cancel()`,
 //! `outcome()` — including the per-atom dispatch actually taken — and
 //! `is_replay()`). Planning, sessions, completed-answer replay and the
-//! parallel drivers are dispatch details behind it; the zero-setup
-//! sequential path is `Query::run_local`, no engine required. With the
-//! thread count left to the engine (`threads == 0`, the default), every
+//! parallel enumeration are dispatch details behind it; the zero-setup
+//! sequential path is `Query::run_local`, no engine required. Every
 //! per-atom stream under the deterministic contract — ranked best-k
-//! included — runs sequential, and an unordered query's last atom gets
-//! [`EngineConfig::threads`].
+//! included — runs sequential, whatever the thread count. Only an
+//! unordered query's last atom may get threads: the policy's `threads`,
+//! or [`EngineConfig::threads`] when the policy leaves it at 0.
 //!
 //! ```
 //! use mintri_engine::{Engine, Query};
@@ -66,8 +69,6 @@ mod telemetry;
 #[cfg(feature = "parallel")]
 mod parallel;
 #[cfg(feature = "parallel")]
-mod pool;
-#[cfg(feature = "parallel")]
 mod sched;
 
 pub use session::{graph_fingerprint, Engine, GraphSession};
@@ -80,10 +81,6 @@ pub use mintri_store::{GraphSnapshot, Store, StoreConfig, StoreStats};
 
 #[cfg(feature = "parallel")]
 pub use parallel::ParallelEnumerator;
-#[cfg(feature = "parallel")]
-pub use pool::WorkPool;
-#[cfg(feature = "parallel")]
-pub use sched::{Backoff, Idle, Scheduler};
 
 /// The typed query front door, re-exported for convenience: build a
 /// [`Query`], hand it to [`Engine::run`], consume the [`Response`].
@@ -100,9 +97,7 @@ use std::sync::Arc;
 pub struct EngineConfig {
     /// Worker threads; `0` means "ask [`std::thread::available_parallelism`]".
     pub threads: usize,
-    /// Result ordering contract.
-    pub delivery: Delivery,
-    /// Bound of the result channel in `Unordered` mode (backpressure for
+    /// Bound of `ParallelEnumerator`'s result channel (backpressure for
     /// slow consumers).
     pub channel_capacity: usize,
     /// Maximum warm [`GraphSession`]s an [`Engine`] keeps; beyond this
@@ -111,9 +106,10 @@ pub struct EngineConfig {
     pub max_sessions: usize,
     /// Live worker threads of the parallel drivers built from this
     /// config: a worker raises it when spawned and lowers it as it exits,
-    /// so it reads 0 once every driver has joined its workers. Clones of
-    /// a config share one gauge; an [`Engine`] swaps in its registered
-    /// `mintri_engine_threads_live` gauge
+    /// so it reads 0 once every enumerator has joined its workers. Only
+    /// unordered streams start workers, so deterministic queries leave
+    /// it at 0. Clones of a config share one gauge; an [`Engine`] swaps
+    /// in its registered `mintri_engine_threads_live` gauge
     /// ([`EngineTelemetry::threads_live`]).
     pub threads_live: Arc<Gauge>,
 }
@@ -122,7 +118,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 0,
-            delivery: Delivery::Unordered,
             channel_capacity: 256,
             max_sessions: 64,
             threads_live: Arc::default(),

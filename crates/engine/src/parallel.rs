@@ -4,45 +4,35 @@
 //! frontier: every queued answer `J` must be extended *in the direction
 //! of* every generated SGR node `v`, and each `(J, v)` pair is an
 //! independent unit of work against a shared, internally synchronized
-//! [`MsGraph`]. The engine materializes exactly that pair set:
+//! [`MsGraph`]. [`ParallelEnumerator`] materializes exactly that pair set
+//! under [`Delivery::Unordered`](crate::Delivery::Unordered): dedicated
+//! worker threads drive the striped-deque [`Scheduler`] over
+//! `(answer, node)` tasks. A finished task first builds its `Jv` and
+//! claims it in a sharded key set, so each distinct `Jv` is extended once
+//! (see [`Frontier`](mintri_sgr::Frontier)); a new answer is admitted
+//! through a sharded seen-set, paired with every known node under a
+//! registry lock (so each pair is created exactly once), and streamed to
+//! the consumer over a bounded channel. Idle workers pull fresh
+//! separators from the (mutex-guarded) Berry–Bordat–Cogis cursor. Answer
+//! *order* varies run to run, the answer *set* never.
 //!
-//! * **Unordered delivery** — dedicated worker threads drive the shared
-//!   striped-deque [`Scheduler`] over `(answer, node)` tasks. A finished
-//!   task first builds its `Jv` and claims it in a sharded key set, so
-//!   each distinct `Jv` is extended once (see
-//!   [`Frontier`](mintri_sgr::Frontier)); a new answer is admitted
-//!   through a sharded seen-set, paired
-//!   with every known node under a registry lock (so each pair is
-//!   created exactly once), and streamed to the consumer over a bounded
-//!   channel. Idle workers pull fresh separators from the (mutex-guarded)
-//!   Berry–Bordat–Cogis cursor. Fastest; answer *order* varies run to
-//!   run, the answer *set* never.
-//! * **Deterministic delivery** — drives the *same*
-//!   [`Frontier`](mintri_sgr::Frontier) state machine as the sequential
-//!   iterator, fanning each drained batch of independent `Extend` calls
-//!   over a [`WorkPool`] and absorbing the results in batch order. The
-//!   frontier builds every `Jv` and skips repeats before the fan-out, so
-//!   both drivers skip exactly the same pairs.
-//!   Because the schedule lives in one place and `Extend`/the edge
-//!   oracle are pure functions of the input graph, the emitted stream is
-//!   *identical* to [`mintri_core::MinimalTriangulationsEnumerator`]'s —
-//!   the mode tests and golden files rely on this, and
-//!   [`ParallelEnumerator::enum_stats`] exposes counter-level parity.
+//! [`Delivery::Deterministic`](crate::Delivery::Deterministic) has no
+//! parallel path: its contract is the sequential schedule itself, which
+//! the engine runs as [`EnumMis`](mintri_sgr::EnumMis) over the session's
+//! warm `MsGraph`.
 //!
-//! Termination (Unordered): an `active` counter tracks queued-or-running
-//! tasks. When it hits zero and the separator cursor is exhausted, the
-//! closure is complete — exactly the condition under which the sequential
-//! loop's queue runs dry with no nodes left to pull.
+//! Termination: an `active` counter tracks queued-or-running tasks. When
+//! it hits zero and the separator cursor is exhausted, the closure is
+//! complete — exactly the condition under which the sequential loop's
+//! queue runs dry with no nodes left to pull.
 
-use crate::pool::{LiveThread, WorkPool};
 use crate::sched::{Backoff, Idle, Scheduler};
-use crate::{Delivery, EngineConfig};
+use crate::EngineConfig;
 use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashSet, Graph};
 use mintri_separators::MinSepState;
-use mintri_sgr::{
-    build_jv, EnumMisStats, EvalScratch, ExtendBatch, Frontier, JvKeys, PrintMode, Sgr,
-};
+use mintri_sgr::{build_jv, EvalScratch, JvKeys, Sgr};
+use mintri_telemetry::Gauge;
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -59,21 +49,35 @@ const SEEN_SHARDS: usize = 16;
 type Task = (u32, u32);
 const BOOTSTRAP: Task = (u32::MAX, u32::MAX);
 
-/// The per-worker evaluation workspace every driver threads through the
-/// shared `MsGraph`'s scratch kernel.
+/// The per-worker evaluation workspace threaded through the shared
+/// `MsGraph`'s scratch kernel.
 type Workspace = EvalScratch<Arc<MsGraph<'static>>>;
 
-/// One deterministic-driver pool job: extend a contiguous chunk of a
-/// drained batch's `Jv` sets, yielding each result in batch order.
-type ChunkJob = Box<dyn FnOnce() -> Vec<Vec<SepId>> + Send>;
+/// One worker's share of a live-thread gauge: raised when created by the
+/// spawning thread, lowered when dropped. Moved into the worker's
+/// closure, it is dropped as the worker exits, before `join` returns.
+struct LiveThread(Arc<Gauge>);
+
+impl LiveThread {
+    fn new(gauge: &Arc<Gauge>) -> Self {
+        gauge.add(1);
+        LiveThread(Arc::clone(gauge))
+    }
+}
+
+impl Drop for LiveThread {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
 
 /// Streaming iterator over all minimal triangulations of a graph,
-/// computed by a pool of work-stealing threads sharing one memoized
-/// [`MsGraph`].
+/// computed by work-stealing threads sharing one memoized [`MsGraph`],
+/// in unordered delivery: the answer set equals the sequential
+/// enumerator's, the order is a race.
 ///
 /// Yields each minimal triangulation exactly once. Dropping the iterator
-/// aborts the enumeration and joins the workers. See [`Delivery`] for the
-/// ordering contract of the two modes.
+/// aborts the enumeration and joins the workers.
 ///
 /// ```
 /// use mintri_engine::ParallelEnumerator;
@@ -84,18 +88,15 @@ type ChunkJob = Box<dyn FnOnce() -> Vec<Vec<SepId>> + Send>;
 /// assert_eq!(ParallelEnumerator::new(&g, 4).count(), 14);
 /// ```
 pub struct ParallelEnumerator {
-    ms: Arc<MsGraph<'static>>,
-    inner: Inner,
-}
-
-enum Inner {
-    Unordered(UnorderedStream),
-    Deterministic(Box<DeterministicDriver>),
+    shared: Arc<UnorderedShared>,
+    rx: Receiver<(Vec<SepId>, Triangulation)>,
+    handles: Vec<JoinHandle<()>>,
+    complete: bool,
 }
 
 impl ParallelEnumerator {
-    /// Unordered enumeration of `g` over `threads` workers with the
-    /// default (MCS-M) backend. Clones the graph once.
+    /// Enumeration of `g` over `threads` workers with the default
+    /// (MCS-M) backend. Clones the graph once.
     pub fn new(g: &Graph, threads: usize) -> Self {
         Self::with_config(
             g,
@@ -104,102 +105,105 @@ impl ParallelEnumerator {
                 threads,
                 ..EngineConfig::default()
             },
-            PrintMode::UponGeneration,
         )
     }
 
     /// Full configuration over a borrowed graph (cloned once).
-    /// `Deterministic` delivery honors `mode` exactly like the sequential
-    /// enumerator (`UponPop` = `EnumMISHold` order); `Unordered` delivery
-    /// ignores it — emission there is discovery order by construction.
     pub fn with_config(
         g: &Graph,
         triangulator: Box<dyn Triangulator>,
         config: &EngineConfig,
-        mode: PrintMode,
     ) -> Self {
         Self::from_msgraph(
             Arc::new(MsGraph::shared(Arc::new(g.clone()), triangulator)),
             config,
-            mode,
         )
     }
 
     /// Runs over an existing (possibly already warm) shared [`MsGraph`] —
     /// the entry point the session layer uses so repeated queries reuse
-    /// interned separators and their component labels. `mode` as in
-    /// [`ParallelEnumerator::with_config`].
-    pub fn from_msgraph(ms: Arc<MsGraph<'static>>, config: &EngineConfig, mode: PrintMode) -> Self {
-        let inner =
-            match config.delivery {
-                Delivery::Unordered => {
-                    Inner::Unordered(UnorderedStream::launch(Arc::clone(&ms), config))
-                }
-                Delivery::Deterministic => Inner::Deterministic(Box::new(
-                    DeterministicDriver::new(Arc::clone(&ms), config, mode),
-                )),
-            };
-        ParallelEnumerator { ms, inner }
+    /// interned separators and their component labels. Spawns
+    /// `config.resolved_threads()` workers, each counted in
+    /// `config.threads_live` until it exits.
+    pub fn from_msgraph(ms: Arc<MsGraph<'static>>, config: &EngineConfig) -> Self {
+        let threads = config.resolved_threads();
+        let (tx, rx) = std::sync::mpsc::sync_channel(config.channel_capacity.max(1));
+        let shared = Arc::new(UnorderedShared {
+            cursor: Mutex::new(Some(ms.start_nodes())),
+            ms,
+            sched: Scheduler::new(threads),
+            seen: (0..SEEN_SHARDS)
+                .map(|_| Mutex::new(FxHashSet::default()))
+                .collect(),
+            extended: (0..SEEN_SHARDS)
+                .map(|_| Mutex::new(JvKeys::default()))
+                .collect(),
+            registry: RwLock::new(Registry::default()),
+            node_iter_done: AtomicBool::new(false),
+            active: AtomicUsize::new(1), // the bootstrap task
+            stop: AtomicBool::new(false),
+            finished: AtomicBool::new(false),
+        });
+        shared.sched.push(BOOTSTRAP);
+        let handles = (0..threads)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let tx = tx.clone();
+                let live = LiveThread::new(&config.threads_live);
+                std::thread::Builder::new()
+                    .name(format!("mintri-enum-{i}"))
+                    .spawn(move || {
+                        let _live = live;
+                        unordered_worker(&shared, i, tx)
+                    })
+                    .expect("spawning enumeration worker")
+            })
+            .collect();
+        drop(tx); // workers hold the only senders
+        ParallelEnumerator {
+            shared,
+            rx,
+            handles,
+            complete: false,
+        }
     }
 
     /// The shared `MSGraph` driving this run.
     pub fn msgraph(&self) -> &Arc<MsGraph<'static>> {
-        &self.ms
+        &self.shared.ms
     }
 
     /// Memo-table counters of the underlying `MSGraph`.
     pub fn msgraph_stats(&self) -> MsGraphStats {
-        self.ms.stats()
-    }
-
-    /// `EnumMIS`-level counters of this run, for `Deterministic` delivery
-    /// (which replays the sequential schedule and therefore matches the
-    /// sequential iterator's counters exactly). `None` in `Unordered`
-    /// mode, whose relaxed schedule has no sequential counterpart.
-    pub fn enum_stats(&self) -> Option<EnumMisStats> {
-        match &self.inner {
-            Inner::Unordered(_) => None,
-            Inner::Deterministic(d) => Some(d.frontier.stats()),
-        }
+        self.shared.ms.stats()
     }
 
     /// `true` once the stream ended because the enumeration genuinely
     /// finished (rather than the consumer stopping early).
     pub fn is_complete(&self) -> bool {
-        match &self.inner {
-            Inner::Unordered(s) => s.complete,
-            Inner::Deterministic(d) => d.frontier.is_complete(),
-        }
+        self.complete
     }
 
-    /// A thread-safe hook that aborts this run when called: unordered
-    /// workers wind down (unblocking a consumer parked on the result
-    /// channel), the deterministic driver stops at the next batch
-    /// boundary. The stream then ends with
-    /// [`ParallelEnumerator::is_complete`] still `false`. Used by the
-    /// query layer's `CancelToken`; idempotent.
+    /// A thread-safe hook that aborts this run when called: the workers
+    /// wind down, unblocking a consumer parked on the result channel. The
+    /// stream then ends with [`ParallelEnumerator::is_complete`] still
+    /// `false`. Used by the query layer's `CancelToken`; idempotent.
     pub fn abort_hook(&self) -> Box<dyn Fn() + Send + Sync + 'static> {
-        match &self.inner {
-            Inner::Unordered(s) => {
-                let shared = Arc::clone(&s.shared);
-                Box::new(move || shared.abort())
-            }
-            Inner::Deterministic(d) => {
-                let stop = Arc::clone(&d.stop);
-                Box::new(move || stop.store(true, Ordering::SeqCst))
-            }
-        }
+        let shared = Arc::clone(&self.shared);
+        Box::new(move || shared.abort())
     }
 
     /// Next answer as interned separator ids plus its materialized
     /// triangulation (the session layer records the ids for replay).
     pub fn next_pair(&mut self) -> Option<(Vec<SepId>, Triangulation)> {
-        match &mut self.inner {
-            Inner::Unordered(s) => s.next_pair(),
-            Inner::Deterministic(d) => {
-                let answer = d.next_answer()?;
-                let tri = self.ms.materialize(&answer);
-                Some((answer, tri))
+        match self.rx.recv() {
+            Ok(pair) => Some(pair),
+            Err(_) => {
+                // All workers exited; completion vs abort is recorded in
+                // the flags.
+                self.complete = self.shared.finished.load(Ordering::SeqCst)
+                    && !self.shared.stop.load(Ordering::SeqCst);
+                None
             }
         }
     }
@@ -213,9 +217,20 @@ impl Iterator for ParallelEnumerator {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Unordered mode
-// ---------------------------------------------------------------------------
+impl Drop for ParallelEnumerator {
+    fn drop(&mut self) {
+        self.shared.abort();
+        // Keep receiving until every sender is gone: a one-shot
+        // non-blocking drain would race with workers re-blocking on the
+        // bounded channel, leaving them parked in send() while join()
+        // waits forever. recv() both unblocks them and detects the final
+        // disconnect.
+        while self.rx.recv().is_ok() {}
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
 
 /// Answers admitted so far plus the generated SGR nodes. Guarded by one
 /// `RwLock`: reads are per-task and cheap, writes happen once per *new*
@@ -419,7 +434,7 @@ fn unordered_worker(
     let mut ws = Workspace::default();
     shared.sched.worker_loop(
         own,
-        Some(BACKOFF),
+        BACKOFF,
         |task| shared.run_task(task, &tx, &mut ws),
         || {
             if shared.stop.load(Ordering::SeqCst) || shared.finished.load(Ordering::SeqCst) {
@@ -433,174 +448,6 @@ fn unordered_worker(
     );
 }
 
-struct UnorderedStream {
-    shared: Arc<UnorderedShared>,
-    rx: Receiver<(Vec<SepId>, Triangulation)>,
-    handles: Vec<JoinHandle<()>>,
-    complete: bool,
-}
-
-impl UnorderedStream {
-    fn launch(ms: Arc<MsGraph<'static>>, config: &EngineConfig) -> Self {
-        let threads = config.resolved_threads();
-        let (tx, rx) = std::sync::mpsc::sync_channel(config.channel_capacity.max(1));
-        let shared = Arc::new(UnorderedShared {
-            ms: Arc::clone(&ms),
-            sched: Scheduler::new(threads),
-            seen: (0..SEEN_SHARDS)
-                .map(|_| Mutex::new(FxHashSet::default()))
-                .collect(),
-            extended: (0..SEEN_SHARDS)
-                .map(|_| Mutex::new(JvKeys::default()))
-                .collect(),
-            registry: RwLock::new(Registry::default()),
-            cursor: Mutex::new(Some(ms.start_nodes())),
-            node_iter_done: AtomicBool::new(false),
-            active: AtomicUsize::new(1), // the bootstrap task
-            stop: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-        });
-        shared.sched.push(BOOTSTRAP);
-        let handles = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                let live = LiveThread::new(&config.threads_live);
-                std::thread::Builder::new()
-                    .name(format!("mintri-enum-{i}"))
-                    .spawn(move || {
-                        let _live = live;
-                        unordered_worker(&shared, i, tx)
-                    })
-                    .expect("spawning enumeration worker")
-            })
-            .collect();
-        drop(tx); // workers hold the only senders
-        UnorderedStream {
-            shared,
-            rx,
-            handles,
-            complete: false,
-        }
-    }
-
-    fn next_pair(&mut self) -> Option<(Vec<SepId>, Triangulation)> {
-        match self.rx.recv() {
-            Ok(pair) => Some(pair),
-            Err(_) => {
-                // All workers exited; completion vs abort is recorded in
-                // the flags.
-                self.complete = self.shared.finished.load(Ordering::SeqCst)
-                    && !self.shared.stop.load(Ordering::SeqCst);
-                None
-            }
-        }
-    }
-}
-
-impl Drop for UnorderedStream {
-    fn drop(&mut self) {
-        self.shared.abort();
-        // Keep receiving until every sender is gone: a one-shot
-        // non-blocking drain would race with workers re-blocking on the
-        // bounded channel, leaving them parked in send() while join()
-        // waits forever. recv() both unblocks them and detects the final
-        // disconnect.
-        while self.rx.recv().is_ok() {}
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic mode
-// ---------------------------------------------------------------------------
-
-/// Lock-step driver over the *shared* [`Frontier`] state machine: drain
-/// the schedule's next batch of independent `Extend` calls, fan it over a
-/// [`WorkPool`], absorb the results in batch order. There is no mirrored
-/// queue/processed/seen state here — the frontier is the single source of
-/// truth for the paper's schedule, which is what makes the emitted stream
-/// identical to the sequential enumerator's in both print modes.
-/// Pull-driven — no channel; work happens inside `next_answer`, on a
-/// [`WorkPool`] each driver builds for itself and joins on drop.
-struct DeterministicDriver {
-    frontier: Frontier<Arc<MsGraph<'static>>>,
-    pool: WorkPool,
-    /// Worker count, mirrored from the config: batches are split into
-    /// this many contiguous chunks so each steal amortizes its boxing
-    /// and scratch checkout over many pairs.
-    threads: usize,
-    /// Pool of warm kernel workspaces, checked out per chunk job and
-    /// returned afterwards: [`WorkPool`] jobs are plain `FnOnce` boxes
-    /// with no worker-local state, so the workspaces travel with the
-    /// jobs. Batches run inline use the frontier's own workspace.
-    scratches: Arc<Mutex<Vec<Workspace>>>,
-    /// External abort (the query layer's cancellation): checked between
-    /// batches, so a cancel takes effect at the next emission boundary.
-    stop: Arc<AtomicBool>,
-}
-
-impl DeterministicDriver {
-    fn new(ms: Arc<MsGraph<'static>>, config: &EngineConfig, mode: PrintMode) -> Self {
-        DeterministicDriver {
-            frontier: Frontier::new(ms, mode),
-            pool: WorkPool::with_live_gauge(config.resolved_threads(), &config.threads_live),
-            threads: config.resolved_threads(),
-            scratches: Arc::new(Mutex::new(Vec::new())),
-            stop: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Extends one drained batch and absorbs its results in batch
-    /// order. Small batches (or a single-thread pool) run inline through
-    /// the frontier's own workspace; larger ones are split into
-    /// ≈`threads` contiguous, order-preserving chunks so each pool job
-    /// extends many `Jv` sets against one checked-out workspace.
-    fn evaluate_batch(&mut self, batch: ExtendBatch<SepId>) {
-        if batch.len() < 2 || self.threads < 2 {
-            self.frontier.extend_inline(batch);
-            return;
-        }
-        let batch = Arc::new(batch);
-        let chunk_len = batch.len().div_ceil(self.threads).max(1);
-        let jobs: Vec<ChunkJob> = (0..batch.len())
-            .step_by(chunk_len)
-            .map(|start| {
-                let chunk = start..(start + chunk_len).min(batch.len());
-                let batch = Arc::clone(&batch);
-                let ms = Arc::clone(self.frontier.sgr());
-                let scratches = Arc::clone(&self.scratches);
-                Box::new(move || {
-                    let mut ws = scratches.lock().unwrap().pop().unwrap_or_default();
-                    let results = chunk
-                        .map(|i| {
-                            ms.extend_with(batch.get(i), &mut ws.out, &mut ws.sgr);
-                            ws.out.clone()
-                        })
-                        .collect();
-                    scratches.lock().unwrap().push(ws);
-                    results
-                }) as ChunkJob
-            })
-            .collect();
-        let results: Vec<Vec<SepId>> = self.pool.run_batch(jobs).into_iter().flatten().collect();
-        self.frontier.absorb(results);
-    }
-
-    fn next_answer(&mut self) -> Option<Vec<SepId>> {
-        while !self.frontier.has_emissions() && !self.frontier.is_complete() {
-            if self.stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            let batch = self.frontier.drain_pending();
-            self.evaluate_batch(batch);
-        }
-        self.frontier.pop_emission()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,41 +455,6 @@ mod tests {
 
     fn edges_of(stream: impl Iterator<Item = Triangulation>) -> Vec<Vec<(u32, u32)>> {
         stream.map(|t| t.graph.edges()).collect()
-    }
-
-    #[test]
-    fn deterministic_mode_matches_sequential_order_exactly() {
-        for g in [
-            Graph::cycle(7),
-            Graph::path(6),
-            Graph::complete(4),
-            Graph::from_edges(
-                7,
-                &[
-                    (0, 1),
-                    (1, 2),
-                    (2, 3),
-                    (3, 0),
-                    (2, 4),
-                    (4, 5),
-                    (5, 6),
-                    (6, 2),
-                ],
-            ),
-        ] {
-            let sequential = edges_of(MinimalTriangulationsEnumerator::new(&g));
-            let parallel = edges_of(ParallelEnumerator::with_config(
-                &g,
-                Box::new(McsM),
-                &EngineConfig {
-                    threads: 4,
-                    delivery: Delivery::Deterministic,
-                    ..EngineConfig::default()
-                },
-                PrintMode::UponGeneration,
-            ));
-            assert_eq!(sequential, parallel, "order must match on {g:?}");
-        }
     }
 
     #[test]
@@ -691,32 +503,10 @@ mod tests {
                     channel_capacity: 1,
                     ..EngineConfig::default()
                 },
-                PrintMode::UponGeneration,
             );
             let _first = e.next().expect("at least one triangulation");
             drop(e);
         }
-    }
-
-    #[test]
-    fn deterministic_mode_honors_upon_pop() {
-        let g = Graph::cycle(7);
-        let sequential = edges_of(MinimalTriangulationsEnumerator::with_config(
-            &g,
-            Box::new(McsM),
-            PrintMode::UponPop,
-        ));
-        let parallel = edges_of(ParallelEnumerator::with_config(
-            &g,
-            Box::new(McsM),
-            &EngineConfig {
-                threads: 3,
-                delivery: Delivery::Deterministic,
-                ..EngineConfig::default()
-            },
-            PrintMode::UponPop,
-        ));
-        assert_eq!(sequential, parallel);
     }
 
     #[test]
@@ -735,25 +525,5 @@ mod tests {
             dedup.dedup();
             assert_eq!(all.len(), dedup.len(), "duplicate answer emitted");
         }
-    }
-
-    #[test]
-    fn deterministic_stats_match_the_sequential_iterator() {
-        let g = Graph::cycle(7);
-        let mut seq = MinimalTriangulationsEnumerator::new(&g);
-        let n_seq = seq.by_ref().count();
-        let mut par = ParallelEnumerator::with_config(
-            &g,
-            Box::new(McsM),
-            &EngineConfig {
-                threads: 4,
-                delivery: Delivery::Deterministic,
-                ..EngineConfig::default()
-            },
-            PrintMode::UponGeneration,
-        );
-        let n_par = par.by_ref().count();
-        assert_eq!(n_seq, n_par);
-        assert_eq!(seq.enum_stats(), par.enum_stats().unwrap());
     }
 }

@@ -1,25 +1,20 @@
-//! The one striped-deque scheduler of the workspace.
+//! The striped-deque scheduler under the unordered parallel enumerator.
 //!
-//! Both engine execution substrates — the general-purpose [`WorkPool`]
-//! (lock-step batches for the deterministic driver) and the unordered
-//! enumeration frontier (resident workers interleaving task execution
-//! with separator-pulling and termination accounting) — need the same
-//! core: one FIFO deque per worker, round-robin submission, idle workers
-//! stealing from the *back* of their siblings' deques, and a gate/condvar
-//! handshake that makes "push, then wake" race-free. [`Scheduler`] is
-//! that core, extracted so the two stay in sync; neither caller owns a
-//! deque or a condvar of its own anymore.
+//! [`Scheduler`] is the work-distribution core of
+//! [`ParallelEnumerator`](crate::ParallelEnumerator): one FIFO deque per
+//! worker, round-robin submission, idle workers stealing from the *back*
+//! of their siblings' deques, and a gate/condvar handshake that makes
+//! "push, then wake" race-free. It is kept apart from the enumerator so the
+//! loop's wake-up contract can be read, and tested, on its own.
 //!
-//! What stays with the caller is policy, injected into
+//! What stays with the enumerator is policy, injected into
 //! [`Scheduler::worker_loop`] as two callbacks:
 //!
-//! * `run(task)` — execute one task (the pool runs a boxed job, the
-//!   frontier runs an `(answer, node)` extension with its own panic-safe
-//!   accounting);
-//! * `idle()` — decide what an out-of-work worker does: exit (pool
-//!   shutdown, frontier completion), find more work elsewhere and rescan
-//!   (the frontier pulling a fresh separator from the `A_V` cursor), or
-//!   park on the condvar.
+//! * `run(task)` — execute one task (an `(answer, node)` extension with
+//!   its own panic-safe accounting);
+//! * `idle()` — decide what an out-of-work worker does: exit (completion
+//!   or abort), find more work elsewhere and rescan (pulling a fresh
+//!   separator from the `A_V` cursor), or park on the condvar.
 //!
 //! ## Lost-wakeup contract
 //!
@@ -27,13 +22,11 @@
 //! round-trip + `notify_all`, and a parking worker re-checks the deques
 //! *under* the gate — so a task pushed concurrently with the park is
 //! either seen by that re-check or its notify lands after the worker
-//! waits. Work that arrives through side channels the re-check cannot see
-//! (the unordered frontier's "active count hit zero, go pull a node"
-//! transition re-enters `push_batch`, which would re-lock the gate) is
-//! covered by passing a [`Backoff`] — the timed wait is the safety net,
-//! with exponential backoff so long-idle workers don't poll at kHz rates.
-//!
-//! [`WorkPool`]: crate::WorkPool
+//! waits. Work that arrives through side channels the re-check cannot
+//! see (the enumerator's "active count hit zero, go pull a node" transition
+//! re-enters `push_batch`, which would re-lock the gate) is covered by
+//! the parked wait's timeout: a [`Backoff`] that doubles on every
+//! timed-out wait, so long-idle workers don't poll at kHz rates.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,18 +40,15 @@ pub enum Idle {
     /// The callback may have created work (e.g. pulled a fresh SGR node
     /// and queued its tasks) — re-scan the deques immediately.
     Rescan,
-    /// Nothing to do anywhere: park until a wake-up (or the backoff
-    /// timeout, when one is configured).
+    /// Nothing to do anywhere: park until a wake-up or the backoff
+    /// timeout.
     Park,
     /// This worker is done; leave the loop.
     Exit,
 }
 
 /// Exponential-backoff bounds for the parked wait of
-/// [`Scheduler::worker_loop`]. `None` in the loop call means a pure
-/// (untimed) condvar wait — only sound when every work source goes
-/// through [`Scheduler::push`]/[`Scheduler::push_batch`] (see the module
-/// docs).
+/// [`Scheduler::worker_loop`] (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct Backoff {
     /// First (and post-work reset) wait.
@@ -68,8 +58,8 @@ pub struct Backoff {
 }
 
 /// A striped work deque plus the wake-up machinery — see the module docs.
-/// Parameterized over the task type; `(u32, u32)` frontier pairs and
-/// boxed closures both ride on it.
+/// Parameterized over the task type (the enumerator's `(u32, u32)` frontier
+/// pairs).
 pub struct Scheduler<T> {
     /// One deque per worker; workers pop their own front, steal others'
     /// back.
@@ -95,11 +85,6 @@ impl<T> Scheduler<T> {
             signal: Condvar::new(),
             shutdown: AtomicBool::new(false),
         }
-    }
-
-    /// Number of stripes (= workers the scheduler is sized for).
-    pub fn stripes(&self) -> usize {
-        self.queues.len()
     }
 
     /// Queues one task (round-robin) and wakes parked workers.
@@ -161,29 +146,28 @@ impl<T> Scheduler<T> {
     /// Runs worker `own`'s loop on the calling thread until `idle`
     /// returns [`Idle::Exit`] or [`Scheduler::request_shutdown`] is
     /// observed: grab-and-run tasks while any exist, consult `idle` when
-    /// out of work, park per `backoff` (see [`Backoff`]; `None` = pure
-    /// condvar wait).
+    /// out of work, park with a timed wait per `backoff`.
     pub fn worker_loop(
         &self,
         own: usize,
-        backoff: Option<Backoff>,
+        backoff: Backoff,
         mut run: impl FnMut(T),
         mut idle: impl FnMut() -> Idle,
     ) {
-        let mut wait = backoff.map(|b| b.min);
+        let mut wait = backoff.min;
         loop {
             if self.is_shutdown() {
                 return;
             }
             if let Some(task) = self.grab(own) {
-                wait = backoff.map(|b| b.min);
+                wait = backoff.min;
                 run(task);
                 continue;
             }
             match idle() {
                 Idle::Exit => return,
                 Idle::Rescan => {
-                    wait = backoff.map(|b| b.min);
+                    wait = backoff.min;
                     continue;
                 }
                 Idle::Park => {
@@ -195,23 +179,16 @@ impl<T> Scheduler<T> {
                     }
                     if let Some(task) = self.grab(own) {
                         drop(guard);
-                        wait = backoff.map(|b| b.min);
+                        wait = backoff.min;
                         run(task);
                         continue;
                     }
-                    match (backoff, wait) {
-                        (Some(b), Some(w)) => {
-                            let (_guard, timeout) = self.signal.wait_timeout(guard, w).unwrap();
-                            wait = Some(if timeout.timed_out() {
-                                (w * 2).min(b.max)
-                            } else {
-                                b.min
-                            });
-                        }
-                        _ => {
-                            let _guard = self.signal.wait(guard).unwrap();
-                        }
-                    }
+                    let (_guard, timeout) = self.signal.wait_timeout(guard, wait).unwrap();
+                    wait = if timeout.timed_out() {
+                        (wait * 2).min(backoff.max)
+                    } else {
+                        backoff.min
+                    };
                 }
             }
         }
@@ -222,6 +199,11 @@ impl<T> Scheduler<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    const BACKOFF: Backoff = Backoff {
+        min: Duration::from_millis(1),
+        max: Duration::from_millis(10),
+    };
 
     #[test]
     fn tasks_round_robin_across_stripes() {
@@ -251,9 +233,29 @@ mod tests {
 
     #[test]
     fn worker_loop_exits_on_shutdown_while_parked() {
+        // An hour-long park: only `request_shutdown`'s wake can end it, so a
+        // missed wake hangs this test instead of passing on a timeout.
+        const PARK: Backoff = Backoff {
+            min: Duration::from_secs(3600),
+            max: Duration::from_secs(3600),
+        };
         let sched: Arc<Scheduler<()>> = Arc::new(Scheduler::new(1));
         let s2 = Arc::clone(&sched);
-        let h = std::thread::spawn(move || s2.worker_loop(0, None, |_| {}, || Idle::Park));
+        let (idled, idle_seen) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            s2.worker_loop(
+                0,
+                PARK,
+                |_| {},
+                || {
+                    let _ = idled.send(());
+                    Idle::Park
+                },
+            )
+        });
+        // Let the worker reach its wait before shutting down.
+        idle_seen.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
         sched.request_shutdown();
         h.join().unwrap(); // must not hang
     }
@@ -270,7 +272,7 @@ mod tests {
                 std::thread::spawn(move || {
                     sched.worker_loop(
                         i,
-                        None,
+                        BACKOFF,
                         |_| {
                             seen.fetch_add(1, Ordering::SeqCst);
                         },

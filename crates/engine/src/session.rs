@@ -9,8 +9,9 @@
 //! interned separators and their component labels survive across
 //! queries — plus, once any enumeration has run to completion, the full
 //! answer list, keyed by the order contract it was recorded under
-//! (unordered discovery, or a sequential [`PrintMode`] schedule). Later
-//! queries whose delivery contract the recorded order satisfies replay
+//! (unordered discovery, or the sequential schedule under a
+//! [`PrintMode`]). Later queries whose delivery contract the recorded
+//! order satisfies replay
 //! it without touching `Extend` at all — for *every* task: enumeration,
 //! best-k, decomposition and stats queries all stream through the same
 //! replay-aware source. This is the "repeated traffic" story: the first
@@ -54,26 +55,41 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 
 /// The order contract a cached answer list was recorded under.
 ///
-/// An `Ordered(mode)` list is the sequential schedule's emission order
-/// and can serve *any* query; an `Unordered` list is one particular
-/// race outcome — set-correct, so it serves [`Delivery::Unordered`]
-/// queries, but never a [`Delivery::Deterministic`] one.
+/// An `Ordered` list is the sequential schedule's emission order and can
+/// serve *any* query; an `Unordered` list is one particular race outcome
+/// — set-correct, so it serves [`Delivery::Unordered`] queries, but never
+/// a [`Delivery::Deterministic`] one.
+///
+/// `Ordered` carries no print mode. The schedule's queue `Q` is FIFO, so
+/// answers leave it (`UponPop`) in the order they entered it
+/// (`UponGeneration`), and a run completes only once `Q` is empty: the
+/// two modes emit the same full sequence and differ only in timing
+/// (`tests/properties.rs` pins this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AnswerKey {
     /// Recorded from an unordered parallel run.
     Unordered,
-    /// Recorded from the sequential schedule under this print mode.
-    Ordered(PrintMode),
+    /// Recorded from the sequential schedule, in either print mode.
+    Ordered,
 }
 
 impl AnswerKey {
-    /// The store-level rendering of this order contract — part of an
+    /// The recorded orders able to serve a query with this delivery
+    /// contract, most preferred first: the sequential order, then a race
+    /// recording (unordered queries only).
+    fn serving(delivery: Delivery) -> impl Iterator<Item = AnswerKey> {
+        let race = (delivery == Delivery::Unordered).then_some(AnswerKey::Unordered);
+        std::iter::once(AnswerKey::Ordered).chain(race)
+    }
+
+    /// The store-level renderings of this order contract — part of an
     /// entry's disk identity, so the mapping must never change meaning.
-    fn stored_order(self) -> StoredOrder {
+    /// Writes use the first; a hydrate accepts any of them (older stores
+    /// hold ordered lists under either print mode's value).
+    fn stored_orders(self) -> &'static [StoredOrder] {
         match self {
-            AnswerKey::Unordered => StoredOrder::Unordered,
-            AnswerKey::Ordered(PrintMode::UponGeneration) => StoredOrder::UponGeneration,
-            AnswerKey::Ordered(PrintMode::UponPop) => StoredOrder::UponPop,
+            AnswerKey::Unordered => &[StoredOrder::Unordered],
+            AnswerKey::Ordered => &[StoredOrder::UponGeneration, StoredOrder::UponPop],
         }
     }
 }
@@ -91,7 +107,7 @@ fn answer_snapshot(
     AnswerSnapshot {
         fingerprint: graph_fingerprint(&session.graph),
         backend: session.backend.to_string(),
-        order: key.stored_order(),
+        order: key.stored_orders()[0],
         nodes: session.graph.num_nodes() as u32,
         edges: session.graph.edges(),
         answers: answers
@@ -159,23 +175,14 @@ impl GraphSession {
     pub fn cached_answers(&self) -> Option<Arc<Vec<Vec<SepId>>>> {
         // An unordered consumer accepts any recorded order — the same
         // rule the engine's replay dispatch uses.
-        self.replayable(Delivery::Unordered, PrintMode::UponGeneration)
+        self.replayable(Delivery::Unordered)
     }
 
     /// The cached answer list able to serve a query with this delivery
-    /// contract and print mode, if one exists.
-    fn replayable(&self, delivery: Delivery, mode: PrintMode) -> Option<Arc<Vec<Vec<SepId>>>> {
+    /// contract, if one exists.
+    fn replayable(&self, delivery: Delivery) -> Option<Arc<Vec<Vec<SepId>>>> {
         let answers = self.answers.lock().unwrap();
-        match delivery {
-            // Only the matching sequential order is bit-identical.
-            Delivery::Deterministic => answers.get(&AnswerKey::Ordered(mode)).cloned(),
-            // Any completed list is set-correct.
-            Delivery::Unordered => answers
-                .get(&AnswerKey::Ordered(mode))
-                .or_else(|| answers.get(&AnswerKey::Unordered))
-                .or_else(|| answers.values().next())
-                .cloned(),
-        }
+        AnswerKey::serving(delivery).find_map(|key| answers.get(&key).cloned())
     }
 
     /// Deposits a completed answer list under `key` and returns the list
@@ -238,7 +245,7 @@ enum Source {
         answers: Arc<Vec<Vec<SepId>>>,
         next: usize,
     },
-    /// Live parallel run on the engine's thread pool.
+    /// Live unordered run on the engine's worker threads.
     #[cfg(feature = "parallel")]
     Live(crate::ParallelEnumerator),
     /// Live sequential run (one thread, or the `parallel` feature is
@@ -375,8 +382,10 @@ impl TriangulationStream for EngineEnumeration {
     fn enum_stats(&self) -> Option<EnumMisStats> {
         match &self.source {
             Source::Cached { .. } => None,
+            // An unordered run's relaxed schedule has no sequential
+            // counterpart to count against.
             #[cfg(feature = "parallel")]
-            Source::Live(par) => par.enum_stats(),
+            Source::Live(_) => None,
             Source::Sequential(seq) => Some(seq.stats()),
         }
     }
@@ -495,8 +504,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Engine with the default configuration (auto thread count,
-    /// unordered delivery).
+    /// Engine with the default configuration (auto thread count).
     pub fn new() -> Self {
         Self::with_config(EngineConfig::default())
     }
@@ -721,21 +729,22 @@ impl Engine {
     /// Per-atom dispatch, in order:
     ///
     /// 1. **Replay** — if a completed answer list compatible with the
-    ///    query's [`Delivery`] contract and [`PrintMode`] is cached, it
-    ///    is served with zero `Extend` calls ([`Response::is_replay`]),
-    ///    for every task: ranked and decomposition queries replay just
-    ///    like plain enumerations.
+    ///    query's [`Delivery`] contract is cached, it is served with zero
+    ///    `Extend` calls ([`Response::is_replay`]), for every task:
+    ///    ranked and decomposition queries replay just like plain
+    ///    enumerations. A sequential recording serves either
+    ///    [`PrintMode`]: the two emit the same full sequence.
     /// 2. **Hydrate** — else a compatible answer list in the attached
     ///    store is re-interned and replayed.
     /// 3. **Parallel** — otherwise, when the atom's thread grant exceeds
-    ///    one and the `parallel` feature is compiled in, the atom runs on
-    ///    the work-stealing pool under the requested delivery contract.
-    ///    Only the last atom gets a grant above one: the policy's
-    ///    `threads`, or with `threads == 0` the configured thread count
-    ///    under [`Delivery::Unordered`] and one under
-    ///    [`Delivery::Deterministic`] (which every ranked atom stream
-    ///    runs under). The query's `CancelToken` aborts the workers
-    ///    mid-stream (all atoms at once).
+    ///    one and the `parallel` feature is compiled in, the atom runs
+    ///    unordered on the work-stealing `ParallelEnumerator`. Only the
+    ///    last atom of an unordered query gets a grant above one: the
+    ///    policy's `threads`, or with `threads == 0` the configured
+    ///    thread count. An atom under [`Delivery::Deterministic`] (which
+    ///    every ranked atom stream runs under) always gets one. The
+    ///    query's `CancelToken` aborts the workers mid-stream (all atoms
+    ///    at once).
     /// 4. **Sequential** — else the plain `EnumMIS` iterator runs over
     ///    the session's warm memo.
     ///
@@ -773,14 +782,13 @@ impl Engine {
             span
         });
         // The thread grant of the last atom (the composer's fastest
-        // cursor); every other atom runs sequential. Left to the engine,
-        // a deterministic stream runs sequential too: its driver pays a
-        // pool start and a barrier per popped answer, and the ranked gear
-        // pulls it lazily, so more threads buy it nothing.
-        let pool_threads = match policy.threads {
-            0 if atom_delivery == Delivery::Deterministic => 1,
-            0 => self.config.resolved_threads(),
-            n => n,
+        // cursor); every other atom runs sequential. A deterministic
+        // atom gets one thread too: its contract is the sequential
+        // schedule's exact order, which one thread already delivers.
+        let last_atom_threads = match (atom_delivery, policy.threads) {
+            (Delivery::Deterministic, _) => 1,
+            (Delivery::Unordered, 0) => self.config.resolved_threads(),
+            (Delivery::Unordered, n) => n,
         };
         let plan = Plan::for_query(policy.planned, g, query_span.as_ref(), || self.plan_for(g));
         let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
@@ -791,7 +799,7 @@ impl Engine {
             query_span.as_ref(),
             Some(&self.telemetry.ranked_expansions),
             |i, atom| {
-                let threads = if i == last { pool_threads } else { 1 };
+                let threads = if i == last { last_atom_threads } else { 1 };
                 let session = self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
                 let stream = self.stream_for(&session, mode, atom_delivery, threads, &cancel);
                 OpenedAtom {
@@ -912,9 +920,10 @@ impl Engine {
     }
 
     /// The replay-aware stream behind every atom of a query: cached
-    /// answers when the delivery contract allows, otherwise a live
-    /// (parallel or sequential) run on `threads` workers against the
-    /// warm session memo.
+    /// answers when the delivery contract allows, otherwise a live run
+    /// against the warm session memo — unordered on `threads` workers
+    /// when `threads > 1` (the caller grants that only under
+    /// [`Delivery::Unordered`]), sequential otherwise.
     fn stream_for(
         &self,
         session: &Arc<GraphSession>,
@@ -923,24 +932,24 @@ impl Engine {
         threads: usize,
         cancel: &CancelToken,
     ) -> EngineEnumeration {
-        if let Some(answers) = session.replayable(delivery, mode) {
+        if let Some(answers) = session.replayable(delivery) {
             self.telemetry.replay_hits.inc();
             let source = Source::Cached { answers, next: 0 };
             return self.enumeration(session, RunKind::Replay, source, None);
         }
         self.telemetry.replay_misses.inc();
-        if let Some(hydrated) = self.hydrate_stream(session, mode, delivery) {
+        if let Some(hydrated) = self.hydrate_stream(session, delivery) {
             return hydrated;
         }
-        self.live_stream(session, mode, delivery, threads, cancel)
+        self.live_stream(session, mode, threads, cancel)
     }
 
     /// The disk-hydrate step of the dispatch order (replay →
     /// **disk-hydrate** → parallel → sequential): on a RAM replay miss
     /// with a store attached, probe the persistent tier for a recorded
     /// answer list whose order satisfies the query's delivery contract —
-    /// the same compatibility rule [`GraphSession::replayable`] applies
-    /// in RAM. A hit verifies graph equality (a fingerprint is an
+    /// the same compatibility rule ([`AnswerKey::serving`]) the RAM
+    /// replay applies. A hit verifies graph equality (a fingerprint is an
     /// address, not a proof), re-interns the vertex-list separators into
     /// this session's `MsGraph`, deposits the list for future RAM
     /// replays, and serves a `Cached` stream — zero `Extend` calls, ever.
@@ -949,29 +958,20 @@ impl Engine {
     fn hydrate_stream(
         &self,
         session: &Arc<GraphSession>,
-        mode: PrintMode,
         delivery: Delivery,
     ) -> Option<EngineEnumeration> {
         let store = self.store.as_ref()?;
         let start = Instant::now();
         let fp = graph_fingerprint(&session.graph);
-        let other = match mode {
-            PrintMode::UponGeneration => PrintMode::UponPop,
-            PrintMode::UponPop => PrintMode::UponGeneration,
-        };
-        // Probe order mirrors the RAM rule: deterministic queries accept
-        // only their exact sequential schedule; unordered queries prefer
-        // it but accept any complete recording.
-        let probes: &[AnswerKey] = match delivery {
-            Delivery::Deterministic => &[AnswerKey::Ordered(mode)],
-            Delivery::Unordered => &[
-                AnswerKey::Ordered(mode),
-                AnswerKey::Unordered,
-                AnswerKey::Ordered(other),
-            ],
-        };
-        for &key in probes {
-            let Some(snap) = store.load_answers(fp, session.backend, key.stored_order()) else {
+        // Probe order is the RAM rule's: deterministic queries accept
+        // only a sequential recording; unordered queries prefer one but
+        // accept any complete recording.
+        for key in AnswerKey::serving(delivery) {
+            let Some(snap) = key
+                .stored_orders()
+                .iter()
+                .find_map(|&order| store.load_answers(fp, session.backend, order))
+            else {
                 continue;
             };
             if snap.nodes as usize != session.graph.num_nodes()
@@ -1011,7 +1011,6 @@ impl Engine {
         &self,
         session: &Arc<GraphSession>,
         mode: PrintMode,
-        delivery: Delivery,
         threads: usize,
         cancel: &CancelToken,
     ) -> EngineEnumeration {
@@ -1022,17 +1021,16 @@ impl Engine {
             Arc::clone(&session.ms),
             &EngineConfig {
                 threads,
-                delivery,
                 ..self.config.clone()
             },
-            mode,
         );
         let cancel_hook = cancel.on_cancel(par.abort_hook());
-        let key = match delivery {
-            Delivery::Unordered => AnswerKey::Unordered,
-            Delivery::Deterministic => AnswerKey::Ordered(mode),
-        };
-        let mut stream = self.enumeration(session, RunKind::Live, Source::Live(par), Some(key));
+        let mut stream = self.enumeration(
+            session,
+            RunKind::Live,
+            Source::Live(par),
+            Some(AnswerKey::Unordered),
+        );
         stream._cancel_hook = Some(cancel_hook);
         stream
     }
@@ -1042,7 +1040,6 @@ impl Engine {
         &self,
         session: &Arc<GraphSession>,
         mode: PrintMode,
-        _delivery: Delivery,
         _threads: usize,
         _cancel: &CancelToken,
     ) -> EngineEnumeration {
@@ -1051,12 +1048,7 @@ impl Engine {
 
     fn sequential_stream(&self, session: &Arc<GraphSession>, mode: PrintMode) -> EngineEnumeration {
         let source = Source::Sequential(Box::new(EnumMis::new(Arc::clone(&session.ms), mode)));
-        self.enumeration(
-            session,
-            RunKind::Live,
-            source,
-            Some(AnswerKey::Ordered(mode)),
-        )
+        self.enumeration(session, RunKind::Live, source, Some(AnswerKey::Ordered))
     }
 
     /// Wraps `source` into the engine's stream over `session`. Every
@@ -1621,7 +1613,7 @@ mod tests {
 
     #[cfg(feature = "parallel")]
     #[test]
-    fn engine_chosen_threads_go_to_the_last_unordered_atom_only() {
+    fn threads_go_to_the_last_unordered_atom_only() {
         // C4 and C6 glued at a cut vertex → a two-atom plan.
         let g = Graph::from_edges(
             9,
@@ -1650,9 +1642,93 @@ mod tests {
         let (n, unordered) = cold(ExecPolicy::default());
         assert_eq!(n, 28);
         assert_eq!(unordered, vec![seq, par]);
+        assert_eq!(
+            cold(ExecPolicy::default().with_threads(4)),
+            (28, vec![seq, par])
+        );
         let deterministic = ExecPolicy::default().with_delivery(Delivery::Deterministic);
         assert_eq!(cold(deterministic), (28, vec![seq, seq]));
-        assert_eq!(cold(deterministic.with_threads(4)), (28, vec![seq, par]));
+        assert_eq!(cold(deterministic.with_threads(4)), (28, vec![seq, seq]));
+    }
+
+    #[test]
+    fn a_completed_list_replays_under_either_print_mode() {
+        // The schedule's queue is FIFO and a run completes only once it is
+        // empty, so both print modes emit the same full sequence.
+        let engine = Engine::with_config(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        });
+        let g = Graph::cycle(7);
+        let det = ExecPolicy::default().with_delivery(Delivery::Deterministic);
+        let drain = |mode: PrintMode| {
+            let resp = engine.run(&g, Query::enumerate().mode(mode).policy(det));
+            let replayed = resp.is_replay();
+            let order: Vec<_> = resp
+                .filter_map(QueryItem::into_triangulation)
+                .map(|t| t.graph.edges())
+                .collect();
+            (replayed, order)
+        };
+        let (cold, generated) = drain(PrintMode::UponGeneration);
+        assert!(!cold);
+        let extends = engine.session(&g).stats().extends;
+        let (warm, popped) = drain(PrintMode::UponPop);
+        assert!(
+            warm,
+            "an UponPop query must replay the UponGeneration drain"
+        );
+        assert_eq!(popped, generated);
+        assert_eq!(engine.session(&g).stats().extends, extends);
+        let reference: Vec<_> =
+            MinimalTriangulationsEnumerator::with_config(&g, Box::new(McsM), PrintMode::UponPop)
+                .map(|t| t.graph.edges())
+                .collect();
+        assert_eq!(popped, reference);
+    }
+
+    #[test]
+    fn a_deterministic_query_hydrates_either_stored_print_mode() {
+        // Writes use one `StoredOrder` value, but an ordered list stored
+        // under either print mode's value must still hydrate.
+        let g = Graph::cycle(7);
+        let config = EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let det = ExecPolicy::default()
+            .with_delivery(Delivery::Deterministic)
+            .with_planned(false);
+        let order = |resp: Response<'_>| -> Vec<Vec<(u32, u32)>> {
+            resp.filter_map(QueryItem::into_triangulation)
+                .map(|t| t.graph.edges())
+                .collect()
+        };
+        let recorder = Engine::with_config(config.clone());
+        let reference = order(recorder.run(&g, Query::enumerate().policy(det)));
+        let session = recorder.session(&g);
+        let answers = session.cached_answers().unwrap();
+        for stored in [StoredOrder::UponGeneration, StoredOrder::UponPop] {
+            let root = std::env::temp_dir().join(format!(
+                "mintri-session-hydrate-{stored:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let store = Arc::new(Store::open(mintri_store::StoreConfig::at(&root)).unwrap());
+            let mut snap = answer_snapshot(&session, AnswerKey::Ordered, &answers);
+            snap.order = stored;
+            store.put_answers(&snap, true);
+            store.flush();
+            for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
+                let reader = Engine::with_store(config.clone(), Arc::clone(&store));
+                let resp = reader.run(&g, Query::enumerate().mode(mode).policy(det));
+                assert!(resp.is_replay(), "{mode:?} query over a {stored:?} list");
+                assert_eq!(order(resp), reference);
+                assert_eq!(reader.memo_stats().extends, 0);
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

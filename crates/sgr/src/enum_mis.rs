@@ -20,9 +20,7 @@
 //!
 //! The schedule itself — queue/processed/seen bookkeeping, node-pulling,
 //! the print-mode split — lives in [`Frontier`]; this iterator is the
-//! sequential driver that extends each drained batch inline. Parallel
-//! drivers (the engine crate) share the same `Frontier` and differ only
-//! in where the `Extend` calls run.
+//! sequential loop that extends each drained batch inline.
 
 use crate::frontier::Frontier;
 use crate::{EnumMisStats, PrintMode, Sgr};
@@ -233,29 +231,5 @@ mod tests {
             assert_eq!(bases.len(), stats.extend_calls, "a Jv was extended twice");
             assert!(stats.extend_repeats > 0);
         }
-    }
-
-    /// Driving the `Frontier` by hand (the way an external driver would)
-    /// produces the same stream as the `EnumMis` iterator.
-    #[test]
-    fn manual_frontier_drive_matches_iterator() {
-        let g = Graph::cycle(6);
-        let sgr = ExplicitSgr::new(&g);
-        let via_iter: Vec<_> = EnumMis::upon_generation(&sgr).collect();
-
-        let mut frontier = Frontier::new(&sgr, PrintMode::UponGeneration);
-        let mut manual = Vec::new();
-        loop {
-            while !frontier.has_emissions() && !frontier.is_complete() {
-                let batch = frontier.drain_pending();
-                let results = batch.iter().map(|jv| sgr.extend(jv)).collect();
-                frontier.absorb(results);
-            }
-            match frontier.pop_emission() {
-                Some(a) => manual.push(a),
-                None => break,
-            }
-        }
-        assert_eq!(via_iter, manual);
     }
 }

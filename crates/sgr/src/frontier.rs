@@ -13,13 +13,9 @@
 //!    directions of one popped answer, or one fresh node against every
 //!    processed answer) and returns the ones no earlier pair produced as
 //!    an [`ExtendBatch`];
-//! 2. the caller runs `Extend` on each `Jv` — inline via
-//!    [`Frontier::extend_inline`] (the sequential [`EnumMis`](crate::EnumMis)
-//!    iterator) or fanned out over a thread pool (the engine's
-//!    deterministic parallel driver);
-//! 3. [`Frontier::absorb`] feeds the results back **in batch order**,
-//!    which is what keeps every consumer's emission order identical to
-//!    the sequential algorithm.
+//! 2. [`Frontier::extend_inline`] runs `Extend` on each `Jv` of the
+//!    batch and absorbs the results **in batch order**, which is what
+//!    keeps the emission order the sequential algorithm's.
 //!
 //! **Repeated `Jv` sets are skipped.** Many pairs `(J, v)` produce the
 //! same `Jv`, and `Extend` depends only on the set it is given (see
@@ -28,12 +24,10 @@
 //! in a [`JvKeys`] set and hands out only first occurrences, deciding in
 //! `drain_pending` — that is, in absorb order, where the first `Extend`
 //! of a key always precedes its repeats. Skipping therefore changes
-//! neither the answers nor their order, and every driver of the same
-//! frontier skips exactly the same pairs.
+//! neither the answers nor their order.
 //!
-//! Because the schedule itself lives here once, the sequential iterator
-//! and any parallel driver cannot drift apart: they differ only in *where*
-//! the pure `Extend` calls run.
+//! [`EnumMis`](crate::EnumMis) is the thin loop that drives these two
+//! steps; every sequential stream of the workspace is one.
 
 use crate::{JvKeys, Sgr};
 use mintri_graph::FxHashSet;
@@ -170,8 +164,7 @@ impl<S: Sgr> Default for EvalScratch<S> {
 /// ```text
 /// while !frontier.has_emissions() && !frontier.is_complete() {
 ///     let batch = frontier.drain_pending();
-///     let results = …Extend each Jv of the batch, preserving order…;
-///     frontier.absorb(results);
+///     frontier.extend_inline(batch);
 /// }
 /// frontier.pop_emission()
 /// ```
@@ -198,7 +191,7 @@ pub struct Frontier<S: Sgr> {
     batch: ExtendBatch<S::Node>,
     /// Answers awaiting emission to the consumer.
     pending: VecDeque<Vec<S::Node>>,
-    /// Size of the last drained batch, awaiting `absorb`.
+    /// Size of the last drained batch, awaiting `extend_inline`.
     in_flight: usize,
     started: bool,
     complete: bool,
@@ -264,12 +257,11 @@ impl<S: Sgr> Frontier<S> {
     /// / [`Frontier::is_complete`] and loop.
     ///
     /// Every returned batch must be answered by exactly one
-    /// [`Frontier::absorb`] (or [`Frontier::extend_inline`]) call before
-    /// the next `drain_pending`.
+    /// [`Frontier::extend_inline`] call before the next `drain_pending`.
     pub fn drain_pending(&mut self) -> ExtendBatch<S::Node> {
         assert_eq!(
             self.in_flight, 0,
-            "drain_pending called with a batch still in flight; absorb it first"
+            "drain_pending called with a batch still in flight; extend it first"
         );
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
@@ -380,21 +372,6 @@ impl<S: Sgr> Frontier<S> {
         }
         self.in_flight = 0;
         self.batch = batch;
-    }
-
-    /// Feeds back the `Extend` results of the last drained batch, one per
-    /// `Jv`, **in batch order**. Registers each new maximal independent
-    /// set exactly once.
-    pub fn absorb(&mut self, results: Vec<Vec<S::Node>>) {
-        assert_eq!(
-            self.in_flight,
-            results.len(),
-            "absorb must answer the drained batch one-to-one"
-        );
-        for mut answer in results {
-            self.absorb_one(&mut answer);
-        }
-        self.in_flight = 0;
     }
 
     /// Canonicalizes one `Extend` result in place and registers it if it

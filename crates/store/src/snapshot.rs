@@ -56,9 +56,11 @@ impl EntryKind {
 }
 
 /// The order contract a persisted answer list was recorded under — the
-/// store-level mirror of the engine's answer key. `Unordered` is one
+/// store-level rendering of the engine's answer key. `Unordered` is one
 /// race outcome (set-correct only); the ordered variants are the
-/// sequential schedule's emission order under that print mode.
+/// sequential schedule's emission order, which is the same full sequence
+/// under either print mode. The engine writes ordered lists as
+/// `UponGeneration` and reads both values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoredOrder {
     /// Recorded from an unordered parallel run.

@@ -1,6 +1,7 @@
 //! The engine in three acts: parallel streaming, deterministic delivery,
 //! and warm sessions serving repeated queries — every act the same typed
-//! [`Query`] through [`Engine::run`].
+//! [`Query`] through [`Engine::run`]. Only unordered streams run in
+//! parallel; deterministic delivery is the sequential schedule.
 //!
 //! Run with: `cargo run --release --example parallel_enumeration`
 
@@ -46,21 +47,26 @@ fn main() {
         sequential_ms / parallel_ms
     );
 
-    // Act 2 — deterministic delivery: parallel speed, sequential order.
-    let ordered: Vec<_> = engine
-        .run(
-            &g,
-            Query::enumerate()
-                .budget(EnumerationBudget::results(10))
-                .policy(
-                    ExecPolicy::default()
-                        .with_threads(threads)
-                        .with_delivery(Delivery::Deterministic),
-                ),
-        )
-        .filter_map(QueryItem::into_triangulation)
+    // Act 2 — deterministic delivery: the sequential order, because it is
+    // the sequential schedule. The engine runs it on one thread even when
+    // the query asks for more.
+    let mut deterministic = engine.run(
+        &g,
+        Query::enumerate()
+            .budget(EnumerationBudget::results(10))
+            .policy(
+                ExecPolicy::default()
+                    .with_threads(threads)
+                    .with_delivery(Delivery::Deterministic),
+            ),
+    );
+    let ordered: Vec<_> = deterministic
+        .triangulations()
+        .iter()
         .map(|t| t.fill_count())
         .collect();
+    let dispatch = deterministic.outcome().dispatch;
+    assert!(dispatch.iter().all(|d| d.threads == 1));
     let reference: Vec<_> = Query::enumerate()
         .budget(EnumerationBudget::results(10))
         .run_local(&g)

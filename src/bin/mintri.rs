@@ -30,10 +30,10 @@
 //! json` emits the results *and* the outcome (budget, quality, replay,
 //! `EnumMIS` counters) as one JSON document on stdout. `--threads N`
 //! (N > 1, or 0 for "all cores") executes the query on a `mintri-engine`
-//! work-stealing pool; `--delivery deterministic` makes the parallel
-//! output order match the single-threaded one. (With `--threads 0` the
-//! engine picks: a deterministic run is then sequential, which is
-//! already the single-threaded order.)
+//! engine, whose work-stealing workers stream results in a race order.
+//! `--delivery deterministic` asks for the single-threaded order
+//! instead, and that order is the sequential schedule itself: the engine
+//! runs it on one thread at any `--threads N`.
 //!
 //! `mintri atoms` prints the clique-minimal-separator decomposition the
 //! planning layer enumerates over (components, atoms, separators).
@@ -236,19 +236,15 @@ fn pick_threads(flags: &HashMap<String, String>) -> Result<Option<usize>, String
 /// `None` for the zero-setup local path (`--threads 1` and no flag both
 /// mean sequential).
 fn pick_engine_config(flags: &HashMap<String, String>) -> Result<Option<EngineConfig>, String> {
-    let threads = pick_threads(flags)?;
-    let delivery = pick_delivery(flags)?;
-    match threads {
+    match pick_threads(flags)? {
         None | Some(1) => Ok(None),
         #[cfg(feature = "parallel")]
         Some(n) => Ok(Some(EngineConfig {
             threads: n,
-            delivery,
             ..EngineConfig::default()
         })),
         #[cfg(not(feature = "parallel"))]
         Some(_) => {
-            let _ = delivery;
             Err("--threads needs the `parallel` feature; rebuild with default features".to_string())
         }
     }
@@ -270,9 +266,9 @@ fn parse_budget(flags: &HashMap<String, String>) -> Result<EnumerationBudget, St
 }
 
 /// `--threads` and `--delivery` → the query's [`ExecPolicy`]. An explicit
-/// `--threads N` is the query's request too, so a deterministic run on
-/// N > 1 threads takes the parallel driver; without the flag (or with
-/// 0) the engine picks.
+/// `--threads N` is the query's request too: an unordered run on N > 1
+/// threads runs on worker threads, a deterministic one stays
+/// sequential; without the flag (or with 0) the engine picks.
 fn pick_policy(flags: &HashMap<String, String>) -> Result<ExecPolicy, String> {
     Ok(ExecPolicy::default()
         .with_threads(pick_threads(flags)?.unwrap_or(0))

@@ -36,10 +36,11 @@
 //!   calling thread with zero setup (scripts, tests, one-shot calls);
 //!   [`engine::Engine::run`] executes the *same query* against warm
 //!   per-atom sessions — sharded memo tables shared across threads and
-//!   queries, work-stealing parallel drivers
-//!   ([`prelude::Delivery::Unordered`] streams fastest,
-//!   [`prelude::Delivery::Deterministic`] reproduces the sequential
-//!   order at any thread count), and completed-answer replay (repeat
+//!   queries, work-stealing parallel enumeration for
+//!   [`prelude::Delivery::Unordered`] streams
+//!   ([`prelude::Delivery::Deterministic`] is the sequential schedule
+//!   itself, run on one thread at any thread count), and
+//!   completed-answer replay (repeat
 //!   queries of *any* task shape serve with zero `Extend` calls).
 //! * **How it went** is always the same [`prelude::Response`] handle: a
 //!   blocking [`prelude::QueryItem`] stream plus `cancel()` (honored

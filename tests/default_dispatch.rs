@@ -5,7 +5,7 @@
 //! `Delivery::Deterministic`, the same best-k winners. It must also keep
 //! the one scheduling rule: every per-atom stream under the
 //! deterministic contract (ranked best-k included) runs on one thread,
-//! while an explicit thread count still takes the parallel driver.
+//! with the thread count left to the engine or given explicitly.
 //! Each check runs on a cold engine and again after `clear_sessions`.
 
 use mintri::core::{AtomDispatch, DispatchKind};
@@ -146,37 +146,57 @@ fn default_best_k_matches_run_local_on_chained_cycles() {
     }
 }
 
-/// An explicit thread count is the query's own request: the last atom
-/// of a deterministic query, ranked or not, still runs the parallel
-/// driver, and the order and the winners are still `run_local`'s.
-#[cfg(feature = "parallel")]
+/// Drains `resp`, asserting after its first result and at its end that
+/// `engine`'s live-thread gauge reads 0: no worker ever ran.
+fn drain_without_workers(
+    engine: &Engine,
+    mut resp: Response<'_>,
+    what: &str,
+) -> (Vec<Triangulation>, Vec<AtomDispatch>) {
+    let live = &engine.telemetry().threads_live;
+    let mut tris: Vec<Triangulation> = resp
+        .next()
+        .into_iter()
+        .filter_map(QueryItem::into_triangulation)
+        .collect();
+    assert_eq!(live.get(), 0, "{what}: workers live mid-stream");
+    tris.extend(resp.triangulations());
+    assert_eq!(live.get(), 0, "{what}: workers live at the end");
+    (tris, resp.outcome().dispatch)
+}
+
+/// Deterministic delivery is the sequential schedule, so even an
+/// explicit thread count runs every deterministic atom, ranked or not,
+/// on one thread: the order and the winners are `run_local`'s, and no
+/// worker thread starts.
 #[test]
-fn explicit_threads_keep_the_parallel_deterministic_driver() {
+fn explicit_threads_run_deterministic_atoms_sequential() {
     let g = chained_cycles(&[4, 5, 6]);
-    let det = ExecPolicy::default().with_delivery(Delivery::Deterministic);
-    let (local_order, _) = drain(Query::enumerate().policy(det).run_local(&g));
     let engine = four_thread_engine();
-    let (order, dispatch) = drain(engine.run(&g, Query::enumerate().policy(det.with_threads(4))));
+    let four = ExecPolicy::default().with_threads(4);
+    let det = four.with_delivery(Delivery::Deterministic);
+
+    let (local_order, _) = drain(Query::enumerate().policy(det).run_local(&g));
+    let (tris, dispatch) = drain_without_workers(
+        &engine,
+        engine.run(&g, Query::enumerate().policy(det)),
+        "plain",
+    );
+    let order: Answers = tris.iter().map(|t| t.graph.edges()).collect();
     assert_eq!(order, local_order);
     let kinds: Vec<(DispatchKind, usize)> = dispatch.iter().map(|d| (d.kind, d.threads)).collect();
-    assert_eq!(
-        kinds,
-        vec![
-            (DispatchKind::Sequential, 1),
-            (DispatchKind::Sequential, 1),
-            (DispatchKind::Parallel, 4),
-        ]
-    );
+    assert_eq!(kinds, vec![(DispatchKind::Sequential, 1); 3]);
 
     // Cleared, so the ranked atoms run live instead of replaying the
     // recordings the query above left.
     engine.clear_sessions();
     let best = || Query::best_k(7, CostMeasure::Fill);
-    let local: Vec<_> = best().run_local(&g).triangulations();
-    let mut resp = engine.run(&g, best().policy(ExecPolicy::default().with_threads(4)));
-    let winners: Vec<_> = resp.triangulations();
+    let local = best().run_local(&g).triangulations();
+    let (winners, dispatch) =
+        drain_without_workers(&engine, engine.run(&g, best().policy(four)), "ranked");
     let fills = |ts: &[Triangulation]| ts.iter().map(|t| t.fill.clone()).collect::<Vec<_>>();
     assert_eq!(fills(&winners), fills(&local));
-    let threads: Vec<usize> = resp.outcome().dispatch.iter().map(|d| d.threads).collect();
-    assert_eq!(threads, vec![1, 1, 4]);
+    assert_eq!(dispatch.len(), 3);
+    assert!(dispatch.iter().all(|d| d.kind == DispatchKind::Ranked));
+    assert_one_thread(&dispatch, "ranked");
 }

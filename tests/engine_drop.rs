@@ -1,10 +1,11 @@
-//! Drop-robustness of the parallel drivers: abandoning an enumeration
-//! after an arbitrary prefix — in either delivery mode, at any thread
-//! count — must neither deadlock nor leak pool threads. The same
-//! guarantees hold one layer up, for the query front door: a
-//! [`Response`] whose budget trips, or that is cancelled mid-stream
-//! (from the consumer or from another thread), must end its stream and
-//! join every worker.
+//! Drop-robustness of `ParallelEnumerator`: abandoning an enumeration
+//! after an arbitrary prefix, at any thread count, must neither deadlock
+//! nor leak worker threads. The same guarantees hold one layer up, for
+//! the query front door: a [`Response`] whose budget trips, or that is
+//! cancelled mid-stream (from the consumer or from another thread), must
+//! end its stream and join every worker — in both delivery modes, though
+//! only unordered streams start workers: a deterministic stream is the
+//! sequential schedule, so its gauge must stay at zero.
 //!
 //! The leak check reads each run's own `threads_live` gauge
 //! (`EngineConfig::threads_live`; for an `Engine`, its
@@ -62,10 +63,17 @@ fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
         );
         assert!(response.next().is_some(), "{delivery:?}: first result");
         assert!(response.next().is_some(), "{delivery:?}: second result");
-        assert!(
-            live.get() > 0,
-            "{delivery:?}: the engine's gauge counts the running workers"
-        );
+        match delivery {
+            Delivery::Unordered => assert!(
+                live.get() > 0,
+                "unordered: the engine's gauge counts the running workers"
+            ),
+            Delivery::Deterministic => assert_eq!(
+                live.get(),
+                0,
+                "deterministic: the sequential schedule starts no worker"
+            ),
+        }
         response.cancel();
         // The stream must end promptly — not hang, not keep producing.
         assert!(
@@ -205,6 +213,7 @@ fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
     );
     assert!(response.next().is_some(), "first ranked result");
     assert!(response.next().is_some(), "second ranked result");
+    assert_eq!(live.get(), 0, "ranked atom streams start no worker");
     response.cancel();
     assert!(
         response.next().is_none(),
@@ -233,6 +242,7 @@ fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
             .budget(EnumerationBudget::results(5)),
     );
     assert_eq!(response.by_ref().count(), 5);
+    assert_eq!(live.get(), 0, "ranked atom streams start no worker");
     let outcome = response.outcome();
     assert!(!outcome.completed, "budget stop, not completion");
     assert!(!outcome.cancelled);
@@ -247,39 +257,27 @@ fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Drop either driver after a random prefix of a random-size run:
-    /// `Drop` must join every worker (the test hangs on deadlock and the
-    /// live-thread gauge exposes a leak) and the prefix itself must be a
-    /// prefix of the sequential answer set's size.
+    /// Drop a `ParallelEnumerator` after a random prefix of a random-size
+    /// run: `Drop` must join every worker (the test hangs on deadlock and
+    /// the live-thread gauge exposes a leak) and the prefix itself must
+    /// be a prefix of the sequential answer set's size.
     #[test]
-    fn dropping_either_driver_after_a_random_prefix_is_clean(
+    fn dropping_the_parallel_enumerator_after_a_random_prefix_is_clean(
         seed in 0u64..1000,
         prefix in 0usize..12,
         threads in 1usize..5,
-        deterministic in any::<bool>(),
     ) {
         let g = erdos_renyi(12, 0.3, seed);
-        let delivery = if deterministic {
-            Delivery::Deterministic
-        } else {
-            Delivery::Unordered
-        };
         let config = EngineConfig {
             threads,
-            delivery,
             channel_capacity: 2, // small: exercise workers parked in send()
             ..EngineConfig::default()
         };
         let live = &config.threads_live;
-        let mut e = ParallelEnumerator::with_config(&g, Box::new(McsM), &config, PrintMode::UponGeneration);
-        // The gauge counts this driver's workers: the deterministic pool
-        // holds all of them until drop; unordered ones may already have
+        let mut e = ParallelEnumerator::with_config(&g, Box::new(McsM), &config);
+        // The gauge counts this enumerator's workers; some may already have
         // finished.
-        if deterministic {
-            prop_assert_eq!(live.get(), threads as i64);
-        } else {
-            prop_assert!(live.get() <= threads as i64);
-        }
+        prop_assert!(live.get() <= threads as i64);
         let taken = e.by_ref().take(prefix).count();
         let total = MinimalTriangulationsEnumerator::new(&g).count();
         prop_assert_eq!(taken, prefix.min(total));

@@ -1,17 +1,18 @@
 //! Contracts of the parallel engine against the sequential reference:
 //!
-//! * `Delivery::Deterministic` reproduces the sequential enumerator's
-//!   output **in order** on the same graph families `tests/determinism.rs`
-//!   pins — parallel hardware must never change golden outputs;
+//! * `Delivery::Deterministic` through `Engine::run` reproduces the
+//!   sequential enumerator's output **in order**, and its `EnumMIS`
+//!   counters, on the same graph families `tests/determinism.rs` pins,
+//!   whatever thread count the query asks for — parallel hardware must
+//!   never change golden outputs;
 //! * `Delivery::Unordered` reproduces the answer **set** at every thread
 //!   count (property-tested over random graphs at 1, 2 and 4 threads);
 //! * the `Engine` session layer serves repeated queries from its warm
 //!   cache without recomputation and without changing answers.
 
 use mintri::core::MinimalTriangulationsEnumerator;
-use mintri::engine::{Delivery, Engine, EngineConfig, ParallelEnumerator};
+use mintri::engine::{Delivery, Engine, ParallelEnumerator};
 use mintri::prelude::*;
-use mintri::triangulate::McsM;
 use mintri::workloads::pgm::promedas;
 use mintri::workloads::random::erdos_renyi;
 use proptest::prelude::*;
@@ -23,20 +24,34 @@ fn sequential_edges(g: &Graph, limit: usize) -> Vec<Vec<(Node, Node)>> {
         .collect()
 }
 
-fn deterministic_parallel_edges(g: &Graph, threads: usize, limit: usize) -> Vec<Vec<(Node, Node)>> {
-    ParallelEnumerator::with_config(
+/// The first `limit` results of an unplanned deterministic query that
+/// asks a cold engine for `threads` threads, plus its outcome.
+fn deterministic_engine_run(
+    g: &Graph,
+    threads: usize,
+    limit: usize,
+) -> (Vec<Vec<(Node, Node)>>, QueryOutcome) {
+    let mut resp = Engine::new().run(
         g,
-        Box::new(McsM),
-        &EngineConfig {
-            threads,
-            delivery: Delivery::Deterministic,
-            ..EngineConfig::default()
-        },
-        PrintMode::UponGeneration,
-    )
-    .take(limit)
-    .map(|t| t.graph.edges())
-    .collect()
+        Query::enumerate()
+            .policy(
+                ExecPolicy::default()
+                    .with_planned(false)
+                    .with_threads(threads)
+                    .with_delivery(Delivery::Deterministic),
+            )
+            .budget(EnumerationBudget::results(limit)),
+    );
+    let edges = resp
+        .triangulations()
+        .iter()
+        .map(|t| t.graph.edges())
+        .collect();
+    (edges, resp.outcome())
+}
+
+fn deterministic_engine_edges(g: &Graph, threads: usize, limit: usize) -> Vec<Vec<(Node, Node)>> {
+    deterministic_engine_run(g, threads, limit).0
 }
 
 #[test]
@@ -52,7 +67,7 @@ fn deterministic_mode_matches_sequential_on_determinism_families() {
         let expected = sequential_edges(g, 50);
         for threads in [2, 4] {
             assert_eq!(
-                deterministic_parallel_edges(g, threads, 50),
+                deterministic_engine_edges(g, threads, 50),
                 expected,
                 "Deterministic delivery diverged from the sequential order \
                  at {threads} threads on a {}-node graph",
@@ -62,11 +77,11 @@ fn deterministic_mode_matches_sequential_on_determinism_families() {
     }
 }
 
-/// The deterministic driver runs the *same* `Frontier` schedule as the
-/// sequential iterator, so its `EnumMIS` counters — extend calls, edge
-/// queries, nodes generated, answers — must match exactly, not just the
-/// emitted stream. Counter drift would mean the schedules diverged even
-/// if the outputs happened to agree.
+/// A deterministic engine query runs the *same* `Frontier` schedule as
+/// the sequential iterator, so its `EnumMIS` counters — extend calls,
+/// edge queries, nodes generated, answers — must match exactly, not just
+/// the emitted stream. Counter drift would mean the schedules diverged
+/// even if the outputs happened to agree.
 #[test]
 fn deterministic_stats_match_sequential_on_determinism_families() {
     let families = [
@@ -79,21 +94,12 @@ fn deterministic_stats_match_sequential_on_determinism_families() {
         let mut seq = MinimalTriangulationsEnumerator::new(g);
         let n_seq = seq.by_ref().take(50).count();
         for threads in [2, 4] {
-            let mut par = ParallelEnumerator::with_config(
-                g,
-                Box::new(McsM),
-                &EngineConfig {
-                    threads,
-                    delivery: Delivery::Deterministic,
-                    ..EngineConfig::default()
-                },
-                PrintMode::UponGeneration,
-            );
-            let n_par = par.by_ref().take(50).count();
-            assert_eq!(n_seq, n_par);
+            let (edges, outcome) = deterministic_engine_run(g, threads, 50);
+            assert_eq!(n_seq, edges.len());
             assert_eq!(
                 seq.enum_stats(),
-                par.enum_stats()
+                outcome
+                    .enum_stats
                     .expect("deterministic delivery exposes EnumMIS stats"),
                 "EnumMIS counters diverged from the sequential schedule at \
                  {threads} threads on a {}-node graph",
@@ -106,8 +112,8 @@ fn deterministic_stats_match_sequential_on_determinism_families() {
 #[test]
 fn deterministic_mode_is_reproducible_across_runs() {
     let g = erdos_renyi(18, 0.3, 12345);
-    let a = deterministic_parallel_edges(&g, 4, 40);
-    let b = deterministic_parallel_edges(&g, 4, 40);
+    let a = deterministic_engine_edges(&g, 4, 40);
+    let b = deterministic_engine_edges(&g, 4, 40);
     assert_eq!(a, b);
 }
 

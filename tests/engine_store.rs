@@ -223,3 +223,38 @@ fn an_unordered_recording_never_hydrates_a_deterministic_query() {
     assert!(unordered.is_replay());
     assert_eq!(unordered.count(), 42);
 }
+
+/// Both print modes emit the same full sequence, so a deterministic
+/// query hydrates a completed recording of the other mode.
+#[test]
+fn a_deterministic_query_hydrates_the_other_print_modes_recording() {
+    use mintri::engine::Delivery;
+
+    let dir = ScratchDir::new("print-modes");
+    let g = Graph::cycle(7);
+    let det = |mode: PrintMode| {
+        Query::enumerate()
+            .mode(mode)
+            .policy(ExecPolicy::default().with_delivery(Delivery::Deterministic))
+    };
+    let order = |resp: Response<'_>| -> Vec<Vec<(Node, Node)>> {
+        resp.filter_map(QueryItem::into_triangulation)
+            .map(|t| t.graph.edges())
+            .collect()
+    };
+    let generated = {
+        let writer = engine_at(&dir);
+        let generated = order(writer.run(&g, det(PrintMode::UponGeneration)));
+        writer.store().unwrap().flush();
+        generated
+    };
+    assert_eq!(generated.len(), 42);
+    let reader = engine_at(&dir);
+    let popped = reader.run(&g, det(PrintMode::UponPop));
+    assert!(
+        popped.is_replay(),
+        "an UponPop query hydrates the UponGeneration recording"
+    );
+    assert_eq!(order(popped), generated);
+    assert_eq!(reader.memo_stats().extends, 0);
+}

@@ -82,6 +82,21 @@ fn best_k_fills_engine(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// A completed sequential schedule emits the same full sequence in
+    /// both print modes: the queue `Q` is FIFO, so `UponPop` pops answers
+    /// in the order `UponGeneration` emitted them, and a run completes
+    /// only once `Q` is empty. The engine replays a completed list
+    /// recorded under either mode on this ground.
+    #[test]
+    fn print_modes_emit_the_same_full_sequence(g in graph_strategy(7)) {
+        let run = |mode: PrintMode| -> Vec<Vec<(Node, Node)>> {
+            MinimalTriangulationsEnumerator::with_config(&g, Box::new(McsM), mode)
+                .map(|t| t.graph.edges())
+                .collect()
+        };
+        prop_assert_eq!(run(PrintMode::UponGeneration), run(PrintMode::UponPop));
+    }
+
     /// The incremental-polynomial-time enumerator produces exactly the
     /// brute-force set of minimal triangulations.
     #[test]
@@ -257,9 +272,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The same bit-for-bit agreement holds on the engine executor —
-    /// warm sessions, replay caches and the parallel drivers included
-    /// (all combinations share one engine, so later queries exercise
-    /// the warm paths).
+    /// warm sessions and replay caches included (all combinations share
+    /// one engine, so later queries exercise the warm paths). Both gears
+    /// run deterministic atom streams, which the engine runs sequential
+    /// at any thread count.
     #[test]
     fn ranked_best_k_matches_exhaustive_on_the_engine(g in graph_strategy(6)) {
         let engine = Engine::with_config(EngineConfig {
@@ -395,7 +411,8 @@ fn label_crossing_matches_reference_on_pgm_families() {
 /// The agreement pinned on the planner's favorite corpus: chained
 /// cycles decompose into one atom per cycle, so the ranked odometer
 /// (not just the flat ranked stream) carries the best-k query. C4, C5
-/// and C6 have 2 × 5 × 14 = 140 minimal triangulations combined.
+/// and C6 have 2 × 5 × 14 = 140 minimal triangulations combined. The
+/// engine side runs every atom stream sequential, like the test above.
 #[test]
 fn ranked_matches_exhaustive_on_chained_cycles() {
     let g = mintri::workloads::random::chained_cycles(&[4, 5, 6]);
