@@ -62,8 +62,10 @@ GID=$(curl -sf -X POST "$BASE/v1/graphs" -d "$GRAPH" | sed -n 's/.*"graph_id":"\
 echo "   graph_id=$GID"
 
 ENUM="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"enumerate\"}}}"
-# Deterministic delivery pins the exhaustive gear's tie-break order so
-# the winners below are comparable across gears.
+# The retired `delivery` key is ignored on read, so older clients still
+# decode. Every stream is the sequential schedule, which pins the
+# exhaustive gear's tie-break order, so the winners below are comparable
+# across gears.
 BESTK="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"best_k\",\"k\":2,\"cost\":\"width\"},\"delivery\":\"deterministic\"}}"
 
 echo "== cold enumerate"

@@ -22,19 +22,15 @@
 //! `--max-n` is below its default.
 
 use mintri_bench::{time_stream, timed, Args, BenchDoc};
-use mintri_core::query::{ExecPolicy, Query};
+use mintri_core::query::Query;
 use mintri_core::{EnumerationBudget, MinimalTriangulationsEnumerator};
 use mintri_engine::Engine;
 use mintri_graph::Graph;
 use mintri_workloads::random_suite;
 
-fn one_thread() -> ExecPolicy {
-    ExecPolicy::default().with_threads(1)
-}
-
-/// The whole enumeration on one thread.
+/// The whole enumeration.
 fn full() -> Query {
-    Query::enumerate().policy(one_thread())
+    Query::enumerate()
 }
 
 /// Runs [`full`] on `g` again; its result count if `engine` replayed it.
@@ -70,7 +66,7 @@ fn main() -> std::io::Result<()> {
         // Replay needs a *completed* enumeration, so only time it when the
         // workload finishes within k results.
         let engine = Engine::new();
-        let (n_engine, engine_s) = timed(|| engine.run(g, budget().policy(one_thread())).count());
+        let (n_engine, engine_s) = timed(|| engine.run(g, budget()).count());
         assert_eq!(n_direct, n_engine);
         let replay = (n_direct < k).then(|| {
             let (replayed, replay_s) = timed(|| run_replay(&engine, g));

@@ -47,10 +47,7 @@ impl Drop for ScratchDir {
 
 fn engine_over(dir: &ScratchDir) -> Engine {
     Engine::with_store(
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
         Arc::new(Store::open(StoreConfig::at(&dir.0)).expect("store opens")),
     )
 }

@@ -22,7 +22,7 @@
 //! timed pass; default 3, quick 12).
 
 use mintri_bench::{paired_rounds, Args, BenchDoc};
-use mintri_core::query::{ExecPolicy, Query};
+use mintri_core::query::Query;
 use mintri_engine::Engine;
 use mintri_graph::{Graph, Node};
 use mintri_workloads::random::chord_cycle;
@@ -38,12 +38,7 @@ fn run_family(graphs: &[Graph], traced: bool, reps: usize) -> (usize, f64) {
         let engine = Engine::new();
         produced = 0;
         for g in graphs {
-            let mut response = engine.run(
-                g,
-                Query::enumerate()
-                    .policy(ExecPolicy::default().with_threads(1))
-                    .traced(traced),
-            );
+            let mut response = engine.run(g, Query::enumerate().traced(traced));
             produced += response.by_ref().count();
             let outcome = response.outcome();
             assert_eq!(

@@ -27,7 +27,7 @@
 //!    command prints it, and [`enum_stats_json`] /
 //!    [`enum_stats_from_json`] round-trip its `EnumMIS` counters.
 
-use crate::query::{CostMeasure, Delivery, ExecPolicy, Query, QueryOutcome, Task};
+use crate::query::{CostMeasure, ExecPolicy, Query, QueryOutcome, Task};
 use crate::{EnumerationBudget, TdEnumerationMode};
 use mintri_graph::{Graph, Node};
 use mintri_sgr::{EnumMisStats, PrintMode};
@@ -655,21 +655,14 @@ fn task_from_json(v: &JsonValue) -> Result<Task, String> {
     })
 }
 
-fn delivery_name(delivery: Delivery) -> &'static str {
-    match delivery {
-        Delivery::Unordered => "unordered",
-        Delivery::Deterministic => "deterministic",
-    }
-}
-
 /// Serializes a [`Query`] for the wire. Everything except the
 /// process-local cancellation token goes: task, backend (by
 /// [`Triangulator::name`] — see [`triangulator_from_name`] for the
 /// names that round-trip; parameterized/custom backends collapse to
 /// their name's default on decode), print mode, budget, and the
 /// execution policy as one `"policy"` object. (Documents carrying only
-/// the older flat `delivery`/`threads`/`plan`/`ranked` fields still
-/// decode, to the equivalent policy.)
+/// the older flat `plan`/`ranked` fields still decode, to the
+/// equivalent policy.)
 pub fn query_to_json(q: &Query) -> String {
     let mut budget = JsonObject::new();
     match q.budget.max_results {
@@ -681,10 +674,8 @@ pub fn query_to_json(q: &Query) -> String {
         None => budget.raw("time_limit_ms", "null".into()),
     }
     let mut policy = JsonObject::new();
-    policy.usize("threads", q.policy.threads);
     policy.bool("plan", q.policy.planned);
     policy.bool("ranked", q.policy.ranked);
-    policy.str("delivery", delivery_name(q.policy.delivery));
     let mut doc = JsonObject::new();
     doc.raw("task", task_json(&q.task));
     doc.str("triangulator", q.triangulator.name());
@@ -750,59 +741,28 @@ pub fn query_from_json(v: &JsonValue) -> Result<Query, String> {
 }
 
 /// Decodes the execution policy of a wire query: the `"policy"` object
-/// when present (authoritative), else the legacy flat
-/// `delivery`/`threads`/`plan`/`ranked` fields, else the
-/// [`ExecPolicy::default`]. A `policy.mode` key, written by older
-/// documents, is ignored: both of its values started from the same
-/// knobs.
+/// when present (authoritative), else the legacy flat `plan`/`ranked`
+/// fields, each falling back to the [`ExecPolicy::default`] value. Keys
+/// older documents wrote and no knob reads any more — `mode`, `threads`
+/// and `delivery`, flat or under `policy` — are ignored: every executor
+/// runs the one sequential schedule.
 fn policy_from_json(v: &JsonValue) -> Result<ExecPolicy, String> {
-    match v.get("policy") {
-        Some(policy) => {
-            if policy.entries().is_none() {
-                return Err("`policy` must be an object".into());
-            }
-            policy_knobs(policy, "policy.")
+    let (fields, prefix) = match v.get("policy") {
+        Some(policy) if policy.entries().is_none() => {
+            return Err("`policy` must be an object".into())
         }
-        None if ["delivery", "threads", "plan", "ranked"]
-            .iter()
-            .any(|key| v.get(key).is_some()) =>
-        {
-            policy_knobs(v, "")
-        }
-        None => Ok(ExecPolicy::default()),
-    }
-}
-
-/// Reads the `threads`/`plan`/`ranked`/`delivery` knobs of `fields` into
-/// a policy (absent knobs keep the [`ExecPolicy::default`] values);
-/// errors name each field as `prefix` + key.
-fn policy_knobs(fields: &JsonValue, prefix: &str) -> Result<ExecPolicy, String> {
+        Some(policy) => (policy, "policy."),
+        None => (v, ""),
+    };
     let flag = |key: &str| match fields.get(key) {
         Some(b) => b
             .as_bool()
             .ok_or(format!("`{prefix}{key}` must be a boolean")),
         None => Ok(true),
     };
-    let threads = match fields.get("threads") {
-        Some(n) => n
-            .as_usize()
-            .ok_or(format!("`{prefix}threads` must be a non-negative integer"))?,
-        None => 0,
-    };
-    let delivery = match fields.get("delivery").map(JsonValue::as_str) {
-        None | Some(Some("unordered")) => Delivery::Unordered,
-        Some(Some("deterministic")) => Delivery::Deterministic,
-        Some(_) => {
-            return Err(format!(
-                "`{prefix}delivery` must be unordered or deterministic"
-            ))
-        }
-    };
     Ok(ExecPolicy {
-        threads,
         planned: flag("plan")?,
         ranked: flag("ranked")?,
-        delivery,
     })
 }
 
@@ -834,7 +794,6 @@ pub fn outcome_json(outcome: &QueryOutcome) -> String {
             let mut entry = JsonObject::new();
             entry.usize("index", d.index);
             entry.usize("nodes", d.nodes);
-            entry.usize("threads", d.threads);
             entry.str("kind", d.kind.name());
             entry.finish()
         })
@@ -1047,10 +1006,8 @@ mod tests {
                 Duration::from_millis(1500),
             ))
             .policy(ExecPolicy {
-                threads: 3,
                 planned: false,
                 ranked: false,
-                delivery: Delivery::Deterministic,
             });
         let doc = query_to_json(&q);
         let back = query_from_json(&JsonValue::parse(&doc).unwrap()).unwrap();
@@ -1062,7 +1019,7 @@ mod tests {
         assert_eq!(back.policy, q.policy);
         // The policy travels once, as the `policy` object.
         let v = JsonValue::parse(&doc).unwrap();
-        for flat in ["threads", "plan", "ranked", "delivery"] {
+        for flat in ["plan", "ranked"] {
             assert!(v.get(flat).is_none(), "no flat `{flat}` duplicate");
         }
     }
@@ -1071,30 +1028,34 @@ mod tests {
     fn policy_codec_round_trips_and_flat_fields_decode() {
         for policy in [
             ExecPolicy::default(),
-            ExecPolicy::default().with_delivery(Delivery::Deterministic),
+            ExecPolicy::default().with_planned(false),
         ] {
             let q = Query::enumerate().policy(policy);
-            let back = query_from_json(&JsonValue::parse(&query_to_json(&q)).unwrap()).unwrap();
+            let doc = query_to_json(&q);
+            let back = query_from_json(&JsonValue::parse(&doc).unwrap()).unwrap();
             assert_eq!(back.policy, policy);
+            for retired in ["threads", "delivery"] {
+                assert!(!doc.contains(retired), "`{retired}` is no longer written");
+            }
         }
         // A pre-policy document (flat fields only) decodes to the
-        // execution those knobs always meant.
-        let flat = r#"{"task":{"type":"enumerate"},"threads":2,"ranked":false}"#;
+        // execution those knobs always meant; the retired knobs are
+        // ignored, flat or under `policy`, whatever their value.
+        let flat = r#"{"task":{"type":"enumerate"},"threads":2,"delivery":"deterministic","ranked":false}"#;
         let q = query_from_json(&JsonValue::parse(flat).unwrap()).unwrap();
-        assert_eq!(
-            q.policy,
-            ExecPolicy::default().with_threads(2).with_ranked(false)
-        );
+        assert_eq!(q.policy, ExecPolicy::default().with_ranked(false));
+        let retired = r#"{"task":{"type":"enumerate"},"policy":{"threads":-1,"delivery":"sorted","mode":"auto"}}"#;
+        let q = query_from_json(&JsonValue::parse(retired).unwrap()).unwrap();
+        assert_eq!(q.policy, ExecPolicy::default());
         // A policy object wins over contradictory flat fields.
-        let both = r#"{"task":{"type":"enumerate"},"threads":7,"policy":{"mode":"auto"}}"#;
+        let both = r#"{"task":{"type":"enumerate"},"plan":false,"policy":{"mode":"auto"}}"#;
         let q = query_from_json(&JsonValue::parse(both).unwrap()).unwrap();
         assert_eq!(q.policy, ExecPolicy::default());
         // Malformed policies are rejected with their own errors.
         for bad in [
             r#"{"task":{"type":"enumerate"},"policy":"auto"}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"threads":-1}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"delivery":"sorted"}}"#,
             r#"{"task":{"type":"enumerate"},"policy":{"plan":"yes"}}"#,
+            r#"{"task":{"type":"enumerate"},"ranked":1}"#,
         ] {
             let v = JsonValue::parse(bad).unwrap();
             assert!(query_from_json(&v).is_err(), "{bad} should fail");
@@ -1143,7 +1104,6 @@ mod tests {
             r#"{"task":"enumerate"}"#,
             r#"{}"#,
             r#"{"task":{"type":"enumerate"},"triangulator":"magic"}"#,
-            r#"{"task":{"type":"enumerate"},"threads":-2}"#,
             r#"{"task":{"type":"enumerate"},"budget":{"max_results":1.5}}"#,
         ] {
             let v = JsonValue::parse(bad).unwrap();

@@ -37,8 +37,8 @@
 //! [`Response`] handle (stream + [`Response::cancel`] +
 //! [`Response::outcome`]). [`Query::run_local`] executes sequentially
 //! with zero setup; `mintri_engine::Engine::run` executes the same query
-//! with warm sessions, parallel enumeration and completed-answer replay. The
-//! items above remain as the underlying kernel.
+//! with warm sessions and completed-answer replay. The items above remain
+//! as the underlying kernel.
 //!
 //! ## The planning layer
 //!
@@ -71,8 +71,8 @@ pub use msgraph::{ExtendScratch, MsGraph, MsGraphStats, SepId};
 pub use plan::{AtomStream, Composed, ComposedStream, OpenedAtom, Plan, PlannedAtom};
 pub use proper::{ProperTreeDecompositions, TdEnumerationMode};
 pub use query::{
-    AtomDispatch, CancelHookGuard, CancelToken, CostMeasure, Delivery, DispatchKind, ExecPolicy,
-    Query, QueryItem, QueryOutcome, Response, Task, TriangulationStream,
+    AtomDispatch, CancelToken, CostMeasure, DispatchKind, ExecPolicy, Query, QueryItem,
+    QueryOutcome, Response, Task, TriangulationStream,
 };
 pub use ranked::{
     best_k_of_stream, cost_floor, RankedAtom, RankedComposed, RankedItem, RankedStream,

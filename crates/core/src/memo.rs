@@ -5,9 +5,9 @@
 //! whose id → row direction also holds each separator's component labels
 //! once a crossing query needs them. The content → id direction is striped
 //! over `N` mutex-guarded shards selected by key hash, so concurrent
-//! `EnumMIS` workers — and concurrent *queries* sharing one warm
-//! [`crate::MsGraph`] through the engine's session layer — hit different
-//! stripes and intern each separator at most once per graph.
+//! *queries* sharing one warm [`crate::MsGraph`] through the engine's
+//! session layer hit different stripes and intern each separator at most
+//! once per graph.
 //!
 //! Interned ids stay **dense and insertion-ordered** (`0, 1, 2, …`): a
 //! genuinely new separator takes the next id under a small id lock (lock
@@ -41,19 +41,13 @@ const SEGMENTS: usize = 27;
 const SHARD_POISONED: &str = "a thread panicked interning a separator";
 const ID_POISONED: &str = "a thread panicked assigning an id";
 
-/// Selects one of `stripes` lock stripes for `key` (`stripes` must be a
-/// power of two). The low hash bits feed the hash-map bucket index inside
-/// a stripe, so the stripe comes from the *high* bits to keep the two
-/// selections independent. Shared with the engine's concurrent seen-set.
-pub fn stripe_of<K: Hash>(key: &K, stripes: usize) -> usize {
-    debug_assert!(stripes.is_power_of_two());
+/// Selects the lock stripe for `key`. The low hash bits feed the
+/// hash-map bucket index inside a stripe, so the stripe comes from the
+/// *high* bits to keep the two selections independent.
+fn shard_of<K: Hash>(key: &K) -> usize {
     let mut h = FxHasher::default();
     key.hash(&mut h);
-    (h.finish() >> 57) as usize & (stripes - 1)
-}
-
-fn shard_of<K: Hash>(key: &K) -> usize {
-    stripe_of(key, SHARDS)
+    (h.finish() >> 57) as usize & (SHARDS - 1)
 }
 
 /// `(segment, offset)` of the row behind `id`.

@@ -15,10 +15,10 @@
 //!
 //! The interner is a sharded concurrent structure (see [`crate::memo`])
 //! whose rows read without a lock, which makes `MsGraph: Send + Sync`:
-//! the parallel engine fans `EnumMIS` out over a thread pool against a
-//! *single* shared `MsGraph`, so every interned separator and its labels
-//! are computed once and reused across threads — and, through the
-//! session layer, across repeated queries on the same graph.
+//! the engine's session layer shares a *single* `MsGraph` between every
+//! query on the same graph, so each interned separator and its labels
+//! are computed once and reused across queries and the threads that
+//! serve them.
 
 use crate::memo::ShardedInterner;
 use mintri_chordal::CliqueForest;
@@ -34,8 +34,8 @@ pub use crate::memo::SepId;
 
 /// Reusable workspace for the scratch-kernel `Extend`.
 ///
-/// One instance belongs to exactly one worker (a sequential enumeration
-/// stream, or one engine worker thread) and is threaded through
+/// One instance belongs to exactly one sequential enumeration stream and
+/// is threaded through
 /// [`Sgr::extend_with`]. Every buffer is rebuilt *in place* per call, so
 /// after a warm-up pass over the graph's shapes the kernel performs zero
 /// heap allocations in steady state — the invariant pinned by the
@@ -95,8 +95,8 @@ impl GraphHandle<'_> {
 /// (Theorem 4.1 / Corollary 4.2).
 ///
 /// `MsGraph` is `Send + Sync`: all interior state lives in the sharded
-/// concurrent interner, so one instance can serve many worker threads (or
-/// many sequential queries) at once, sharing its separators and labels.
+/// concurrent interner, so one instance can serve many sequential
+/// queries on many threads at once, sharing its separators and labels.
 pub struct MsGraph<'g> {
     g: GraphHandle<'g>,
     triangulator: Box<dyn Triangulator>,
@@ -196,7 +196,7 @@ impl<'g> MsGraph<'g> {
 
     /// Materializes an answer into a full [`Triangulation`] (saturation
     /// plus fill-edge bookkeeping) — shared by the sequential enumerator
-    /// and the parallel engine.
+    /// and the engine's streams.
     pub fn materialize(&self, answer: &[SepId]) -> Triangulation {
         let h = self.saturate_answer(answer);
         let fill = h.fill_edges_over(self.g.get());

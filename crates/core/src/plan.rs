@@ -197,12 +197,7 @@ impl Plan {
                 None => opened.kind,
             };
             let nodes = atom.graph.num_nodes();
-            dispatch.push(AtomDispatch {
-                index,
-                nodes,
-                threads: opened.threads,
-                kind,
-            });
+            dispatch.push(AtomDispatch { index, nodes, kind });
             let stream: Box<dyn TriangulationStream + 'a> = match trace {
                 Some(parent) => {
                     let span = parent.child("atom");
@@ -256,8 +251,6 @@ impl Plan {
 pub struct OpenedAtom<'a> {
     /// The atom's triangulation stream, in atom-local node ids.
     pub stream: Box<dyn TriangulationStream + 'a>,
-    /// Worker threads granted to the stream.
-    pub threads: usize,
     /// How the stream is served (replaced by
     /// [`DispatchKind::Ranked`] on the ranked gear).
     pub kind: DispatchKind,
@@ -334,7 +327,7 @@ impl AtomCursor<'_> {
                 if self.stats.is_none() {
                     self.stats = stream.enum_stats();
                 }
-                // Drop eagerly: a parallel atom stream joins its workers
+                // Drop eagerly: the finished stream's frontier is freed
                 // here instead of idling until the whole product ends.
                 self.stream = None;
                 false
@@ -373,9 +366,9 @@ impl AtomCursor<'_> {
 /// emission order. Fills already seen are cached per atom, so every
 /// atom's underlying enumeration runs **exactly once** no matter how
 /// many product rows recombine it, and each emission costs one base
-/// clone plus the fills. With deterministic per-atom streams the
-/// composed order is a pure function of the plan — stable across thread
-/// counts and executors.
+/// clone plus the fills. The per-atom streams are deterministic, so the
+/// composed order is a pure function of the plan — stable across
+/// executors.
 ///
 /// Zero atoms (a chordal graph) compose to exactly one result: the base
 /// graph itself, fill-free.
@@ -494,7 +487,7 @@ impl TriangulationStream for ComposedStream<'_> {
     /// real work totals;
     /// `answers` sums the per-atom answer counts (the *sum* the plan
     /// pays for, not the product it emits). `None` as soon as any atom
-    /// stream cannot report (e.g. an unordered parallel run).
+    /// stream cannot report (e.g. a cache replay).
     fn enum_stats(&self) -> Option<EnumMisStats> {
         let mut total = EnumMisStats::default();
         for cursor in &self.cursors {

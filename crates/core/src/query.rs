@@ -5,7 +5,7 @@
 //! selection, proper tree decompositions, instrumented anytime runs — is
 //! a [`Task`] inside one request type, and every execution path — the
 //! zero-setup sequential iterator ([`Query::run_local`]), the engine's
-//! warm sessions, parallel enumeration and completed-answer replay
+//! warm sessions and completed-answer replay
 //! (`mintri_engine::Engine::run`), and any future transport serializing
 //! queries over the wire — answers with the same [`Response`]: a blocking
 //! result stream plus [`Response::cancel`], [`Response::outcome`]
@@ -55,7 +55,7 @@ use mintri_treedecomp::{proper_decompositions_of_chordal, TreeDecomposition};
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What a [`Query`] computes.
@@ -130,64 +130,28 @@ impl CostMeasure {
     }
 }
 
-/// When and in what order a query's results reach the consumer.
+/// **How** a query executes: two independent knobs for planning and
+/// ranking.
 ///
-/// Sequential execution ([`Query::run_local`], or an engine stream on
-/// one thread) always produces the sequential order; the contract below
-/// is what a *parallel* executor must honor. The engine runs only
-/// `Unordered` streams in parallel: `Deterministic` is the sequential
-/// schedule itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Delivery {
-    /// Stream each answer the moment any worker produces it. Fastest;
-    /// the answer *set* equals the sequential enumerator's, the order is
-    /// a race.
-    #[default]
-    Unordered,
-    /// The output order is identical to the sequential enumerator's
-    /// (`mintri_core::MinimalTriangulationsEnumerator`) under the query's
-    /// [`PrintMode`]. Use for tests, golden files and distributed work
-    /// splitting.
-    Deterministic,
-}
-
-/// **How** a query executes: four independent knobs for threads,
-/// planning, ranking and delivery.
-///
-/// The default asks the executor to choose the thread count, plans,
-/// ranks best-k and delivers unordered. The engine runs every per-atom
-/// stream under [`Delivery::Deterministic`] sequentially, whatever
-/// `threads` says (ranked atom streams are deterministic, so they too).
-/// An unordered query's last atom gets `threads` workers, or the
-/// engine's configured count when `threads == 0`.
-///
-/// A policy may change *scheduling*, never *answers*: under
-/// [`Delivery::Unordered`] the result **set** is fixed, under
-/// [`Delivery::Deterministic`] the result **sequence** is bit-for-bit
-/// the sequential enumerator's.
+/// A policy picks the route — through the planning layer or over the
+/// whole graph, through the ranked gear or the exhaustive scan — and
+/// never the answers. Every executor runs each per-atom stream as the
+/// paper's sequential `EnumMIS` schedule, so one query under one policy
+/// yields the same sequence on every executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Worker threads: `0` lets the executor decide, `1` forces
-    /// sequential, `n > 1` requests a parallel run. Only
-    /// [`Delivery::Unordered`] streams run in parallel; a
-    /// [`Delivery::Deterministic`] stream is sequential at any value.
-    pub threads: usize,
     /// Route through the planning layer (atom decomposition + product
     /// composition).
     pub planned: bool,
     /// Route [`Task::BestK`] through the ranked gear.
     pub ranked: bool,
-    /// The result-ordering contract.
-    pub delivery: Delivery,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy {
-            threads: 0,
             planned: true,
             ranked: true,
-            delivery: Delivery::Unordered,
         }
     }
 }
@@ -202,11 +166,6 @@ impl ExecPolicy {
         }
     }
 
-    /// Sets the thread count.
-    pub fn with_threads(self, threads: usize) -> Self {
-        ExecPolicy { threads, ..self }
-    }
-
     /// Sets the planning knob.
     pub fn with_planned(self, planned: bool) -> Self {
         ExecPolicy { planned, ..self }
@@ -215,11 +174,6 @@ impl ExecPolicy {
     /// Sets the ranked knob.
     pub fn with_ranked(self, ranked: bool) -> Self {
         ExecPolicy { ranked, ..self }
-    }
-
-    /// Sets the delivery contract.
-    pub fn with_delivery(self, delivery: Delivery) -> Self {
-        ExecPolicy { delivery, ..self }
     }
 }
 
@@ -233,8 +187,6 @@ pub enum DispatchKind {
     Replay,
     /// Re-interned from a persistent-store snapshot, then replayed.
     Hydrate,
-    /// Live run on the executor's parallel worker pool.
-    Parallel,
     /// Live run on the plain sequential iterator.
     Sequential,
     /// Live run feeding a ranked (ascending-cost) frontier.
@@ -248,7 +200,6 @@ impl DispatchKind {
         match self {
             DispatchKind::Replay => "replay",
             DispatchKind::Hydrate => "hydrate",
-            DispatchKind::Parallel => "parallel",
             DispatchKind::Sequential => "sequential",
             DispatchKind::Ranked => "ranked",
         }
@@ -263,8 +214,6 @@ pub struct AtomDispatch {
     pub index: usize,
     /// Nodes in the atom's subgraph.
     pub nodes: usize,
-    /// Worker threads granted to this atom's stream.
-    pub threads: usize,
     /// How the stream was served.
     pub kind: DispatchKind,
 }
@@ -272,43 +221,13 @@ pub struct AtomDispatch {
 /// A cloneable cancellation handle shared between a [`Response`] and any
 /// thread that wants to stop it mid-stream.
 ///
-/// [`CancelToken::cancel`] flips the flag and fires every registered
-/// hook; execution layers register hooks that wake blocked consumers
-/// (e.g. aborting a parallel worker pool so a `recv()` returns). A token
-/// can be attached to a query up front ([`Query::cancel_token`]) so the
-/// controller never needs the `Response` itself.
+/// [`CancelToken::cancel`] flips a flag the response checks between
+/// emissions. A token can be attached to a query up front
+/// ([`Query::cancel_token`]) so the controller never needs the
+/// `Response` itself.
 #[derive(Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-#[derive(Default)]
-struct CancelInner {
-    flag: AtomicBool,
-    hooks: Mutex<HookRegistry>,
-}
-
-#[derive(Default)]
-struct HookRegistry {
-    next_id: u64,
-    hooks: Vec<(u64, Box<dyn Fn() + Send + Sync>)>,
-}
-
-/// Keeps one [`CancelToken::on_cancel`] registration alive; dropping the
-/// guard deregisters the hook, so a long-lived token reused across many
-/// queries does not accumulate closures (and the run state they capture)
-/// from runs that already ended.
-#[must_use = "dropping the guard deregisters the cancel hook"]
-pub struct CancelHookGuard {
-    inner: Arc<CancelInner>,
-    id: u64,
-}
-
-impl Drop for CancelHookGuard {
-    fn drop(&mut self) {
-        let mut registry = self.inner.hooks.lock().unwrap();
-        registry.hooks.retain(|(id, _)| *id != self.id);
-    }
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
@@ -318,42 +237,14 @@ impl CancelToken {
     }
 
     /// Requests cancellation: the response ends its stream at the next
-    /// emission boundary (parallel executors abort their workers).
-    /// Idempotent.
+    /// emission boundary. Idempotent.
     pub fn cancel(&self) {
-        // Flag and hooks move together under the registry lock, so a
-        // concurrent `on_cancel` either sees the flag (and fires the new
-        // hook itself) or registers in time for this iteration.
-        let registry = self.inner.hooks.lock().unwrap();
-        self.inner.flag.store(true, Ordering::SeqCst);
-        for (_, hook) in registry.hooks.iter() {
-            hook();
-        }
+        self.flag.store(true, Ordering::SeqCst);
     }
 
     /// `true` once [`CancelToken::cancel`] has been called.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.flag.load(Ordering::SeqCst)
-    }
-
-    /// Registers a hook fired on cancellation (immediately, if the token
-    /// is already cancelled). Execution layers use this to tear down
-    /// worker pools; hooks must be idempotent, non-blocking, and must
-    /// not call back into this token (the registry lock is held while
-    /// hooks run). The hook stays registered until the returned guard is
-    /// dropped.
-    pub fn on_cancel(&self, hook: impl Fn() + Send + Sync + 'static) -> CancelHookGuard {
-        let mut registry = self.inner.hooks.lock().unwrap();
-        if self.is_cancelled() {
-            hook();
-        }
-        let id = registry.next_id;
-        registry.next_id += 1;
-        registry.hooks.push((id, Box::new(hook)));
-        CancelHookGuard {
-            inner: Arc::clone(&self.inner),
-            id,
-        }
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -432,12 +323,11 @@ pub struct QueryOutcome {
     /// the snapshot, while streaming).
     pub elapsed: Duration,
     /// `EnumMIS` counters of the run — present when the executor ran the
-    /// sequential schedule (locally, or under [`Delivery::Deterministic`]);
-    /// absent for unordered parallel runs and cache replays.
+    /// sequential schedule live; absent for cache replays.
     pub enum_stats: Option<EnumMisStats>,
     /// The dispatch the executor actually chose, one entry per atom
     /// stream (or one entry for an unplanned whole-graph run) — replay,
-    /// hydrate, parallel, sequential or ranked, with the thread grant.
+    /// hydrate, sequential or ranked.
     /// Present for every query, traced or not.
     pub dispatch: Vec<AtomDispatch>,
     /// The query's span tree — present only when the query was traced
@@ -484,8 +374,8 @@ impl QueryOutcome {
 /// A stream of minimal triangulations an executor opens per plan atom
 /// for [`Plan::compose`] (or hands to [`Response::over_stream`]) — the
 /// single integration point between the query layer and any execution
-/// backend (sequential iterator, warm engine sessions, parallel enumeration,
-/// replayed caches, remote transports).
+/// backend (sequential iterator, warm engine sessions, replayed caches,
+/// remote transports).
 pub trait TriangulationStream {
     /// The next triangulation, or `None` when the stream ends.
     fn next_tri(&mut self) -> Option<Triangulation>;
@@ -614,13 +504,12 @@ impl TriangulationStream for MinimalTriangulationsEnumerator<'_> {
 }
 
 /// A typed request: **what** to compute ([`Task`]), over which
-/// triangulation backend, under which budget, with which delivery and
-/// parallelism. Build one with the task constructors
+/// triangulation backend, under which budget and execution policy.
+/// Build one with the task constructors
 /// ([`Query::enumerate`], [`Query::best_k`], [`Query::decompose`],
 /// [`Query::stats`]), refine it with the builder methods, then execute it
 /// with [`Query::run_local`] (sequential, zero setup) or
-/// `mintri_engine::Engine::run` (warm sessions, parallel enumeration, answer
-/// replay).
+/// `mintri_engine::Engine::run` (warm sessions, answer replay).
 ///
 /// The fields are public on purpose: a query is plain data — the request
 /// type a batch or HTTP transport serializes — and execution layers
@@ -631,16 +520,15 @@ pub struct Query {
     /// The triangulation backend `Extend` runs (default MCS-M).
     pub triangulator: Box<dyn Triangulator>,
     /// The printing discipline of the sequential schedule (default
-    /// [`PrintMode::UponGeneration`]); meaningful for sequential and
-    /// [`Delivery::Deterministic`] execution.
+    /// [`PrintMode::UponGeneration`]).
     pub mode: PrintMode,
     /// Stopping condition (default unlimited). For [`Task::BestK`] and
     /// [`Task::Stats`] the budget bounds the *scan*; for
     /// [`Task::Enumerate`] and [`Task::Decompose`] it bounds the emitted
     /// results.
     pub budget: EnumerationBudget,
-    /// **How** to execute (default [`ExecPolicy::default`]): threads,
-    /// planning, ranking and delivery.
+    /// **How** to execute (default [`ExecPolicy::default`]): planning
+    /// and ranking.
     pub policy: ExecPolicy,
     /// Collect a per-query span trace (default `false`): plan
     /// decomposition, per-atom stream setup, dispatch choice,
@@ -724,10 +612,8 @@ impl Query {
     }
 
     /// Executes the query on the calling thread against a borrowed graph
-    /// — the zero-setup path for scripts and tests. Always sequential
-    /// (the policy's thread and delivery knobs are moot here; sequential
-    /// output *is* the deterministic order); no warm state is kept. For
-    /// repeated or parallel traffic, hand the query to
+    /// — the zero-setup path for scripts and tests. No warm state is
+    /// kept; for repeated traffic, hand the query to
     /// `mintri_engine::Engine::run` instead.
     ///
     /// The graph is first decomposed into atoms ([`Plan::of`], or
@@ -735,7 +621,7 @@ impl Query {
     /// atom runs its own sequential `EnumMIS` and [`Plan::compose`]
     /// recombines them. Output order is the plan's odometer order —
     /// deterministic, and identical to what an engine produces for the
-    /// same query under [`Delivery::Deterministic`] at any thread count.
+    /// same query.
     pub fn run_local(self, g: &Graph) -> Response<'_> {
         let Query {
             task,
@@ -760,7 +646,6 @@ impl Query {
             let ms = MsGraph::shared(Arc::new(atom.graph.clone()), Box::new(Arc::clone(&shared)));
             OpenedAtom {
                 stream: Box::new(MinimalTriangulationsEnumerator::from_msgraph(ms, mode)),
-                threads: 1,
                 kind: DispatchKind::Sequential,
             }
         });
@@ -786,11 +671,8 @@ impl std::fmt::Debug for Query {
 /// [`Iterator`]) plus [`Response::cancel`], [`Response::outcome`] and
 /// [`Response::is_replay`].
 ///
-/// Dropping a response aborts the underlying execution (parallel workers
-/// are joined; nothing leaks). The budget and the cancel token are
-/// honored between emissions; for unordered parallel execution,
-/// cancellation additionally aborts the workers immediately, unblocking
-/// a consumer parked on the result channel.
+/// Dropping a response drops the underlying execution. The budget and
+/// the cancel token are honored between emissions.
 pub struct Response<'a> {
     task: Task,
     budget: EnumerationBudget,
@@ -952,8 +834,8 @@ impl<'a> Response<'a> {
         self.outcome()
     }
 
-    /// Ends the stream: captures counters, drops the source (joining any
-    /// parallel workers) and freezes the elapsed clock.
+    /// Ends the stream: captures counters, drops the source and freezes
+    /// the elapsed clock.
     fn end_stream(&mut self) {
         if let Some(source) = self.source.take() {
             if self.enum_stats.is_none() {
@@ -1320,32 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_hooks_fire_once_registered() {
-        let token = CancelToken::new();
-        let fired = Arc::new(AtomicBool::new(false));
-        let observer = Arc::clone(&fired);
-        let guard = token.on_cancel(move || observer.store(true, Ordering::SeqCst));
-        assert!(!fired.load(Ordering::SeqCst));
-        token.cancel();
-        assert!(fired.load(Ordering::SeqCst));
-        drop(guard);
-    }
-
-    #[test]
-    fn dropped_hook_guards_deregister() {
-        let token = CancelToken::new();
-        let fired = Arc::new(AtomicBool::new(false));
-        let observer = Arc::clone(&fired);
-        let guard = token.on_cancel(move || observer.store(true, Ordering::SeqCst));
-        drop(guard); // the run ended; its hook must not linger
-        token.cancel();
-        assert!(
-            !fired.load(Ordering::SeqCst),
-            "deregistered hooks must not fire"
-        );
-    }
-
-    #[test]
     fn traced_query_attaches_a_span_tree() {
         let g = Graph::cycle(6);
         let mut response = Query::enumerate().traced(true).run_local(&g);
@@ -1404,7 +1260,7 @@ mod tests {
         let dbg = format!("{q:?}");
         assert!(dbg.contains("Enumerate"));
         assert!(dbg.contains("MCS_M"), "{dbg}");
-        assert!(dbg.contains("threads: 0"), "default policy: {dbg}");
+        assert!(dbg.contains("planned: true"), "default policy: {dbg}");
     }
 
     #[test]
@@ -1413,29 +1269,25 @@ mod tests {
         assert_eq!(
             default,
             ExecPolicy {
-                threads: 0,
                 planned: true,
                 ranked: true,
-                delivery: Delivery::Unordered,
             }
         );
-        // Each builder sets its own knob and leaves the other three.
-        let set = default
-            .with_threads(4)
-            .with_planned(false)
-            .with_ranked(false)
-            .with_delivery(Delivery::Deterministic);
+        // Each builder sets its own knob and leaves the other.
         assert_eq!(
-            set,
+            default.with_planned(false),
             ExecPolicy {
-                threads: 4,
                 planned: false,
-                ranked: false,
-                delivery: Delivery::Deterministic,
+                ranked: true,
             }
         );
-        assert_eq!(default.with_ranked(false).threads, 0);
-        assert!(default.with_threads(4).planned);
+        assert_eq!(
+            default.with_ranked(false),
+            ExecPolicy {
+                planned: true,
+                ranked: false,
+            }
+        );
     }
 
     #[test]
@@ -1458,9 +1310,7 @@ mod tests {
         assert_eq!(response.by_ref().count(), 4);
         let dispatch = response.outcome().dispatch;
         assert_eq!(dispatch.len(), 2, "one entry per planned atom");
-        assert!(dispatch
-            .iter()
-            .all(|d| d.kind == DispatchKind::Sequential && d.threads == 1));
+        assert!(dispatch.iter().all(|d| d.kind == DispatchKind::Sequential));
         // Ranked best-k reports the ranked dispatch.
         let c6 = Graph::cycle(6);
         let mut ranked = Query::best_k(2, CostMeasure::Fill).run_local(&c6);

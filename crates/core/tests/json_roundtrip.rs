@@ -9,7 +9,7 @@ use mintri_core::json::{
     enum_stats_from_json, enum_stats_json, graph_from_json, graph_to_json, query_from_json,
     query_to_json, JsonValue,
 };
-use mintri_core::query::{CostMeasure, Delivery, ExecPolicy, Query, Task};
+use mintri_core::query::{CostMeasure, ExecPolicy, Query, Task};
 use mintri_core::{EnumerationBudget, TdEnumerationMode};
 use mintri_graph::Graph;
 use mintri_sgr::{EnumMisStats, PrintMode};
@@ -46,15 +46,7 @@ fn budget_strategy() -> impl Strategy<Value = EnumerationBudget> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = ExecPolicy> {
-    let delivery = prop_oneof![Just(Delivery::Unordered), Just(Delivery::Deterministic)];
-    (delivery, 0usize..16, any::<bool>(), any::<bool>()).prop_map(
-        |(delivery, threads, planned, ranked)| ExecPolicy {
-            threads,
-            planned,
-            ranked,
-            delivery,
-        },
-    )
+    (any::<bool>(), any::<bool>()).prop_map(|(planned, ranked)| ExecPolicy { planned, ranked })
 }
 
 fn query_strategy() -> impl Strategy<Value = Query> {
@@ -203,19 +195,20 @@ fn enum_stats_decode_rejects_gaps_and_accepts_older_documents() {
 }
 
 /// Documents written before the policy became one struct carry a
-/// `policy.mode` of `"auto"` or `"fixed"`. Both modes started from the
-/// same knobs, so the key is ignored and either decodes to the policy
-/// its knobs spell.
+/// `policy.mode` of `"auto"` or `"fixed"`, and older ones the retired
+/// `threads` and `delivery` knobs. None of them selects anything any
+/// more, so the keys are ignored and each document decodes to the policy
+/// its remaining knobs spell.
 #[test]
 fn old_policy_modes_decode_to_the_same_policy() {
     for mode in ["auto", "fixed"] {
         let doc = format!(
-            r#"{{"task":{{"type":"enumerate"}},"policy":{{"mode":"{mode}","delivery":"deterministic"}}}}"#
+            r#"{{"task":{{"type":"enumerate"}},"policy":{{"mode":"{mode}","threads":4,"delivery":"deterministic","plan":false}}}}"#
         );
         let q = query_from_json(&JsonValue::parse(&doc).unwrap()).unwrap();
         assert_eq!(
             q.policy,
-            ExecPolicy::default().with_delivery(Delivery::Deterministic),
+            ExecPolicy::default().with_planned(false),
             "mode {mode}"
         );
     }

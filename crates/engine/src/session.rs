@@ -8,22 +8,17 @@
 //! [`MsGraph`] for one (graph, triangulation backend) pair — so its
 //! interned separators and their component labels survive across
 //! queries — plus, once any enumeration has run to completion, the full
-//! answer list, keyed by the order contract it was recorded under
-//! (unordered discovery, or the sequential schedule under a
-//! [`PrintMode`]). Later queries whose delivery contract the recorded
-//! order satisfies replay
-//! it without touching `Extend` at all — for *every* task: enumeration,
-//! best-k, decomposition and stats queries all stream through the same
-//! replay-aware source. This is the "repeated traffic" story: the first
+//! answer list in the sequential schedule's order. Every later query
+//! replays it without touching `Extend` at all — for *every* task:
+//! enumeration, ranked and exhaustive best-k, decomposition and stats
+//! queries all stream through the same replay-aware source. This is the "repeated traffic" story: the first
 //! query over a graph pays for its atoms' enumerations, every later one
 //! — including queries on *different* graphs sharing an atom — is a
 //! cache replay (or at worst a warm-memo rerun).
 
 use crate::telemetry::EngineTelemetry;
 use crate::EngineConfig;
-use mintri_core::query::{
-    CancelToken, Delivery, DispatchKind, OpenedAtom, Plan, Query, Response, TriangulationStream,
-};
+use mintri_core::query::{DispatchKind, OpenedAtom, Plan, Query, Response, TriangulationStream};
 use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashMap, FxHasher, Graph, NodeSet};
 use mintri_sgr::{EnumMis, EnumMisStats, PrintMode};
@@ -31,7 +26,7 @@ use mintri_store::{AnswerSnapshot, MemoSummary, PlanSnapshot, Store, StoredOrder
 use mintri_telemetry::{Counter, Histogram, Registry, TraceBuilder};
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
 use std::hash::Hasher;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Cached plans colliding under one fingerprint (equality-verified on
@@ -53,61 +48,25 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     h.finish()
 }
 
-/// The order contract a cached answer list was recorded under.
-///
-/// An `Ordered` list is the sequential schedule's emission order and can
-/// serve *any* query; an `Unordered` list is one particular race outcome
-/// — set-correct, so it serves [`Delivery::Unordered`] queries, but never
-/// a [`Delivery::Deterministic`] one.
-///
-/// `Ordered` carries no print mode. The schedule's queue `Q` is FIFO, so
-/// answers leave it (`UponPop`) in the order they entered it
-/// (`UponGeneration`), and a run completes only once `Q` is empty: the
-/// two modes emit the same full sequence and differ only in timing
-/// (`tests/properties.rs` pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum AnswerKey {
-    /// Recorded from an unordered parallel run.
-    Unordered,
-    /// Recorded from the sequential schedule, in either print mode.
-    Ordered,
-}
-
-impl AnswerKey {
-    /// The recorded orders able to serve a query with this delivery
-    /// contract, most preferred first: the sequential order, then a race
-    /// recording (unordered queries only).
-    fn serving(delivery: Delivery) -> impl Iterator<Item = AnswerKey> {
-        let race = (delivery == Delivery::Unordered).then_some(AnswerKey::Unordered);
-        std::iter::once(AnswerKey::Ordered).chain(race)
-    }
-
-    /// The store-level renderings of this order contract — part of an
-    /// entry's disk identity, so the mapping must never change meaning.
-    /// Writes use the first; a hydrate accepts any of them (older stores
-    /// hold ordered lists under either print mode's value).
-    fn stored_orders(self) -> &'static [StoredOrder] {
-        match self {
-            AnswerKey::Unordered => &[StoredOrder::Unordered],
-            AnswerKey::Ordered => &[StoredOrder::UponGeneration, StoredOrder::UponPop],
-        }
-    }
-}
+/// The store-level order values an answer list may carry. Every list is
+/// the sequential schedule's emission order, and both print modes emit
+/// the same full sequence: the schedule's queue `Q` is FIFO, so answers
+/// leave it (`UponPop`) in the order they entered it (`UponGeneration`),
+/// and a run completes only once `Q` is empty (`tests/properties.rs`
+/// pins this). Writes use the first value; a hydrate accepts either,
+/// since older stores hold lists under both.
+const STORED_ORDERS: [StoredOrder; 2] = [StoredOrder::UponGeneration, StoredOrder::UponPop];
 
 /// The portable snapshot of one recorded answer list: separators leave
 /// as sorted vertex lists (session-local [`SepId`]s mean nothing to
 /// another process) together with the graph itself, so a loader can
 /// verify equality before trusting a fingerprint match.
-fn answer_snapshot(
-    session: &GraphSession,
-    key: AnswerKey,
-    answers: &[Vec<SepId>],
-) -> AnswerSnapshot {
+fn answer_snapshot(session: &GraphSession, answers: &[Vec<SepId>]) -> AnswerSnapshot {
     let stats = session.ms.stats();
     AnswerSnapshot {
         fingerprint: graph_fingerprint(&session.graph),
         backend: session.backend.to_string(),
-        order: key.stored_orders()[0],
+        order: STORED_ORDERS[0],
         nodes: session.graph.num_nodes() as u32,
         edges: session.graph.edges(),
         answers: answers
@@ -128,13 +87,13 @@ fn answer_snapshot(
 }
 
 /// Warm state for one (graph, triangulation backend) pair: the shared
-/// memoized `MSGraph` and, per completed enumeration order, the full
+/// memoized `MSGraph` and, once an enumeration has completed, its full
 /// answer list.
 pub struct GraphSession {
     graph: Arc<Graph>,
     backend: &'static str,
     ms: Arc<MsGraph<'static>>,
-    answers: Mutex<FxHashMap<AnswerKey, Arc<Vec<Vec<SepId>>>>>,
+    answers: OnceLock<Arc<Vec<Vec<SepId>>>>,
 }
 
 impl GraphSession {
@@ -144,7 +103,7 @@ impl GraphSession {
             backend: triangulator.name(),
             ms: Arc::new(MsGraph::shared(Arc::clone(&graph), triangulator)),
             graph,
-            answers: Mutex::new(FxHashMap::default()),
+            answers: OnceLock::new(),
         }
     }
 
@@ -170,43 +129,16 @@ impl GraphSession {
         self.ms.stats()
     }
 
-    /// A cached complete answer list, if any enumeration has finished
-    /// (any recorded order).
+    /// The cached complete answer list, if an enumeration has finished.
     pub fn cached_answers(&self) -> Option<Arc<Vec<Vec<SepId>>>> {
-        // An unordered consumer accepts any recorded order — the same
-        // rule the engine's replay dispatch uses.
-        self.replayable(Delivery::Unordered)
+        self.answers.get().cloned()
     }
 
-    /// The cached answer list able to serve a query with this delivery
-    /// contract, if one exists.
-    fn replayable(&self, delivery: Delivery) -> Option<Arc<Vec<Vec<SepId>>>> {
-        let answers = self.answers.lock().unwrap();
-        AnswerKey::serving(delivery).find_map(|key| answers.get(&key).cloned())
-    }
-
-    /// Deposits a completed answer list under `key` and returns the list
-    /// now cached there — the deposited one, or the incumbent when a
-    /// racing run (or hydrate) got there first.
-    fn store_answers(&self, key: AnswerKey, answers: Vec<Vec<SepId>>) -> Arc<Vec<Vec<SepId>>> {
-        Arc::clone(
-            self.answers
-                .lock()
-                .unwrap()
-                .entry(key)
-                .or_insert_with(|| Arc::new(answers)),
-        )
-    }
-
-    /// Every recorded answer list, by order key — what an eviction spill
-    /// walks to persist the session's winnings before the RAM goes away.
-    fn export_answers(&self) -> Vec<(AnswerKey, Arc<Vec<Vec<SepId>>>)> {
-        self.answers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(key, answers)| (*key, Arc::clone(answers)))
-            .collect()
+    /// Deposits a completed answer list and returns the list now cached
+    /// — the deposited one, or the incumbent when a racing run (or
+    /// hydrate) got there first.
+    fn store_answers(&self, answers: Vec<Vec<SepId>>) -> Arc<Vec<Vec<SepId>>> {
+        Arc::clone(self.answers.get_or_init(|| Arc::new(answers)))
     }
 }
 
@@ -227,47 +159,31 @@ fn plan_snapshot(g: &Graph, fingerprint: u64, plan: &Plan) -> PlanSnapshot {
     }
 }
 
-/// How a stream is served: what its dispatch record reports (live
-/// streams further split by thread count, see [`dispatch_kind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunKind {
-    /// A live enumeration (`Extend` calls happened).
-    Live,
-    /// Served from the in-RAM completed-answer cache.
-    Replay,
-    /// Served by hydrating a disk snapshot.
-    Hydrate,
-}
-
 enum Source {
     /// Replaying a previously completed enumeration — no `Extend` calls.
     Cached {
         answers: Arc<Vec<Vec<SepId>>>,
         next: usize,
     },
-    /// Live unordered run on the engine's worker threads.
-    #[cfg(feature = "parallel")]
-    Live(crate::ParallelEnumerator),
-    /// Live sequential run (one thread, or the `parallel` feature is
-    /// disabled) — still against the warm shared memo. `Arc<MsGraph>` is
-    /// itself an SGR, so the plain sequential iterator runs over the
-    /// session's shared graph with no wrapper. Boxed: the frontier's
-    /// bookkeeping dwarfs the other variants.
-    Sequential(Box<EnumMis<Arc<MsGraph<'static>>>>),
+    /// A live run of the sequential schedule against the warm shared
+    /// memo. `Arc<MsGraph>` is itself an SGR, so the plain iterator runs
+    /// over the session's shared graph with no wrapper. Boxed: the
+    /// frontier's bookkeeping dwarfs the other variant.
+    Live(Box<EnumMis<Arc<MsGraph<'static>>>>),
 }
 
 /// The engine's replay-aware triangulation stream: what every
 /// [`Engine::run`] response consumes, one per planned atom. On natural
 /// exhaustion of a live run it deposits the complete answer list back
-/// into its session for future replays, under the order key the run was
-/// executed with.
+/// into its session for future replays.
 pub(crate) struct EngineEnumeration {
     session: Arc<GraphSession>,
     source: Source,
     /// How the stream is served; a replay and a disk hydration share
     /// `Source::Cached`, so the source alone cannot tell them apart.
-    kind: RunKind,
-    recorded: Option<(AnswerKey, Vec<Vec<SepId>>)>,
+    kind: DispatchKind,
+    /// The live run's answers so far, deposited on completion.
+    recorded: Option<Vec<Vec<SepId>>>,
     /// The persistent tier (plus its spill counter), when the engine has
     /// one: a natural completion writes the deposited answer list
     /// through to disk (write-behind — the enqueue is the only hot-path
@@ -279,11 +195,6 @@ pub(crate) struct EngineEnumeration {
     /// at drop — two clock reads per stream total, so the always-on
     /// metric cannot perturb per-result delay.
     wall: Option<Arc<Histogram>>,
-    /// Keeps the query token's abort hook registered for exactly this
-    /// stream's lifetime — dropping the stream deregisters it, so a
-    /// long-lived token does not accumulate hooks from finished runs.
-    #[cfg(feature = "parallel")]
-    _cancel_hook: Option<mintri_core::query::CancelHookGuard>,
 }
 
 impl Drop for EngineEnumeration {
@@ -303,34 +214,15 @@ impl EngineEnumeration {
                 let tri = self.session.ms.materialize(&answer);
                 return Some((answer, tri));
             }
-            #[cfg(feature = "parallel")]
-            Source::Live(par) => match par.next_pair() {
-                Some(pair) => {
-                    if let Some((_, rec)) = &mut self.recorded {
-                        rec.push(pair.0.clone());
-                    }
-                    Some(pair)
+            // A live stream only ends when complete; one abandoned
+            // mid-run is dropped before it gets here and deposits nothing.
+            Source::Live(seq) => seq.next().map(|answer| {
+                if let Some(rec) = &mut self.recorded {
+                    rec.push(answer.clone());
                 }
-                None => {
-                    if !par.is_complete() {
-                        // Aborted mid-run: an incomplete list must never
-                        // be deposited, in RAM or on disk.
-                        self.recorded = None;
-                    }
-                    None
-                }
-            },
-            Source::Sequential(seq) => match seq.next() {
-                Some(answer) => {
-                    if let Some((_, rec)) = &mut self.recorded {
-                        rec.push(answer.clone());
-                    }
-                    let tri = self.session.ms.materialize(&answer);
-                    Some((answer, tri))
-                }
-                // A sequential stream only ends when complete.
-                None => None,
-            },
+                let tri = self.session.ms.materialize(&answer);
+                (answer, tri)
+            }),
         };
         if pair.is_none() {
             self.deposit();
@@ -340,12 +232,12 @@ impl EngineEnumeration {
 
     /// Deposits the recording into the session — and, with a store
     /// attached, spills it to disk (write-behind; `overwrite = true`
-    /// because a completed run is the freshest truth for its key).
+    /// because a completed run is the freshest truth for its graph).
     fn deposit(&mut self) {
-        if let Some((key, rec)) = self.recorded.take() {
-            let answers = self.session.store_answers(key, rec);
+        if let Some(rec) = self.recorded.take() {
+            let answers = self.session.store_answers(rec);
             if let Some((store, spills)) = &self.spill {
-                store.put_answers(&answer_snapshot(&self.session, key, &answers), true);
+                store.put_answers(&answer_snapshot(&self.session, &answers), true);
                 spills.inc();
             }
         }
@@ -371,22 +263,14 @@ impl TriangulationStream for EngineEnumeration {
     }
 
     fn finished(&self) -> bool {
-        match &self.source {
-            // A replay or sequential stream only ends by exhaustion.
-            Source::Cached { .. } | Source::Sequential(_) => true,
-            #[cfg(feature = "parallel")]
-            Source::Live(par) => par.is_complete(),
-        }
+        // A replay or live stream only ends by exhaustion.
+        true
     }
 
     fn enum_stats(&self) -> Option<EnumMisStats> {
         match &self.source {
             Source::Cached { .. } => None,
-            // An unordered run's relaxed schedule has no sequential
-            // counterpart to count against.
-            #[cfg(feature = "parallel")]
-            Source::Live(_) => None,
-            Source::Sequential(seq) => Some(seq.stats()),
+            Source::Live(seq) => Some(seq.stats()),
         }
     }
 
@@ -504,16 +388,14 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Engine with the default configuration (auto thread count).
+    /// Engine with the default configuration.
     pub fn new() -> Self {
         Self::with_config(EngineConfig::default())
     }
 
-    /// Engine with an explicit configuration. The config's
-    /// `threads_live` gauge is replaced by the engine's registered one.
-    pub fn with_config(mut config: EngineConfig) -> Self {
+    /// Engine with an explicit configuration.
+    pub fn with_config(config: EngineConfig) -> Self {
         let telemetry = EngineTelemetry::new(Arc::new(Registry::new()));
-        config.threads_live = Arc::clone(&telemetry.threads_live);
         Engine {
             config,
             sessions: Mutex::new(SessionStore::default()),
@@ -524,7 +406,7 @@ impl Engine {
     }
 
     /// Engine backed by a persistent warm-state tier. Dispatch per
-    /// stream becomes replay → disk-hydrate → parallel → sequential:
+    /// stream becomes replay → disk-hydrate → sequential:
     /// completed runs and evicted sessions spill their answer lists (and
     /// memoized plans) to `store`, and a RAM miss whose entry is on disk
     /// rebuilds the warm session by re-interning instead of
@@ -644,8 +526,8 @@ impl Engine {
     /// race a concurrent deposit).
     fn spill_session(&self, session: &Arc<GraphSession>) {
         let Some(store) = &self.store else { return };
-        for (key, answers) in session.export_answers() {
-            store.put_answers(&answer_snapshot(session, key, &answers), false);
+        if let Some(answers) = session.cached_answers() {
+            store.put_answers(&answer_snapshot(session, &answers), false);
             self.telemetry.store_spills.inc();
         }
     }
@@ -728,25 +610,18 @@ impl Engine {
     ///
     /// Per-atom dispatch, in order:
     ///
-    /// 1. **Replay** — if a completed answer list compatible with the
-    ///    query's [`Delivery`] contract is cached, it is served with zero
-    ///    `Extend` calls ([`Response::is_replay`]), for every task:
-    ///    ranked and decomposition queries replay just like plain
-    ///    enumerations. A sequential recording serves either
-    ///    [`PrintMode`]: the two emit the same full sequence.
-    /// 2. **Hydrate** — else a compatible answer list in the attached
-    ///    store is re-interned and replayed.
-    /// 3. **Parallel** — otherwise, when the atom's thread grant exceeds
-    ///    one and the `parallel` feature is compiled in, the atom runs
-    ///    unordered on the work-stealing `ParallelEnumerator`. Only the
-    ///    last atom of an unordered query gets a grant above one: the
-    ///    policy's `threads`, or with `threads == 0` the configured
-    ///    thread count. An atom under [`Delivery::Deterministic`] (which
-    ///    every ranked atom stream runs under) always gets one. The
-    ///    query's `CancelToken` aborts the workers mid-stream (all atoms
-    ///    at once).
-    /// 4. **Sequential** — else the plain `EnumMIS` iterator runs over
-    ///    the session's warm memo.
+    /// 1. **Replay** — if the session holds a completed answer list, it
+    ///    is served with zero `Extend` calls ([`Response::is_replay`]),
+    ///    for every task: ranked and decomposition queries replay just
+    ///    like plain enumerations. The list serves either [`PrintMode`]:
+    ///    the two emit the same full sequence.
+    /// 2. **Hydrate** — else an answer list in the attached store is
+    ///    re-interned and replayed.
+    /// 3. **Sequential** — else the plain `EnumMIS` iterator runs over
+    ///    the session's warm memo, on the consumer's thread.
+    ///
+    /// Every route yields the sequence [`Query::run_local`] yields for
+    /// the same query.
     ///
     /// A live run that drains to natural completion deposits its answer
     /// list back into its session, so the *next* query touching that
@@ -761,19 +636,10 @@ impl Engine {
             trace,
             cancel,
         } = query;
-        // Ranked composition needs deterministic per-atom production
-        // indices for its tie order, so the per-atom streams of a ranked
-        // query are forced onto the deterministic contract (an `Ordered`
-        // replay cache still serves them — lazily, never drained past
-        // the frontier).
         let ranked_measure = policy.ranked_measure(task);
-        let atom_delivery = match ranked_measure {
-            Some(_) => {
-                self.telemetry.ranked_queries.inc();
-                Delivery::Deterministic
-            }
-            None => policy.delivery,
-        };
+        if ranked_measure.is_some() {
+            self.telemetry.ranked_queries.inc();
+        }
         let tracer = trace.then(TraceBuilder::new);
         let query_span = tracer.as_ref().map(|t| {
             let span = t.root_span("query");
@@ -781,31 +647,19 @@ impl Engine {
             span.attr("dispatch", "engine");
             span
         });
-        // The thread grant of the last atom (the composer's fastest
-        // cursor); every other atom runs sequential. A deterministic
-        // atom gets one thread too: its contract is the sequential
-        // schedule's exact order, which one thread already delivers.
-        let last_atom_threads = match (atom_delivery, policy.threads) {
-            (Delivery::Deterministic, _) => 1,
-            (Delivery::Unordered, 0) => self.config.resolved_threads(),
-            (Delivery::Unordered, n) => n,
-        };
         let plan = Plan::for_query(policy.planned, g, query_span.as_ref(), || self.plan_for(g));
         let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-        let last = plan.atoms.len().saturating_sub(1);
         let mut composed = plan.compose(
             g,
             ranked_measure,
             query_span.as_ref(),
             Some(&self.telemetry.ranked_expansions),
-            |i, atom| {
-                let threads = if i == last { last_atom_threads } else { 1 };
+            |_, atom| {
                 let session = self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
-                let stream = self.stream_for(&session, mode, atom_delivery, threads, &cancel);
+                let stream = self.stream_for(&session, mode);
                 OpenedAtom {
-                    kind: dispatch_kind(stream.kind, threads),
+                    kind: stream.kind,
                     stream: Box::new(stream),
-                    threads,
                 }
             },
         );
@@ -919,177 +773,94 @@ impl Engine {
         total
     }
 
-    /// The replay-aware stream behind every atom of a query: cached
-    /// answers when the delivery contract allows, otherwise a live run
-    /// against the warm session memo — unordered on `threads` workers
-    /// when `threads > 1` (the caller grants that only under
-    /// [`Delivery::Unordered`]), sequential otherwise.
-    fn stream_for(
-        &self,
-        session: &Arc<GraphSession>,
-        mode: PrintMode,
-        delivery: Delivery,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> EngineEnumeration {
-        if let Some(answers) = session.replayable(delivery) {
+    /// The replay-aware stream behind every atom of a query: the cached
+    /// answers when the session or the store holds them, otherwise a
+    /// live run against the warm session memo.
+    fn stream_for(&self, session: &Arc<GraphSession>, mode: PrintMode) -> EngineEnumeration {
+        if let Some(answers) = session.cached_answers() {
             self.telemetry.replay_hits.inc();
             let source = Source::Cached { answers, next: 0 };
-            return self.enumeration(session, RunKind::Replay, source, None);
+            return self.enumeration(session, DispatchKind::Replay, source);
         }
         self.telemetry.replay_misses.inc();
-        if let Some(hydrated) = self.hydrate_stream(session, delivery) {
+        if let Some(hydrated) = self.hydrate_stream(session) {
             return hydrated;
         }
-        self.live_stream(session, mode, threads, cancel)
+        let source = Source::Live(Box::new(EnumMis::new(Arc::clone(&session.ms), mode)));
+        self.enumeration(session, DispatchKind::Sequential, source)
     }
 
     /// The disk-hydrate step of the dispatch order (replay →
-    /// **disk-hydrate** → parallel → sequential): on a RAM replay miss
-    /// with a store attached, probe the persistent tier for a recorded
-    /// answer list whose order satisfies the query's delivery contract —
-    /// the same compatibility rule ([`AnswerKey::serving`]) the RAM
-    /// replay applies. A hit verifies graph equality (a fingerprint is an
-    /// address, not a proof), re-interns the vertex-list separators into
-    /// this session's `MsGraph`, deposits the list for future RAM
-    /// replays, and serves a `Cached` stream — zero `Extend` calls, ever.
-    /// Interning and deposit race concurrent hydrators safely: the
-    /// session keeps exactly one list per key.
-    fn hydrate_stream(
-        &self,
-        session: &Arc<GraphSession>,
-        delivery: Delivery,
-    ) -> Option<EngineEnumeration> {
+    /// **disk-hydrate** → sequential): on a RAM replay miss with a store
+    /// attached, probe the persistent tier for a recorded answer list. A
+    /// hit verifies graph equality (a fingerprint is an address, not a
+    /// proof), re-interns the vertex-list separators into this session's
+    /// `MsGraph`, deposits the list for future RAM replays, and serves a
+    /// `Cached` stream — zero `Extend` calls, ever. Interning and
+    /// deposit race concurrent hydrators safely: the session keeps
+    /// exactly one list.
+    fn hydrate_stream(&self, session: &Arc<GraphSession>) -> Option<EngineEnumeration> {
         let store = self.store.as_ref()?;
         let start = Instant::now();
         let fp = graph_fingerprint(&session.graph);
-        // Probe order is the RAM rule's: deterministic queries accept
-        // only a sequential recording; unordered queries prefer one but
-        // accept any complete recording.
-        for key in AnswerKey::serving(delivery) {
-            let Some(snap) = key
-                .stored_orders()
-                .iter()
-                .find_map(|&order| store.load_answers(fp, session.backend, order))
-            else {
-                continue;
-            };
-            if snap.nodes as usize != session.graph.num_nodes()
-                || snap.edges != session.graph.edges()
-            {
-                continue;
-            }
-            let n = session.graph.num_nodes();
-            let answers: Vec<Vec<SepId>> = snap
-                .answers
-                .iter()
-                .map(|answer| {
-                    answer
-                        .iter()
-                        .map(|sep| {
-                            session
-                                .ms
-                                .intern(NodeSet::from_iter(n, sep.iter().copied()))
-                        })
-                        .collect()
-                })
-                .collect();
-            let answers = session.store_answers(key, answers);
-            self.telemetry.store_hits.inc();
-            self.telemetry
-                .store_hydrate_us
-                .record_duration(start.elapsed());
-            let source = Source::Cached { answers, next: 0 };
-            return Some(self.enumeration(session, RunKind::Hydrate, source, None));
-        }
-        self.telemetry.store_misses.inc();
-        None
-    }
-
-    #[cfg(feature = "parallel")]
-    fn live_stream(
-        &self,
-        session: &Arc<GraphSession>,
-        mode: PrintMode,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> EngineEnumeration {
-        if threads <= 1 {
-            return self.sequential_stream(session, mode);
-        }
-        let par = crate::ParallelEnumerator::from_msgraph(
-            Arc::clone(&session.ms),
-            &EngineConfig {
-                threads,
-                ..self.config.clone()
-            },
-        );
-        let cancel_hook = cancel.on_cancel(par.abort_hook());
-        let mut stream = self.enumeration(
-            session,
-            RunKind::Live,
-            Source::Live(par),
-            Some(AnswerKey::Unordered),
-        );
-        stream._cancel_hook = Some(cancel_hook);
-        stream
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn live_stream(
-        &self,
-        session: &Arc<GraphSession>,
-        mode: PrintMode,
-        _threads: usize,
-        _cancel: &CancelToken,
-    ) -> EngineEnumeration {
-        self.sequential_stream(session, mode)
-    }
-
-    fn sequential_stream(&self, session: &Arc<GraphSession>, mode: PrintMode) -> EngineEnumeration {
-        let source = Source::Sequential(Box::new(EnumMis::new(Arc::clone(&session.ms), mode)));
-        self.enumeration(session, RunKind::Live, source, Some(AnswerKey::Ordered))
+        let snap = STORED_ORDERS
+            .iter()
+            .filter_map(|&order| store.load_answers(fp, session.backend, order))
+            .find(|snap| {
+                snap.nodes as usize == session.graph.num_nodes()
+                    && snap.edges == session.graph.edges()
+            });
+        let Some(snap) = snap else {
+            self.telemetry.store_misses.inc();
+            return None;
+        };
+        let n = session.graph.num_nodes();
+        let answers: Vec<Vec<SepId>> = snap
+            .answers
+            .iter()
+            .map(|answer| {
+                answer
+                    .iter()
+                    .map(|sep| {
+                        session
+                            .ms
+                            .intern(NodeSet::from_iter(n, sep.iter().copied()))
+                    })
+                    .collect()
+            })
+            .collect();
+        let answers = session.store_answers(answers);
+        self.telemetry.store_hits.inc();
+        self.telemetry
+            .store_hydrate_us
+            .record_duration(start.elapsed());
+        let source = Source::Cached { answers, next: 0 };
+        Some(self.enumeration(session, DispatchKind::Hydrate, source))
     }
 
     /// Wraps `source` into the engine's stream over `session`. Every
     /// stream carries the stream-lifetime histogram; a live run also
-    /// records its answers under `record` for the deposit, written
-    /// through to the store when the engine has one.
+    /// records its answers for the deposit, written through to the store
+    /// when the engine has one.
     fn enumeration(
         &self,
         session: &Arc<GraphSession>,
-        kind: RunKind,
+        kind: DispatchKind,
         source: Source,
-        record: Option<AnswerKey>,
     ) -> EngineEnumeration {
+        let live = matches!(source, Source::Live(_));
         EngineEnumeration {
             session: Arc::clone(session),
             source,
             kind,
-            recorded: record.map(|key| (key, Vec::new())),
-            spill: record
-                .and(self.store.as_ref())
+            recorded: live.then(Vec::new),
+            spill: self
+                .store
+                .as_ref()
+                .filter(|_| live)
                 .map(|store| (Arc::clone(store), Arc::clone(&self.telemetry.store_spills))),
             created: Instant::now(),
             wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
-            #[cfg(feature = "parallel")]
-            _cancel_hook: None,
-        }
-    }
-}
-
-/// Maps how a stream was served onto the outcome vocabulary: replays
-/// and hydrations report themselves, live runs report by thread count.
-fn dispatch_kind(served: RunKind, threads: usize) -> DispatchKind {
-    match served {
-        RunKind::Replay => DispatchKind::Replay,
-        RunKind::Hydrate => DispatchKind::Hydrate,
-        RunKind::Live => {
-            if threads > 1 && cfg!(feature = "parallel") {
-                DispatchKind::Parallel
-            } else {
-                DispatchKind::Sequential
-            }
         }
     }
 }
@@ -1199,7 +970,6 @@ mod tests {
     #[test]
     fn session_store_evicts_least_recently_used() {
         let engine = Engine::with_config(EngineConfig {
-            threads: 1,
             max_sessions: 2,
             ..EngineConfig::default()
         });
@@ -1275,10 +1045,7 @@ mod tests {
 
     #[test]
     fn decompose_matches_sequential_pipeline() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(6);
         let mut via_engine: Vec<_> = engine
             .run(&g, Query::decompose(TdEnumerationMode::AllDecompositions))
@@ -1297,10 +1064,7 @@ mod tests {
     fn planned_queries_key_sessions_per_atom() {
         // two cycles glued at a cut vertex → two atom sessions, no
         // whole-graph session
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::from_edges(
             9,
             &[
@@ -1332,10 +1096,7 @@ mod tests {
     #[test]
     fn atom_sessions_are_shared_across_different_graphs() {
         // g1 and g2 are different graphs sharing the C5 atom on {0..4}
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let c5 = &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
         let mut g1 = Graph::from_edges(8, c5);
         for e in [(0, 5), (5, 6), (6, 7), (7, 0)] {
@@ -1367,10 +1128,7 @@ mod tests {
 
     #[test]
     fn warm_sessions_share_crossing_work_across_queries() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(8);
         // Different query kinds against one session: enumeration first...
         let _ = engine.run(&g, Query::enumerate()).count();
@@ -1386,13 +1144,9 @@ mod tests {
         // Best-k and decompose queries must be served from a
         // completed-answer replay — zero Extend calls, `is_replay()`
         // true — once some earlier query ran the enumeration to
-        // completion. A single-threaded engine deposits an *ordered*
-        // answer cache, which is what the ranked gear's deterministic
-        // per-atom streams can replay.
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        // completion: the drain deposits the session's answer list, and
+        // the ranked gear's per-atom streams replay it lazily.
+        let engine = Engine::new();
         let g = Graph::cycle(7);
 
         // Cold best-k query: the ranked gear stops after ~k pulls
@@ -1406,8 +1160,8 @@ mod tests {
             "ranked best-k must not drain C7's 42 results (scanned {cold_scanned})"
         );
 
-        // A full enumeration completes and deposits the ordered answer
-        // list for this session.
+        // A full enumeration completes and deposits the answer list for
+        // this session.
         assert_eq!(engine.run(&g, Query::enumerate()).count(), 42);
         let extends_after_drain = engine.session(&g).stats().extends;
         assert!(extends_after_drain > 0);
@@ -1440,10 +1194,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_sessions_replays_and_plans() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(6);
         let t = engine.telemetry();
         let _ = engine.run(&g, Query::enumerate()).count();
@@ -1468,10 +1219,7 @@ mod tests {
 
     #[test]
     fn traced_engine_run_reports_replay_dispatch() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(6);
         let _ = engine.run(&g, Query::enumerate()).count();
         let mut warm = engine.run(&g, Query::enumerate().traced(true));
@@ -1491,10 +1239,7 @@ mod tests {
 
     #[test]
     fn traced_ranked_best_k_reports_ranked_dispatch_and_counters() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(6);
         let t = engine.telemetry();
         let mut resp = engine.run(&g, Query::best_k(3, CostMeasure::Fill).traced(true));
@@ -1525,144 +1270,37 @@ mod tests {
         assert_eq!(t.ranked_queries.get(), 1);
     }
 
-    #[test]
-    fn unordered_replay_never_serves_deterministic_queries() {
-        #[cfg(feature = "parallel")]
-        {
-            let engine = Engine::with_config(EngineConfig {
-                threads: 4,
-                ..EngineConfig::default()
-            });
-            let g = Graph::cycle(7);
-            // Record an unordered run (a race order) into the cache.
-            let n = engine
-                .run(
-                    &g,
-                    Query::enumerate().policy(ExecPolicy::default().with_threads(4)),
-                )
-                .count();
-            assert_eq!(n, 42);
-            // A deterministic query must NOT replay it: order is a contract.
-            let det = engine.run(
-                &g,
-                Query::enumerate().policy(
-                    ExecPolicy::default()
-                        .with_threads(4)
-                        .with_delivery(Delivery::Deterministic),
-                ),
-            );
-            assert!(
-                !det.is_replay(),
-                "an unordered recording cannot serve a deterministic query"
-            );
-            let order: Vec<_> = det
-                .filter_map(QueryItem::into_triangulation)
-                .map(|t| t.graph.edges())
-                .collect();
-            let reference: Vec<_> = MinimalTriangulationsEnumerator::new(&g)
-                .map(|t| t.graph.edges())
-                .collect();
-            assert_eq!(order, reference);
-            // …and the deterministic run's deposit now serves both contracts.
-            assert!(engine
-                .run(
-                    &g,
-                    Query::enumerate().policy(
-                        ExecPolicy::default()
-                            .with_threads(4)
-                            .with_delivery(Delivery::Deterministic)
-                    )
-                )
-                .is_replay());
-        }
-    }
-
-    /// One query's dispatch record as `(kind, threads)` pairs, with the
-    /// drained result count.
-    fn dispatch_of(engine: &Engine, g: &Graph, q: Query) -> (usize, Vec<(DispatchKind, usize)>) {
+    /// One query's dispatch kinds, with the drained result count.
+    fn dispatch_of(engine: &Engine, g: &Graph, q: Query) -> (usize, Vec<DispatchKind>) {
         let mut resp = engine.run(g, q);
         let n = resp.by_ref().count();
-        let outcome = resp.outcome();
-        (
-            n,
-            outcome
-                .dispatch
-                .iter()
-                .map(|d| (d.kind, d.threads))
-                .collect(),
-        )
+        let kinds = resp.outcome().dispatch.iter().map(|d| d.kind).collect();
+        (n, kinds)
     }
 
     #[test]
     fn outcome_reports_per_atom_dispatch() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(6);
         let (n, cold) = dispatch_of(&engine, &g, Query::enumerate());
         assert_eq!(n, 14);
-        assert_eq!(cold, vec![(DispatchKind::Sequential, 1)]);
+        assert_eq!(cold, vec![DispatchKind::Sequential]);
         let (_, warm) = dispatch_of(&engine, &g, Query::enumerate());
-        assert_eq!(warm, vec![(DispatchKind::Replay, 1)]);
+        assert_eq!(warm, vec![DispatchKind::Replay]);
         let mut ranked = engine.run(&g, Query::best_k(2, CostMeasure::Fill));
         assert_eq!(ranked.by_ref().count(), 2);
         assert_eq!(ranked.outcome().dispatch.len(), 1);
         assert_eq!(ranked.outcome().dispatch[0].kind, DispatchKind::Ranked);
     }
 
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threads_go_to_the_last_unordered_atom_only() {
-        // C4 and C6 glued at a cut vertex → a two-atom plan.
-        let g = Graph::from_edges(
-            9,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 8),
-                (8, 3),
-            ],
-        );
-        let cold = |policy: ExecPolicy| {
-            let engine = Engine::with_config(EngineConfig {
-                threads: 4,
-                ..EngineConfig::default()
-            });
-            dispatch_of(&engine, &g, Query::enumerate().policy(policy))
-        };
-        let seq = (DispatchKind::Sequential, 1);
-        let par = (DispatchKind::Parallel, 4);
-        let (n, unordered) = cold(ExecPolicy::default());
-        assert_eq!(n, 28);
-        assert_eq!(unordered, vec![seq, par]);
-        assert_eq!(
-            cold(ExecPolicy::default().with_threads(4)),
-            (28, vec![seq, par])
-        );
-        let deterministic = ExecPolicy::default().with_delivery(Delivery::Deterministic);
-        assert_eq!(cold(deterministic), (28, vec![seq, seq]));
-        assert_eq!(cold(deterministic.with_threads(4)), (28, vec![seq, seq]));
-    }
-
     #[test]
     fn a_completed_list_replays_under_either_print_mode() {
         // The schedule's queue is FIFO and a run completes only once it is
         // empty, so both print modes emit the same full sequence.
-        let engine = Engine::with_config(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         let g = Graph::cycle(7);
-        let det = ExecPolicy::default().with_delivery(Delivery::Deterministic);
         let drain = |mode: PrintMode| {
-            let resp = engine.run(&g, Query::enumerate().mode(mode).policy(det));
+            let resp = engine.run(&g, Query::enumerate().mode(mode));
             let replayed = resp.is_replay();
             let order: Vec<_> = resp
                 .filter_map(QueryItem::into_triangulation)
@@ -1688,24 +1326,19 @@ mod tests {
     }
 
     #[test]
-    fn a_deterministic_query_hydrates_either_stored_print_mode() {
-        // Writes use one `StoredOrder` value, but an ordered list stored
-        // under either print mode's value must still hydrate.
+    fn a_query_hydrates_either_stored_print_mode() {
+        // Writes use one `StoredOrder` value, but a list stored under
+        // either print mode's value must still hydrate.
         let g = Graph::cycle(7);
-        let config = EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        };
-        let det = ExecPolicy::default()
-            .with_delivery(Delivery::Deterministic)
-            .with_planned(false);
+        let config = EngineConfig::default();
+        let unplanned = ExecPolicy::default().with_planned(false);
         let order = |resp: Response<'_>| -> Vec<Vec<(u32, u32)>> {
             resp.filter_map(QueryItem::into_triangulation)
                 .map(|t| t.graph.edges())
                 .collect()
         };
         let recorder = Engine::with_config(config.clone());
-        let reference = order(recorder.run(&g, Query::enumerate().policy(det)));
+        let reference = order(recorder.run(&g, Query::enumerate().policy(unplanned)));
         let session = recorder.session(&g);
         let answers = session.cached_answers().unwrap();
         for stored in [StoredOrder::UponGeneration, StoredOrder::UponPop] {
@@ -1715,13 +1348,13 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&root);
             let store = Arc::new(Store::open(mintri_store::StoreConfig::at(&root)).unwrap());
-            let mut snap = answer_snapshot(&session, AnswerKey::Ordered, &answers);
+            let mut snap = answer_snapshot(&session, &answers);
             snap.order = stored;
             store.put_answers(&snap, true);
             store.flush();
             for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
                 let reader = Engine::with_store(config.clone(), Arc::clone(&store));
-                let resp = reader.run(&g, Query::enumerate().mode(mode).policy(det));
+                let resp = reader.run(&g, Query::enumerate().mode(mode).policy(unplanned));
                 assert!(resp.is_replay(), "{mode:?} query over a {stored:?} list");
                 assert_eq!(order(resp), reference);
                 assert_eq!(reader.memo_stats().extends, 0);

@@ -22,10 +22,6 @@ pub struct EngineTelemetry {
     pub sessions_evicted: Arc<Counter>,
     /// Live warm sessions right now.
     pub sessions_live: Arc<Gauge>,
-    /// Live worker threads of this engine's parallel drivers. Every
-    /// worker raises it at spawn and lowers it as it exits, so it returns
-    /// to 0 once each query's stream is dropped.
-    pub threads_live: Arc<Gauge>,
     /// Streams served from a completed-answer replay (zero `Extend`s).
     pub replay_hits: Arc<Counter>,
     /// Streams that had to run live (no compatible cached answer list).
@@ -90,10 +86,6 @@ impl EngineTelemetry {
                 "Warm sessions dropped (LRU pressure, eviction or clears)",
             ),
             sessions_live: g("mintri_engine_sessions_live", "Live warm sessions"),
-            threads_live: g(
-                "mintri_engine_threads_live",
-                "Live worker threads of the parallel drivers",
-            ),
             replay_hits: c(
                 "mintri_engine_replay_hits_total",
                 "Streams served from a completed-answer replay",

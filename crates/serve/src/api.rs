@@ -805,7 +805,7 @@ impl AppState {
                 // Batch answers are one collected document per slot; a
                 // requested stream can't be honored here, so validate the
                 // field exactly like /v1/query does and reject it rather
-                // than silently dropping the delivery mode.
+                // than silently dropping the streaming request.
                 match spec.get("stream") {
                     Some(JsonValue::Bool(true)) => {
                         return error_body(400, "streaming is not supported inside /v1/batch")

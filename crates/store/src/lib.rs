@@ -168,6 +168,11 @@ const GRAPHS_DIR: &str = "graphs";
 /// [`Store::open`] deletes it, so its bytes do not sit outside the
 /// budget's accounting.
 const RETIRED_PROFILES_DIR: &str = "profiles";
+/// Name suffix of answer lists recorded in a retired order (one
+/// unordered parallel run's race outcome, filename tag `u`). No query can
+/// replay them, so [`Store::open`] deletes them rather than let them hold
+/// the disk budget.
+const RETIRED_UNORDERED_SUFFIX: &str = "-u.mts";
 const QUARANTINE_DIR: &str = "quarantine";
 const ENTRY_EXT: &str = "mts";
 
@@ -184,8 +189,9 @@ pub struct Store {
 
 impl Store {
     /// Opens (creating if needed) the store under `config.root`,
-    /// sweeping stale temp files and a retired `profiles/` directory,
-    /// and scanning the published entries into the byte/entry counters.
+    /// sweeping stale temp files, a retired `profiles/` directory and
+    /// answer lists in the retired unordered order, and scanning the
+    /// published entries into the byte/entry counters.
     pub fn open(config: StoreConfig) -> io::Result<Store> {
         let shared = Arc::new(Shared {
             root: config.root,
@@ -208,9 +214,11 @@ impl Store {
                 let entry = entry?;
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                if name.ends_with(".tmp") {
-                    // A writer died mid-publication; the final file (if
-                    // any) is still whole.
+                let retired = subdir == ANSWERS_DIR && name.ends_with(RETIRED_UNORDERED_SUFFIX);
+                if name.ends_with(".tmp") || retired {
+                    // A writer died mid-publication (the final file, if
+                    // any, is still whole), or the entry can never be
+                    // replayed. Best effort, like the sweep above.
                     let _ = fs::remove_file(entry.path());
                     continue;
                 }
@@ -647,7 +655,7 @@ mod tests {
         assert_eq!(loaded, snap);
         // A different order key is a different entry: miss.
         assert!(store
-            .load_answers(7, "mcs-m", StoredOrder::Unordered)
+            .load_answers(7, "mcs-m", StoredOrder::UponPop)
             .is_none());
         assert_eq!(store.stats().load_misses, 1);
     }
@@ -751,6 +759,27 @@ mod tests {
         // A second open finds nothing to remove.
         drop(store);
         Store::open(StoreConfig::at(&dir.0)).unwrap();
+    }
+
+    #[test]
+    fn open_removes_retired_unordered_answer_lists() {
+        let dir = ScratchDir::new("retired-unordered");
+        {
+            let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+            store.put_answers(&sample(5), true);
+        }
+        let answers = dir.0.join(ANSWERS_DIR);
+        let kept = answers.join(answers_name(5, "mcs-m", StoredOrder::UponGeneration));
+        let retired = answers.join(format!("a{:016x}-mcs-m-u.{ENTRY_EXT}", 5));
+        fs::write(&retired, [0u8; 64]).unwrap();
+        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        assert!(!retired.exists(), "the unordered list is gone");
+        assert!(kept.exists(), "ordered lists stay");
+        assert_eq!(store.entries(), 1, "only the ordered list is counted");
+        assert_eq!(store.bytes_stored(), fs::metadata(&kept).unwrap().len());
+        assert!(store
+            .load_answers(5, "mcs-m", StoredOrder::UponGeneration)
+            .is_some());
     }
 
     #[test]

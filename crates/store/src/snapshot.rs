@@ -55,16 +55,14 @@ impl EntryKind {
     }
 }
 
-/// The order contract a persisted answer list was recorded under — the
-/// store-level rendering of the engine's answer key. `Unordered` is one
-/// race outcome (set-correct only); the ordered variants are the
-/// sequential schedule's emission order, which is the same full sequence
-/// under either print mode. The engine writes ordered lists as
-/// `UponGeneration` and reads both values.
+/// The print mode a persisted answer list was recorded under. Both are
+/// the sequential schedule's emission order, which is the same full
+/// sequence under either print mode; the engine writes lists as
+/// `UponGeneration` and reads both values. Value 0 named a retired order
+/// (one unordered parallel run's race outcome); it is never reused, so
+/// such a file fails to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoredOrder {
-    /// Recorded from an unordered parallel run.
-    Unordered,
     /// Sequential schedule, results printed upon generation.
     UponGeneration,
     /// Sequential schedule, results printed upon queue pop.
@@ -75,7 +73,6 @@ impl StoredOrder {
     /// Filename tag (part of the entry's identity on disk).
     pub fn tag(self) -> &'static str {
         match self {
-            StoredOrder::Unordered => "u",
             StoredOrder::UponGeneration => "g",
             StoredOrder::UponPop => "p",
         }
@@ -83,7 +80,6 @@ impl StoredOrder {
 
     fn to_u8(self) -> u8 {
         match self {
-            StoredOrder::Unordered => 0,
             StoredOrder::UponGeneration => 1,
             StoredOrder::UponPop => 2,
         }
@@ -91,7 +87,6 @@ impl StoredOrder {
 
     fn from_u8(v: u8) -> Result<StoredOrder, CodecError> {
         match v {
-            0 => Ok(StoredOrder::Unordered),
             1 => Ok(StoredOrder::UponGeneration),
             2 => Ok(StoredOrder::UponPop),
             _ => Err(CodecError::BadValue),
@@ -446,6 +441,23 @@ mod tests {
         assert!(matches!(
             GraphSnapshot::decode(&bytes),
             Err(CodecError::BadKind(4))
+        ));
+    }
+
+    #[test]
+    fn retired_order_0_fails_to_decode() {
+        let snap = sample_answers();
+        let mut payload = snap.encode_payload();
+        // The order byte follows the fingerprint and the backend name.
+        let mut prefix = Enc::new();
+        prefix.u64(snap.fingerprint);
+        prefix.str(&snap.backend);
+        let at = prefix.finish().len();
+        assert_eq!(payload[at], 1, "the UponGeneration order byte");
+        payload[at] = 0;
+        assert!(matches!(
+            AnswerSnapshot::decode(&frame(EntryKind::Answers, payload)),
+            Err(CodecError::BadValue)
         ));
     }
 

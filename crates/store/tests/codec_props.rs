@@ -10,9 +10,8 @@ use mintri_store::{AnswerSnapshot, GraphSnapshot, MemoSummary, PlanSnapshot, Sto
 
 fn arb_order() -> impl Strategy<Value = StoredOrder> {
     prop_oneof![
-        Just(StoredOrder::Unordered),
         Just(StoredOrder::UponGeneration),
-        Just(StoredOrder::UponPop),
+        Just(StoredOrder::UponPop)
     ]
 }
 

@@ -1,5 +1,6 @@
 //! Quickstart: enumerate the minimal triangulations and proper tree
-//! decompositions of a small graph through the one query front door.
+//! decompositions of a small graph through the one query front door,
+//! locally and then on a warm engine.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -62,5 +63,35 @@ fn main() {
     println!(
         "\nbest fill among the first 5 results: {}",
         best[0].fill_count()
+    );
+
+    // 4. Repeated traffic goes to an `Engine`: the same query, answered in
+    //    the same order, against warm per-atom sessions. Once a query has
+    //    run to completion, later ones — of any task — replay the
+    //    recorded answers with zero `Extend` calls.
+    let engine = Engine::new();
+    let local: Vec<_> = Query::enumerate()
+        .run_local(&g)
+        .triangulations()
+        .into_iter()
+        .map(|t| t.fill)
+        .collect();
+    let cold: Vec<_> = engine
+        .run(&g, Query::enumerate())
+        .triangulations()
+        .into_iter()
+        .map(|t| t.fill)
+        .collect();
+    assert_eq!(cold, local, "the engine answers in run_local's order");
+    let extends = engine.memo_stats().extends;
+    let mut warm = engine.run(&g, Query::best_k(2, CostMeasure::Width));
+    assert_eq!(warm.triangulations().len(), 2);
+    assert!(warm.is_replay());
+    assert_eq!(engine.memo_stats().extends, extends);
+    println!(
+        "\nengine: {} triangulations cold, then best-k replayed with no new Extend \
+         ({} separators interned in the warm session)",
+        cold.len(),
+        engine.memo_stats().separators_interned
     );
 }

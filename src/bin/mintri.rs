@@ -6,17 +6,14 @@
 //! mintri atoms        --input g.col [--format text|json]
 //! mintri triangulate  --input g.col [--algo mcsm|lbtriang|lexm|mindegree] [--format ...]
 //! mintri enumerate    --input g.col [--limit K] [--budget-ms T] [--algo ...]
-//!                     [--explain] [--threads N]
-//!                     [--delivery unordered|deterministic] [--store-dir DIR]
-//!                     [--format ...]
+//!                     [--explain] [--store-dir DIR] [--format ...]
 //! mintri best-k       --input g.col [--k K] [--by width|fill] [--limit K]
-//!                     [--explain] [--budget-ms T]
-//!                     [--threads N] [--delivery ...] [--format ...]
+//!                     [--explain] [--budget-ms T] [--store-dir DIR]
+//!                     [--format ...]
 //! mintri decompose    --input g.col [--limit K] [--one-per-class true]
-//!                     [--explain] [--threads N]
-//!                     [--delivery ...] [--format ...]
-//! mintri serve        [--addr HOST:PORT] [--threads N] [--max-sessions M]
-//!                     [--workers W] [--slow-query-ms T] [--store-dir DIR]
+//!                     [--explain] [--store-dir DIR] [--format ...]
+//! mintri serve        [--addr HOST:PORT] [--max-sessions M] [--workers W]
+//!                     [--slow-query-ms T] [--store-dir DIR]
 //!                     [--store-budget-mb MB]
 //! ```
 //!
@@ -26,21 +23,16 @@
 //! stderr in text mode, embedded as `outcome.trace` in `--format json`.
 //!
 //! Every enumeration command builds one typed [`Query`] (task + backend +
-//! budget + delivery + threads) and renders its [`Response`] — `--format
-//! json` emits the results *and* the outcome (budget, quality, replay,
-//! `EnumMIS` counters) as one JSON document on stdout. `--threads N`
-//! (N > 1, or 0 for "all cores") executes the query on a `mintri-engine`
-//! engine, whose work-stealing workers stream results in a race order.
-//! `--delivery deterministic` asks for the single-threaded order
-//! instead, and that order is the sequential schedule itself: the engine
-//! runs it on one thread at any `--threads N`.
+//! budget) and renders its [`Response`] — `--format json` emits the
+//! results *and* the outcome (budget, quality, replay, `EnumMIS`
+//! counters) as one JSON document on stdout. Results always come in the
+//! sequential schedule's order.
 //!
 //! `mintri atoms` prints the clique-minimal-separator decomposition the
 //! planning layer enumerates over (components, atoms, separators).
 //!
 //! `--explain` prints the dispatch the engine actually chose for each
-//! atom (replay/hydrate/parallel/sequential/ranked plus the thread
-//! grant) to stderr; in `--format json` the same record rides in
+//! atom (replay/hydrate/sequential/ranked) to stderr; in `--format json` the same record rides in
 //! `outcome.dispatch`. Unknown flags are errors that name the flag, so a
 //! typo never falls back to a default silently.
 //!
@@ -60,15 +52,15 @@
 //! (`mintri-store`): completed answer caches, memoized plans and (under
 //! `serve`) the graph registry are snapshotted to disk and hydrated
 //! back on the next run, so warm state survives restarts and can be
-//! shared between replicas pointed at one directory. On an enumeration
-//! command it forces the engine path even at `--threads 1` — a
-//! one-shot CLI run both benefits from and contributes to the shared
-//! tier. `--store-budget-mb` caps the directory; past it new snapshots
+//! shared between replicas pointed at one directory. An enumeration
+//! command runs on an engine only with `--store-dir` — a one-shot CLI
+//! run both benefits from and contributes to the shared tier; without
+//! it, the query runs locally with zero setup. `--store-budget-mb` caps the directory; past it new snapshots
 //! are skipped (never an error: the tier is a cache).
 
 use mintri::core::json::{graph_summary_json, response_document, JsonObject};
 use mintri::core::EnumerationBudget;
-use mintri::engine::{Delivery, Engine, EngineConfig, ExecPolicy, Store, StoreConfig};
+use mintri::engine::{Engine, EngineConfig, Store, StoreConfig};
 use mintri::graph::io::{parse_dimacs, parse_edge_list};
 use mintri::prelude::*;
 use mintri::separators::MinimalSeparatorIter;
@@ -85,7 +77,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
         eprintln!(
-            "usage: mintri <stats|atoms|triangulate|enumerate|best-k|decompose> --input FILE [flags]\n       mintri serve [--addr HOST:PORT] [--threads N] [--max-sessions M] [--workers W]"
+            "usage: mintri <stats|atoms|triangulate|enumerate|best-k|decompose> --input FILE [flags]\n       mintri serve [--addr HOST:PORT] [--max-sessions M] [--workers W]"
         );
         return ExitCode::FAILURE;
     };
@@ -120,8 +112,6 @@ const VALUE_FLAGS: &[&str] = &[
     "k",
     "by",
     "one-per-class",
-    "threads",
-    "delivery",
     "store-dir",
     "store-budget-mb",
     "addr",
@@ -212,44 +202,6 @@ fn pick_triangulator(flags: &HashMap<String, String>) -> Result<Box<dyn Triangul
     )
 }
 
-fn pick_delivery(flags: &HashMap<String, String>) -> Result<Delivery, String> {
-    match flags.get("delivery").map(String::as_str) {
-        None | Some("unordered") => Ok(Delivery::Unordered),
-        Some("deterministic") => Ok(Delivery::Deterministic),
-        Some(other) => Err(format!(
-            "unknown --delivery {other:?} (use unordered or deterministic)"
-        )),
-    }
-}
-
-fn pick_threads(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    flags
-        .get("threads")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--threads must be an integer".to_string())
-        })
-        .transpose()
-}
-
-/// `--threads` → an [`EngineConfig`] for engine-backed execution, or
-/// `None` for the zero-setup local path (`--threads 1` and no flag both
-/// mean sequential).
-fn pick_engine_config(flags: &HashMap<String, String>) -> Result<Option<EngineConfig>, String> {
-    match pick_threads(flags)? {
-        None | Some(1) => Ok(None),
-        #[cfg(feature = "parallel")]
-        Some(n) => Ok(Some(EngineConfig {
-            threads: n,
-            ..EngineConfig::default()
-        })),
-        #[cfg(not(feature = "parallel"))]
-        Some(_) => {
-            Err("--threads needs the `parallel` feature; rebuild with default features".to_string())
-        }
-    }
-}
-
 fn parse_budget(flags: &HashMap<String, String>) -> Result<EnumerationBudget, String> {
     let limit: Option<usize> = flags
         .get("limit")
@@ -263,16 +215,6 @@ fn parse_budget(flags: &HashMap<String, String>) -> Result<EnumerationBudget, St
         max_results: limit,
         time_limit: budget_ms.map(Duration::from_millis),
     })
-}
-
-/// `--threads` and `--delivery` → the query's [`ExecPolicy`]. An explicit
-/// `--threads N` is the query's request too: an unordered run on N > 1
-/// threads runs on worker threads, a deterministic one stays
-/// sequential; without the flag (or with 0) the engine picks.
-fn pick_policy(flags: &HashMap<String, String>) -> Result<ExecPolicy, String> {
-    Ok(ExecPolicy::default()
-        .with_threads(pick_threads(flags)?.unwrap_or(0))
-        .with_delivery(pick_delivery(flags)?))
 }
 
 /// Builds the typed query for one enumeration command — the single place
@@ -311,7 +253,6 @@ fn build_query(command: &str, flags: &HashMap<String, String>) -> Result<Query, 
     Ok(query
         .triangulator(pick_triangulator(flags)?)
         .budget(parse_budget(flags)?)
-        .policy(pick_policy(flags)?)
         .traced(flags.contains_key("trace")))
 }
 
@@ -327,8 +268,8 @@ fn print_trace(outcome: &mintri::core::query::QueryOutcome, output: Output) {
 }
 
 /// `--explain` text rendering: the per-atom dispatch record — how the
-/// engine actually served each atom (replay/hydrate/parallel/sequential/
-/// ranked) and the thread grant — to stderr. JSON output carries the
+/// engine actually served each atom (replay/hydrate/sequential/ranked)
+/// — to stderr. JSON output carries the
 /// same data as `outcome.dispatch`.
 fn print_explain(
     outcome: &mintri::core::query::QueryOutcome,
@@ -343,14 +284,7 @@ fn print_explain(
         return;
     }
     for d in &outcome.dispatch {
-        eprintln!(
-            "atom {}: {} nodes, {} thread{}, {}",
-            d.index,
-            d.nodes,
-            d.threads,
-            if d.threads == 1 { "" } else { "s" },
-            d.kind.name()
-        );
+        eprintln!("atom {}: {} nodes, {}", d.index, d.nodes, d.kind.name());
     }
 }
 
@@ -375,30 +309,18 @@ fn pick_store(flags: &HashMap<String, String>) -> Result<Option<Arc<Store>>, Str
     Ok(Some(Arc::new(store)))
 }
 
-/// Executes a query: through an [`Engine`] when `--threads` asks for
-/// parallelism or `--store-dir` attaches the disk tier, otherwise on
-/// the calling thread with zero setup.
+/// Executes a query: through an [`Engine`] when `--store-dir` attaches
+/// the disk tier (the store only pays off through the engine's session
+/// and replay machinery), otherwise on the calling thread with zero
+/// setup.
 fn execute<'g>(
     query: Query,
     g: &'g Graph,
     flags: &HashMap<String, String>,
 ) -> Result<Response<'g>, String> {
-    let store = pick_store(flags)?;
-    Ok(match (pick_engine_config(flags)?, store) {
-        (Some(config), Some(store)) => Engine::with_store(config, store).run(g, query),
-        (Some(config), None) => Engine::with_config(config).run(g, query),
-        // The store only pays off through the engine's session +
-        // replay machinery, so its presence forces the engine path
-        // even for a sequential run.
-        (None, Some(store)) => Engine::with_store(
-            EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-            store,
-        )
-        .run(g, query),
-        (None, None) => query.run_local(g),
+    Ok(match pick_store(flags)? {
+        Some(store) => Engine::with_store(EngineConfig::default(), store).run(g, query),
+        None => query.run_local(g),
     })
 }
 
@@ -423,8 +345,8 @@ fn run(command: &str, flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `mintri serve`: the HTTP/batch transport over one shared [`Engine`].
-/// `--threads` configures the engine's worker pool (per-query
-/// parallelism), `--workers` the connection workers, `--max-sessions`
+/// `--workers` sets the connection workers (each runs its queries on its
+/// own thread), `--max-sessions`
 /// the warm-session LRU cap, `--slow-query-ms` the threshold for the
 /// slow-query log surfaced under `/v1/stats`, and `--store-dir` (with
 /// an optional `--store-budget-mb` cap) the persistent warm-state tier
@@ -436,11 +358,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             .map(|s| s.parse().map_err(|_| format!("--{key} must be an integer")))
             .unwrap_or(Ok(default))
     };
-    let mut engine_config = EngineConfig {
+    let engine_config = EngineConfig {
         max_sessions: parse_usize("max-sessions", EngineConfig::default().max_sessions)?,
         ..EngineConfig::default()
     };
-    engine_config.threads = parse_usize("threads", engine_config.threads)?;
     let api = ApiLimits {
         slow_query_ms: parse_usize("slow-query-ms", ApiLimits::default().slow_query_ms as usize)?
             as u64,

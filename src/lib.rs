@@ -29,22 +29,20 @@
 //!   ([`prelude::EnumerationBudget`]), the triangulation backend
 //!   ([`prelude::Triangulator`]), the print discipline
 //!   ([`prelude::PrintMode`]) and the execution policy
-//!   ([`prelude::ExecPolicy`]: threads, planning, ranking, delivery)
+//!   ([`prelude::ExecPolicy`]: planning and ranking)
 //!   are all builder parameters of the same query.
 //! * **Where to run it** is a two-way choice:
 //!   [`core::query::Query::run_local`] executes sequentially on the
 //!   calling thread with zero setup (scripts, tests, one-shot calls);
 //!   [`engine::Engine::run`] executes the *same query* against warm
-//!   per-atom sessions — sharded memo tables shared across threads and
-//!   queries, work-stealing parallel enumeration for
-//!   [`prelude::Delivery::Unordered`] streams
-//!   ([`prelude::Delivery::Deterministic`] is the sequential schedule
-//!   itself, run on one thread at any thread count), and
-//!   completed-answer replay (repeat
-//!   queries of *any* task shape serve with zero `Extend` calls).
+//!   per-atom sessions — sharded memo tables shared across the threads
+//!   and queries that use one engine, and completed-answer replay
+//!   (repeat queries of *any* task shape serve with zero `Extend`
+//!   calls). Both run each atom as the paper's sequential schedule on
+//!   the consumer's thread.
 //! * **How it went** is always the same [`prelude::Response`] handle: a
 //!   blocking [`prelude::QueryItem`] stream plus `cancel()` (honored
-//!   mid-stream; parallel workers are aborted and joined), `outcome()`
+//!   mid-stream, from the consumer or any other thread), `outcome()`
 //!   (budget/quality records, `EnumMIS` counters, termination cause) and
 //!   `is_replay()`.
 //!
@@ -60,10 +58,11 @@
 //! `ExecPolicy::default().with_planned(false)` the plan is one atom
 //! spanning the whole graph, whose stream runs unwrapped.
 //!
-//! The two execution paths agree exactly: `Deterministic` delivery
-//! reproduces `run_local`'s output stream, and `Unordered` reproduces
-//! the answer set (`tests/engine_parallel.rs`, `tests/query_api.rs` and
-//! `tests/planning.rs` hold these contracts).
+//! The two execution paths agree exactly: every engine stream — cold,
+//! replayed or hydrated — reproduces `run_local`'s output sequence
+//! (`tests/engine_parallel.rs`, `tests/query_api.rs`,
+//! `tests/default_dispatch.rs` and `tests/planning.rs` hold this
+//! contract).
 //!
 //! Beneath the front door, the single-threaded iterator kernel remains
 //! public for allocation-lean embedding:
@@ -88,13 +87,11 @@ pub mod prelude {
     pub use mintri_chordal::{is_chordal, maximal_cliques, treewidth_of_chordal, CliqueForest};
     pub use mintri_core::best_k_of_stream;
     pub use mintri_core::{
-        AtomDispatch, BruteForce, CancelToken, ComposedStream, CostMeasure, Delivery, DispatchKind,
+        AtomDispatch, BruteForce, CancelToken, ComposedStream, CostMeasure, DispatchKind,
         EagerMinimalTriangulations, EnumerationBudget, ExecPolicy, MinimalTriangulationsEnumerator,
         Plan, PlannedAtom, ProperTreeDecompositions, Query, QueryItem, QueryOutcome, Response,
         Task, TdEnumerationMode, TriangulationStream,
     };
-    #[cfg(feature = "parallel")]
-    pub use mintri_engine::ParallelEnumerator;
     pub use mintri_engine::{Engine, EngineConfig, GraphSession};
     pub use mintri_graph::{Graph, Node, NodeSet};
     pub use mintri_separators::{

@@ -84,6 +84,15 @@ fn unknown_flags_are_rejected_by_name() {
             vec!["enumerate", "--input", input, "--policy", "auto"],
             "--policy",
         ),
+        (
+            vec!["enumerate", "--input", input, "--threads", "2"],
+            "--threads",
+        ),
+        (
+            vec!["best-k", "--input", input, "--delivery", "deterministic"],
+            "--delivery",
+        ),
+        (vec!["serve", "--threads", "2"], "--threads"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mintri"))
             .args(&args)

@@ -1,12 +1,10 @@
-//! The default dispatch contract. With the thread count left to the
-//! engine (`ExecPolicy::default()`), a multi-threaded engine must answer
-//! exactly what `Query::run_local` answers: the same set under
-//! `Delivery::Unordered`, the same sequence under
-//! `Delivery::Deterministic`, the same best-k winners. It must also keep
-//! the one scheduling rule: every per-atom stream under the
-//! deterministic contract (ranked best-k included) runs on one thread,
-//! with the thread count left to the engine or given explicitly.
-//! Each check runs on a cold engine and again after `clear_sessions`.
+//! The default dispatch contract. Under `ExecPolicy::default()` an
+//! engine must answer exactly what `Query::run_local` answers: the same
+//! sequence, in either print mode, and the same best-k winners — on a
+//! cold engine, again once the first run's recordings replay, and again
+//! after `clear_sessions`. Concurrent consumers sharing one engine get
+//! the same sequence each. A ranked query that follows a default
+//! enumeration replays every atom that enumeration recorded.
 
 use mintri::core::{AtomDispatch, DispatchKind};
 use mintri::prelude::*;
@@ -14,6 +12,8 @@ use mintri::workloads::random::chained_cycles;
 use proptest::prelude::*;
 
 type Answers = Vec<Vec<(Node, Node)>>;
+
+const PRINT_MODES: [PrintMode; 2] = [PrintMode::UponGeneration, PrintMode::UponPop];
 
 /// A random graph on `3..=max_n` nodes with independent edge bits.
 fn graph_strategy(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -36,8 +36,8 @@ fn graph_strategy(max_n: usize) -> impl Strategy<Value = Graph> {
 }
 
 /// Drains one response into the full edge list of each triangulation —
-/// a faithful identity for both set and order comparisons — plus the
-/// per-atom dispatch it reported.
+/// a faithful identity for order comparisons — plus the per-atom
+/// dispatch it reported.
 fn drain(mut resp: Response<'_>) -> (Answers, Vec<AtomDispatch>) {
     let answers = resp
         .by_ref()
@@ -47,49 +47,18 @@ fn drain(mut resp: Response<'_>) -> (Answers, Vec<AtomDispatch>) {
     (answers, resp.outcome().dispatch)
 }
 
-fn sorted(mut v: Answers) -> Answers {
-    v.sort();
-    v
-}
-
-fn engine_with_threads(threads: usize) -> Engine {
-    Engine::with_config(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    })
-}
-
-fn four_thread_engine() -> Engine {
-    engine_with_threads(4)
-}
-
-fn assert_one_thread(dispatch: &[AtomDispatch], what: &str) {
-    for d in dispatch {
-        assert_eq!(d.threads, 1, "{what}: atom {} got {d:?}", d.index);
-    }
-}
-
-/// The default policy on an engine with `threads` workers against
-/// `run_local`, cold and after `clear_sessions`, under both delivery
-/// contracts.
-fn assert_default_matches_run_local(g: &Graph, threads: usize) {
-    let det = ExecPolicy::default().with_delivery(Delivery::Deterministic);
-    let (local_set, _) = drain(Query::enumerate().run_local(g));
-    let (local_order, _) = drain(Query::enumerate().policy(det).run_local(g));
-    let engine = engine_with_threads(threads);
-    for round in ["cold", "cleared"] {
-        let (set, _) = drain(engine.run(g, Query::enumerate()));
-        assert_eq!(
-            sorted(set),
-            sorted(local_set.clone()),
-            "unordered ({round}): the engine changed the result set"
-        );
-        let (order, dispatch) = drain(engine.run(g, Query::enumerate().policy(det)));
-        assert_eq!(
-            order, local_order,
-            "deterministic ({round}): the engine changed the order"
-        );
-        assert_one_thread(&dispatch, &format!("deterministic ({round})"));
+/// The default policy on `engine` against `run_local`, in both print
+/// modes: cold, replayed, and after `clear_sessions`.
+fn assert_default_matches_run_local(engine: &Engine, g: &Graph) {
+    for mode in PRINT_MODES {
+        let (local, _) = drain(Query::enumerate().mode(mode).run_local(g));
+        for round in ["cold", "replayed"] {
+            let (order, _) = drain(engine.run(g, Query::enumerate().mode(mode)));
+            assert_eq!(
+                order, local,
+                "{mode:?} ({round}): the engine changed the order"
+            );
+        }
         engine.clear_sessions();
     }
 }
@@ -97,33 +66,44 @@ fn assert_default_matches_run_local(g: &Graph, threads: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The default policy matches `run_local` on random graphs, on a
-    /// sequential engine.
+    /// The default policy matches `run_local` on random graphs.
     #[test]
     fn default_dispatch_matches_run_local_on_random_graphs(g in graph_strategy(6)) {
-        assert_default_matches_run_local(&g, 1);
+        assert_default_matches_run_local(&Engine::new(), &g);
     }
 
-    /// The same on a 4-thread engine, where unordered streams get the
-    /// worker pool and deterministic ones must still stay on one thread.
+    /// The same with two consumers running it in parallel on one shared
+    /// engine: each gets `run_local`'s sequence whichever of them
+    /// records an atom's answers first.
     #[test]
     fn default_dispatch_matches_run_local_on_random_graphs_parallel(g in graph_strategy(6)) {
-        assert_default_matches_run_local(&g, 4);
+        let engine = Engine::new();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let (local, _) = drain(Query::enumerate().run_local(&g));
+                    for _ in 0..3 {
+                        let (order, _) = drain(engine.run(&g, Query::enumerate()));
+                        assert_eq!(order, local, "a shared engine changed the order");
+                    }
+                });
+            }
+        });
     }
 }
 
 /// Chained cycles plan to one atom per cycle, so the composed odometer
-/// runs over several streams and only the last one may get threads.
+/// runs over several streams.
 #[test]
 fn default_dispatch_matches_run_local_on_chained_cycles() {
+    let engine = Engine::new();
     for shape in [&[4usize, 6][..], &[4, 5, 6], &[5, 5]] {
-        assert_default_matches_run_local(&chained_cycles(shape), 4);
+        assert_default_matches_run_local(&engine, &chained_cycles(shape));
     }
 }
 
-/// Ranked best-k forces its atom streams onto the deterministic
-/// contract, so under the default policy they run on one thread and
-/// pick the winners `run_local` picks, in the same order.
+/// Ranked best-k under the default policy picks the winners `run_local`
+/// picks, in the same order, cold and replayed.
 #[test]
 fn default_best_k_matches_run_local_on_chained_cycles() {
     let g = chained_cycles(&[4, 5, 6]);
@@ -135,68 +115,61 @@ fn default_best_k_matches_run_local_on_chained_cycles() {
     };
     let (local, _) = fills(best().run_local(&g));
     assert_eq!(local.len(), 7);
-    let engine = four_thread_engine();
+    let engine = Engine::new();
     for round in ["cold", "cleared"] {
         let (winners, dispatch) = fills(engine.run(&g, best()));
         assert_eq!(winners, local, "best-k winners diverged ({round})");
         assert_eq!(dispatch.len(), 3);
         assert!(dispatch.iter().all(|d| d.kind == DispatchKind::Ranked));
-        assert_one_thread(&dispatch, &format!("ranked ({round})"));
         engine.clear_sessions();
     }
+    // Once a default enumeration has recorded every atom, the ranked
+    // gear replays them and still picks the same winners.
+    assert_eq!(engine.run(&g, Query::enumerate()).count(), 2 * 5 * 14);
+    let ranked = engine.run(&g, best());
+    assert!(ranked.is_replay());
+    let (winners, _) = fills(ranked);
+    assert_eq!(winners, local, "replayed best-k winners diverged");
 }
 
-/// Drains `resp`, asserting after its first result and at its end that
-/// `engine`'s live-thread gauge reads 0: no worker ever ran.
-fn drain_without_workers(
-    engine: &Engine,
-    mut resp: Response<'_>,
-    what: &str,
-) -> (Vec<Triangulation>, Vec<AtomDispatch>) {
-    let live = &engine.telemetry().threads_live;
-    let mut tris: Vec<Triangulation> = resp
-        .next()
-        .into_iter()
-        .filter_map(QueryItem::into_triangulation)
-        .collect();
-    assert_eq!(live.get(), 0, "{what}: workers live mid-stream");
-    tris.extend(resp.triangulations());
-    assert_eq!(live.get(), 0, "{what}: workers live at the end");
-    (tris, resp.outcome().dispatch)
-}
-
-/// Deterministic delivery is the sequential schedule, so even an
-/// explicit thread count runs every deterministic atom, ranked or not,
-/// on one thread: the order and the winners are `run_local`'s, and no
-/// worker thread starts.
+/// A default `enumerate` on a 2-atom graph records each atom's answer
+/// list; a ranked `best_k` on the same engine then serves every atom by
+/// replay, with zero new `Extend` calls, and picks `run_local`'s
+/// winners.
 #[test]
-fn explicit_threads_run_deterministic_atoms_sequential() {
-    let g = chained_cycles(&[4, 5, 6]);
-    let engine = four_thread_engine();
-    let four = ExecPolicy::default().with_threads(4);
-    let det = four.with_delivery(Delivery::Deterministic);
+fn ranked_best_k_replays_every_atom_a_default_enumerate_recorded() {
+    let g = chained_cycles(&[5, 6]);
+    let engine = Engine::new();
+    let (all, dispatch) = drain(engine.run(&g, Query::enumerate()));
+    assert_eq!(all.len(), 5 * 14);
+    assert_eq!(dispatch.len(), 2, "a 2-atom plan");
+    let extends = engine.memo_stats().extends;
+    assert!(extends > 0);
 
-    let (local_order, _) = drain(Query::enumerate().policy(det).run_local(&g));
-    let (tris, dispatch) = drain_without_workers(
-        &engine,
-        engine.run(&g, Query::enumerate().policy(det)),
-        "plain",
+    let best = || Query::best_k(4, CostMeasure::Width);
+    let mut ranked = engine.run(&g, best());
+    let winners: Vec<_> = ranked
+        .triangulations()
+        .into_iter()
+        .map(|t| t.fill)
+        .collect();
+    let outcome = ranked.outcome();
+    assert!(outcome.replayed, "every atom is served by replay");
+    assert_eq!(outcome.dispatch.len(), 2);
+    assert!(outcome
+        .dispatch
+        .iter()
+        .all(|d| d.kind == DispatchKind::Ranked));
+    assert_eq!(
+        engine.memo_stats().extends,
+        extends,
+        "the ranked query made no new Extend call"
     );
-    let order: Answers = tris.iter().map(|t| t.graph.edges()).collect();
-    assert_eq!(order, local_order);
-    let kinds: Vec<(DispatchKind, usize)> = dispatch.iter().map(|d| (d.kind, d.threads)).collect();
-    assert_eq!(kinds, vec![(DispatchKind::Sequential, 1); 3]);
-
-    // Cleared, so the ranked atoms run live instead of replaying the
-    // recordings the query above left.
-    engine.clear_sessions();
-    let best = || Query::best_k(7, CostMeasure::Fill);
-    let local = best().run_local(&g).triangulations();
-    let (winners, dispatch) =
-        drain_without_workers(&engine, engine.run(&g, best().policy(four)), "ranked");
-    let fills = |ts: &[Triangulation]| ts.iter().map(|t| t.fill.clone()).collect::<Vec<_>>();
-    assert_eq!(fills(&winners), fills(&local));
-    assert_eq!(dispatch.len(), 3);
-    assert!(dispatch.iter().all(|d| d.kind == DispatchKind::Ranked));
-    assert_one_thread(&dispatch, "ranked");
+    let local: Vec<_> = best()
+        .run_local(&g)
+        .triangulations()
+        .into_iter()
+        .map(|t| t.fill)
+        .collect();
+    assert_eq!(winners, local);
 }

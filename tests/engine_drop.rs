@@ -1,94 +1,64 @@
-//! Drop-robustness of `ParallelEnumerator`: abandoning an enumeration
-//! after an arbitrary prefix, at any thread count, must neither deadlock
-//! nor leak worker threads. The same guarantees hold one layer up, for
-//! the query front door: a [`Response`] whose budget trips, or that is
-//! cancelled mid-stream (from the consumer or from another thread), must
-//! end its stream and join every worker — in both delivery modes, though
-//! only unordered streams start workers: a deterministic stream is the
-//! sequential schedule, so its gauge must stay at zero.
-//!
-//! The leak check reads each run's own `threads_live` gauge
-//! (`EngineConfig::threads_live`; for an `Engine`, its
-//! `mintri_engine_threads_live` metric): every worker raises it at spawn
-//! and lowers it as it exits. Unlike a count of the process's OS
-//! threads, it is blind to sibling tests spinning their own pools up and
-//! down concurrently.
+//! Early ends of an engine [`Response`]: a response whose budget trips,
+//! or that is cancelled mid-stream — from the consumer or from another
+//! thread — must end its stream promptly, flag the cause in its outcome,
+//! and leave the session clean, under either print mode. Ranked best-k
+//! streams end the same way and keep the winners already proven. A
+//! response dropped after any prefix deposits no partial answer list: a
+//! later query still runs the full enumeration, in `run_local`'s order.
 
-use mintri::core::{CostMeasure, MinimalTriangulationsEnumerator};
-use mintri::engine::{Delivery, Engine, EngineConfig, ParallelEnumerator};
+use mintri::core::CostMeasure;
 use mintri::prelude::*;
-use mintri::telemetry::Gauge;
-use mintri::triangulate::McsM;
 use mintri::workloads::random::erdos_renyi;
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Waits (briefly) for a live-thread gauge to return to zero. `Drop`
-/// joins every worker, so it should read zero at once; the grace period
-/// only keeps a slow joiner from reading as a leak.
-fn settles_to_zero(live: &Gauge) -> bool {
-    for _ in 0..200 {
-        if live.get() == 0 {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
+const PRINT_MODES: [PrintMode; 2] = [PrintMode::UponGeneration, PrintMode::UponPop];
+
+/// A graph with plenty of results.
+fn graph() -> Graph {
+    erdos_renyi(16, 0.3, 7)
 }
 
-/// A parallel engine plus a graph with plenty of results (the delivery
-/// contract is chosen per query).
-fn launch(threads: usize) -> (Engine, Graph) {
-    let engine = Engine::with_config(EngineConfig {
-        threads,
-        channel_capacity: 2, // small: exercise workers parked in send()
-        ..EngineConfig::default()
-    });
-    let g = erdos_renyi(16, 0.3, 7);
-    (engine, g)
+fn edges(tris: &[Triangulation]) -> Vec<Vec<(Node, Node)>> {
+    tris.iter().map(|t| t.graph.edges()).collect()
+}
+
+/// The first `k` triangulations `run_local` yields for `query`.
+fn local_prefix(g: &Graph, query: Query, k: usize) -> Vec<Vec<(Node, Node)>> {
+    let mut local = query.budget(EnumerationBudget::results(k)).run_local(g);
+    edges(&local.triangulations())
 }
 
 #[test]
-fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
-    for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let (engine, g) = launch(4);
-        let live = &engine.telemetry().threads_live;
-        let mut response = engine.run(
-            &g,
-            Query::enumerate().policy(
-                ExecPolicy::default()
-                    .with_threads(4)
-                    .with_delivery(delivery),
-            ),
+fn response_cancel_mid_stream_is_honored_in_both_print_modes() {
+    let g = graph();
+    for mode in PRINT_MODES {
+        let engine = Engine::new();
+        let mut response = engine.run(&g, Query::enumerate().mode(mode));
+        let first: Vec<Triangulation> = response
+            .by_ref()
+            .take(2)
+            .filter_map(QueryItem::into_triangulation)
+            .collect();
+        assert_eq!(
+            edges(&first),
+            local_prefix(&g, Query::enumerate().mode(mode), 2),
+            "{mode:?}: the prefix is run_local's"
         );
-        assert!(response.next().is_some(), "{delivery:?}: first result");
-        assert!(response.next().is_some(), "{delivery:?}: second result");
-        match delivery {
-            Delivery::Unordered => assert!(
-                live.get() > 0,
-                "unordered: the engine's gauge counts the running workers"
-            ),
-            Delivery::Deterministic => assert_eq!(
-                live.get(),
-                0,
-                "deterministic: the sequential schedule starts no worker"
-            ),
-        }
         response.cancel();
         // The stream must end promptly — not hang, not keep producing.
         assert!(
             response.next().is_none(),
-            "{delivery:?}: cancel must end the stream"
+            "{mode:?}: cancel must end the stream"
         );
         let outcome = response.outcome();
-        assert!(outcome.cancelled, "{delivery:?}: cancelled flag");
-        assert!(!outcome.completed, "{delivery:?}: not complete");
+        assert!(outcome.cancelled, "{mode:?}: cancelled flag");
+        assert!(!outcome.completed, "{mode:?}: not complete");
         assert_eq!(outcome.produced, 2);
         drop(response);
         assert!(
-            settles_to_zero(live),
-            "{delivery:?}: worker threads leaked after cancel: {} still live",
-            live.get()
+            !engine.run(&g, Query::enumerate().mode(mode)).is_replay(),
+            "{mode:?}: a cancelled run deposits nothing"
         );
     }
 }
@@ -98,87 +68,69 @@ fn cross_thread_cancel_unblocks_a_draining_consumer() {
     // C30 has Catalan(28) ≈ 2.6e14 minimal triangulations, so no drain
     // completes before the cancel lands, however fast the build runs.
     let g = Graph::cycle(30);
-    for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let (engine, _) = launch(4);
-        let live = &engine.telemetry().threads_live;
+    for mode in PRINT_MODES {
+        let engine = Engine::new();
         // Safety net: if cancellation were broken the budget still ends
         // the run, and the `cancelled` assertion below catches the bug
         // instead of the suite hanging.
         let mut response = engine.run(
             &g,
             Query::enumerate()
-                .policy(
-                    ExecPolicy::default()
-                        .with_threads(4)
-                        .with_delivery(delivery),
-                )
+                .mode(mode)
                 .budget(EnumerationBudget::results(200_000)),
         );
         let token = response.cancel_token();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            token.cancel();
-        });
         // Drain until the stream ends — mid-stream, whenever the cancel
-        // lands, including while parked on the parallel result channel.
-        let drained = response.by_ref().count();
-        canceller.join().unwrap();
+        // lands.
+        let drained = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                token.cancel();
+            });
+            response.by_ref().count()
+        });
         let outcome = response.outcome();
         assert!(
             outcome.cancelled,
-            "{delivery:?}: the cross-thread cancel must have ended the run \
+            "{mode:?}: the cross-thread cancel must have ended the run \
              (drained {drained} results)"
         );
-        drop(response);
-        assert!(
-            settles_to_zero(live),
-            "{delivery:?}: worker threads leaked after cross-thread cancel: {} still live",
-            live.get()
-        );
+        assert_eq!(outcome.produced, drained);
     }
 }
 
 #[test]
-fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
-    for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let (engine, g) = launch(4);
-        let live = &engine.telemetry().threads_live;
+fn result_budget_mid_stream_ends_the_stream_in_both_print_modes() {
+    let g = graph();
+    for mode in PRINT_MODES {
+        let engine = Engine::new();
         let mut response = engine.run(
             &g,
             Query::enumerate()
-                .policy(
-                    ExecPolicy::default()
-                        .with_threads(4)
-                        .with_delivery(delivery),
-                )
+                .mode(mode)
                 .budget(EnumerationBudget::results(7)),
         );
-        assert_eq!(response.by_ref().count(), 7, "{delivery:?}");
-        let outcome = response.outcome();
-        assert!(!outcome.completed, "{delivery:?}: budget, not completion");
-        assert!(!outcome.cancelled, "{delivery:?}");
-        drop(response);
-        assert!(
-            settles_to_zero(live),
-            "{delivery:?}: worker threads leaked after budget stop: {} still live",
-            live.get()
+        assert_eq!(
+            edges(&response.triangulations()),
+            local_prefix(&g, Query::enumerate().mode(mode), 7),
+            "{mode:?}: the budgeted prefix is run_local's"
         );
+        let outcome = response.outcome();
+        assert!(!outcome.completed, "{mode:?}: budget, not completion");
+        assert!(!outcome.cancelled, "{mode:?}");
+        assert_eq!(outcome.produced, 7);
     }
 }
 
 #[test]
-fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
-    for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let (engine, g) = launch(4);
-        let live = &engine.telemetry().threads_live;
+fn time_budget_mid_stream_ends_the_stream_in_both_print_modes() {
+    let g = Graph::cycle(30);
+    for mode in PRINT_MODES {
+        let engine = Engine::new();
         let mut response = engine.run(
             &g,
             Query::enumerate()
-                .policy(
-                    ExecPolicy::default()
-                        .with_threads(4)
-                        .with_delivery(delivery),
-                )
+                .mode(mode)
                 // Generous result cap as the hang safety-net; the clock
                 // trips far earlier.
                 .budget(EnumerationBudget::results_or_time(
@@ -188,32 +140,26 @@ fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
         );
         let n = response.by_ref().count();
         let outcome = response.outcome();
-        assert!(
-            !outcome.completed || n < 200_000,
-            "{delivery:?}: the run must have been timeboxed"
-        );
-        drop(response);
-        assert!(
-            settles_to_zero(live),
-            "{delivery:?}: worker threads leaked after timeout: {} still live",
-            live.get()
-        );
+        assert!(n < 200_000, "{mode:?}: the run must have been timeboxed");
+        assert!(!outcome.completed, "{mode:?}: timeout, not completion");
+        assert!(!outcome.cancelled, "{mode:?}");
     }
 }
 
 #[test]
-fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
-    let (engine, g) = launch(4);
-    let live = &engine.telemetry().threads_live;
+fn cancel_mid_ranked_best_k_yields_the_proven_prefix() {
+    let g = graph();
+    let engine = Engine::new();
     // Large k so the ranked stream has plenty left to emit when the
     // cancel lands; the results already out are proven winners.
-    let mut response = engine.run(
-        &g,
-        Query::best_k(100_000, CostMeasure::Fill).policy(ExecPolicy::default().with_threads(4)),
-    );
-    assert!(response.next().is_some(), "first ranked result");
-    assert!(response.next().is_some(), "second ranked result");
-    assert_eq!(live.get(), 0, "ranked atom streams start no worker");
+    let best = || Query::best_k(100_000, CostMeasure::Fill);
+    let mut response = engine.run(&g, best());
+    let first: Vec<Triangulation> = response
+        .by_ref()
+        .take(2)
+        .filter_map(QueryItem::into_triangulation)
+        .collect();
+    assert_eq!(edges(&first), local_prefix(&g, best(), 2));
     response.cancel();
     assert!(
         response.next().is_none(),
@@ -223,70 +169,56 @@ fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
     assert!(outcome.cancelled);
     assert!(!outcome.completed);
     assert_eq!(outcome.produced, 2);
-    drop(response);
-    assert!(
-        settles_to_zero(live),
-        "worker threads leaked after mid-ranked cancel: {} still live",
-        live.get()
-    );
 }
 
 #[test]
-fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
-    let (engine, g) = launch(4);
-    let live = &engine.telemetry().threads_live;
-    let mut response = engine.run(
-        &g,
-        Query::best_k(100_000, CostMeasure::Fill)
-            .policy(ExecPolicy::default().with_threads(4))
-            .budget(EnumerationBudget::results(5)),
+fn result_budget_mid_ranked_best_k_bounds_emissions() {
+    let g = graph();
+    let engine = Engine::new();
+    let best = || Query::best_k(100_000, CostMeasure::Fill);
+    let mut response = engine.run(&g, best().budget(EnumerationBudget::results(5)));
+    assert_eq!(
+        edges(&response.triangulations()),
+        local_prefix(&g, best(), 5)
     );
-    assert_eq!(response.by_ref().count(), 5);
-    assert_eq!(live.get(), 0, "ranked atom streams start no worker");
     let outcome = response.outcome();
     assert!(!outcome.completed, "budget stop, not completion");
     assert!(!outcome.cancelled);
-    drop(response);
-    assert!(
-        settles_to_zero(live),
-        "worker threads leaked after mid-ranked budget stop: {} still live",
-        live.get()
-    );
+    assert_eq!(outcome.produced, 5);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Drop a `ParallelEnumerator` after a random prefix of a random-size
-    /// run: `Drop` must join every worker (the test hangs on deadlock and
-    /// the live-thread gauge exposes a leak) and the prefix itself must
-    /// be a prefix of the sequential answer set's size.
+    /// Drop a live response after a random prefix of a random-size run:
+    /// the prefix is `run_local`'s, the session keeps no partial answer
+    /// list, and the next query on the same engine runs live to
+    /// completion and yields `run_local`'s full sequence.
     #[test]
-    fn dropping_the_parallel_enumerator_after_a_random_prefix_is_clean(
+    fn dropping_a_live_response_after_a_random_prefix_is_clean(
         seed in 0u64..1000,
         prefix in 0usize..12,
-        threads in 1usize..5,
     ) {
         let g = erdos_renyi(12, 0.3, seed);
-        let config = EngineConfig {
-            threads,
-            channel_capacity: 2, // small: exercise workers parked in send()
-            ..EngineConfig::default()
-        };
-        let live = &config.threads_live;
-        let mut e = ParallelEnumerator::with_config(&g, Box::new(McsM), &config);
-        // The gauge counts this enumerator's workers; some may already have
-        // finished.
-        prop_assert!(live.get() <= threads as i64);
-        let taken = e.by_ref().take(prefix).count();
-        let total = MinimalTriangulationsEnumerator::new(&g).count();
-        prop_assert_eq!(taken, prefix.min(total));
-        drop(e); // must join all workers without deadlocking…
-        // …and leave no pool thread behind.
-        prop_assert!(
-            settles_to_zero(live),
-            "worker threads leaked: {} still live",
-            live.get()
-        );
+        let engine = Engine::new();
+        let unplanned = || Query::enumerate().policy(ExecPolicy::default().with_planned(false));
+        let mut response = engine.run(&g, unplanned());
+        let taken: Vec<Triangulation> = response
+            .by_ref()
+            .take(prefix)
+            .filter_map(QueryItem::into_triangulation)
+            .collect();
+        drop(response);
+        let full = edges(&unplanned().run_local(&g).triangulations());
+        prop_assert_eq!(edges(&taken), full[..prefix.min(full.len())].to_vec());
+        if prefix <= full.len() {
+            // The stream never saw its end, so nothing was deposited.
+            prop_assert!(engine.session(&g).cached_answers().is_none());
+        }
+        let rerun = engine.run(&g, unplanned());
+        prop_assert_eq!(rerun.is_replay(), prefix > full.len());
+        let rerun: Vec<Triangulation> =
+            rerun.filter_map(QueryItem::into_triangulation).collect();
+        prop_assert_eq!(edges(&rerun), full);
     }
 }

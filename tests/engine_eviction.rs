@@ -9,15 +9,13 @@
 use mintri::engine::{Engine, EngineConfig};
 use mintri::prelude::*;
 use mintri::workloads::random::chord_cycle;
-use std::sync::Arc;
 
 #[test]
 fn concurrent_clients_past_the_session_cap_stay_correct() {
-    let engine = Arc::new(Engine::with_config(EngineConfig {
-        threads: 1,
+    let engine = Engine::with_config(EngineConfig {
         max_sessions: 2, // far below the 8-graph working set
         ..EngineConfig::default()
-    }));
+    });
     // Planning is left ON: each graph splits into two cycle atoms, so
     // the store also churns on *shared* atom sessions while whole
     // graphs come and go.
@@ -28,19 +26,17 @@ fn concurrent_clients_past_the_session_cap_stay_correct() {
         .collect();
     assert!(expected.iter().all(|&n| n > 0));
 
-    let mut clients = Vec::new();
-    for (g, want) in graphs.iter().cloned().zip(expected.iter().copied()) {
-        let engine = Arc::clone(&engine);
-        clients.push(std::thread::spawn(move || {
-            for round in 0..6 {
-                let got = engine.run(&g, Query::enumerate()).count();
-                assert_eq!(got, want, "round {round} returned a wrong answer set");
-            }
-        }));
-    }
-    for client in clients {
-        client.join().expect("no client may panic or deadlock");
-    }
+    std::thread::scope(|scope| {
+        for (g, &want) in graphs.iter().zip(&expected) {
+            let engine = &engine;
+            scope.spawn(move || {
+                for round in 0..6 {
+                    let got = engine.run(g, Query::enumerate()).count();
+                    assert_eq!(got, want, "round {round} returned a wrong answer set");
+                }
+            });
+        }
+    });
     assert!(
         engine.sessions_cached() <= 2,
         "the LRU cap holds under concurrency"
@@ -50,7 +46,6 @@ fn concurrent_clients_past_the_session_cap_stay_correct() {
 #[test]
 fn eviction_mid_query_does_not_cut_the_stream() {
     let engine = Engine::with_config(EngineConfig {
-        threads: 1,
         max_sessions: 1,
         ..EngineConfig::default()
     });
@@ -87,26 +82,23 @@ fn eviction_mid_query_does_not_cut_the_stream() {
 fn racing_first_queries_on_one_graph_share_a_session() {
     // The double-checked insert: N threads discover the same cold graph
     // at once; exactly one session must win and all answers agree.
-    let engine = Arc::new(Engine::with_config(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Engine::new();
     let g = Graph::cycle(8);
     let expected = Query::enumerate().run_local(&g).count();
-    let barrier = Arc::new(std::sync::Barrier::new(6));
-    let mut racers = Vec::new();
-    for _ in 0..6 {
-        let engine = Arc::clone(&engine);
-        let g = g.clone();
-        let barrier = Arc::clone(&barrier);
-        racers.push(std::thread::spawn(move || {
-            barrier.wait();
-            engine.run(&g, Query::enumerate()).count()
-        }));
-    }
-    for racer in racers {
-        assert_eq!(racer.join().expect("racer"), expected);
-    }
+    let barrier = std::sync::Barrier::new(6);
+    std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..6)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    engine.run(&g, Query::enumerate()).count()
+                })
+            })
+            .collect();
+        for racer in racers {
+            assert_eq!(racer.join().expect("racer"), expected);
+        }
+    });
     assert_eq!(
         engine.sessions_cached(),
         1,

@@ -1,45 +1,37 @@
-//! Contracts of the parallel engine against the sequential reference:
+//! Contracts of the engine against the sequential reference:
 //!
-//! * `Delivery::Deterministic` through `Engine::run` reproduces the
-//!   sequential enumerator's output **in order**, and its `EnumMIS`
-//!   counters, on the same graph families `tests/determinism.rs` pins,
-//!   whatever thread count the query asks for — parallel hardware must
-//!   never change golden outputs;
-//! * `Delivery::Unordered` reproduces the answer **set** at every thread
-//!   count (property-tested over random graphs at 1, 2 and 4 threads);
+//! * an unplanned query through `Engine::run` reproduces the sequential
+//!   enumerator's output **in order**, and its `EnumMIS` counters, in
+//!   either print mode, on the same graph families `tests/determinism.rs`
+//!   pins — the engine must never change golden outputs;
+//! * a planned query reproduces `run_local`'s sequence on random graphs,
+//!   cold and replayed, and an unplanned one the sequential iterator's;
 //! * the `Engine` session layer serves repeated queries from its warm
 //!   cache without recomputation and without changing answers.
 
 use mintri::core::MinimalTriangulationsEnumerator;
-use mintri::engine::{Delivery, Engine, ParallelEnumerator};
 use mintri::prelude::*;
 use mintri::workloads::pgm::promedas;
 use mintri::workloads::random::erdos_renyi;
 use proptest::prelude::*;
 
-fn sequential_edges(g: &Graph, limit: usize) -> Vec<Vec<(Node, Node)>> {
-    MinimalTriangulationsEnumerator::new(g)
+const PRINT_MODES: [PrintMode; 2] = [PrintMode::UponGeneration, PrintMode::UponPop];
+
+fn sequential_edges(g: &Graph, mode: PrintMode, limit: usize) -> Vec<Vec<(Node, Node)>> {
+    MinimalTriangulationsEnumerator::with_config(g, Box::new(McsM), mode)
         .take(limit)
         .map(|t| t.graph.edges())
         .collect()
 }
 
-/// The first `limit` results of an unplanned deterministic query that
-/// asks a cold engine for `threads` threads, plus its outcome.
-fn deterministic_engine_run(
-    g: &Graph,
-    threads: usize,
-    limit: usize,
-) -> (Vec<Vec<(Node, Node)>>, QueryOutcome) {
+/// The first `limit` results of an unplanned query in print mode `mode`
+/// on a cold engine, plus its outcome.
+fn engine_run(g: &Graph, mode: PrintMode, limit: usize) -> (Vec<Vec<(Node, Node)>>, QueryOutcome) {
     let mut resp = Engine::new().run(
         g,
         Query::enumerate()
-            .policy(
-                ExecPolicy::default()
-                    .with_planned(false)
-                    .with_threads(threads)
-                    .with_delivery(Delivery::Deterministic),
-            )
+            .mode(mode)
+            .policy(ExecPolicy::default().with_planned(false))
             .budget(EnumerationBudget::results(limit)),
     );
     let edges = resp
@@ -50,8 +42,8 @@ fn deterministic_engine_run(
     (edges, resp.outcome())
 }
 
-fn deterministic_engine_edges(g: &Graph, threads: usize, limit: usize) -> Vec<Vec<(Node, Node)>> {
-    deterministic_engine_run(g, threads, limit).0
+fn engine_edges(g: &Graph, mode: PrintMode, limit: usize) -> Vec<Vec<(Node, Node)>> {
+    engine_run(g, mode, limit).0
 }
 
 #[test]
@@ -64,21 +56,20 @@ fn deterministic_mode_matches_sequential_on_determinism_families() {
         mintri::workloads::tpch_query(7).graph,
     ];
     for g in &families {
-        let expected = sequential_edges(g, 50);
-        for threads in [2, 4] {
+        for mode in PRINT_MODES {
             assert_eq!(
-                deterministic_engine_edges(g, threads, 50),
-                expected,
-                "Deterministic delivery diverged from the sequential order \
-                 at {threads} threads on a {}-node graph",
+                engine_edges(g, mode, 50),
+                sequential_edges(g, mode, 50),
+                "the engine diverged from the sequential order in {mode:?} \
+                 on a {}-node graph",
                 g.num_nodes()
             );
         }
     }
 }
 
-/// A deterministic engine query runs the *same* `Frontier` schedule as
-/// the sequential iterator, so its `EnumMIS` counters — extend calls,
+/// An engine query runs the *same* `Frontier` schedule as the
+/// sequential iterator, so its `EnumMIS` counters — extend calls,
 /// edge queries, nodes generated, answers — must match exactly, not just
 /// the emitted stream. Counter drift would mean the schedules diverged
 /// even if the outputs happened to agree.
@@ -91,18 +82,18 @@ fn deterministic_stats_match_sequential_on_determinism_families() {
         mintri::workloads::tpch_query(7).graph,
     ];
     for g in &families {
-        let mut seq = MinimalTriangulationsEnumerator::new(g);
-        let n_seq = seq.by_ref().take(50).count();
-        for threads in [2, 4] {
-            let (edges, outcome) = deterministic_engine_run(g, threads, 50);
+        for mode in PRINT_MODES {
+            let mut seq = MinimalTriangulationsEnumerator::with_config(g, Box::new(McsM), mode);
+            let n_seq = seq.by_ref().take(50).count();
+            let (edges, outcome) = engine_run(g, mode, 50);
             assert_eq!(n_seq, edges.len());
             assert_eq!(
                 seq.enum_stats(),
                 outcome
                     .enum_stats
-                    .expect("deterministic delivery exposes EnumMIS stats"),
-                "EnumMIS counters diverged from the sequential schedule at \
-                 {threads} threads on a {}-node graph",
+                    .expect("a live engine stream exposes EnumMIS stats"),
+                "EnumMIS counters diverged from the sequential schedule in \
+                 {mode:?} on a {}-node graph",
                 g.num_nodes()
             );
         }
@@ -112,8 +103,8 @@ fn deterministic_stats_match_sequential_on_determinism_families() {
 #[test]
 fn deterministic_mode_is_reproducible_across_runs() {
     let g = erdos_renyi(18, 0.3, 12345);
-    let a = deterministic_engine_edges(&g, 4, 40);
-    let b = deterministic_engine_edges(&g, 4, 40);
+    let a = engine_edges(&g, PrintMode::UponGeneration, 40);
+    let b = engine_edges(&g, PrintMode::UponGeneration, 40);
     assert_eq!(a, b);
 }
 
@@ -121,7 +112,7 @@ fn deterministic_mode_is_reproducible_across_runs() {
 fn engine_replay_preserves_results_across_queries() {
     let engine = Engine::new();
     let g = erdos_renyi(14, 0.25, 3);
-    let mut first: Vec<_> = engine
+    let first: Vec<_> = engine
         .run(&g, Query::enumerate())
         .filter_map(QueryItem::into_triangulation)
         .map(|t| t.graph.edges())
@@ -129,7 +120,7 @@ fn engine_replay_preserves_results_across_queries() {
     let computed = engine.session(&g).stats().extends;
     let replay = engine.run(&g, Query::enumerate());
     assert!(replay.is_replay(), "second query must be a cache replay");
-    let mut second: Vec<_> = replay
+    let second: Vec<_> = replay
         .filter_map(QueryItem::into_triangulation)
         .map(|t| t.graph.edges())
         .collect();
@@ -138,13 +129,13 @@ fn engine_replay_preserves_results_across_queries() {
         computed,
         "replay must not invoke Extend"
     );
-    first.sort();
-    second.sort();
-    assert_eq!(first, second);
-    let mut reference: Vec<_> = MinimalTriangulationsEnumerator::new(&g)
+    assert_eq!(first, second, "replay preserves the order");
+    let reference: Vec<_> = Query::enumerate()
+        .run_local(&g)
+        .triangulations()
+        .iter()
         .map(|t| t.graph.edges())
         .collect();
-    reference.sort();
     assert_eq!(first, reference);
 }
 
@@ -172,38 +163,44 @@ fn graph_strategy(max_n: usize) -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Unordered` mode yields exactly the sequential answer set at 1, 2
-    /// and 4 threads — on every random input, not just the nice ones.
+    /// A planned engine query yields exactly `run_local`'s sequence in
+    /// either print mode — cold, then replayed — on every random input,
+    /// not just the nice ones.
     #[test]
-    fn unordered_mode_yields_the_same_set_at_every_thread_count(g in graph_strategy(7)) {
-        let mut expected: Vec<_> = MinimalTriangulationsEnumerator::new(&g)
-            .map(|t| t.graph.edges())
-            .collect();
-        expected.sort();
-        for threads in [1usize, 2, 4] {
-            let mut got: Vec<_> = ParallelEnumerator::new(&g, threads)
+    fn engine_enumeration_matches_run_local_order(g in graph_strategy(7)) {
+        let engine = Engine::new();
+        for mode in PRINT_MODES {
+            let expected: Vec<_> = Query::enumerate()
+                .mode(mode)
+                .run_local(&g)
+                .triangulations()
+                .iter()
                 .map(|t| t.graph.edges())
                 .collect();
-            got.sort();
-            prop_assert_eq!(&got, &expected, "thread count {}", threads);
+            for _ in ["cold", "replayed"] {
+                let got: Vec<_> = engine
+                    .run(&g, Query::enumerate().mode(mode))
+                    .filter_map(QueryItem::into_triangulation)
+                    .map(|t| t.graph.edges())
+                    .collect();
+                prop_assert_eq!(&got, &expected, "{:?}", mode);
+            }
         }
     }
 
-    /// The engine session agrees with brute-force-validated sequential
-    /// enumeration on arbitrary graphs.
+    /// An unplanned engine query agrees with the brute-force-validated
+    /// sequential enumerator on arbitrary graphs, in order.
     #[test]
     fn engine_enumeration_matches_sequential_set(g in graph_strategy(6)) {
         let engine = Engine::new();
-        let mut got: Vec<_> = engine
-            .run(&g, Query::enumerate())
+        let got: Vec<_> = engine
+            .run(&g, Query::enumerate().policy(ExecPolicy::default().with_planned(false)))
             .filter_map(QueryItem::into_triangulation)
             .map(|t| t.graph.edges())
             .collect();
-        got.sort();
-        let mut expected: Vec<_> = MinimalTriangulationsEnumerator::new(&g)
+        let expected: Vec<_> = MinimalTriangulationsEnumerator::new(&g)
             .map(|t| t.graph.edges())
             .collect();
-        expected.sort();
         prop_assert_eq!(got, expected);
     }
 }

@@ -38,13 +38,7 @@ impl Drop for ScratchDir {
 }
 
 fn engine_at(dir: &ScratchDir) -> Engine {
-    Engine::with_store(
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        },
-        dir.open(),
-    )
+    Engine::with_store(EngineConfig::default(), dir.open())
 }
 
 #[test]
@@ -157,22 +151,23 @@ fn concurrent_hydrate_races_keep_exactly_one_session() {
         assert_eq!(warmup.run(&g, Query::enumerate()).count(), 42);
         warmup.store().unwrap().flush();
     }
-    let engine = Arc::new(engine_at(&dir));
-    let mut clients = Vec::new();
-    for _ in 0..8 {
-        let engine = Arc::clone(&engine);
-        let g = g.clone();
-        clients.push(std::thread::spawn(move || {
-            let response = engine.run(&g, Query::enumerate());
-            let replayed = response.is_replay();
-            (replayed, response.count())
-        }));
-    }
-    for client in clients {
-        let (replayed, count) = client.join().expect("no hydrator may panic");
-        assert!(replayed, "every racer is served a replay");
-        assert_eq!(count, 42);
-    }
+    let engine = engine_at(&dir);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    let response = engine.run(&g, Query::enumerate());
+                    let replayed = response.is_replay();
+                    (replayed, response.count())
+                })
+            })
+            .collect();
+        for client in clients {
+            let (replayed, count) = client.join().expect("no hydrator may panic");
+            assert!(replayed, "every racer is served a replay");
+            assert_eq!(count, 42);
+        }
+    });
     assert_eq!(
         engine.sessions_cached(),
         1,
@@ -181,62 +176,61 @@ fn concurrent_hydrate_races_keep_exactly_one_session() {
     assert_eq!(engine.memo_stats().extends, 0);
 }
 
-#[cfg(feature = "parallel")]
+/// Older stores hold answer lists recorded by unordered parallel runs
+/// (filename tag `u`): one race outcome each, in no order a query can
+/// promise. Opening the store deletes them, so a query over such a store
+/// runs live and yields `run_local`'s order.
 #[test]
 fn an_unordered_recording_never_hydrates_a_deterministic_query() {
-    use mintri::engine::Delivery;
-
     let dir = ScratchDir::new("unordered");
     let g = Graph::cycle(7);
     {
-        // A multi-threaded run records one particular race outcome.
-        let writer = Engine::with_store(
-            EngineConfig {
-                threads: 4,
-                ..EngineConfig::default()
-            },
-            dir.open(),
-        );
-        assert_eq!(
-            writer
-                .run(
-                    &g,
-                    Query::enumerate().policy(ExecPolicy::default().with_threads(4))
-                )
-                .count(),
-            42
-        );
+        let writer = engine_at(&dir);
+        assert_eq!(writer.run(&g, Query::enumerate()).count(), 42);
         writer.store().unwrap().flush();
     }
+    // Leave the recording under the retired unordered tag only.
+    let answers = dir.0.join("answers");
+    let mut retired = Vec::new();
+    for entry in std::fs::read_dir(&answers).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if let Some(stem) = name.strip_suffix("-g.mts") {
+            let unordered = answers.join(format!("{stem}-u.mts"));
+            std::fs::rename(&path, &unordered).unwrap();
+            retired.push(unordered);
+        }
+    }
+    assert_eq!(retired.len(), 1, "C7 is one atom with one recording");
     let reader = engine_at(&dir);
-    let det = reader.run(
-        &g,
-        Query::enumerate().policy(ExecPolicy::default().with_delivery(Delivery::Deterministic)),
-    );
     assert!(
-        !det.is_replay(),
-        "order is a contract: an unordered disk recording cannot serve it"
+        retired.iter().all(|path| !path.exists()),
+        "opening the store deletes unordered recordings"
     );
-    assert_eq!(det.count(), 42);
-    // An unordered query, by contrast, is happy with the disk recording.
-    let unordered = reader.run(&g, Query::enumerate());
-    assert!(unordered.is_replay());
-    assert_eq!(unordered.count(), 42);
+    let live = reader.run(&g, Query::enumerate());
+    assert!(!live.is_replay(), "nothing left to hydrate");
+    let order: Vec<_> = live
+        .filter_map(QueryItem::into_triangulation)
+        .map(|t| t.graph.edges())
+        .collect();
+    let reference: Vec<_> = Query::enumerate()
+        .run_local(&g)
+        .triangulations()
+        .iter()
+        .map(|t| t.graph.edges())
+        .collect();
+    assert_eq!(order, reference);
+    // The live run recorded a list every later query can replay.
+    assert!(reader.run(&g, Query::enumerate()).is_replay());
 }
 
-/// Both print modes emit the same full sequence, so a deterministic
-/// query hydrates a completed recording of the other mode.
+/// Both print modes emit the same full sequence, so a query hydrates a
+/// completed recording of the other mode.
 #[test]
 fn a_deterministic_query_hydrates_the_other_print_modes_recording() {
-    use mintri::engine::Delivery;
-
     let dir = ScratchDir::new("print-modes");
     let g = Graph::cycle(7);
-    let det = |mode: PrintMode| {
-        Query::enumerate()
-            .mode(mode)
-            .policy(ExecPolicy::default().with_delivery(Delivery::Deterministic))
-    };
+    let det = |mode: PrintMode| Query::enumerate().mode(mode);
     let order = |resp: Response<'_>| -> Vec<Vec<(Node, Node)>> {
         resp.filter_map(QueryItem::into_triangulation)
             .map(|t| t.graph.edges())

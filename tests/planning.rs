@@ -5,8 +5,9 @@
 //!   graphs (which are frequently disconnected and pendant-heavy, i.e.
 //!   atom-rich), explicit disconnected compositions, and graphs that
 //!   are already chordal / atom-free;
-//! * the composed `Delivery::Deterministic` order is **stable across
-//!   thread counts** and identical to `run_local`'s planned order;
+//! * the engine's composed order is identical to `run_local`'s planned
+//!   order, cold and replayed, and **stable across the number of
+//!   threads** querying one engine at once;
 //! * budgets and cancellation cut composed streams exactly like flat
 //!   ones.
 
@@ -14,10 +15,19 @@ use mintri::prelude::*;
 use mintri::workloads::random::{chained_cycles, erdos_renyi};
 use proptest::prelude::*;
 
+fn edges(tris: Vec<Triangulation>) -> Vec<Vec<(Node, Node)>> {
+    tris.iter().map(|t| t.graph.edges()).collect()
+}
+
 fn sorted_edges(tris: Vec<Triangulation>) -> Vec<Vec<(Node, Node)>> {
-    let mut out: Vec<_> = tris.iter().map(|t| t.graph.edges()).collect();
+    let mut out = edges(tris);
     out.sort();
     out
+}
+
+/// The triangulations `engine` streams for `query` on `g`, in order.
+fn engine_edges(engine: &Engine, g: &Graph, query: Query) -> Vec<Vec<(Node, Node)>> {
+    edges(engine.run(g, query).triangulations())
 }
 
 fn planned_local(g: &Graph) -> Vec<Vec<(Node, Node)>> {
@@ -82,73 +92,47 @@ fn planned_matches_unreduced_on_chordal_graphs() {
     }
 }
 
-#[cfg(feature = "parallel")]
+/// 1, 2 and 4 threads query one shared engine at once; whichever of
+/// them runs an atom live and whichever replays its recording, every
+/// thread gets `run_local`'s composed order.
 #[test]
 fn composed_deterministic_order_is_stable_across_thread_counts() {
     let g = chained_cycles(&[6, 4, 5]);
-    let reference: Vec<_> = Query::enumerate()
-        .run_local(&g)
-        .triangulations()
-        .iter()
-        .map(|t| t.graph.edges())
-        .collect();
+    let reference = edges(Query::enumerate().run_local(&g).triangulations());
     assert_eq!(reference.len(), 14 * 2 * 5);
     for threads in [1usize, 2, 4] {
         let engine = Engine::new();
-        let got: Vec<_> = engine
-            .run(
-                &g,
-                Query::enumerate().policy(
-                    ExecPolicy::default()
-                        .with_threads(threads)
-                        .with_delivery(Delivery::Deterministic),
-                ),
-            )
-            .filter_map(QueryItem::into_triangulation)
-            .map(|t| t.graph.edges())
-            .collect();
-        assert_eq!(
-            got, reference,
-            "composed order diverged at {threads} threads"
-        );
-        // …and the deterministic replay preserves it too.
-        let replay = engine.run(
-            &g,
-            Query::enumerate().policy(
-                ExecPolicy::default()
-                    .with_threads(threads)
-                    .with_delivery(Delivery::Deterministic),
-            ),
-        );
-        assert!(replay.is_replay());
-        let replayed: Vec<_> = replay
-            .filter_map(QueryItem::into_triangulation)
-            .map(|t| t.graph.edges())
-            .collect();
-        assert_eq!(
-            replayed, reference,
-            "replay order diverged at {threads} threads"
-        );
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for round in ["first", "second"] {
+                        assert_eq!(
+                            engine_edges(&engine, &g, Query::enumerate()),
+                            reference,
+                            "composed order diverged at {threads} threads ({round} query)"
+                        );
+                    }
+                });
+            }
+        });
+        assert!(engine.run(&g, Query::enumerate()).is_replay());
     }
 }
 
-#[cfg(feature = "parallel")]
 #[test]
-fn composed_unordered_engine_queries_match_the_set() {
+fn composed_engine_queries_match_run_local_exactly() {
     let g = chained_cycles(&[5, 6]);
-    let reference = planned_local(&g);
-    for threads in [2usize, 4] {
-        let engine = Engine::new();
-        let got = sorted_edges(
-            engine
-                .run(
-                    &g,
-                    Query::enumerate().policy(ExecPolicy::default().with_threads(threads)),
-                )
-                .filter_map(QueryItem::into_triangulation)
-                .collect(),
-        );
-        assert_eq!(got, reference, "{threads} threads");
+    let engine = Engine::new();
+    for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
+        let reference = edges(Query::enumerate().mode(mode).run_local(&g).triangulations());
+        for round in ["cold", "replayed"] {
+            assert_eq!(
+                engine_edges(&engine, &g, Query::enumerate().mode(mode)),
+                reference,
+                "{mode:?} ({round})"
+            );
+        }
+        engine.clear_sessions();
     }
 }
 
@@ -225,19 +209,14 @@ proptest! {
         prop_assert_eq!(planned_local(&g), unreduced_local(&g));
     }
 
-    /// The same contract through the engine, at several thread counts.
+    /// The same contract through the engine, whose planned stream is
+    /// `run_local`'s planned sequence.
     #[test]
     fn planned_engine_queries_are_set_identical_to_unreduced(g in graph_strategy(7)) {
-        let reference = unreduced_local(&g);
-        for threads in [1usize, 2] {
-            let engine = Engine::new();
-            let got = sorted_edges(
-                engine
-                    .run(&g, Query::enumerate().policy(ExecPolicy::default().with_threads(threads)))
-                    .filter_map(QueryItem::into_triangulation)
-                    .collect(),
-            );
-            prop_assert_eq!(&got, &reference, "thread count {}", threads);
-        }
+        let got = engine_edges(&Engine::new(), &g, Query::enumerate());
+        prop_assert_eq!(&got, &edges(Query::enumerate().run_local(&g).triangulations()));
+        let mut got = got;
+        got.sort();
+        prop_assert_eq!(got, unreduced_local(&g));
     }
 }

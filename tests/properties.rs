@@ -3,10 +3,10 @@
 //! invariants on *every* input, not just the hand-picked ones.
 
 use mintri::core::{
-    BruteForce, CostMeasure, Delivery, ExtendScratch, MinimalTriangulationsEnumerator, MsGraph,
+    BruteForce, CostMeasure, ExtendScratch, MinimalTriangulationsEnumerator, MsGraph,
     ProperTreeDecompositions, Query, SepId,
 };
-use mintri::engine::{Engine, EngineConfig};
+use mintri::engine::Engine;
 use mintri::prelude::*;
 use mintri::separators::all_minimal_separators;
 use mintri::separators::bruteforce::{all_minimal_separators_bruteforce, crossing_bruteforce};
@@ -57,8 +57,8 @@ fn best_k_fills_local(
 }
 
 /// Ordered fill lists of the best-k winners on a `mintri-engine`
-/// executor. Deterministic delivery pins the exhaustive gear's
-/// production order so tie-breaking is comparable across gears.
+/// executor. Its atom streams run the sequential schedule, whose fixed
+/// production order makes tie-breaking comparable across gears.
 fn best_k_fills_engine(
     engine: &Engine,
     g: &Graph,
@@ -72,8 +72,7 @@ fn best_k_fills_engine(
         Query::best_k(k, cost).policy(
             ExecPolicy::default()
                 .with_planned(planned)
-                .with_ranked(ranked)
-                .with_delivery(Delivery::Deterministic),
+                .with_ranked(ranked),
         ),
     );
     resp.triangulations().into_iter().map(|t| t.fill).collect()
@@ -273,15 +272,10 @@ proptest! {
 
     /// The same bit-for-bit agreement holds on the engine executor —
     /// warm sessions and replay caches included (all combinations share
-    /// one engine, so later queries exercise the warm paths). Both gears
-    /// run deterministic atom streams, which the engine runs sequential
-    /// at any thread count.
+    /// one engine, so later queries exercise the warm paths).
     #[test]
     fn ranked_best_k_matches_exhaustive_on_the_engine(g in graph_strategy(6)) {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new();
         for cost in [CostMeasure::Width, CostMeasure::Fill] {
             for planned in [true, false] {
                 for k in [1usize, 3, 1_000] {
@@ -411,15 +405,11 @@ fn label_crossing_matches_reference_on_pgm_families() {
 /// The agreement pinned on the planner's favorite corpus: chained
 /// cycles decompose into one atom per cycle, so the ranked odometer
 /// (not just the flat ranked stream) carries the best-k query. C4, C5
-/// and C6 have 2 × 5 × 14 = 140 minimal triangulations combined. The
-/// engine side runs every atom stream sequential, like the test above.
+/// and C6 have 2 × 5 × 14 = 140 minimal triangulations combined.
 #[test]
 fn ranked_matches_exhaustive_on_chained_cycles() {
     let g = mintri::workloads::random::chained_cycles(&[4, 5, 6]);
-    let engine = Engine::with_config(EngineConfig {
-        threads: 2,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new();
     for cost in [CostMeasure::Width, CostMeasure::Fill] {
         for planned in [true, false] {
             for k in [1usize, 3, 200] {

@@ -1,10 +1,11 @@
 //! Contracts of the typed `Query` → `Response` front door:
 //!
 //! * `Query::run_local` is the sequential enumerator, bit for bit — and
-//!   `Engine::run` with `Delivery::Deterministic` reproduces it at every
-//!   thread count, while `Delivery::Unordered` reproduces the answer
-//!   *set* (the parity guarantees of `tests/engine_parallel.rs`, now
-//!   exercised through the one serving entry point);
+//!   every `Engine::run` stream reproduces `run_local`'s sequence, for
+//!   every task, planned and unreduced, in either print mode, whether
+//!   the engine runs it cold, replays it or hydrates it from a store
+//!   (the parity guarantees of `tests/engine_parallel.rs`, exercised
+//!   through the one serving entry point);
 //! * every task — enumerate, best-k, decompose, stats — matches its
 //!   pre-query reference implementation;
 //! * warm sessions replay for *ranked and decompose* queries too, with
@@ -12,8 +13,10 @@
 //! * budgets and outcomes are reported identically across executors.
 
 use mintri::core::MinimalTriangulationsEnumerator;
+use mintri::engine::{Store, StoreConfig};
 use mintri::prelude::*;
-use mintri::workloads::random::erdos_renyi;
+use mintri::workloads::random::{chained_cycles, erdos_renyi};
+use std::sync::Arc;
 
 fn edges_of(tris: &[Triangulation]) -> Vec<Vec<(Node, Node)>> {
     tris.iter().map(|t| t.graph.edges()).collect()
@@ -74,12 +77,10 @@ fn unplanned_run_local_is_the_sequential_iterator_bit_for_bit() {
         cases.push((g, unplanned));
     }
     for (g, policy) in cases {
-        let policy = policy.with_threads(1);
         let sole = |kind| {
             vec![AtomDispatch {
                 index: 0,
                 nodes: g.num_nodes(),
-                threads: 1,
                 kind,
             }]
         };
@@ -169,47 +170,145 @@ fn planned_run_local_matches_the_unreduced_answer_set() {
     assert_eq!(planned, unreduced);
 }
 
-#[cfg(feature = "parallel")]
-#[test]
-fn deterministic_engine_queries_match_run_local_exactly() {
-    let g = erdos_renyi(16, 0.3, 99);
-    let reference = edges_of(&Query::enumerate().run_local(&g).triangulations());
-    for threads in [2, 4] {
-        let engine = Engine::new();
-        let got: Vec<_> = engine
-            .run(
-                &g,
-                Query::enumerate().policy(
-                    ExecPolicy::default()
-                        .with_threads(threads)
-                        .with_delivery(Delivery::Deterministic),
-                ),
-            )
-            .filter_map(QueryItem::into_triangulation)
-            .map(|t| t.graph.edges())
-            .collect();
-        assert_eq!(got, reference, "{threads} threads");
+/// One emitted item in comparable form: a triangulation's edge list, a
+/// decomposition's bags and tree edges, or a record's index, width and
+/// fill (its timestamp differs run to run).
+fn item_key(item: QueryItem) -> String {
+    match item {
+        QueryItem::Triangulation(t) => format!("{:?}", t.graph.edges()),
+        QueryItem::Decomposition(d) => {
+            let bags: Vec<_> = d.bags.iter().map(|b| b.to_vec()).collect();
+            format!("{bags:?} {:?}", d.edges)
+        }
+        QueryItem::Record(r) => format!("{} {} {}", r.index, r.width, r.fill),
     }
 }
 
-#[cfg(feature = "parallel")]
+/// Every task shape a query can take, the ranked gear and the
+/// exhaustive scan both.
+const TASKS: [&str; 6] = [
+    "enumerate",
+    "best_k ranked",
+    "best_k exhaustive",
+    "decompose all",
+    "decompose one",
+    "stats",
+];
+
+/// The query for one of [`TASKS`], under a results budget that keeps the
+/// decomposition expansion small.
+fn task_query(task: &str, policy: ExecPolicy, mode: PrintMode) -> Query {
+    let (query, policy) = match task {
+        "enumerate" => (Query::enumerate(), policy),
+        "best_k ranked" => (Query::best_k(4, CostMeasure::Width), policy),
+        "best_k exhaustive" => (
+            Query::best_k(4, CostMeasure::Fill),
+            policy.with_ranked(false),
+        ),
+        "decompose all" => (
+            Query::decompose(TdEnumerationMode::AllDecompositions),
+            policy,
+        ),
+        "decompose one" => (Query::decompose(TdEnumerationMode::OnePerClass), policy),
+        "stats" => (Query::stats(), policy),
+        other => unreachable!("unknown task {other}"),
+    };
+    query
+        .policy(policy)
+        .mode(mode)
+        .budget(EnumerationBudget::results(400))
+}
+
+/// How an engine comes to serve a query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Round {
+    /// A fresh engine runs it live.
+    Cold,
+    /// An engine whose sessions hold the completed answer lists.
+    Replayed,
+    /// A fresh engine over a store that holds them.
+    Hydrated,
+}
+
+/// Drains `response` into comparable items plus its outcome.
+fn drain_keys(mut response: Response<'_>) -> (Vec<String>, QueryOutcome) {
+    let items = response.by_ref().map(item_key).collect();
+    (items, response.outcome())
+}
+
+/// The whole matrix on `g`: every task, planned and unreduced, in both
+/// print modes, served cold, replayed and hydrated, must emit exactly
+/// the items `run_local` emits and end the same way. A cold live run
+/// also reports the local run's `EnumMIS` counters.
+fn assert_engine_matches_run_local_everywhere(g: &Graph, tag: &str) {
+    let root = std::env::temp_dir().join(format!("mintri-query-api-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = Arc::new(Store::open(StoreConfig::at(&root)).expect("store opens"));
+    let warm = Engine::with_store(EngineConfig::default(), Arc::clone(&store));
+    let policies = [
+        ExecPolicy::default(),
+        ExecPolicy::default().with_planned(false),
+    ];
+    for policy in policies {
+        // Record every atom of this plan to completion.
+        let recorded = warm.run(g, Query::enumerate().policy(policy)).wait();
+        assert!(recorded.completed, "{tag}: the recording completes");
+    }
+    store.flush();
+    for policy in policies {
+        for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
+            for task in TASKS {
+                let (expected, local) = drain_keys(task_query(task, policy, mode).run_local(g));
+                for round in [Round::Cold, Round::Replayed, Round::Hydrated] {
+                    let at = format!("{tag} {task} {policy:?} {mode:?} {round:?}");
+                    let q = task_query(task, policy, mode);
+                    let response = match round {
+                        Round::Cold => Engine::new().run(g, q),
+                        Round::Replayed => warm.run(g, q),
+                        Round::Hydrated => {
+                            Engine::with_store(EngineConfig::default(), Arc::clone(&store))
+                                .run(g, q)
+                        }
+                    };
+                    let (items, outcome) = drain_keys(response);
+                    assert_eq!(items, expected, "{at}: items");
+                    assert_eq!(outcome.produced, local.produced, "{at}: produced");
+                    assert_eq!(outcome.scanned, local.scanned, "{at}: scanned");
+                    assert_eq!(outcome.completed, local.completed, "{at}: completed");
+                    match round {
+                        Round::Cold => {
+                            assert_eq!(outcome.enum_stats, local.enum_stats, "{at}: counters")
+                        }
+                        _ => assert!(outcome.replayed, "{at}: served without Extend"),
+                    }
+                }
+            }
+        }
+    }
+    drop(warm);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
-fn unordered_engine_queries_match_the_answer_set() {
-    let g = erdos_renyi(14, 0.3, 41);
-    let mut reference = edges_of(&Query::enumerate().run_local(&g).triangulations());
-    reference.sort();
-    for threads in [2, 4] {
-        let engine = Engine::new();
-        let mut got: Vec<_> = engine
-            .run(
-                &g,
-                Query::enumerate().policy(ExecPolicy::default().with_threads(threads)),
-            )
-            .filter_map(QueryItem::into_triangulation)
-            .map(|t| t.graph.edges())
-            .collect();
-        got.sort();
-        assert_eq!(got, reference, "{threads} threads");
+fn deterministic_engine_queries_match_run_local_exactly() {
+    for (i, g) in [
+        erdos_renyi(10, 0.3, 99),
+        erdos_renyi(9, 0.4, 7),
+        erdos_renyi(11, 0.25, 3),
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert!(!is_chordal(g), "a corpus graph has something to enumerate");
+        assert_engine_matches_run_local_everywhere(g, &format!("random{i}"));
+    }
+}
+
+#[test]
+fn engine_queries_match_run_local_exactly_on_chained_cycles() {
+    for (i, shape) in [&[4usize, 6][..], &[5, 4, 5], &[6, 6]].iter().enumerate() {
+        assert_engine_matches_run_local_everywhere(&chained_cycles(shape), &format!("chain{i}"));
     }
 }
 
@@ -334,10 +433,7 @@ fn atom_sessions_carry_warm_state_between_different_graphs() {
 fn outcomes_agree_between_local_and_engine_execution() {
     let g = Graph::cycle(7);
     let local = Query::stats().run_local(&g).wait();
-    let engine = Engine::with_config(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new();
     let served = engine.run(&g, Query::stats()).wait();
     assert_eq!(local.scanned, served.scanned);
     assert_eq!(local.completed, served.completed);

@@ -6,9 +6,9 @@
 //!
 //! Coverage: random graphs (proptest) plus the chained-cycle corpus, the
 //! sequential iterator in both print modes, `Query::run_local`, and
-//! `Engine::run` in both deliveries at several thread counts.
+//! `Engine::run` cold and replayed.
 
-use mintri::core::{Delivery, ExecPolicy, MinimalTriangulationsEnumerator, MsGraph, Query};
+use mintri::core::{ExecPolicy, MinimalTriangulationsEnumerator, MsGraph, Query};
 use mintri::engine::Engine;
 use mintri::graph::{Graph, Node};
 use mintri::sgr::{EnumMisStats, PrintMode};
@@ -53,21 +53,16 @@ fn sequential(g: &Graph, kernel: bool, mode: PrintMode) -> (Vec<Fill>, EnumMisSt
 
 /// Ordered fill lists from an engine run (unplanned, so the stream is
 /// directly comparable to the raw sequential enumerator's).
-fn engine_fills(g: &Graph, threads: usize, delivery: Delivery) -> Vec<Fill> {
-    let mut resp = Engine::new().run(
+fn engine_fills(engine: &Engine, g: &Graph) -> Vec<Fill> {
+    let mut resp = engine.run(
         g,
-        Query::enumerate().policy(
-            ExecPolicy::default()
-                .with_planned(false)
-                .with_threads(threads)
-                .with_delivery(delivery),
-        ),
+        Query::enumerate().policy(ExecPolicy::default().with_planned(false)),
     );
     resp.triangulations().into_iter().map(|t| t.fill).collect()
 }
 
 /// Every executor against the kernel-ablated sequential baseline.
-fn assert_kernel_identity(g: &Graph, threads: &[usize]) {
+fn assert_kernel_identity(g: &Graph) {
     let (fresh, fresh_stats, fresh_extends) = sequential(g, false, PrintMode::UponGeneration);
 
     // Sequential, kernel on: same stream, same counters, bit for bit.
@@ -105,21 +100,14 @@ fn assert_kernel_identity(g: &Graph, threads: &[usize]) {
         "run_local diverged from the baseline on {g:?}"
     );
 
-    let mut fresh_sorted = fresh.clone();
-    fresh_sorted.sort();
-    for &t in threads {
-        // Deterministic delivery reproduces the sequential order exactly.
+    // The engine reproduces the sequential order exactly, live and from
+    // the recording the live run left.
+    let engine = Engine::new();
+    for round in ["cold", "replayed"] {
         assert_eq!(
             fresh,
-            engine_fills(g, t, Delivery::Deterministic),
-            "deterministic engine stream diverged at {t} threads on {g:?}"
-        );
-        // Unordered delivery reproduces the answer set.
-        let mut unordered = engine_fills(g, t, Delivery::Unordered);
-        unordered.sort();
-        assert_eq!(
-            fresh_sorted, unordered,
-            "unordered engine set diverged at {t} threads on {g:?}"
+            engine_fills(&engine, g),
+            "{round} engine stream diverged on {g:?}"
         );
     }
 }
@@ -128,7 +116,7 @@ fn assert_kernel_identity(g: &Graph, threads: &[usize]) {
 fn kernel_identity_on_chained_cycle_corpus() {
     for lengths in [vec![4], vec![5, 4], vec![6, 5], vec![5, 4, 6]] {
         let g = chained_cycles(&lengths);
-        assert_kernel_identity(&g, &[1, 2, 4]);
+        assert_kernel_identity(&g);
     }
 }
 
@@ -139,6 +127,6 @@ proptest! {
     /// streams, sets, counters — on every executor.
     #[test]
     fn kernel_identity_on_random_graphs(g in graph_strategy(7)) {
-        assert_kernel_identity(&g, &[1, 4]);
+        assert_kernel_identity(&g);
     }
 }
