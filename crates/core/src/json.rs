@@ -834,7 +834,8 @@ pub fn outcome_json(outcome: &QueryOutcome) -> String {
 }
 
 /// Renders `EnumMIS` counters as the `enum_stats` object of
-/// [`outcome_json`].
+/// [`outcome_json`]. `extend_repeats` keeps its wire name; it counts the
+/// pairs skipped because an answer already found contains their `Jv`.
 pub fn enum_stats_json(s: &EnumMisStats) -> String {
     let mut stats = JsonObject::new();
     stats.usize("extend_calls", s.extend_calls);

@@ -482,9 +482,10 @@ impl TriangulationStream for ComposedStream<'_> {
         self.complete
     }
 
-    /// The per-atom kernel counters, **summed** — `extend_calls`,
-    /// `extend_repeats`, `edge_queries` and `nodes_generated` are the
-    /// real work totals;
+    /// The per-atom kernel counters, **summed** — `extend_calls` (each
+    /// one a new answer of its atom), `extend_repeats` (pairs skipped
+    /// because an answer of their atom contained their `Jv`),
+    /// `edge_queries` and `nodes_generated` are the real work totals;
     /// `answers` sums the per-atom answer counts (the *sum* the plan
     /// pays for, not the product it emits). `None` as soon as any atom
     /// stream cannot report (e.g. a cache replay).

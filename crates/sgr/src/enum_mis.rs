@@ -18,9 +18,10 @@
 //! polynomial time bound is proved directly, Lemma 3.3). Both emit exactly
 //! the same answer set (Lemma 3.2 + Theorem 3.4), which the tests verify.
 //!
-//! The schedule itself — queue/processed/seen bookkeeping, node-pulling,
-//! the print-mode split — lives in [`Frontier`]; this iterator is the
-//! sequential loop that extends each drained batch inline.
+//! The schedule itself — the answers `Q ∪ P` and their containment
+//! check, node-pulling, the print-mode split — lives in [`Frontier`];
+//! this iterator is the sequential loop that extends each drained batch
+//! inline.
 
 use crate::frontier::Frontier;
 use crate::{EnumMisStats, PrintMode, Sgr};
@@ -35,7 +36,7 @@ use crate::{EnumMisStats, PrintMode, Sgr};
 /// borrow one instead.
 pub struct EnumMis<S: Sgr> {
     /// The schedule; its own workspace extends each drained batch, so
-    /// steady-state iteration allocates only for genuinely new answers.
+    /// iteration allocates only to hold and emit new answers.
     frontier: Frontier<S>,
 }
 
@@ -210,10 +211,11 @@ mod tests {
         }
     }
 
-    /// Every `Extend` input is sorted and handed out once; the pairs
-    /// whose `Jv` repeats are counted, not extended.
+    /// Every `Extend` input is sorted, every `Extend` returns a new
+    /// answer, and a full drain extends once per answer; the pairs whose
+    /// `Jv` an answer already contains are counted, not extended.
     #[test]
-    fn each_jv_is_extended_once_and_sorted() {
+    fn each_extend_returns_a_new_answer() {
         let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]);
         for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
             let sgr = Recording {
@@ -221,14 +223,25 @@ mod tests {
                 bases: Default::default(),
             };
             let mut e = EnumMis::new(&sgr, mode);
-            assert_eq!(e.by_ref().count(), 7, "C7 has 7 maximal independent sets");
+            let mut answers: Vec<Vec<u32>> = e.by_ref().collect();
+            assert_eq!(answers.len(), 7, "C7 has 7 maximal independent sets");
             let stats = e.stats();
-            let mut bases = sgr.bases.take();
+            let bases = sgr.bases.take();
             assert_eq!(bases.len(), stats.extend_calls);
+            assert_eq!(stats.extend_calls, answers.len());
             assert!(bases.iter().all(|b| b.windows(2).all(|w| w[0] < w[1])));
-            bases.sort();
-            bases.dedup();
-            assert_eq!(bases.len(), stats.extend_calls, "a Jv was extended twice");
+            let mut results: Vec<Vec<u32>> = bases
+                .iter()
+                .map(|b| {
+                    let mut k = sgr.inner.extend(b);
+                    k.sort_unstable();
+                    k
+                })
+                .collect();
+            results.sort();
+            results.dedup();
+            answers.sort();
+            assert_eq!(results, answers, "an Extend rebuilt a known answer");
             assert!(stats.extend_repeats > 0);
         }
     }

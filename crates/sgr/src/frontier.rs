@@ -1,38 +1,54 @@
 //! The `EnumMIS` schedule as a reusable state machine.
 //!
 //! [`Frontier`] owns every piece of bookkeeping Figure 1 of the paper
-//! needs — the queue `Q` of unprocessed answers, the processed list `P`,
-//! the seen-set `Q ∪ P`, the generated node list `V`, node-pulling when
-//! the queue runs dry, revisiting processed answers in the direction of a
-//! newly pulled node, and the `UponGeneration` / `UponPop` printing split
-//! of Section 3.2.2 — plus the set of `Jv` inputs already sent to
-//! `Extend`. It advances in explicit batches:
+//! needs — the answers `Q ∪ P` (one [`AnswerIndex`]: `P` is its first
+//! ids, `Q` the rest, since the queue is FIFO and ids follow absorb
+//! order), the generated node list `V`, node-pulling when the queue runs
+//! dry, revisiting processed answers in the direction of a newly pulled
+//! node, and the `UponGeneration` / `UponPop` printing split of Section
+//! 3.2.2. It advances in explicit batches:
 //!
-//! 1. [`Frontier::drain_pending`] moves the schedule to its next step,
+//! 1. [`Frontier::drain_pending`] moves the schedule to its next step and
 //!    builds that step's `Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}` sets (all
 //!    directions of one popped answer, or one fresh node against every
-//!    processed answer) and returns the ones no earlier pair produced as
-//!    an [`ExtendBatch`];
-//! 2. [`Frontier::extend_inline`] runs `Extend` on each `Jv` of the
-//!    batch and absorbs the results **in batch order**, which is what
-//!    keeps the emission order the sequential algorithm's.
+//!    processed answer) as an [`ExtendBatch`];
+//! 2. [`Frontier::extend_inline`] checks each `Jv` of the batch **in
+//!    batch order**, runs `Extend` on those that no answer in `Q ∪ P`
+//!    contains, and absorbs each result as it lands, which is what keeps
+//!    the emission order deterministic.
 //!
-//! **Repeated `Jv` sets are skipped.** Many pairs `(J, v)` produce the
-//! same `Jv`, and `Extend` depends only on the set it is given (see
-//! [`Sgr::extend`]), so a repeat can only rebuild an answer already in
-//! the seen-set. The frontier keys every `Jv` on its *sorted* node list
-//! in a [`JvKeys`] set and hands out only first occurrences, deciding in
-//! `drain_pending` — that is, in absorb order, where the first `Extend`
-//! of a key always precedes its repeats. Skipping therefore changes
-//! neither the answers nor their order.
+//! **A `Jv` that an answer already contains is skipped.** Figure 1
+//! extends every pair `(J, v)` with `v ∉ J`, but its completeness needs
+//! only one fact about `Extend(Jv)`: at the end, some answer in `P`
+//! contains `Jv`. An answer already in `Q ∪ P` that contains `Jv` is as
+//! good as a fresh one. The argument, with Figure 1's lazy node pulls:
+//!
+//! * every pair meets the check once. A node pulled when `Q` runs dry is
+//!   paired with every `J` in `P`, and every popped `J` with the current
+//!   `V`; at the end `Q` is empty, `P` holds every answer found and `V`
+//!   every node, so each pair `(J, v)` with `J ∈ P`, `v ∉ J` was built
+//!   exactly once. Either it was extended, or an answer in `Q ∪ P`
+//!   already contained `Jv`; both end up in `P`.
+//! * so no maximal independent set `J*` is missing. If one were, take
+//!   `J ∈ P` with the largest `|J ∩ J*|` (`P` is not empty: it holds
+//!   `Extend(∅)`) and `v ∈ J* \ J` (one exists, as `J*` is maximal and
+//!   `J ≠ J*`). Every `u ∈ J ∩ J*` is independent of `v`, so
+//!   `Jv ⊇ (J ∩ J*) ∪ {v}`, and an answer in `P` containing `Jv` meets
+//!   `J*` in more nodes than `J` does, which contradicts the choice
+//!   of `J`.
+//!
+//! The check runs right before each `Extend`, so it also sees answers
+//! absorbed earlier in the same batch. Every `Extend` that runs
+//! therefore returns a **new** answer: its output contains `Jv`, and no
+//! answer held does. No repeat-key set and no seen-set is needed;
+//! `extend_calls` equals the answer count on a full drain. The bootstrap
+//! `Extend(∅)` always runs, since the index starts empty.
 //!
 //! [`EnumMis`](crate::EnumMis) is the thin loop that drives these two
 //! steps; every sequential stream of the workspace is one.
 
-use crate::{JvKeys, Sgr};
-use mintri_graph::FxHashSet;
+use crate::{AnswerIndex, Sgr};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// When answers become visible to the consumer; see the docs of
 /// [`EnumMis`](crate::EnumMis).
@@ -48,14 +64,16 @@ pub enum PrintMode {
 /// Running counters, exposed for the benchmark harness and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnumMisStats {
-    /// Calls to the SGR `extend` operation actually made.
+    /// Calls to the SGR `extend` operation actually made. Each one
+    /// returned a new answer.
     pub extend_calls: usize,
-    /// Pairs whose `Jv` repeated an earlier pair's and so were not
-    /// extended. `extend_calls + extend_repeats` is the `Extend` count of
-    /// the literal Figure 1 loop.
+    /// Pairs `(J, v)` with `v ∉ J` that were not extended, because an
+    /// answer already in `Q ∪ P` contains their `Jv`. On a full drain
+    /// `extend_calls + extend_repeats` is the `Extend` count of the
+    /// literal Figure 1 loop.
     pub extend_repeats: usize,
     /// Calls to the SGR `edge` oracle, including those that built a
-    /// repeated `Jv`.
+    /// skipped `Jv`.
     pub edge_queries: usize,
     /// Nodes pulled from the SGR node iterator so far (`|V|`).
     pub nodes_generated: usize,
@@ -89,8 +107,10 @@ pub fn build_jv<S: Sgr>(
     sgr.build_jv(answer, v, scratch, jv)
 }
 
-/// One schedule step's `Extend` inputs: the distinct, never-before-seen
-/// `Jv` sets, each sorted, in absorb order, stored back to back.
+/// One schedule step's `Extend` candidates: the `Jv` set of every pair
+/// of the step with `v ∉ J`, each sorted, in absorb order, stored back
+/// to back. [`Frontier::extend_inline`] extends those that no answer
+/// contains by then.
 #[derive(Debug, Clone)]
 pub struct ExtendBatch<N> {
     nodes: Vec<N>,
@@ -108,12 +128,12 @@ impl<N> Default for ExtendBatch<N> {
 }
 
 impl<N> ExtendBatch<N> {
-    /// Number of `Extend` inputs.
+    /// Number of `Jv` sets.
     pub fn len(&self) -> usize {
         self.ends.len()
     }
 
-    /// `true` when the step needs no `Extend` call.
+    /// `true` when the step has no `Jv` to check.
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
     }
@@ -175,22 +195,18 @@ pub struct Frontier<S: Sgr> {
     node_iter_done: bool,
     /// `V`: the SGR nodes generated so far.
     nodes: Vec<S::Node>,
-    /// `Q`: answers generated but not yet processed.
-    queue: VecDeque<Arc<Vec<S::Node>>>,
-    /// `P`: processed answers.
-    processed: Vec<Arc<Vec<S::Node>>>,
-    /// Membership structure for `Q ∪ P` (answers ever created).
-    seen: FxHashSet<Arc<Vec<S::Node>>>,
-    /// Every `Jv` handed out so far, sorted.
-    extended: JvKeys<S::Node>,
+    /// `Q ∪ P` in absorb order, with its containment index.
+    answers: AnswerIndex<S::Node>,
+    /// `|P|`: answers `0..popped` are processed, the rest queued.
+    popped: usize,
     /// The stream's own workspace: builds every `Jv` and runs the
     /// batches evaluated on the calling thread.
     ws: EvalScratch<S>,
     /// The batch under construction; its buffers come back through
     /// [`Frontier::extend_inline`] for reuse.
     batch: ExtendBatch<S::Node>,
-    /// Answers awaiting emission to the consumer.
-    pending: VecDeque<Vec<S::Node>>,
+    /// Ids of the answers awaiting emission to the consumer.
+    pending: VecDeque<u32>,
     /// Size of the last drained batch, awaiting `extend_inline`.
     in_flight: usize,
     started: bool,
@@ -208,10 +224,8 @@ impl<S: Sgr> Frontier<S> {
             cursor,
             node_iter_done: false,
             nodes: Vec::new(),
-            queue: VecDeque::new(),
-            processed: Vec::new(),
-            seen: FxHashSet::default(),
-            extended: JvKeys::default(),
+            answers: AnswerIndex::default(),
+            popped: 0,
             ws: EvalScratch::default(),
             batch: ExtendBatch::default(),
             pending: VecDeque::new(),
@@ -245,16 +259,16 @@ impl<S: Sgr> Frontier<S> {
 
     /// Pops the next answer in emission order.
     pub fn pop_emission(&mut self) -> Option<Vec<S::Node>> {
-        self.pending.pop_front()
+        let id = self.pending.pop_front()?;
+        Some(self.answers.get(id as usize).to_vec())
     }
 
-    /// Advances the schedule to its next step and returns that step's
-    /// batch of independent `Extend` inputs (lines 8–15 on a popped
-    /// answer, lines 16–24 on a freshly pulled node), minus the pairs
-    /// with `v ∈ J` and the pairs whose `Jv` an earlier pair produced. An
-    /// empty batch means the step produced emissions without extend work,
-    /// or the schedule is complete — re-check [`Frontier::has_emissions`]
-    /// / [`Frontier::is_complete`] and loop.
+    /// Advances the schedule to its next step and returns the `Jv` sets
+    /// of that step's pairs (lines 8–15 on a popped answer, lines 16–24
+    /// on a freshly pulled node), minus the pairs with `v ∈ J`. An empty
+    /// batch means the step produced emissions without extend work, or
+    /// the schedule is complete — re-check [`Frontier::has_emissions`] /
+    /// [`Frontier::is_complete`] and loop.
     ///
     /// Every returned batch must be answered by exactly one
     /// [`Frontier::extend_inline`] call before the next `drain_pending`.
@@ -277,24 +291,25 @@ impl<S: Sgr> Frontier<S> {
         if !self.started {
             // lines 1–3: bootstrap with Extend(∅)
             self.started = true;
-            self.push_jv(batch, &[], None);
+            batch.ends.push(0);
             return;
         }
         loop {
-            if let Some(j) = self.queue.pop_front() {
+            if self.popped < self.answers.len() {
                 // lines 8–15: process J in the direction of every known node
+                let j = self.popped;
+                self.popped += 1;
                 if self.mode == PrintMode::UponPop {
-                    self.pending.push_back((*j).clone());
+                    self.pending.push_back(j as u32);
                     self.stats.answers += 1;
                 }
-                self.processed.push(Arc::clone(&j));
                 let nodes = std::mem::take(&mut self.nodes);
                 for v in &nodes {
-                    self.push_jv(batch, &j, Some(v));
+                    self.push_jv(batch, j, v);
                 }
                 self.nodes = nodes;
                 if batch.is_empty() && self.pending.is_empty() {
-                    continue; // nothing new to extend toward; keep popping
+                    continue; // nothing to extend toward; keep popping
                 }
                 return;
             }
@@ -311,14 +326,12 @@ impl<S: Sgr> Frontier<S> {
                 }
                 Some(v) => {
                     self.stats.nodes_generated += 1;
-                    let processed = std::mem::take(&mut self.processed);
-                    for j in &processed {
-                        self.push_jv(batch, j, Some(&v));
+                    for j in 0..self.popped {
+                        self.push_jv(batch, j, &v);
                     }
-                    self.processed = processed;
                     self.nodes.push(v);
                     if batch.is_empty() {
-                        continue; // nothing new to extend; pull on
+                        continue; // nothing to extend; pull on
                     }
                     return;
                 }
@@ -326,34 +339,20 @@ impl<S: Sgr> Frontier<S> {
         }
     }
 
-    /// Appends the pair `(J, v)`'s `Jv` to `batch` unless `v ∈ J` or an
-    /// earlier pair — in this batch or a previous one — produced the same
-    /// set. `None` is the bootstrap direction (`Jv = ∅`).
-    fn push_jv(
-        &mut self,
-        batch: &mut ExtendBatch<S::Node>,
-        answer: &[S::Node],
-        v: Option<&S::Node>,
-    ) {
-        let start = batch.nodes.len();
-        if let Some(v) = v {
-            if !build_jv(&self.sgr, answer, v, &mut self.ws.sgr, &mut batch.nodes) {
-                return;
-            }
+    /// Appends the pair `(answer j, v)`'s `Jv` to `batch` unless `v ∈ J`.
+    fn push_jv(&mut self, batch: &mut ExtendBatch<S::Node>, j: usize, v: &S::Node) {
+        let answer = self.answers.get(j);
+        if build_jv(&self.sgr, answer, v, &mut self.ws.sgr, &mut batch.nodes) {
             self.stats.edge_queries += answer.len();
-        }
-        if self.extended.insert(&batch.nodes[start..]) {
             batch.ends.push(batch.nodes.len());
-        } else {
-            batch.nodes.truncate(start);
-            self.stats.extend_repeats += 1;
         }
     }
 
-    /// Runs `Extend` on every `Jv` of the last drained batch on the
-    /// calling thread, through the frontier's own workspace, absorbing
-    /// each result in batch order as it lands. Duplicate answers — the
-    /// overwhelming majority in steady state — absorb without allocating.
+    /// Runs `Extend`, on the calling thread and through the frontier's
+    /// own workspace, on every `Jv` of the last drained batch that no
+    /// answer in `Q ∪ P` contains, checking and absorbing in batch
+    /// order; the rest count as `extend_repeats`. Every result is a new
+    /// answer (see the module docs).
     pub fn extend_inline(&mut self, batch: ExtendBatch<S::Node>) {
         assert_eq!(
             self.in_flight,
@@ -361,35 +360,29 @@ impl<S: Sgr> Frontier<S> {
             "extend_inline must answer the drained batch"
         );
         for jv in batch.iter() {
+            if self.answers.any_contains(jv) {
+                self.stats.extend_repeats += 1;
+                continue;
+            }
             self.sgr.extend_with(jv, &mut self.ws.out, &mut self.ws.sgr);
+            self.stats.extend_calls += 1;
+            let out = &mut self.ws.out;
             debug_assert!(
-                jv.iter().all(|u| self.ws.out.contains(u)),
+                jv.iter().all(|u| out.contains(u)),
                 "Extend must return a superset of its input"
             );
-            let mut out = std::mem::take(&mut self.ws.out);
-            self.absorb_one(&mut out);
-            self.ws.out = out;
+            out.sort_unstable();
+            debug_assert!(
+                !self.answers.any_contains(out),
+                "an Extend of an uncontained Jv returns a new answer"
+            );
+            let id = self.answers.insert(out);
+            if self.mode == PrintMode::UponGeneration {
+                self.pending.push_back(id);
+                self.stats.answers += 1;
+            }
         }
         self.in_flight = 0;
         self.batch = batch;
-    }
-
-    /// Canonicalizes one `Extend` result in place and registers it if it
-    /// is new; queues it and — in `UponGeneration` mode — emits it. Only
-    /// a new answer is copied, at its exact size, so the caller's buffer
-    /// stays reusable.
-    fn absorb_one(&mut self, answer: &mut Vec<S::Node>) {
-        self.stats.extend_calls += 1;
-        answer.sort_unstable();
-        if self.seen.contains(answer) {
-            return;
-        }
-        let answer = Arc::new(answer.clone());
-        self.seen.insert(Arc::clone(&answer));
-        if self.mode == PrintMode::UponGeneration {
-            self.pending.push_back((*answer).clone());
-            self.stats.answers += 1;
-        }
-        self.queue.push_back(answer);
     }
 }

@@ -9,6 +9,12 @@
 //! algorithm [`EnumMis`] (Figure 1) enumerates all maximal independent sets
 //! of `G(x)` in **incremental polynomial time** (Theorem 3.1).
 //!
+//! [`EnumMis`] is a thin loop over [`Frontier`], the schedule itself. The
+//! frontier keeps the answers `Q ∪ P` in an [`AnswerIndex`] and runs
+//! `Extend(Jv)` only when no answer found so far contains `Jv`, so every
+//! `Extend` returns a new answer; the module docs of `frontier.rs` prove
+//! that the skip loses no answer.
+//!
 //! The crate also ships:
 //!
 //! * [`ExplicitSgr`] — wraps an ordinary in-memory graph as an SGR (used to
@@ -30,18 +36,18 @@
 //! assert!(answers.iter().all(|a| a.len() == 2));
 //! ```
 
+mod answers;
 mod enum_mis;
 mod explicit;
 mod frontier;
-mod jv_keys;
 mod seth;
 
 pub mod bruteforce;
 
+pub use answers::AnswerIndex;
 pub use enum_mis::EnumMis;
 pub use explicit::ExplicitSgr;
 pub use frontier::{build_jv, EnumMisStats, EvalScratch, ExtendBatch, Frontier, PrintMode};
-pub use jv_keys::JvKeys;
 pub use seth::{CnfFormula, SethNode, SethSgr};
 
 use std::hash::Hash;
@@ -87,9 +93,10 @@ pub trait Sgr {
     /// containing it. `base` is guaranteed independent.
     ///
     /// The result must depend only on the set `base` — not on the order
-    /// of its nodes, and not on earlier calls. [`Frontier`] relies on
-    /// this: it extends each distinct `Jv` once, passes it sorted, and
-    /// answers every repeat of that set with the first call's result.
+    /// of its nodes, and not on earlier calls — so that every stream over
+    /// one graph runs the same schedule. [`Frontier`] passes each `Jv`
+    /// sorted and extends it only when no answer it holds contains it,
+    /// so every call returns a new answer.
     fn extend(&self, base: &[Self::Node]) -> Vec<Self::Node>;
 
     /// [`Sgr::edge`] through a reusable scratch space. Must return exactly

@@ -168,11 +168,12 @@ const GRAPHS_DIR: &str = "graphs";
 /// [`Store::open`] deletes it, so its bytes do not sit outside the
 /// budget's accounting.
 const RETIRED_PROFILES_DIR: &str = "profiles";
-/// Name suffix of answer lists recorded in a retired order (one
-/// unordered parallel run's race outcome, filename tag `u`). No query can
-/// replay them, so [`Store::open`] deletes them rather than let them hold
-/// the disk budget.
-const RETIRED_UNORDERED_SUFFIX: &str = "-u.mts";
+/// Name suffixes of answer lists recorded in a retired order: one
+/// unordered parallel run's race outcome (filename tag `u`), and the
+/// schedule that extended every distinct `Jv` (tags `g` and `p`; see
+/// [`StoredOrder`]). No query can replay them, so [`Store::open`]
+/// deletes them rather than let them hold the disk budget.
+const RETIRED_ANSWER_SUFFIXES: [&str; 3] = ["-u.mts", "-g.mts", "-p.mts"];
 const QUARANTINE_DIR: &str = "quarantine";
 const ENTRY_EXT: &str = "mts";
 
@@ -190,7 +191,7 @@ pub struct Store {
 impl Store {
     /// Opens (creating if needed) the store under `config.root`,
     /// sweeping stale temp files, a retired `profiles/` directory and
-    /// answer lists in the retired unordered order, and scanning the
+    /// answer lists in retired orders, and scanning the
     /// published entries into the byte/entry counters.
     pub fn open(config: StoreConfig) -> io::Result<Store> {
         let shared = Arc::new(Shared {
@@ -214,7 +215,8 @@ impl Store {
                 let entry = entry?;
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                let retired = subdir == ANSWERS_DIR && name.ends_with(RETIRED_UNORDERED_SUFFIX);
+                let retired = subdir == ANSWERS_DIR
+                    && RETIRED_ANSWER_SUFFIXES.iter().any(|&s| name.ends_with(s));
                 if name.ends_with(".tmp") || retired {
                     // A writer died mid-publication (the final file, if
                     // any, is still whole), or the entry can never be
@@ -761,25 +763,44 @@ mod tests {
         Store::open(StoreConfig::at(&dir.0)).unwrap();
     }
 
-    #[test]
-    fn open_removes_retired_unordered_answer_lists() {
-        let dir = ScratchDir::new("retired-unordered");
+    /// Opens a store holding one list of today's order plus a file
+    /// named with each `tags` entry in its place, and checks that only
+    /// the current list survives and is counted.
+    fn assert_open_removes_retired(name: &str, tags: &[&str]) {
+        let dir = ScratchDir::new(name);
         {
             let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
             store.put_answers(&sample(5), true);
         }
         let answers = dir.0.join(ANSWERS_DIR);
         let kept = answers.join(answers_name(5, "mcs-m", StoredOrder::UponGeneration));
-        let retired = answers.join(format!("a{:016x}-mcs-m-u.{ENTRY_EXT}", 5));
-        fs::write(&retired, [0u8; 64]).unwrap();
+        let retired: Vec<PathBuf> = tags
+            .iter()
+            .map(|tag| answers.join(format!("a{:016x}-mcs-m-{tag}.{ENTRY_EXT}", 5)))
+            .collect();
+        for path in &retired {
+            fs::write(path, [0u8; 64]).unwrap();
+        }
         let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
-        assert!(!retired.exists(), "the unordered list is gone");
-        assert!(kept.exists(), "ordered lists stay");
-        assert_eq!(store.entries(), 1, "only the ordered list is counted");
+        for path in &retired {
+            assert!(!path.exists(), "{} is gone", path.display());
+        }
+        assert!(kept.exists(), "lists of the current order stay");
+        assert_eq!(store.entries(), 1, "only the current list is counted");
         assert_eq!(store.bytes_stored(), fs::metadata(&kept).unwrap().len());
         assert!(store
             .load_answers(5, "mcs-m", StoredOrder::UponGeneration)
             .is_some());
+    }
+
+    #[test]
+    fn open_removes_retired_unordered_answer_lists() {
+        assert_open_removes_retired("retired-unordered", &["u"]);
+    }
+
+    #[test]
+    fn open_removes_answer_lists_of_the_retired_schedule() {
+        assert_open_removes_retired("retired-schedule", &["g", "p"]);
     }
 
     #[test]

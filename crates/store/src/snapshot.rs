@@ -58,9 +58,14 @@ impl EntryKind {
 /// The print mode a persisted answer list was recorded under. Both are
 /// the sequential schedule's emission order, which is the same full
 /// sequence under either print mode; the engine writes lists as
-/// `UponGeneration` and reads both values. Value 0 named a retired order
-/// (one unordered parallel run's race outcome); it is never reused, so
-/// such a file fails to decode.
+/// `UponGeneration` and reads both values. Retired values are never
+/// reused, so a file holding one fails to decode:
+///
+/// * 0 named one unordered parallel run's race outcome;
+/// * 1 and 2 named the schedule that extended every distinct `Jv`,
+///   before the frontier skipped each `Jv` an answer already contains.
+///   That schedule emits the same answers in another order, so a
+///   hydrate of such a list would not replay what `run_local` yields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoredOrder {
     /// Sequential schedule, results printed upon generation.
@@ -71,24 +76,26 @@ pub enum StoredOrder {
 
 impl StoredOrder {
     /// Filename tag (part of the entry's identity on disk).
+    /// The retired tags are `u` (order 0) and `g` and `p` (orders 1
+    /// and 2).
     pub fn tag(self) -> &'static str {
         match self {
-            StoredOrder::UponGeneration => "g",
-            StoredOrder::UponPop => "p",
+            StoredOrder::UponGeneration => "g2",
+            StoredOrder::UponPop => "p2",
         }
     }
 
     fn to_u8(self) -> u8 {
         match self {
-            StoredOrder::UponGeneration => 1,
-            StoredOrder::UponPop => 2,
+            StoredOrder::UponGeneration => 3,
+            StoredOrder::UponPop => 4,
         }
     }
 
     fn from_u8(v: u8) -> Result<StoredOrder, CodecError> {
         match v {
-            1 => Ok(StoredOrder::UponGeneration),
-            2 => Ok(StoredOrder::UponPop),
+            3 => Ok(StoredOrder::UponGeneration),
+            4 => Ok(StoredOrder::UponPop),
             _ => Err(CodecError::BadValue),
         }
     }
@@ -444,8 +451,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn retired_order_0_fails_to_decode() {
+    /// `sample_answers()`'s payload with its order byte set to `order`.
+    fn with_order_byte(order: u8) -> Vec<u8> {
         let snap = sample_answers();
         let mut payload = snap.encode_payload();
         // The order byte follows the fingerprint and the backend name.
@@ -453,12 +460,29 @@ mod tests {
         prefix.u64(snap.fingerprint);
         prefix.str(&snap.backend);
         let at = prefix.finish().len();
-        assert_eq!(payload[at], 1, "the UponGeneration order byte");
-        payload[at] = 0;
+        assert_eq!(payload[at], 3, "the UponGeneration order byte");
+        payload[at] = order;
+        frame(EntryKind::Answers, payload)
+    }
+
+    #[test]
+    fn retired_order_0_fails_to_decode() {
         assert!(matches!(
-            AnswerSnapshot::decode(&frame(EntryKind::Answers, payload)),
+            AnswerSnapshot::decode(&with_order_byte(0)),
             Err(CodecError::BadValue)
         ));
+    }
+
+    #[test]
+    fn retired_orders_1_and_2_fail_to_decode() {
+        for order in [1, 2] {
+            assert!(matches!(
+                AnswerSnapshot::decode(&with_order_byte(order)),
+                Err(CodecError::BadValue)
+            ));
+        }
+        let pop = AnswerSnapshot::decode(&with_order_byte(4)).unwrap();
+        assert_eq!(pop.order, StoredOrder::UponPop);
     }
 
     #[test]

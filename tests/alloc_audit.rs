@@ -1,20 +1,20 @@
 //! Pins the zero-allocation invariant of the scratch-space execution
 //! kernel: once the workspace and the shared memo tables are warm,
 //! re-evaluating the enumeration's `(answer, direction)` pairs — build
-//! `Jv` with [`build_jv`], claim it in a pre-sized [`JvKeys`] set, run
-//! `Extend` — must not touch the heap at all: no bitset clones, no BFS
-//! queues, no MCS-M buffers, no interner inserts, no per-key allocation.
+//! `Jv` with [`build_jv`], ask an [`AnswerIndex`] whether an answer
+//! contains it, run `Extend` — must not touch the heap at all: no bitset
+//! clones, no BFS queues, no MCS-M buffers, no interner inserts, no
+//! per-query cursor buffer.
 //!
 //! **Scope.** The invariant covers the kernel API surface
 //! (`extend_with`/`edge_with` through a reused [`EvalScratch`]) in steady
 //! state, i.e. when every evaluation reproduces an already-known answer —
 //! which is the overwhelming majority of `Extend` calls in a real run
 //! (each of the `n·|answers|` pairs yields one of `|answers|` answers).
-//! The measured pass extends **every** pair, whatever the key set says,
+//! The measured pass extends **every** pair, whatever the index says,
 //! so it times the kernel rather than the skip. Genuinely *new* answers
-//! are out of scope by design: absorbing one requires an owned `Vec` for
-//! the seen-set and an `Arc` for the queue, exactly as the pre-kernel
-//! code paid.
+//! are out of scope by design: holding one grows the answer arena and
+//! its index rows, and emitting one hands the consumer an owned `Vec`.
 //!
 //! This is deliberately a single `#[test]` in its own integration binary:
 //! the counting `#[global_allocator]` sees every allocation in the
@@ -22,7 +22,7 @@
 //! measurement.
 
 use mintri::core::MsGraph;
-use mintri::sgr::{build_jv, EnumMis, EvalScratch, JvKeys, PrintMode, Sgr};
+use mintri::sgr::{build_jv, AnswerIndex, EnumMis, EvalScratch, PrintMode, Sgr};
 use mintri::workloads::random::chained_cycles;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,36 +71,41 @@ fn steady_state_extend_allocates_zero_times() {
     let nodes: Vec<_> = ms.nodes().collect();
     assert!(answers.len() > 1, "workload too trivial to audit");
 
-    // Warm the private workspace: the first pass sizes every scratch
-    // buffer to this graph's shapes and measures the key set's size.
+    // Warm the private workspace and the index: the first pass sizes
+    // every scratch buffer to this graph's shapes, builds the index rows
+    // of the first half of the answers and sizes the query's cursors.
+    // With half the answers held, some queries hit and some miss.
     let mut ws: EvalScratch<&MsGraph> = EvalScratch::default();
-    let (mut pairs, mut key_nodes) = (1usize, 0usize);
+    let mut index = AnswerIndex::default();
+    for answer in &answers[..answers.len() / 2] {
+        index.insert(answer);
+    }
+    let mut pairs = 1usize;
     ms.extend_with(&[], &mut ws.out, &mut ws.sgr);
     for answer in &answers {
         for v in &nodes {
             ws.jv.clear();
             if build_jv(&ms, answer, v, &mut ws.sgr, &mut ws.jv) {
+                index.any_contains(&ws.jv);
                 ms.extend_with(&ws.jv, &mut ws.out, &mut ws.sgr);
                 pairs += 1;
-                key_nodes += ws.jv.len();
             }
         }
     }
     assert!(pairs > 1, "warmup evaluated no productive pair");
-    let mut keys = JvKeys::with_capacity(pairs, key_nodes);
 
-    // Measured pass: the same evaluations, now with warm scratch and warm
-    // memo tables, plus an insert-or-hit on the pre-sized key set per
-    // pair, must not allocate at all. Every pair is extended, repeat or
-    // not.
+    // Measured pass: the same evaluations, now with warm scratch, warm
+    // memo tables and a warm index, plus one containment query per
+    // pair, must not allocate at all. Every pair is extended, contained
+    // or not.
     let before = ALLOCS.load(Ordering::Relaxed);
-    let mut fresh = usize::from(keys.insert(&[]));
+    let mut contained = 0usize;
     ms.extend_with(&[], &mut ws.out, &mut ws.sgr);
     for answer in &answers {
         for v in &nodes {
             ws.jv.clear();
             if build_jv(&ms, answer, v, &mut ws.sgr, &mut ws.jv) {
-                fresh += usize::from(keys.insert(&ws.jv));
+                contained += usize::from(index.any_contains(&ws.jv));
                 ms.extend_with(&ws.jv, &mut ws.out, &mut ws.sgr);
             }
         }
@@ -111,12 +116,12 @@ fn steady_state_extend_allocates_zero_times() {
         "steady-state kernel evaluation of {pairs} pairs performed \
          {observed} heap allocations (expected 0) — a scratch buffer is \
          being rebuilt, a clone slipped back into the Extend/crossing \
-         path, or the key set allocated per key",
+         path, or the containment query allocated",
     );
-    assert_eq!(keys.len(), fresh);
     assert!(
-        0 < fresh && fresh < pairs,
-        "the audit must exercise both key inserts and repeat hits \
-         ({fresh} distinct Jv sets of {pairs})"
+        0 < contained && contained < pairs - 1,
+        "the audit must exercise both contained and uncontained Jv sets \
+         ({contained} of {} contained)",
+        pairs - 1
     );
 }

@@ -176,36 +176,38 @@ fn concurrent_hydrate_races_keep_exactly_one_session() {
     assert_eq!(engine.memo_stats().extends, 0);
 }
 
-/// Older stores hold answer lists recorded by unordered parallel runs
-/// (filename tag `u`): one race outcome each, in no order a query can
-/// promise. Opening the store deletes them, so a query over such a store
-/// runs live and yields `run_local`'s order.
-#[test]
-fn an_unordered_recording_never_hydrates_a_deterministic_query() {
-    let dir = ScratchDir::new("unordered");
+/// Name suffix of the answer lists this build records: the filename tag
+/// of `StoredOrder::UponGeneration`.
+const RECORDED_SUFFIX: &str = "-g2.mts";
+
+/// Records C7, renames its answer list to the retired filename `tag`,
+/// and checks that opening the store deletes it, so the next query runs
+/// live, yields `run_local`'s order and records a list that replays.
+fn assert_a_retired_recording_never_hydrates(tag: &str) {
+    let dir = ScratchDir::new(&format!("retired-{tag}"));
     let g = Graph::cycle(7);
     {
         let writer = engine_at(&dir);
         assert_eq!(writer.run(&g, Query::enumerate()).count(), 42);
         writer.store().unwrap().flush();
     }
-    // Leave the recording under the retired unordered tag only.
+    // Leave the recording under the retired tag only.
     let answers = dir.0.join("answers");
     let mut retired = Vec::new();
     for entry in std::fs::read_dir(&answers).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if let Some(stem) = name.strip_suffix("-g.mts") {
-            let unordered = answers.join(format!("{stem}-u.mts"));
-            std::fs::rename(&path, &unordered).unwrap();
-            retired.push(unordered);
+        if let Some(stem) = name.strip_suffix(RECORDED_SUFFIX) {
+            let renamed = answers.join(format!("{stem}-{tag}.mts"));
+            std::fs::rename(&path, &renamed).unwrap();
+            retired.push(renamed);
         }
     }
     assert_eq!(retired.len(), 1, "C7 is one atom with one recording");
     let reader = engine_at(&dir);
     assert!(
         retired.iter().all(|path| !path.exists()),
-        "opening the store deletes unordered recordings"
+        "opening the store deletes recordings under the retired tag {tag}"
     );
     let live = reader.run(&g, Query::enumerate());
     assert!(!live.is_replay(), "nothing left to hydrate");
@@ -222,6 +224,25 @@ fn an_unordered_recording_never_hydrates_a_deterministic_query() {
     assert_eq!(order, reference);
     // The live run recorded a list every later query can replay.
     assert!(reader.run(&g, Query::enumerate()).is_replay());
+}
+
+/// Older stores hold answer lists recorded by unordered parallel runs
+/// (filename tag `u`): one race outcome each, in no order a query can
+/// promise. Opening the store deletes them, so a query over such a store
+/// runs live and yields `run_local`'s order.
+#[test]
+fn an_unordered_recording_never_hydrates_a_deterministic_query() {
+    assert_a_retired_recording_never_hydrates("u");
+}
+
+/// Older stores also hold lists of the schedule that extended every
+/// distinct `Jv` (tags `g` and `p`). It emits the same answers in
+/// another order, so those lists are deleted too rather than replayed.
+#[test]
+fn a_recording_of_the_old_schedule_never_hydrates_a_query() {
+    for tag in ["g", "p"] {
+        assert_a_retired_recording_never_hydrates(tag);
+    }
 }
 
 /// Both print modes emit the same full sequence, so a query hydrates a
