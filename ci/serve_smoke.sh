@@ -10,7 +10,8 @@
 # the core JSON parser via `bench_check --parse`), asserts `/v1/stats`
 # reports sessions (and, with a store attached, the `store` block) and
 # round-trips `bench_check --parse`, proves malformed
-# input answers a structured 400 without killing the server, and fails
+# input answers a structured 400 without killing the server, checks a
+# `timeout_ms` query ends cancelled with a 200, and fails
 # on any non-2xx or on a leaked server process.
 #
 # A second leg reboots the server with `--store-dir`: a query is warmed,
@@ -137,6 +138,18 @@ CODE=$(curl -s -o /tmp/smoke_400.json -w '%{http_code}' -X POST "$BASE/v1/query"
 [ "$CODE" = "400" ] || fail "malformed JSON must answer 400, got $CODE"
 grep -q '"error"' /tmp/smoke_400.json || fail "400 body must be structured"
 curl -sf "$BASE/healthz" >/dev/null || fail "server must survive malformed input"
+
+echo "== a per-request timeout cancels a long enumeration"
+# C16 has millions of minimal triangulations; "timeout_ms":20 must end
+# the scan mid-stream with a 200 that says cancelled, and the server
+# must still answer afterwards.
+C16_EDGES=$(for i in $(seq 0 15); do printf '[%d,%d]' "$i" $(( (i + 1) % 16 )); done | sed 's/\]\[/],[/g')
+C16="{\"graph\":{\"nodes\":16,\"edges\":[$C16_EDGES]},\"timeout_ms\":20,\"query\":{\"task\":{\"type\":\"enumerate\"}}}"
+CODE=$(curl -s -o /tmp/smoke_timeout.json -w '%{http_code}' -X POST "$BASE/v1/query" -d "$C16")
+[ "$CODE" = "200" ] || fail "a timed-out query must answer 200, got $CODE"
+grep -q '"cancelled":true' /tmp/smoke_timeout.json \
+    || fail "a timed-out query must report cancelled: $(head -c 300 /tmp/smoke_timeout.json)"
+curl -sf "$BASE/healthz" >/dev/null || fail "server must answer after a timed-out query"
 
 echo "== stats (sessions and counters, document round-trips the core parser)"
 curl -sf "$BASE/v1/stats" > /tmp/smoke_stats.json

@@ -30,8 +30,8 @@ use crate::buckets::WeightBuckets;
 use mintri_graph::{Graph, Node, NodeSet};
 
 /// Reusable workspace for [`minimal_separators_with`]: the MCS label
-/// buckets, the numbered set and the separator pool. One per worker or
-/// sequential stream.
+/// buckets, the numbered set and the separator pool. One per enumeration
+/// stream.
 #[derive(Default)]
 pub struct ForestScratch {
     buckets: WeightBuckets,

@@ -222,12 +222,15 @@ pub struct AtomDispatch {
 /// thread that wants to stop it mid-stream.
 ///
 /// [`CancelToken::cancel`] flips a flag the response checks between
-/// emissions. A token can be attached to a query up front
+/// emissions; a token with a deadline ([`CancelToken::with_deadline`])
+/// also reads as cancelled once the deadline has passed, so a timeout
+/// needs no timer thread. A token can be attached to a query up front
 /// ([`Query::cancel_token`]) so the controller never needs the
 /// `Response` itself.
 #[derive(Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
@@ -242,9 +245,17 @@ impl CancelToken {
         self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// `true` once [`CancelToken::cancel`] has been called.
+    /// This token, cancelled from `deadline` on as well. Clones made
+    /// before the call keep only the flag.
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+
+    /// `true` once [`CancelToken::cancel`] has been called or the
+    /// deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -1199,6 +1210,20 @@ mod tests {
         let mut response = Query::enumerate().cancel_token(token).run_local(&g);
         assert!(response.next().is_none());
         assert!(response.outcome().cancelled);
+    }
+
+    #[test]
+    fn a_passed_deadline_cancels_and_a_met_one_completes() {
+        let g = Graph::cycle(6);
+        let past = CancelToken::new().with_deadline(Instant::now());
+        let outcome = Query::enumerate().cancel_token(past).run_local(&g).wait();
+        assert!(outcome.cancelled && !outcome.completed);
+        assert_eq!(outcome.produced, 0);
+        let far = Instant::now() + Duration::from_secs(3600);
+        let token = CancelToken::new().with_deadline(far);
+        let outcome = Query::enumerate().cancel_token(token).run_local(&g).wait();
+        assert!(outcome.completed && !outcome.cancelled);
+        assert_eq!(outcome.produced, 14);
     }
 
     #[test]

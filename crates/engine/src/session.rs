@@ -8,7 +8,9 @@
 //! [`MsGraph`] for one (graph, triangulation backend) pair — so its
 //! interned separators and their component labels survive across
 //! queries — plus, once any enumeration has run to completion, the full
-//! answer list in the sequential schedule's order. Every later query
+//! answer list in the sequential schedule's order: the finished stream's
+//! own answer arena, handed over with its containment index dropped, so
+//! a live run copies no answer to record it. Every later query
 //! replays it without touching `Extend` at all — for *every* task:
 //! enumeration, ranked and exhaustive best-k, decomposition and stats
 //! queries all stream through the same replay-aware source. This is the "repeated traffic" story: the first
@@ -21,7 +23,7 @@ use crate::EngineConfig;
 use mintri_core::query::{DispatchKind, OpenedAtom, Plan, Query, Response, TriangulationStream};
 use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashMap, FxHasher, Graph, NodeSet};
-use mintri_sgr::{EnumMis, EnumMisStats, PrintMode};
+use mintri_sgr::{AnswerIndex, EnumMis, EnumMisStats, PrintMode};
 use mintri_store::{AnswerSnapshot, MemoSummary, PlanSnapshot, Store, StoredOrder};
 use mintri_telemetry::{Counter, Histogram, Registry, TraceBuilder};
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
@@ -61,7 +63,7 @@ const STORED_ORDERS: [StoredOrder; 2] = [StoredOrder::UponGeneration, StoredOrde
 /// as sorted vertex lists (session-local [`SepId`]s mean nothing to
 /// another process) together with the graph itself, so a loader can
 /// verify equality before trusting a fingerprint match.
-fn answer_snapshot(session: &GraphSession, answers: &[Vec<SepId>]) -> AnswerSnapshot {
+fn answer_snapshot(session: &GraphSession, answers: &AnswerIndex<SepId>) -> AnswerSnapshot {
     let stats = session.ms.stats();
     AnswerSnapshot {
         fingerprint: graph_fingerprint(&session.graph),
@@ -93,7 +95,7 @@ pub struct GraphSession {
     graph: Arc<Graph>,
     backend: &'static str,
     ms: Arc<MsGraph<'static>>,
-    answers: OnceLock<Arc<Vec<Vec<SepId>>>>,
+    answers: OnceLock<Arc<AnswerIndex<SepId>>>,
 }
 
 impl GraphSession {
@@ -130,14 +132,14 @@ impl GraphSession {
     }
 
     /// The cached complete answer list, if an enumeration has finished.
-    pub fn cached_answers(&self) -> Option<Arc<Vec<Vec<SepId>>>> {
+    pub fn cached_answers(&self) -> Option<Arc<AnswerIndex<SepId>>> {
         self.answers.get().cloned()
     }
 
     /// Deposits a completed answer list and returns the list now cached
     /// — the deposited one, or the incumbent when a racing run (or
     /// hydrate) got there first.
-    fn store_answers(&self, answers: Vec<Vec<SepId>>) -> Arc<Vec<Vec<SepId>>> {
+    fn store_answers(&self, answers: AnswerIndex<SepId>) -> Arc<AnswerIndex<SepId>> {
         Arc::clone(self.answers.get_or_init(|| Arc::new(answers)))
     }
 }
@@ -162,28 +164,29 @@ fn plan_snapshot(g: &Graph, fingerprint: u64, plan: &Plan) -> PlanSnapshot {
 enum Source {
     /// Replaying a previously completed enumeration — no `Extend` calls.
     Cached {
-        answers: Arc<Vec<Vec<SepId>>>,
+        answers: Arc<AnswerIndex<SepId>>,
         next: usize,
     },
     /// A live run of the sequential schedule against the warm shared
     /// memo. `Arc<MsGraph>` is itself an SGR, so the plain iterator runs
     /// over the session's shared graph with no wrapper. Boxed: the
-    /// frontier's bookkeeping dwarfs the other variant.
+    /// schedule's bookkeeping dwarfs the other variants.
     Live(Box<EnumMis<Arc<MsGraph<'static>>>>),
+    /// A live run that completed and handed its answers to the session;
+    /// its counters stay readable.
+    Finished(EnumMisStats),
 }
 
 /// The engine's replay-aware triangulation stream: what every
 /// [`Engine::run`] response consumes, one per planned atom. On natural
-/// exhaustion of a live run it deposits the complete answer list back
-/// into its session for future replays.
+/// exhaustion of a live run it deposits the run's answer list into its
+/// session for future replays.
 pub(crate) struct EngineEnumeration {
     session: Arc<GraphSession>,
     source: Source,
     /// How the stream is served; a replay and a disk hydration share
     /// `Source::Cached`, so the source alone cannot tell them apart.
     kind: DispatchKind,
-    /// The live run's answers so far, deposited on completion.
-    recorded: Option<Vec<Vec<SepId>>>,
     /// The persistent tier (plus its spill counter), when the engine has
     /// one: a natural completion writes the deposited answer list
     /// through to disk (write-behind — the enqueue is the only hot-path
@@ -206,40 +209,23 @@ impl Drop for EngineEnumeration {
 }
 
 impl EngineEnumeration {
-    fn next_pair(&mut self) -> Option<(Vec<SepId>, Triangulation)> {
-        let pair = match &mut self.source {
-            Source::Cached { answers, next } => {
-                let answer = answers.get(*next)?.clone();
-                *next += 1;
-                let tri = self.session.ms.materialize(&answer);
-                return Some((answer, tri));
-            }
-            // A live stream only ends when complete; one abandoned
-            // mid-run is dropped before it gets here and deposits nothing.
-            Source::Live(seq) => seq.next().map(|answer| {
-                if let Some(rec) = &mut self.recorded {
-                    rec.push(answer.clone());
-                }
-                let tri = self.session.ms.materialize(&answer);
-                (answer, tri)
-            }),
-        };
-        if pair.is_none() {
-            self.deposit();
-        }
-        pair
-    }
-
-    /// Deposits the recording into the session — and, with a store
-    /// attached, spills it to disk (write-behind; `overwrite = true`
-    /// because a completed run is the freshest truth for its graph).
+    /// Hands the completed live run's answers to the session — and, with
+    /// a store attached, spills them to disk (write-behind;
+    /// `overwrite = true` because a completed run is the freshest truth
+    /// for its graph). Replay never queries containment, so the index
+    /// rows go.
     fn deposit(&mut self) {
-        if let Some(rec) = self.recorded.take() {
-            let answers = self.session.store_answers(rec);
-            if let Some((store, spills)) = &self.spill {
-                store.put_answers(&answer_snapshot(&self.session, &answers), true);
-                spills.inc();
-            }
+        let finished = Source::Finished(EnumMisStats::default());
+        let Source::Live(seq) = std::mem::replace(&mut self.source, finished) else {
+            unreachable!("only a live run deposits")
+        };
+        self.source = Source::Finished(seq.stats());
+        let mut answers = seq.into_answers().expect("an exhausted run is complete");
+        answers.drop_index();
+        let answers = self.session.store_answers(answers);
+        if let Some((store, spills)) = &self.spill {
+            store.put_answers(&answer_snapshot(&self.session, &answers), true);
+            spills.inc();
         }
     }
 
@@ -253,13 +239,32 @@ impl Iterator for EngineEnumeration {
     type Item = Triangulation;
 
     fn next(&mut self) -> Option<Triangulation> {
-        self.next_pair().map(|(_, tri)| tri)
+        self.next_tri()
     }
 }
 
 impl TriangulationStream for EngineEnumeration {
     fn next_tri(&mut self) -> Option<Triangulation> {
-        self.next_pair().map(|(_, tri)| tri)
+        match &mut self.source {
+            Source::Cached { answers, next } => {
+                let id = *next;
+                if id == answers.len() {
+                    return None;
+                }
+                *next += 1;
+                Some(self.session.ms.materialize(answers.get(id)))
+            }
+            // A live stream only ends when complete; one abandoned
+            // mid-run is dropped before it gets here and deposits nothing.
+            Source::Live(seq) => match seq.next() {
+                Some(answer) => Some(self.session.ms.materialize(&answer)),
+                None => {
+                    self.deposit();
+                    None
+                }
+            },
+            Source::Finished(_) => None,
+        }
     }
 
     fn finished(&self) -> bool {
@@ -271,6 +276,7 @@ impl TriangulationStream for EngineEnumeration {
         match &self.source {
             Source::Cached { .. } => None,
             Source::Live(seq) => Some(seq.stats()),
+            Source::Finished(stats) => Some(*stats),
         }
     }
 
@@ -815,20 +821,19 @@ impl Engine {
             return None;
         };
         let n = session.graph.num_nodes();
-        let answers: Vec<Vec<SepId>> = snap
-            .answers
-            .iter()
-            .map(|answer| {
-                answer
-                    .iter()
-                    .map(|sep| {
-                        session
-                            .ms
-                            .intern(NodeSet::from_iter(n, sep.iter().copied()))
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut answers = AnswerIndex::default();
+        let mut ids = Vec::new();
+        for answer in &snap.answers {
+            ids.clear();
+            ids.extend(answer.iter().map(|sep| {
+                session
+                    .ms
+                    .intern(NodeSet::from_iter(n, sep.iter().copied()))
+            }));
+            // Fresh ids need not follow the stored separator order.
+            ids.sort_unstable();
+            answers.insert(&ids);
+        }
         let answers = session.store_answers(answers);
         self.telemetry.store_hits.inc();
         self.telemetry
@@ -839,9 +844,8 @@ impl Engine {
     }
 
     /// Wraps `source` into the engine's stream over `session`. Every
-    /// stream carries the stream-lifetime histogram; a live run also
-    /// records its answers for the deposit, written through to the store
-    /// when the engine has one.
+    /// stream carries the stream-lifetime histogram; a live run's
+    /// deposit is written through to the store when the engine has one.
     fn enumeration(
         &self,
         session: &Arc<GraphSession>,
@@ -853,7 +857,6 @@ impl Engine {
             session: Arc::clone(session),
             source,
             kind,
-            recorded: live.then(Vec::new),
             spill: self
                 .store
                 .as_ref()

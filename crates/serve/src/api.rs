@@ -20,12 +20,11 @@ use crate::http::{HttpError, Request};
 use mintri_core::json::{
     graph_from_json, graph_summary_json, outcome_json, query_from_json, JsonObject, JsonValue,
 };
-use mintri_core::query::{Query, QueryItem, Response, Task};
+use mintri_core::query::{QueryItem, Response, Task};
 use mintri_engine::{graph_fingerprint, Engine, GraphSnapshot};
 use mintri_graph::Graph;
 use mintri_telemetry::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -398,9 +397,8 @@ impl From<HttpError> for Reply {
     }
 }
 
-/// A query mid-execution: the engine response stream plus the watchdog
-/// keeping its per-request timeout armed. Dropping it (after draining or
-/// mid-stream) cancels the watchdog and joins its thread.
+/// A query mid-execution: the engine response stream. A per-request
+/// timeout rides on the query's cancel token as a deadline.
 pub struct RunningQuery {
     /// Wire name of the task, stamped on the response document.
     pub task_name: &'static str,
@@ -409,39 +407,6 @@ pub struct RunningQuery {
     /// When the request started (for the slow-query log: a streamed
     /// query's wall time only closes when its drain does).
     pub(crate) started: Instant,
-    _watchdog: Option<Watchdog>,
-}
-
-/// Cancels the query's [`CancelToken`](mintri_core::query::CancelToken)
-/// if the request deadline passes before the stream ends.
-struct Watchdog {
-    /// Dropped first on teardown: disconnecting wakes the thread without
-    /// waiting out the timeout.
-    done: Option<mpsc::Sender<()>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.take();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-fn arm_watchdog(query: &Query, timeout: Duration) -> Watchdog {
-    let token = query.cancel.clone();
-    let (tx, rx) = mpsc::channel::<()>();
-    let thread = std::thread::spawn(move || {
-        if let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(timeout) {
-            token.cancel();
-        }
-    });
-    Watchdog {
-        done: Some(tx),
-        thread: Some(thread),
-    }
 }
 
 /// The wire name of a task (also the `"task"` field of every response
@@ -654,14 +619,15 @@ impl AppState {
                 HttpError::bad_request("`timeout_ms` must be a non-negative integer")
             })?)),
         };
+        if let Some(timeout) = timeout {
+            query.cancel = query.cancel.with_deadline(Instant::now() + timeout);
+        }
         let name = task_name(&query.task);
-        let watchdog = timeout.map(|t| arm_watchdog(&query, t));
         let response = self.engine.run(&graph, query);
         Ok(RunningQuery {
             task_name: name,
             response,
             started: Instant::now(),
-            _watchdog: watchdog,
         })
     }
 

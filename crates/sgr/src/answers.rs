@@ -148,6 +148,23 @@ impl<N: Clone + Eq + Hash + Ord> AnswerIndex<N> {
         &self.arena[self.span(id)]
     }
 
+    /// Every answer in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[N]> + '_ {
+        (0..self.len()).map(|id| self.get(id))
+    }
+
+    /// Frees the containment index and any spare capacity, keeping the
+    /// answers: for a list that is only read back from now on. A later
+    /// query rebuilds the index.
+    pub fn drop_index(&mut self) {
+        self.indexed = 0;
+        self.rows = Vec::new();
+        self.row_of = FxHashMap::default();
+        self.cursors = Vec::new();
+        self.arena.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// Answer `id`'s arena slots.
     fn span(&self, id: usize) -> Range<usize> {
         let start = if id == 0 {
@@ -389,6 +406,19 @@ mod tests {
             "both row kinds occur: {sparse} of {} rows sparse",
             index.rows.len()
         );
+    }
+
+    #[test]
+    fn a_dropped_index_keeps_the_answers_and_rebuilds_on_query() {
+        let mut index = AnswerIndex::default();
+        index.insert(&[1, 2]);
+        index.insert(&[2, 3]);
+        assert!(index.any_contains(&[1, 2]));
+        index.drop_index();
+        assert!(index.rows.is_empty() && index.row_of.is_empty());
+        assert_eq!(index.iter().collect::<Vec<_>>(), [&[1, 2][..], &[2, 3]]);
+        assert!(index.any_contains(&[2, 3]));
+        assert!(!index.any_contains(&[1, 3]));
     }
 
     #[test]

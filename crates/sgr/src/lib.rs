@@ -9,11 +9,12 @@
 //! algorithm [`EnumMis`] (Figure 1) enumerates all maximal independent sets
 //! of `G(x)` in **incremental polynomial time** (Theorem 3.1).
 //!
-//! [`EnumMis`] is a thin loop over [`Frontier`], the schedule itself. The
-//! frontier keeps the answers `Q ∪ P` in an [`AnswerIndex`] and runs
-//! `Extend(Jv)` only when no answer found so far contains `Jv`, so every
-//! `Extend` returns a new answer; the module docs of `frontier.rs` prove
-//! that the skip loses no answer.
+//! [`EnumMis`] is the schedule itself, one iterator. It keeps the answers
+//! `Q ∪ P` in an [`AnswerIndex`] and runs `Extend(Jv)` only when no
+//! answer found so far contains `Jv`, so every `Extend` returns a new
+//! answer; the module docs of `enum_mis.rs` prove that the skip loses no
+//! answer. A complete stream hands its answer list over
+//! ([`EnumMis::into_answers`]).
 //!
 //! The crate also ships:
 //!
@@ -39,15 +40,13 @@
 mod answers;
 mod enum_mis;
 mod explicit;
-mod frontier;
 mod seth;
 
 pub mod bruteforce;
 
 pub use answers::AnswerIndex;
-pub use enum_mis::EnumMis;
+pub use enum_mis::{EnumMis, EnumMisStats, PrintMode};
 pub use explicit::ExplicitSgr;
-pub use frontier::{build_jv, EnumMisStats, EvalScratch, ExtendBatch, Frontier, PrintMode};
 pub use seth::{CnfFormula, SethNode, SethSgr};
 
 use std::hash::Hash;
@@ -72,11 +71,11 @@ pub trait Sgr {
     /// external to the SGR lets `EnumMis` own both without self-reference.
     type NodeCursor;
 
-    /// Per-worker scratch space for [`Sgr::edge_with`] / [`Sgr::extend_with`].
-    /// SGRs without a scratch kernel use `()`; the defaults then delegate
-    /// to the plain operations. Never shared between workers, so `Send`
-    /// (to move into worker threads) suffices — no `Sync`.
-    type Scratch: Default + Send;
+    /// Scratch space for [`Sgr::edge_with`] / [`Sgr::extend_with`], owned
+    /// by one enumeration stream and never shared. SGRs without a
+    /// scratch kernel use `()`; the defaults then delegate to the plain
+    /// operations.
+    type Scratch: Default;
 
     /// Starts the node enumerator `A_V`.
     fn start_nodes(&self) -> Self::NodeCursor;
@@ -94,7 +93,7 @@ pub trait Sgr {
     ///
     /// The result must depend only on the set `base` — not on the order
     /// of its nodes, and not on earlier calls — so that every stream over
-    /// one graph runs the same schedule. [`Frontier`] passes each `Jv`
+    /// one graph runs the same schedule. [`EnumMis`] passes each `Jv`
     /// sorted and extends it only when no answer it holds contains it,
     /// so every call returns a new answer.
     fn extend(&self, base: &[Self::Node]) -> Vec<Self::Node>;
@@ -121,9 +120,10 @@ pub trait Sgr {
     }
 
     /// Appends `Jv = {v} ∪ {u ∈ J | ¬A_E(v, u)}`, sorted, to `jv` for the
-    /// sorted answer `J`; see [`build_jv`]. The default makes `|J|` edge
-    /// queries through `scratch`. An override must append exactly the
-    /// nodes the default would and return what it returns.
+    /// sorted answer `J`. Returns `false`, appending nothing and querying
+    /// nothing, when `v ∈ J`. The default makes `|J|` edge queries
+    /// through `scratch`. An override must append exactly the nodes the
+    /// default would and return what it returns.
     fn build_jv(
         &self,
         answer: &[Self::Node],
@@ -224,8 +224,8 @@ impl<S: Sgr> Sgr for &S {
 }
 
 /// A shared SGR is an SGR: lets owners of an `Arc`'d representation (the
-/// engine's cached `Arc<MsGraph>` sessions) run [`EnumMis`] / [`Frontier`]
-/// directly over it, with no borrow tying the enumeration to a stack
+/// engine's cached `Arc<MsGraph>` sessions) run [`EnumMis`] directly
+/// over it, with no borrow tying the enumeration to a stack
 /// frame and no newtype wrapper.
 impl<S: Sgr> Sgr for std::sync::Arc<S> {
     type Node = S::Node;

@@ -80,7 +80,7 @@ pub trait Triangulator: Send + Sync {
 /// ([`Triangulator::triangulate_loaded`]): the input graph as a bit
 /// matrix, the fill list, elimination order and minimal separators a
 /// successful call produces, and the MCS-M search buffers behind them,
-/// all flat words. One per worker or sequential stream; every buffer
+/// all flat words. One per enumeration stream; every buffer
 /// grows to the largest graph seen and is reused thereafter.
 #[derive(Default)]
 pub struct TriScratch {

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use mintri_separators::{
         atom_decomposition, crossing, AtomDecomposition, MinimalSeparatorIter,
     };
-    pub use mintri_sgr::{EnumMis, EnumMisStats, Frontier, PrintMode, Sgr};
+    pub use mintri_sgr::{EnumMis, EnumMisStats, PrintMode, Sgr};
     pub use mintri_treedecomp::{exact_treewidth, TreeDecomposition};
     pub use mintri_triangulate::{
         is_minimal_triangulation, EliminationOrder, LbTriang, LexM, McsM, Triangulation,

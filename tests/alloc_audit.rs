@@ -1,13 +1,13 @@
 //! Pins the zero-allocation invariant of the scratch-space execution
 //! kernel: once the workspace and the shared memo tables are warm,
 //! re-evaluating the enumeration's `(answer, direction)` pairs — build
-//! `Jv` with [`build_jv`], ask an [`AnswerIndex`] whether an answer
+//! `Jv` with [`Sgr::build_jv`], ask an [`AnswerIndex`] whether an answer
 //! contains it, run `Extend` — must not touch the heap at all: no bitset
 //! clones, no BFS queues, no MCS-M buffers, no interner inserts, no
 //! per-query cursor buffer.
 //!
 //! **Scope.** The invariant covers the kernel API surface
-//! (`extend_with`/`edge_with` through a reused [`EvalScratch`]) in steady
+//! (`build_jv`/`extend_with` through reused scratch and buffers) in steady
 //! state, i.e. when every evaluation reproduces an already-known answer —
 //! which is the overwhelming majority of `Extend` calls in a real run
 //! (each of the `n·|answers|` pairs yields one of `|answers|` answers).
@@ -22,7 +22,7 @@
 //! measurement.
 
 use mintri::core::MsGraph;
-use mintri::sgr::{build_jv, AnswerIndex, EnumMis, EvalScratch, PrintMode, Sgr};
+use mintri::sgr::{AnswerIndex, EnumMis, PrintMode, Sgr};
 use mintri::workloads::random::chained_cycles;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,19 +75,19 @@ fn steady_state_extend_allocates_zero_times() {
     // every scratch buffer to this graph's shapes, builds the index rows
     // of the first half of the answers and sizes the query's cursors.
     // With half the answers held, some queries hit and some miss.
-    let mut ws: EvalScratch<&MsGraph> = EvalScratch::default();
+    let (mut scratch, mut jv, mut out) = (Default::default(), Vec::new(), Vec::new());
     let mut index = AnswerIndex::default();
     for answer in &answers[..answers.len() / 2] {
         index.insert(answer);
     }
     let mut pairs = 1usize;
-    ms.extend_with(&[], &mut ws.out, &mut ws.sgr);
+    ms.extend_with(&[], &mut out, &mut scratch);
     for answer in &answers {
         for v in &nodes {
-            ws.jv.clear();
-            if build_jv(&ms, answer, v, &mut ws.sgr, &mut ws.jv) {
-                index.any_contains(&ws.jv);
-                ms.extend_with(&ws.jv, &mut ws.out, &mut ws.sgr);
+            jv.clear();
+            if ms.build_jv(answer, v, &mut scratch, &mut jv) {
+                index.any_contains(&jv);
+                ms.extend_with(&jv, &mut out, &mut scratch);
                 pairs += 1;
             }
         }
@@ -100,13 +100,13 @@ fn steady_state_extend_allocates_zero_times() {
     // or not.
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut contained = 0usize;
-    ms.extend_with(&[], &mut ws.out, &mut ws.sgr);
+    ms.extend_with(&[], &mut out, &mut scratch);
     for answer in &answers {
         for v in &nodes {
-            ws.jv.clear();
-            if build_jv(&ms, answer, v, &mut ws.sgr, &mut ws.jv) {
-                contained += usize::from(index.any_contains(&ws.jv));
-                ms.extend_with(&ws.jv, &mut ws.out, &mut ws.sgr);
+            jv.clear();
+            if ms.build_jv(answer, v, &mut scratch, &mut jv) {
+                contained += usize::from(index.any_contains(&jv));
+                ms.extend_with(&jv, &mut out, &mut scratch);
             }
         }
     }

@@ -68,7 +68,7 @@ fn deterministic_mode_matches_sequential_on_determinism_families() {
     }
 }
 
-/// An engine query runs the *same* `Frontier` schedule as the
+/// An engine query runs the *same* `EnumMis` schedule as the
 /// sequential iterator, so its `EnumMIS` counters — extend calls,
 /// edge queries, nodes generated, answers — must match exactly, not just
 /// the emitted stream. Counter drift would mean the schedules diverged

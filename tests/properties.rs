@@ -11,7 +11,7 @@ use mintri::prelude::*;
 use mintri::separators::all_minimal_separators;
 use mintri::separators::bruteforce::{all_minimal_separators_bruteforce, crossing_bruteforce};
 use mintri::sgr::bruteforce::all_maximal_independent_sets;
-use mintri::sgr::{build_jv, ExplicitSgr};
+use mintri::sgr::ExplicitSgr;
 use mintri::triangulate::{
     eliminate, lb_triang, mcs_m, minimal_triangulation_sandwich, CompleteFill, OrderingStrategy,
 };
@@ -338,8 +338,8 @@ fn assert_bulk_jv_matches_per_pair(ms: &MsGraph<'_>, answers: &[Vec<SepId>], ids
             bulk.clear();
             per_pair.clear();
             assert_eq!(
-                build_jv(&ms, answer, &v, &mut ExtendScratch::default(), &mut bulk),
-                build_jv(&PerPair(ms), answer, &v, &mut (), &mut per_pair),
+                Sgr::build_jv(&ms, answer, &v, &mut ExtendScratch::default(), &mut bulk),
+                Sgr::build_jv(&PerPair(ms), answer, &v, &mut (), &mut per_pair),
                 "v ∈ J must agree for v = {v}"
             );
             assert_eq!(bulk, per_pair, "Jv for v = {v}, J = {answer:?}");
