@@ -83,13 +83,13 @@ fn bron_kerbosch(g: &Graph, r: &mut NodeSet, p: NodeSet, x: NodeSet, out: &mut V
         .iter()
         .max_by_key(|&u| g.neighbors(u).intersection_len(&p))
         .expect("P ∪ X is nonempty here");
-    let mut candidates = p.difference(g.neighbors(pivot));
+    let mut candidates = p.difference(&g.neighbors(pivot));
     let mut p = p;
     let mut x = x;
     while let Some(v) = candidates.pop() {
         let nv = g.neighbors(v);
         r.insert(v);
-        bron_kerbosch(g, r, p.intersection(nv), x.intersection(nv), out);
+        bron_kerbosch(g, r, p.intersection(&nv), x.intersection(&nv), out);
         r.remove(v);
         p.remove(v);
         x.insert(v);

@@ -77,7 +77,7 @@ pub fn is_perfect_elimination_order(g: &Graph, order: &[Node]) -> bool {
         };
         let mut rest = rn;
         rest.remove(p);
-        if !rest.is_subset(g.neighbors(p)) {
+        if !rest.is_subset(&g.neighbors(p)) {
             return false;
         }
     }

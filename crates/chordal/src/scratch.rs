@@ -70,7 +70,7 @@ pub fn minimal_separators_with(
                 ws.seps.push(NodeSet::default());
             }
             let sep = &mut ws.seps[ws.sep_count];
-            sep.clone_from(g.neighbors(v));
+            sep.assign_words(n, g.neighbors(v).words());
             sep.intersect_with(&ws.numbered);
             ws.sep_count += 1;
         }

@@ -42,7 +42,7 @@ pub use crate::memo::SepId;
 /// repository's `alloc_audit` test.
 #[derive(Default)]
 pub struct ExtendScratch {
-    /// MCS-M workspace: `g[φ]` is saturated into its input bit matrix,
+    /// MCS-M workspace: `g[φ]` is saturated into its input graph,
     /// and the fill edges, the elimination order and the minimal
     /// separators of the triangulation land here.
     tri: TriScratch,
@@ -169,19 +169,18 @@ impl<'g> MsGraph<'g> {
     /// separator. For a maximal answer this *is* the corresponding minimal
     /// triangulation (Theorem 4.1 part 1).
     pub fn saturate_answer(&self, answer: &[SepId]) -> Graph {
-        let mut h = self.g.get().clone();
-        for &id in answer {
-            h.saturate(self.interner.row(id).set());
-        }
+        let mut h = Graph::default();
+        self.saturate_into(answer, &mut h);
         h
     }
 
-    /// [`Self::saturate_answer`] into the workspace: the input matrix of
-    /// `ws.tri` becomes `g[φ]` with no allocation once warm.
-    fn saturate_into(&self, answer: &[SepId], ws: &mut ExtendScratch) {
-        ws.tri.input.load(self.g.get());
+    /// [`Self::saturate_answer`] into `h`: copies `g`'s rows over `h`'s
+    /// buffer, then saturates every separator — no allocation once `h`
+    /// has held a graph this large.
+    fn saturate_into(&self, answer: &[SepId], h: &mut Graph) {
+        h.clone_from(self.g.get());
         for &id in answer {
-            ws.tri.input.saturate(self.interner.row(id).set());
+            h.saturate(self.interner.row(id).set());
         }
     }
 
@@ -196,7 +195,9 @@ impl<'g> MsGraph<'g> {
 
     /// Materializes an answer into a full [`Triangulation`] (saturation
     /// plus fill-edge bookkeeping) — shared by the sequential enumerator
-    /// and the engine's streams.
+    /// and the engine's streams. Two allocations whatever the size of `g`:
+    /// the graph's word buffer and the fill list, read off the rows that
+    /// differ from `g`'s.
     pub fn materialize(&self, answer: &[SepId]) -> Triangulation {
         let h = self.saturate_answer(answer);
         let fill = h.fill_edges_over(self.g.get());
@@ -213,7 +214,7 @@ impl<'g> MsGraph<'g> {
         self.stats.extends.fetch_add(1, Ordering::Relaxed);
         out.clear();
         if self.triangulator.guarantees_minimal() {
-            self.saturate_into(base, ws);
+            self.saturate_into(base, &mut ws.tri.input);
             if self.triangulator.triangulate_loaded(&mut ws.tri) {
                 // The backend wrote `MinSep(h)` into the workspace, sorted
                 // and deduplicated. A chordal graph has one set of minimal

@@ -291,10 +291,6 @@ struct AtomCursor<'a> {
     /// memory like an unwrapped stream (every other cursor is revisited
     /// on each product row and must keep its full cache).
     offset: usize,
-    /// The drained stream ended by natural exhaustion.
-    finished: bool,
-    /// The drained stream ended by an abort (cancellation) instead.
-    aborted: bool,
     replay: bool,
     stats: Option<EnumMisStats>,
 }
@@ -322,8 +318,6 @@ impl AtomCursor<'_> {
                 true
             }
             None => {
-                self.finished = stream.finished();
-                self.aborted = !self.finished;
                 if self.stats.is_none() {
                     self.stats = stream.enum_stats();
                 }
@@ -377,8 +371,9 @@ pub struct ComposedStream<'a> {
     cursors: Vec<AtomCursor<'a>>,
     odometer: Vec<usize>,
     started: bool,
+    /// The product has ended: a later pull must not restart the
+    /// odometer (which would underflow the trimmed first cursor).
     halted: bool,
-    complete: bool,
 }
 
 impl<'a> ComposedStream<'a> {
@@ -393,8 +388,6 @@ impl<'a> ComposedStream<'a> {
                 old_of: child.old_of,
                 cache: VecDeque::new(),
                 offset: 0,
-                finished: false,
-                aborted: false,
                 stats: None,
             })
             .collect();
@@ -404,28 +397,35 @@ impl<'a> ComposedStream<'a> {
             cursors,
             started: false,
             halted: false,
-            complete: false,
         }
     }
 
     /// The combination at the current odometer position.
     fn materialize(&self) -> Triangulation {
-        let mut h = self.base.clone();
-        let mut fill = Vec::new();
-        for (cursor, &idx) in self.cursors.iter().zip(&self.odometer) {
-            for &(u, v) in cursor.fill_at(idx) {
-                // Atoms overlap only inside clique separators, which are
-                // never filled — the guard keeps `fill` exact regardless.
-                if h.add_edge(u, v) {
-                    fill.push((u, v));
-                }
-            }
+        let fills = self.cursors.iter().zip(&self.odometer);
+        compose_row(&self.base, fills.map(|(cursor, &idx)| cursor.fill_at(idx)))
+    }
+}
+
+/// One product row: a copy of `base` plus every atom's fill edges (in
+/// base-graph ids), with the fill list allocated once.
+pub(crate) fn compose_row<'f>(
+    base: &Graph,
+    fills: impl Iterator<Item = &'f [(Node, Node)]> + Clone,
+) -> Triangulation {
+    let mut graph = base.clone();
+    let mut fill = Vec::with_capacity(fills.clone().map(<[_]>::len).sum());
+    for &(u, v) in fills.flatten() {
+        // Atoms overlap only inside clique separators, which are never
+        // filled — the guard keeps `fill` exact regardless.
+        if graph.add_edge(u, v) {
+            fill.push((u, v));
         }
-        Triangulation {
-            graph: h,
-            fill,
-            peo: None,
-        }
+    }
+    Triangulation {
+        graph,
+        fill,
+        peo: None,
     }
 }
 
@@ -437,13 +437,11 @@ impl TriangulationStream for ComposedStream<'_> {
         if !self.started {
             self.started = true;
             // First row: one result from every atom. A graph always has
-            // at least one minimal triangulation, so an empty pull here
-            // means the child aborted (or replayed a poisoned cache) —
-            // either way the product ends.
+            // at least one minimal triangulation; should a child still
+            // come up empty, so is the product.
             for i in 0..self.cursors.len() {
                 if !self.cursors[i].ensure(0) {
                     self.halted = true;
-                    self.complete = self.cursors[i].finished;
                     return None;
                 }
             }
@@ -454,7 +452,6 @@ impl TriangulationStream for ComposedStream<'_> {
         loop {
             if i == 0 {
                 self.halted = true;
-                self.complete = true;
                 return None;
             }
             i -= 1;
@@ -469,17 +466,9 @@ impl TriangulationStream for ComposedStream<'_> {
                 }
                 break;
             }
-            if self.cursors[i].aborted {
-                self.halted = true;
-                return None;
-            }
             self.odometer[i] = 0;
         }
         Some(self.materialize())
-    }
-
-    fn finished(&self) -> bool {
-        self.complete
     }
 
     /// The per-atom kernel counters, **summed** — `extend_calls` (each

@@ -388,13 +388,10 @@ impl QueryOutcome {
 /// backend (sequential iterator, warm engine sessions, replayed caches,
 /// remote transports).
 pub trait TriangulationStream {
-    /// The next triangulation, or `None` when the stream ends.
+    /// The next triangulation, or `None` once the enumeration is
+    /// exhausted. A stream never stops early on its own: cancellation
+    /// and budgets are checked by the [`Response`] before each pull.
     fn next_tri(&mut self) -> Option<Triangulation>;
-
-    /// After [`TriangulationStream::next_tri`] returned `None`: did the
-    /// stream end because the enumeration genuinely finished (as opposed
-    /// to an abort)?
-    fn finished(&self) -> bool;
 
     /// `EnumMIS` counters, when this stream runs the sequential schedule.
     fn enum_stats(&self) -> Option<EnumMisStats> {
@@ -476,10 +473,6 @@ impl TriangulationStream for TracedStream<'_> {
         }
     }
 
-    fn finished(&self) -> bool {
-        self.inner.finished()
-    }
-
     fn enum_stats(&self) -> Option<EnumMisStats> {
         self.inner.enum_stats()
     }
@@ -502,11 +495,6 @@ impl Drop for TracedStream<'_> {
 impl TriangulationStream for MinimalTriangulationsEnumerator<'_> {
     fn next_tri(&mut self) -> Option<Triangulation> {
         self.next()
-    }
-
-    fn finished(&self) -> bool {
-        // The sequential iterator only ends when complete.
-        true
     }
 
     fn enum_stats(&self) -> Option<EnumMisStats> {
@@ -906,7 +894,7 @@ impl<'a> Response<'a> {
                 Some(tri)
             }
             None => {
-                self.completed = source.finished() && !self.cancel.is_cancelled();
+                self.completed = !self.cancel.is_cancelled();
                 self.end_stream();
                 None
             }

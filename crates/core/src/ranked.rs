@@ -31,6 +31,7 @@
 //! application-specific (non-serializable) cost closures over any
 //! triangulation stream.
 
+use crate::plan::compose_row;
 use crate::query::{CostMeasure, TriangulationStream};
 use crate::EnumerationBudget;
 use mintri_graph::{Graph, Node};
@@ -344,7 +345,6 @@ pub struct RankedStream<'a> {
     floor: usize,
     heap: BinaryHeap<Reverse<Entry>>,
     pulled: usize,
-    complete: bool,
     replay: bool,
     stats: Option<EnumMisStats>,
     expansions: Option<Arc<Counter>>,
@@ -366,7 +366,6 @@ impl<'a> RankedStream<'a> {
             floor,
             heap: BinaryHeap::new(),
             pulled: 0,
-            complete: false,
             replay,
             stats: None,
             expansions: None,
@@ -418,12 +417,9 @@ impl<'a> RankedStream<'a> {
                     self.pulled += 1;
                 }
                 None => {
-                    self.complete = inner.finished();
                     self.stats = inner.enum_stats();
                     self.inner = None;
-                    // loop around: drain the heap in sorted order (on an
-                    // abort the buffered prefix is still correct — every
-                    // emitted result was provably final)
+                    // loop around: drain the heap in sorted order
                 }
             }
         }
@@ -433,10 +429,6 @@ impl<'a> RankedStream<'a> {
 impl TriangulationStream for RankedStream<'_> {
     fn next_tri(&mut self) -> Option<Triangulation> {
         self.next_ranked().map(|item| item.tri)
-    }
-
-    fn finished(&self) -> bool {
-        self.complete
     }
 
     fn enum_stats(&self) -> Option<EnumMisStats> {
@@ -477,8 +469,6 @@ struct RankedCursor<'a> {
     old_of: Vec<Node>,
     /// Emissions so far, in the ranked order `(cost, index)`.
     results: Vec<RankedResult>,
-    finished: bool,
-    aborted: bool,
     replay: bool,
     stats: Option<EnumMisStats>,
 }
@@ -490,15 +480,13 @@ impl<'a> RankedCursor<'a> {
             stream: Some(atom.stream),
             old_of: atom.old_of,
             results: Vec::new(),
-            finished: false,
-            aborted: false,
             replay,
             stats: None,
         }
     }
 
     /// Pulls one more emission into `results`; `false` when the stream
-    /// has ended (check `aborted` to tell an abort from completion).
+    /// has ended.
     fn fetch(&mut self) -> bool {
         let Some(stream) = self.stream.as_mut() else {
             return false;
@@ -526,8 +514,6 @@ impl<'a> RankedCursor<'a> {
                 true
             }
             None => {
-                self.finished = stream.finished();
-                self.aborted = !self.finished;
                 self.stats = stream.enum_stats();
                 self.stream = None;
                 false
@@ -587,22 +573,14 @@ struct Frame {
     cost: usize,
 }
 
-enum Qual {
-    At(usize),
-    End,
-    Aborted,
-}
-
 enum Step {
     Found,
     LevelDone,
-    Aborted,
 }
 
 enum LevelAdvance {
     Next(usize),
     Complete,
-    Aborted,
 }
 
 /// The ranked odometer over a composed plan: emits the *composed*
@@ -651,8 +629,8 @@ pub struct RankedComposed<'a> {
     started: bool,
     fresh_level: bool,
     base_emitted: bool,
+    /// The product has ended: a later pull returns `None` at once.
     halted: bool,
-    complete: bool,
 }
 
 impl<'a> RankedComposed<'a> {
@@ -678,35 +656,24 @@ impl<'a> RankedComposed<'a> {
             fresh_level: false,
             base_emitted: false,
             halted: false,
-            complete: false,
         }
     }
 
-    /// The `pos`-th qualifying result of atom `i` at the current level,
-    /// in digit (production-index) order.
-    fn qual(&mut self, i: usize, pos: usize) -> Qual {
+    /// The index into `results` of the `pos`-th qualifying result of
+    /// atom `i` at the current level, in digit (production-index) order;
+    /// `None` past the window's end.
+    fn qual(&mut self, i: usize, pos: usize) -> Option<usize> {
         match &self.views[i] {
             QualView::Plateau { bound } => {
                 let bound = *bound;
                 while self.cursors[i].results.len() <= pos {
                     if !self.cursors[i].fetch() {
-                        return if self.cursors[i].aborted {
-                            Qual::Aborted
-                        } else {
-                            Qual::End
-                        };
+                        return None;
                     }
                 }
-                if self.cursors[i].results[pos].cost > bound {
-                    Qual::End
-                } else {
-                    Qual::At(pos)
-                }
+                (self.cursors[i].results[pos].cost <= bound).then_some(pos)
             }
-            QualView::Sorted { positions, .. } => match positions.get(pos) {
-                Some(&idx) => Qual::At(idx),
-                None => Qual::End,
-            },
+            QualView::Sorted { positions, .. } => positions.get(pos).copied(),
         }
     }
 
@@ -733,43 +700,32 @@ impl<'a> RankedComposed<'a> {
 
     /// First feasible digit of atom `i` at position ≥ `pos`, or `None`
     /// when the window is exhausted for this prefix.
-    fn next_valid(&mut self, i: usize, mut pos: usize) -> Result<Option<Frame>, ()> {
+    fn next_valid(&mut self, i: usize, mut pos: usize) -> Option<Frame> {
         if let QualView::Plateau { bound } = self.views[i] {
             // every plateau value is the same: decide feasibility once,
             // then only existence remains — this is what keeps a large
             // single-cost atom from draining
             if !self.digit_feasible(i, bound) {
-                return Ok(None);
+                return None;
             }
-            return match self.qual(i, pos) {
-                Qual::Aborted => Err(()),
-                Qual::End => Ok(None),
-                Qual::At(idx) => {
-                    let cost = self.cursors[i].results[idx].cost;
-                    Ok(Some(Frame {
-                        view_pos: pos,
-                        result_idx: idx,
-                        cost,
-                    }))
-                }
-            };
+            let idx = self.qual(i, pos)?;
+            return Some(Frame {
+                view_pos: pos,
+                result_idx: idx,
+                cost: self.cursors[i].results[idx].cost,
+            });
         }
         loop {
-            match self.qual(i, pos) {
-                Qual::Aborted => return Err(()),
-                Qual::End => return Ok(None),
-                Qual::At(idx) => {
-                    let cost = self.cursors[i].results[idx].cost;
-                    if self.digit_feasible(i, cost) {
-                        return Ok(Some(Frame {
-                            view_pos: pos,
-                            result_idx: idx,
-                            cost,
-                        }));
-                    }
-                    pos += 1;
-                }
+            let idx = self.qual(i, pos)?;
+            let cost = self.cursors[i].results[idx].cost;
+            if self.digit_feasible(i, cost) {
+                return Some(Frame {
+                    view_pos: pos,
+                    result_idx: idx,
+                    cost,
+                });
             }
+            pos += 1;
         }
     }
 
@@ -788,15 +744,14 @@ impl<'a> RankedComposed<'a> {
         loop {
             let i = self.frames.len();
             match self.next_valid(i, pos) {
-                Err(()) => return Step::Aborted,
-                Ok(Some(frame)) => {
+                Some(frame) => {
                     self.frames.push(frame);
                     if self.frames.len() == m {
                         return Step::Found;
                     }
                     pos = 0;
                 }
-                Ok(None) => match self.frames.pop() {
+                None => match self.frames.pop() {
                     Some(f) => pos = f.view_pos + 1,
                     None => return Step::LevelDone,
                 },
@@ -805,8 +760,7 @@ impl<'a> RankedComposed<'a> {
     }
 
     /// Rebuilds the per-atom windows and suffix feasibility for `level`.
-    /// Returns `false` on an abort while draining a multi-cost window.
-    fn build_level(&mut self, level: usize) -> bool {
+    fn build_level(&mut self, level: usize) {
         self.level = level;
         let m = self.cursors.len();
         let total_min: usize = self.cursors.iter().map(|c| c.min_cost()).sum();
@@ -828,9 +782,7 @@ impl<'a> RankedComposed<'a> {
                     if !c.live() || c.last_cost().is_some_and(|lc| lc > bound) {
                         break;
                     }
-                    if !self.cursors[i].fetch() && self.cursors[i].aborted {
-                        return false;
-                    }
+                    self.cursors[i].fetch();
                 }
                 let mut positions: Vec<usize> = (0..self.cursors[i].results.len())
                     .filter(|&p| self.cursors[i].results[p].cost <= bound)
@@ -867,7 +819,6 @@ impl<'a> RankedComposed<'a> {
                 }
             }
         }
-        true
     }
 
     /// Distinct cost values in atom `i`'s current window.
@@ -899,9 +850,7 @@ impl<'a> RankedComposed<'a> {
                 if !c.live() || c.last_cost().is_some_and(|lc| lc > bound) {
                     break;
                 }
-                if !self.cursors[i].fetch() && self.cursors[i].aborted {
-                    return LevelAdvance::Aborted;
-                }
+                self.cursors[i].fetch();
             }
         }
         let candidate = match self.measure {
@@ -959,21 +908,11 @@ impl<'a> RankedComposed<'a> {
     }
 
     fn materialize(&self) -> Triangulation {
-        let mut graph = self.base.clone();
-        let mut fill = Vec::new();
-        for (i, frame) in self.frames.iter().enumerate() {
-            for &(u, v) in &self.cursors[i].results[frame.result_idx].fill {
-                if !graph.has_edge(u, v) {
-                    graph.add_edge(u, v);
-                    fill.push((u, v));
-                }
-            }
-        }
-        let tri = Triangulation {
-            graph,
-            fill,
-            peo: None,
-        };
+        let fills = self.frames.iter().zip(&self.cursors);
+        let tri = compose_row(
+            &self.base,
+            fills.map(|(frame, cursor)| cursor.results[frame.result_idx].fill.as_slice()),
+        );
         debug_assert_eq!(
             self.measure.evaluate(&tri),
             self.level,
@@ -992,7 +931,6 @@ impl TriangulationStream for RankedComposed<'_> {
             // fully chordal decomposition: the base is its own (unique)
             // minimal triangulation
             if self.base_emitted {
-                self.complete = true;
                 self.halted = true;
                 return None;
             }
@@ -1007,9 +945,7 @@ impl TriangulationStream for RankedComposed<'_> {
             self.started = true;
             for i in 0..self.cursors.len() {
                 if !self.cursors[i].fetch() {
-                    // an empty atom stream: empty product (an abort
-                    // leaves `complete` false)
-                    self.complete = self.cursors[i].finished;
+                    // an empty atom stream: empty product
                     self.halted = true;
                     return None;
                 }
@@ -1022,10 +958,7 @@ impl TriangulationStream for RankedComposed<'_> {
                     .map(|c| c.min_cost())
                     .fold(self.width_const, usize::max),
             };
-            if !self.build_level(c0) {
-                self.halted = true;
-                return None;
-            }
+            self.build_level(c0);
             self.fresh_level = true;
         }
         loop {
@@ -1033,34 +966,18 @@ impl TriangulationStream for RankedComposed<'_> {
             self.fresh_level = false;
             match step {
                 Step::Found => return Some(self.materialize()),
-                Step::Aborted => {
-                    self.halted = true;
-                    return None;
-                }
                 Step::LevelDone => match self.next_level() {
-                    LevelAdvance::Aborted => {
-                        self.halted = true;
-                        return None;
-                    }
                     LevelAdvance::Complete => {
-                        self.complete = self.cursors.iter().all(|c| c.finished);
                         self.halted = true;
                         return None;
                     }
                     LevelAdvance::Next(c) => {
-                        if !self.build_level(c) {
-                            self.halted = true;
-                            return None;
-                        }
+                        self.build_level(c);
                         self.fresh_level = true;
                     }
                 },
             }
         }
-    }
-
-    fn finished(&self) -> bool {
-        self.complete
     }
 
     /// Per-atom kernel counters, summed (the ranked analogue of

@@ -24,7 +24,7 @@ use mintri_core::query::{DispatchKind, OpenedAtom, Plan, Query, Response, Triang
 use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashMap, FxHasher, Graph, NodeSet};
 use mintri_sgr::{AnswerIndex, EnumMis, EnumMisStats, PrintMode};
-use mintri_store::{AnswerSnapshot, MemoSummary, PlanSnapshot, Store, StoredOrder};
+use mintri_store::{AnswerSnapshot, MemoSummary, PlanSnapshot, Store};
 use mintri_telemetry::{Counter, Histogram, Registry, TraceBuilder};
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
 use std::hash::Hasher;
@@ -50,25 +50,21 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     h.finish()
 }
 
-/// The store-level order values an answer list may carry. Every list is
-/// the sequential schedule's emission order, and both print modes emit
-/// the same full sequence: the schedule's queue `Q` is FIFO, so answers
-/// leave it (`UponPop`) in the order they entered it (`UponGeneration`),
-/// and a run completes only once `Q` is empty (`tests/properties.rs`
-/// pins this). Writes use the first value; a hydrate accepts either,
-/// since older stores hold lists under both.
-const STORED_ORDERS: [StoredOrder; 2] = [StoredOrder::UponGeneration, StoredOrder::UponPop];
-
 /// The portable snapshot of one recorded answer list: separators leave
 /// as sorted vertex lists (session-local [`SepId`]s mean nothing to
 /// another process) together with the graph itself, so a loader can
 /// verify equality before trusting a fingerprint match.
+///
+/// One list serves both print modes. It is the sequential schedule's
+/// emission order, and both modes emit the same full sequence: the
+/// schedule's queue `Q` is FIFO, so answers leave it (`UponPop`) in the
+/// order they entered it (`UponGeneration`), and a run completes only
+/// once `Q` is empty (`tests/properties.rs` pins this).
 fn answer_snapshot(session: &GraphSession, answers: &AnswerIndex<SepId>) -> AnswerSnapshot {
     let stats = session.ms.stats();
     AnswerSnapshot {
         fingerprint: graph_fingerprint(&session.graph),
         backend: session.backend.to_string(),
-        order: STORED_ORDERS[0],
         nodes: session.graph.num_nodes() as u32,
         edges: session.graph.edges(),
         answers: answers
@@ -265,11 +261,6 @@ impl TriangulationStream for EngineEnumeration {
             },
             Source::Finished(_) => None,
         }
-    }
-
-    fn finished(&self) -> bool {
-        // A replay or live stream only ends by exhaustion.
-        true
     }
 
     fn enum_stats(&self) -> Option<EnumMisStats> {
@@ -809,13 +800,9 @@ impl Engine {
         let store = self.store.as_ref()?;
         let start = Instant::now();
         let fp = graph_fingerprint(&session.graph);
-        let snap = STORED_ORDERS
-            .iter()
-            .filter_map(|&order| store.load_answers(fp, session.backend, order))
-            .find(|snap| {
-                snap.nodes as usize == session.graph.num_nodes()
-                    && snap.edges == session.graph.edges()
-            });
+        let snap = store.load_answers(fp, session.backend).filter(|snap| {
+            snap.nodes as usize == session.graph.num_nodes() && snap.edges == session.graph.edges()
+        });
         let Some(snap) = snap else {
             self.telemetry.store_misses.inc();
             return None;
@@ -900,10 +887,6 @@ impl TriangulationStream for FirstResultTimed {
             self.hist.record_duration(self.created.elapsed());
         }
         tri
-    }
-
-    fn finished(&self) -> bool {
-        self.inner.finished()
     }
 
     fn enum_stats(&self) -> Option<EnumMisStats> {
@@ -1330,8 +1313,7 @@ mod tests {
 
     #[test]
     fn a_query_hydrates_either_stored_print_mode() {
-        // Writes use one `StoredOrder` value, but a list stored under
-        // either print mode's value must still hydrate.
+        // One stored list must hydrate a query in either print mode.
         let g = Graph::cycle(7);
         let config = EngineConfig::default();
         let unplanned = ExecPolicy::default().with_planned(false);
@@ -1344,27 +1326,21 @@ mod tests {
         let reference = order(recorder.run(&g, Query::enumerate().policy(unplanned)));
         let session = recorder.session(&g);
         let answers = session.cached_answers().unwrap();
-        for stored in [StoredOrder::UponGeneration, StoredOrder::UponPop] {
-            let root = std::env::temp_dir().join(format!(
-                "mintri-session-hydrate-{stored:?}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&root);
-            let store = Arc::new(Store::open(mintri_store::StoreConfig::at(&root)).unwrap());
-            let mut snap = answer_snapshot(&session, &answers);
-            snap.order = stored;
-            store.put_answers(&snap, true);
-            store.flush();
-            for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
-                let reader = Engine::with_store(config.clone(), Arc::clone(&store));
-                let resp = reader.run(&g, Query::enumerate().mode(mode).policy(unplanned));
-                assert!(resp.is_replay(), "{mode:?} query over a {stored:?} list");
-                assert_eq!(order(resp), reference);
-                assert_eq!(reader.memo_stats().extends, 0);
-            }
-            drop(store);
-            let _ = std::fs::remove_dir_all(&root);
+        let root =
+            std::env::temp_dir().join(format!("mintri-session-hydrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Arc::new(Store::open(mintri_store::StoreConfig::at(&root)).unwrap());
+        store.put_answers(&answer_snapshot(&session, &answers), true);
+        store.flush();
+        for mode in [PrintMode::UponGeneration, PrintMode::UponPop] {
+            let reader = Engine::with_store(config.clone(), Arc::clone(&store));
+            let resp = reader.run(&g, Query::enumerate().mode(mode).policy(unplanned));
+            assert!(resp.is_replay(), "{mode:?} query over the stored list");
+            assert_eq!(order(resp), reference);
+            assert_eq!(reader.memo_stats().extends, 0);
         }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! # mintri-graph — the graph substrate
 //!
-//! Undirected graphs over dense node ids `0..n` with bitset adjacency, plus
+//! Undirected graphs over dense node ids `0..n`, stored as one flat
+//! adjacency bit matrix whose rows read as [`NodeSet`]s, plus
 //! the traversal primitives the triangulation stack is built on:
 //! components of `g \ U`, reachability inside restricted node sets, and
 //! saturation.
@@ -26,17 +27,15 @@
 //! assert_eq!(comps.len(), 1); // the chords keep the rest connected
 //! ```
 
-mod bitmatrix;
 mod fxhash;
 mod graph;
 pub mod io;
 mod nodeset;
 pub mod traversal;
 
-pub use bitmatrix::BitMatrix;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
-pub use nodeset::{NodeSet, NodeSetIter};
+pub use nodeset::{NodeRow, NodeSet, NodeSetIter};
 
 /// Node identifier. Graphs in this workspace are dense and small enough that
 /// `u32` halves the footprint of every edge list and ordering relative to

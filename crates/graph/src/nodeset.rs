@@ -13,19 +13,30 @@ use std::fmt;
 /// Number of bits per storage word.
 const BITS: usize = u64::BITS as usize;
 
-/// A set of graph nodes backed by a `Vec<u64>` bitmap.
+/// A set of graph nodes as a bitmap over its words `W`: an owned
+/// `Vec<u64>` by default, or a borrowed `&[u64]` for a [`NodeRow`].
 ///
-/// The word vector always has length `ceil(capacity / 64)` and any bits at
+/// The words always number `ceil(capacity / 64)` and any bits at
 /// positions `>= capacity` are zero, so `Eq`, `Ord` and `Hash` agree with
-/// set equality for sets created with the same capacity.
+/// set equality for sets created with the same capacity, and a row hashes
+/// like the owned set with the same nodes.
 ///
 /// `Ord` is an arbitrary-but-total order (lexicographic on words); it exists
 /// so `NodeSet`s can key `BTreeMap`s and be sorted deterministically.
+///
+/// Every read — membership, iteration, cardinality and the binary tests
+/// and operations — works on either storage and accepts either storage as
+/// its argument; mutation needs the owned words.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct NodeSet {
-    words: Vec<u64>,
-    capacity: u32,
+pub struct NodeSet<W = Vec<u64>> {
+    pub(crate) words: W,
+    pub(crate) capacity: u32,
 }
+
+/// A read-only view of a set stored elsewhere: a row of a
+/// [`Graph`](crate::Graph)'s adjacency, as [`Graph::neighbors`](crate::Graph::neighbors)
+/// returns it. [`NodeSet::to_set`] makes an owned copy.
+pub type NodeRow<'a> = NodeSet<&'a [u64]>;
 
 impl Clone for NodeSet {
     fn clone(&self) -> Self {
@@ -72,12 +83,6 @@ impl NodeSet {
         s
     }
 
-    /// The fixed capacity (number of addressable nodes), *not* the cardinality.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
     /// Zeroes any bits at positions `>= capacity` to keep the representation
     /// canonical.
     #[inline]
@@ -88,26 +93,6 @@ impl NodeSet {
                 *last &= (1u64 << (cap % BITS)) - 1;
             }
         }
-    }
-
-    /// Number of elements in the set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `true` iff the set has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, v: Node) -> bool {
-        let v = v as usize;
-        debug_assert!(v < self.capacity as usize);
-        (self.words[v / BITS] >> (v % BITS)) & 1 == 1
     }
 
     /// Inserts `v`; returns `true` if it was not already present.
@@ -158,13 +143,6 @@ impl NodeSet {
         self.trim();
     }
 
-    /// The backing words, lowest nodes first: `⌈capacity / 64⌉` of them,
-    /// with every bit at a position `>= capacity` zero.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Re-purposes the set as the nodes of `0..capacity` whose bits are
     /// set in `words` (laid out as [`NodeSet::words`]), reusing the word
     /// buffer. Words past `⌈capacity / 64⌉` and bits at positions
@@ -182,117 +160,29 @@ impl NodeSet {
 
     /// In-place union: `self ∪= other`.
     #[inline]
-    pub fn union_with(&mut self, other: &NodeSet) {
+    pub fn union_with<V: AsRef<[u64]>>(&mut self, other: &NodeSet<V>) {
         debug_assert_eq!(self.capacity, other.capacity);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words.iter_mut().zip(other.words()) {
             *a |= b;
         }
     }
 
     /// In-place intersection: `self ∩= other`.
     #[inline]
-    pub fn intersect_with(&mut self, other: &NodeSet) {
+    pub fn intersect_with<V: AsRef<[u64]>>(&mut self, other: &NodeSet<V>) {
         debug_assert_eq!(self.capacity, other.capacity);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words.iter_mut().zip(other.words()) {
             *a &= b;
         }
     }
 
     /// In-place difference: `self \= other`.
     #[inline]
-    pub fn difference_with(&mut self, other: &NodeSet) {
+    pub fn difference_with<V: AsRef<[u64]>>(&mut self, other: &NodeSet<V>) {
         debug_assert_eq!(self.capacity, other.capacity);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words.iter_mut().zip(other.words()) {
             *a &= !b;
         }
-    }
-
-    /// Returns `self ∪ other` as a new set.
-    pub fn union(&self, other: &NodeSet) -> NodeSet {
-        let mut s = self.clone();
-        s.union_with(other);
-        s
-    }
-
-    /// Returns `self ∩ other` as a new set.
-    pub fn intersection(&self, other: &NodeSet) -> NodeSet {
-        let mut s = self.clone();
-        s.intersect_with(other);
-        s
-    }
-
-    /// Returns `self \ other` as a new set.
-    pub fn difference(&self, other: &NodeSet) -> NodeSet {
-        let mut s = self.clone();
-        s.difference_with(other);
-        s
-    }
-
-    /// Cardinality of `self ∩ other` without materializing the set.
-    #[inline]
-    pub fn intersection_len(&self, other: &NodeSet) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `true` iff the sets share no element.
-    #[inline]
-    pub fn is_disjoint(&self, other: &NodeSet) -> bool {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// `true` iff `self ⊆ other`.
-    #[inline]
-    pub fn is_subset(&self, other: &NodeSet) -> bool {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    /// `true` iff `self ⊇ other`.
-    #[inline]
-    pub fn is_superset(&self, other: &NodeSet) -> bool {
-        other.is_subset(self)
-    }
-
-    /// `true` iff `self ∩ other` has at least one element that is also in
-    /// neither set's complement — i.e. whether any element of `other` lies in
-    /// `self` (alias for `!is_disjoint`).
-    #[inline]
-    pub fn intersects(&self, other: &NodeSet) -> bool {
-        !self.is_disjoint(other)
-    }
-
-    /// The smallest element, if any.
-    #[inline]
-    pub fn first(&self) -> Option<Node> {
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some((i * BITS + w.trailing_zeros() as usize) as Node);
-            }
-        }
-        None
-    }
-
-    /// Iterates over elements in increasing order.
-    pub fn iter(&self) -> NodeSetIter<'_> {
-        NodeSetIter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-
-    /// Collects the elements into a sorted `Vec`.
-    pub fn to_vec(&self) -> Vec<Node> {
-        self.iter().collect()
     }
 
     /// Pops an arbitrary element (the smallest), removing it from the set.
@@ -303,13 +193,143 @@ impl NodeSet {
     }
 }
 
-impl fmt::Debug for NodeSet {
+impl<W: AsRef<[u64]>> NodeSet<W> {
+    /// The fixed capacity (number of addressable nodes), *not* the cardinality.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.capacity as usize
+    }
+
+    /// The backing words, lowest nodes first: `⌈capacity / 64⌉` of them,
+    /// with every bit at a position `>= capacity` zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        self.words.as_ref()
+    }
+
+    /// An owned copy of the set.
+    pub fn to_set(&self) -> NodeSet {
+        NodeSet {
+            words: self.words().to_vec(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Number of elements in the set.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// `true` iff the set has no elements.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words().iter().all(|&w| w == 0)
+    }
+
+    /// Membership test.
+    #[inline]
+    pub fn contains(&self, v: Node) -> bool {
+        let v = v as usize;
+        debug_assert!(v < self.capacity as usize);
+        (self.words()[v / BITS] >> (v % BITS)) & 1 == 1
+    }
+
+    /// Returns `self ∪ other` as a new set.
+    pub fn union<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> NodeSet {
+        let mut s = self.to_set();
+        s.union_with(other);
+        s
+    }
+
+    /// Returns `self ∩ other` as a new set.
+    pub fn intersection<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> NodeSet {
+        let mut s = self.to_set();
+        s.intersect_with(other);
+        s
+    }
+
+    /// Returns `self \ other` as a new set.
+    pub fn difference<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> NodeSet {
+        let mut s = self.to_set();
+        s.difference_with(other);
+        s
+    }
+
+    /// Cardinality of `self ∩ other` without materializing the set.
+    #[inline]
+    pub fn intersection_len<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> usize {
+        debug_assert_eq!(self.capacity, other.capacity);
+        self.words()
+            .iter()
+            .zip(other.words())
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
+    /// `true` iff the sets share no element.
+    #[inline]
+    pub fn is_disjoint<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> bool {
+        debug_assert_eq!(self.capacity, other.capacity);
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & b == 0)
+    }
+
+    /// `true` iff `self ⊆ other`.
+    #[inline]
+    pub fn is_subset<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> bool {
+        debug_assert_eq!(self.capacity, other.capacity);
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & !b == 0)
+    }
+
+    /// `true` iff `self ⊇ other`.
+    #[inline]
+    pub fn is_superset<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> bool {
+        other.is_subset(self)
+    }
+
+    /// `true` iff `self ∩ other` has at least one element that is also in
+    /// neither set's complement — i.e. whether any element of `other` lies in
+    /// `self` (alias for `!is_disjoint`).
+    #[inline]
+    pub fn intersects<V: AsRef<[u64]>>(&self, other: &NodeSet<V>) -> bool {
+        !self.is_disjoint(other)
+    }
+
+    /// The smallest element, if any.
+    #[inline]
+    pub fn first(&self) -> Option<Node> {
+        for (i, &w) in self.words().iter().enumerate() {
+            if w != 0 {
+                return Some((i * BITS + w.trailing_zeros() as usize) as Node);
+            }
+        }
+        None
+    }
+
+    /// Iterates over elements in increasing order.
+    pub fn iter(&self) -> NodeSetIter<'_> {
+        NodeSetIter::new(self.words())
+    }
+
+    /// Collects the elements into a sorted `Vec`.
+    pub fn to_vec(&self) -> Vec<Node> {
+        self.iter().collect()
+    }
+}
+
+impl<W: AsRef<[u64]>> fmt::Debug for NodeSet<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
     }
 }
 
-impl<'a> IntoIterator for &'a NodeSet {
+impl<'a, W: AsRef<[u64]>> IntoIterator for &'a NodeSet<W> {
     type Item = Node;
     type IntoIter = NodeSetIter<'a>;
     fn into_iter(self) -> Self::IntoIter {
@@ -330,9 +350,19 @@ impl FromIterator<Node> for NodeSet {
 
 /// Iterator over the elements of a [`NodeSet`] in increasing order.
 pub struct NodeSetIter<'a> {
-    set: &'a NodeSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
+}
+
+impl<'a> NodeSetIter<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        NodeSetIter {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for NodeSetIter<'_> {
@@ -347,10 +377,10 @@ impl Iterator for NodeSetIter<'_> {
                 return Some((self.word_idx * BITS + bit) as Node);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }

@@ -69,7 +69,7 @@ impl MinSepState {
         let s = self.queue.pop_front()?;
         // expand S by every x ∈ S (lines 8–11 of Figure 2)
         for x in s.iter() {
-            let mut removed = s.union(g.neighbors(x));
+            let mut removed = s.union(&g.neighbors(x));
             removed.insert(x);
             for comp in components_after_removing(g, &removed) {
                 self.push_candidate(g.neighborhood_of_set(&comp));

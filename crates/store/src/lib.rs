@@ -5,9 +5,9 @@
 //! that dies with the process. This crate is the disk tier underneath:
 //! a directory of versioned, checksummed snapshot files
 //! ([`AnswerSnapshot`], [`PlanSnapshot`], [`GraphSnapshot`]) keyed the
-//! same way the RAM caches are (graph fingerprint + backend + recorded
-//! order), so a restarted — or *different* — process rebuilds warm
-//! state by reading instead of re-enumerating.
+//! same way the RAM caches are (graph fingerprint + backend), so a
+//! restarted — or *different* — process rebuilds warm state by reading
+//! instead of re-enumerating.
 //!
 //! **The invariant the whole tier rests on:** disk is a cache of proven
 //! results addressed by fingerprint, with graph equality verified by
@@ -49,9 +49,9 @@ mod codec;
 mod snapshot;
 
 pub use codec::{fnv1a64, CodecError};
+use snapshot::ANSWERS_TAG;
 pub use snapshot::{
-    AnswerSnapshot, EntryKind, GraphSnapshot, MemoSummary, PlanSnapshot, StoredOrder, HEADER_LEN,
-    MAGIC, VERSION,
+    AnswerSnapshot, EntryKind, GraphSnapshot, MemoSummary, PlanSnapshot, HEADER_LEN, MAGIC, VERSION,
 };
 
 use std::collections::HashMap;
@@ -170,8 +170,8 @@ const GRAPHS_DIR: &str = "graphs";
 const RETIRED_PROFILES_DIR: &str = "profiles";
 /// Name suffixes of answer lists recorded in a retired order: one
 /// unordered parallel run's race outcome (filename tag `u`), and the
-/// schedule that extended every distinct `Jv` (tags `g` and `p`; see
-/// [`StoredOrder`]). No query can replay them, so [`Store::open`]
+/// schedule that extended every distinct `Jv` (tags `g` and `p`). No
+/// query can replay them, so [`Store::open`]
 /// deletes them rather than let them hold the disk budget.
 const RETIRED_ANSWER_SUFFIXES: [&str; 3] = ["-u.mts", "-g.mts", "-p.mts"];
 const QUARANTINE_DIR: &str = "quarantine";
@@ -272,25 +272,20 @@ impl Store {
     pub fn put_answers(&self, snap: &AnswerSnapshot, overwrite: bool) {
         self.enqueue(Job::Write {
             subdir: ANSWERS_DIR,
-            name: answers_name(snap.fingerprint, &snap.backend, snap.order),
+            name: answers_name(snap.fingerprint, &snap.backend),
             bytes: snap.encode(),
             overwrite,
         });
     }
 
-    /// Loads the replay cache for `(fingerprint, backend, order)`.
+    /// Loads the replay cache for `(fingerprint, backend)`.
     /// `None` on absence *or* corruption (the corrupt file is
     /// quarantined). The caller still owns the graph-equality check
     /// against the snapshot's `nodes`/`edges`.
-    pub fn load_answers(
-        &self,
-        fingerprint: u64,
-        backend: &str,
-        order: StoredOrder,
-    ) -> Option<AnswerSnapshot> {
+    pub fn load_answers(&self, fingerprint: u64, backend: &str) -> Option<AnswerSnapshot> {
         self.load(
             ANSWERS_DIR,
-            &answers_name(fingerprint, backend, order),
+            &answers_name(fingerprint, backend),
             AnswerSnapshot::decode,
         )
     }
@@ -586,11 +581,10 @@ fn sanitize(fragment: &str) -> String {
         .collect()
 }
 
-fn answers_name(fingerprint: u64, backend: &str, order: StoredOrder) -> String {
+fn answers_name(fingerprint: u64, backend: &str) -> String {
     format!(
-        "a{fingerprint:016x}-{}-{}.{ENTRY_EXT}",
-        sanitize(backend),
-        order.tag()
+        "a{fingerprint:016x}-{}-{ANSWERS_TAG}.{ENTRY_EXT}",
+        sanitize(backend)
     )
 }
 
@@ -634,7 +628,6 @@ mod tests {
         AnswerSnapshot {
             fingerprint: fp,
             backend: "mcs-m".into(),
-            order: StoredOrder::UponGeneration,
             nodes: 5,
             edges: vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
             answers: vec![vec![vec![0, 2]], vec![vec![1, 3]]],
@@ -652,13 +645,11 @@ mod tests {
         assert_eq!(store.entries(), 1);
         assert!(store.bytes_stored() > 0);
         let loaded = store
-            .load_answers(7, "mcs-m", StoredOrder::UponGeneration)
+            .load_answers(7, "mcs-m")
             .expect("published entry loads");
         assert_eq!(loaded, snap);
-        // A different order key is a different entry: miss.
-        assert!(store
-            .load_answers(7, "mcs-m", StoredOrder::UponPop)
-            .is_none());
+        // A different backend is a different entry: miss.
+        assert!(store.load_answers(7, "lb-triang").is_none());
         assert_eq!(store.stats().load_misses, 1);
     }
 
@@ -685,9 +676,7 @@ mod tests {
         }
         let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
         assert_eq!(store.entries(), 3, "reopen scans the published entries");
-        assert!(store
-            .load_answers(1, "mcs-m", StoredOrder::UponGeneration)
-            .is_some());
+        assert!(store.load_answers(1, "mcs-m").is_some());
         assert!(store.load_plan(1).is_some());
         assert_eq!(store.load_graph("g1").unwrap().nodes, 2);
     }
@@ -699,18 +688,13 @@ mod tests {
         store.put_answers(&sample(3), true);
         store.flush();
         // Flip one payload bit on disk.
-        let path =
-            dir.0
-                .join(ANSWERS_DIR)
-                .join(answers_name(3, "mcs-m", StoredOrder::UponGeneration));
+        let path = dir.0.join(ANSWERS_DIR).join(answers_name(3, "mcs-m"));
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         assert!(
-            store
-                .load_answers(3, "mcs-m", StoredOrder::UponGeneration)
-                .is_none(),
+            store.load_answers(3, "mcs-m").is_none(),
             "a corrupt entry must be a miss, not an answer"
         );
         let stats = store.stats();
@@ -725,9 +709,7 @@ mod tests {
         // The address is reusable: a rewrite publishes cleanly.
         store.put_answers(&sample(3), true);
         store.flush();
-        assert!(store
-            .load_answers(3, "mcs-m", StoredOrder::UponGeneration)
-            .is_some());
+        assert!(store.load_answers(3, "mcs-m").is_some());
     }
 
     #[test]
@@ -736,15 +718,10 @@ mod tests {
         let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
         store.put_answers(&sample(4), true);
         store.flush();
-        let path =
-            dir.0
-                .join(ANSWERS_DIR)
-                .join(answers_name(4, "mcs-m", StoredOrder::UponGeneration));
+        let path = dir.0.join(ANSWERS_DIR).join(answers_name(4, "mcs-m"));
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(store
-            .load_answers(4, "mcs-m", StoredOrder::UponGeneration)
-            .is_none());
+        assert!(store.load_answers(4, "mcs-m").is_none());
         assert_eq!(store.stats().corrupt_quarantined, 1);
     }
 
@@ -773,7 +750,7 @@ mod tests {
             store.put_answers(&sample(5), true);
         }
         let answers = dir.0.join(ANSWERS_DIR);
-        let kept = answers.join(answers_name(5, "mcs-m", StoredOrder::UponGeneration));
+        let kept = answers.join(answers_name(5, "mcs-m"));
         let retired: Vec<PathBuf> = tags
             .iter()
             .map(|tag| answers.join(format!("a{:016x}-mcs-m-{tag}.{ENTRY_EXT}", 5)))
@@ -788,9 +765,7 @@ mod tests {
         assert!(kept.exists(), "lists of the current order stay");
         assert_eq!(store.entries(), 1, "only the current list is counted");
         assert_eq!(store.bytes_stored(), fs::metadata(&kept).unwrap().len());
-        assert!(store
-            .load_answers(5, "mcs-m", StoredOrder::UponGeneration)
-            .is_some());
+        assert!(store.load_answers(5, "mcs-m").is_some());
     }
 
     #[test]
@@ -815,9 +790,7 @@ mod tests {
         store.put_answers(&second, false);
         store.flush();
         assert_eq!(store.stats().skipped_writes, 1);
-        let loaded = store
-            .load_answers(9, "mcs-m", StoredOrder::UponGeneration)
-            .unwrap();
+        let loaded = store.load_answers(9, "mcs-m").unwrap();
         assert_eq!(loaded, first, "the published entry won");
     }
 

@@ -36,7 +36,7 @@ pub const HEADER_LEN: usize = 24;
 /// cost profiles); it is never reused, so a kind-4 file fails to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
-    /// A completed-answer replay cache for one (atom, backend, order).
+    /// A completed-answer replay cache for one (atom, backend).
     Answers = 1,
     /// A memoized atom decomposition.
     Plan = 2,
@@ -55,51 +55,24 @@ impl EntryKind {
     }
 }
 
-/// The print mode a persisted answer list was recorded under. Both are
-/// the sequential schedule's emission order, which is the same full
-/// sequence under either print mode; the engine writes lists as
-/// `UponGeneration` and reads both values. Retired values are never
-/// reused, so a file holding one fails to decode:
+/// The order byte of every persisted answer list: the sequential
+/// schedule's emission order, which is the same full sequence under
+/// either print mode. Retired values are never reused, so a file holding
+/// any other byte fails to decode:
 ///
 /// * 0 named one unordered parallel run's race outcome;
 /// * 1 and 2 named the schedule that extended every distinct `Jv`,
 ///   before the frontier skipped each `Jv` an answer already contains.
 ///   That schedule emits the same answers in another order, so a
-///   hydrate of such a list would not replay what `run_local` yields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoredOrder {
-    /// Sequential schedule, results printed upon generation.
-    UponGeneration,
-    /// Sequential schedule, results printed upon queue pop.
-    UponPop,
-}
+///   hydrate of such a list would not replay what `run_local` yields;
+/// * 4 named the same order as 3 recorded under the other print mode,
+///   which no build ever wrote.
+const ORDER_BYTE: u8 = 3;
 
-impl StoredOrder {
-    /// Filename tag (part of the entry's identity on disk).
-    /// The retired tags are `u` (order 0) and `g` and `p` (orders 1
-    /// and 2).
-    pub fn tag(self) -> &'static str {
-        match self {
-            StoredOrder::UponGeneration => "g2",
-            StoredOrder::UponPop => "p2",
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            StoredOrder::UponGeneration => 3,
-            StoredOrder::UponPop => 4,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<StoredOrder, CodecError> {
-        match v {
-            3 => Ok(StoredOrder::UponGeneration),
-            4 => Ok(StoredOrder::UponPop),
-            _ => Err(CodecError::BadValue),
-        }
-    }
-}
+/// The filename tag of an answer list, part of its identity on disk
+/// and tied to `ORDER_BYTE`. The retired tags are `u` (order 0), `g`
+/// and `p` (orders 1 and 2) and `p2` (order 4).
+pub(crate) const ANSWERS_TAG: &str = "g2";
 
 /// Memo counters at snapshot time — a record of what the enumeration
 /// cost, carried for observability (a hydrated session starts its own
@@ -123,8 +96,6 @@ pub struct AnswerSnapshot {
     pub fingerprint: u64,
     /// Triangulation backend that recorded the list.
     pub backend: String,
-    /// Order contract of `answers`.
-    pub order: StoredOrder,
     /// Node count of the atom graph.
     pub nodes: u32,
     /// Canonical edge list of the atom graph (equality proof).
@@ -213,7 +184,7 @@ impl AnswerSnapshot {
         let mut e = Enc::new();
         e.u64(self.fingerprint);
         e.str(&self.backend);
-        e.u8(self.order.to_u8());
+        e.u8(ORDER_BYTE);
         e.u32(self.nodes);
         enc_edges(&mut e, &self.edges);
         e.usize(self.answers.len());
@@ -229,7 +200,9 @@ impl AnswerSnapshot {
     fn decode_payload(d: &mut Dec<'_>) -> Result<AnswerSnapshot, CodecError> {
         let fingerprint = d.u64()?;
         let backend = d.str()?;
-        let order = StoredOrder::from_u8(d.u8()?)?;
+        if d.u8()? != ORDER_BYTE {
+            return Err(CodecError::BadValue);
+        }
         let nodes = d.u32()?;
         let edges = dec_edges(d)?;
         let n = d.len_prefix()?;
@@ -245,7 +218,6 @@ impl AnswerSnapshot {
         Ok(AnswerSnapshot {
             fingerprint,
             backend,
-            order,
             nodes,
             edges,
             answers,
@@ -390,7 +362,6 @@ mod tests {
         AnswerSnapshot {
             fingerprint: 0xdead_beef_cafe_f00d,
             backend: "mcs-m".to_string(),
-            order: StoredOrder::UponGeneration,
             nodes: 6,
             edges: vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
             answers: vec![vec![vec![0, 2], vec![2, 4]], vec![vec![1, 3]], vec![]],
@@ -460,7 +431,7 @@ mod tests {
         prefix.u64(snap.fingerprint);
         prefix.str(&snap.backend);
         let at = prefix.finish().len();
-        assert_eq!(payload[at], 3, "the UponGeneration order byte");
+        assert_eq!(payload[at], ORDER_BYTE);
         payload[at] = order;
         frame(EntryKind::Answers, payload)
     }
@@ -474,15 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn retired_orders_1_and_2_fail_to_decode() {
-        for order in [1, 2] {
+    fn retired_orders_1_2_and_4_fail_to_decode() {
+        for order in [1, 2, 4] {
             assert!(matches!(
                 AnswerSnapshot::decode(&with_order_byte(order)),
                 Err(CodecError::BadValue)
             ));
         }
-        let pop = AnswerSnapshot::decode(&with_order_byte(4)).unwrap();
-        assert_eq!(pop.order, StoredOrder::UponPop);
     }
 
     #[test]

@@ -6,14 +6,7 @@
 
 use proptest::prelude::*;
 
-use mintri_store::{AnswerSnapshot, GraphSnapshot, MemoSummary, PlanSnapshot, StoredOrder};
-
-fn arb_order() -> impl Strategy<Value = StoredOrder> {
-    prop_oneof![
-        Just(StoredOrder::UponGeneration),
-        Just(StoredOrder::UponPop)
-    ]
-}
+use mintri_store::{AnswerSnapshot, GraphSnapshot, MemoSummary, PlanSnapshot};
 
 fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..64, 0u32..64), 0..40)
@@ -37,16 +30,15 @@ fn arb_backend() -> impl Strategy<Value = String> {
 
 fn arb_answer_snapshot() -> impl Strategy<Value = AnswerSnapshot> {
     (
-        (any::<u64>(), arb_backend(), arb_order(), 0u32..256),
+        (any::<u64>(), arb_backend(), 0u32..256),
         arb_edges(),
         arb_answers(),
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(
-            |((fingerprint, backend, order, nodes), edges, answers, (a, b, c))| AnswerSnapshot {
+            |((fingerprint, backend, nodes), edges, answers, (a, b, c))| AnswerSnapshot {
                 fingerprint,
                 backend,
-                order,
                 nodes,
                 edges,
                 answers,

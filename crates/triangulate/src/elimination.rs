@@ -55,12 +55,11 @@ pub fn eliminate(g: &Graph, strategy: &OrderingStrategy) -> Triangulation {
     let mut order = Vec::with_capacity(n);
 
     for step in 0..n {
-        let v = strategy.next_for_elimination(&h, &remaining, step);
+        let v = strategy.next(&h, &remaining, step);
         debug_assert!(remaining.contains(v));
         remaining.remove(v);
         order.push(v);
-        let mut nb = h.neighbors(v).clone();
-        nb.intersect_with(&remaining);
+        let nb = h.neighbors(v).intersection(&remaining);
         h.saturate(&nb);
     }
 
@@ -69,34 +68,6 @@ pub fn eliminate(g: &Graph, strategy: &OrderingStrategy) -> Triangulation {
         graph: h,
         fill,
         peo: Some(order),
-    }
-}
-
-impl OrderingStrategy {
-    /// Same selection rules as for LB-Triang, but scoring only among
-    /// not-yet-eliminated vertices.
-    pub(crate) fn next_for_elimination(
-        &self,
-        h: &Graph,
-        remaining: &NodeSet,
-        step: usize,
-    ) -> mintri_graph::Node {
-        match self {
-            OrderingStrategy::MinFill => remaining
-                .iter()
-                .min_by_key(|&v| {
-                    let mut nb = h.neighbors(v).clone();
-                    nb.intersect_with(remaining);
-                    (h.fill_cost(&nb), v)
-                })
-                .expect("remaining is nonempty"),
-            OrderingStrategy::MinDegree => remaining
-                .iter()
-                .min_by_key(|&v| (h.neighbors(v).intersection_len(remaining), v))
-                .expect("remaining is nonempty"),
-            OrderingStrategy::Natural => remaining.first().expect("remaining is nonempty"),
-            OrderingStrategy::Given(order) => order[step],
-        }
     }
 }
 

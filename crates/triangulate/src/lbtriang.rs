@@ -34,16 +34,13 @@ pub enum OrderingStrategy {
 
 impl OrderingStrategy {
     /// Picks the next vertex among `unprocessed` for the current graph `h`.
-    /// `step` is the number of already-processed vertices.
-    fn next(&self, h: &Graph, unprocessed: &NodeSet, step: usize) -> Node {
+    /// `step` is the number of already-processed vertices. Elimination
+    /// scores the same way among its not-yet-eliminated vertices.
+    pub(crate) fn next(&self, h: &Graph, unprocessed: &NodeSet, step: usize) -> Node {
         match self {
             OrderingStrategy::MinFill => unprocessed
                 .iter()
-                .min_by_key(|&v| {
-                    let mut nb = h.neighbors(v).clone();
-                    nb.intersect_with(unprocessed);
-                    (h.fill_cost(&nb), v)
-                })
+                .min_by_key(|&v| (h.fill_cost(&h.neighbors(v).intersection(unprocessed)), v))
                 .expect("unprocessed is nonempty"),
             OrderingStrategy::MinDegree => unprocessed
                 .iter()

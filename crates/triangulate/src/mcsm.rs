@@ -19,8 +19,8 @@
 //! maximal clique, and its numbered neighbourhood in `h` is a minimal
 //! separator. Every minimal separator of `h` appears this way.
 //!
-//! The search runs over flat words: the input graph is a row-major
-//! [`BitMatrix`](mintri_graph::BitMatrix), and the weight levels, the
+//! The search runs over flat words: the input graph's adjacency is one
+//! row-major bit matrix ([`Graph::words`]), and the weight levels, the
 //! rows of numbered neighbours and the per-step sets are rows of one
 //! width in buffers of their own. The body is generic over that width as
 //! a constant, instantiated for one and two words (graphs of up to 128

@@ -1,7 +1,7 @@
 //! The triangulation result type and the pluggable `Triangulate` black box
 //! of the paper's `Extend` procedure (Figure 3).
 
-use mintri_graph::{BitMatrix, Graph, Node, NodeSet};
+use mintri_graph::{Graph, Node, NodeSet};
 
 /// The result of triangulating a graph `g`: a chordal supergraph plus the
 /// fill edges that were added (`E(h) \ E(g)`, Section 2.3).
@@ -55,7 +55,7 @@ pub trait Triangulator: Send + Sync {
     /// **minimal** triangulation `h` into `ws`, without materializing the
     /// chordal graph and allocation-free once the workspace is warm.
     /// Callers that build the input in place (`Extend` saturates `g[φ]`
-    /// straight into the matrix) call this directly. Returns `false` —
+    /// straight into it) call this directly. Returns `false` —
     /// the default — when the backend has no scratch kernel; callers fall
     /// back to the allocating path. Only backends with
     /// [`Triangulator::guarantees_minimal`] may return `true`.
@@ -68,7 +68,7 @@ pub trait Triangulator: Send + Sync {
     /// into [`TriScratch::input`], then runs
     /// [`Triangulator::triangulate_loaded`].
     fn triangulate_into(&self, g: &Graph, ws: &mut TriScratch) -> bool {
-        ws.input.load(g);
+        ws.input.clone_from(g);
         self.triangulate_loaded(ws)
     }
 
@@ -77,16 +77,16 @@ pub trait Triangulator: Send + Sync {
 }
 
 /// Reusable workspace for the scratch kernel
-/// ([`Triangulator::triangulate_loaded`]): the input graph as a bit
-/// matrix, the fill list, elimination order and minimal separators a
-/// successful call produces, and the MCS-M search buffers behind them,
-/// all flat words. One per enumeration stream; every buffer
+/// ([`Triangulator::triangulate_loaded`]): the input graph, the fill
+/// list, elimination order and minimal separators a successful call
+/// produces, and the MCS-M search buffers behind them, all flat words. One per enumeration stream; every buffer
 /// grows to the largest graph seen and is reused thereafter.
 #[derive(Default)]
 pub struct TriScratch {
     /// The graph the next kernel call triangulates, loaded by
-    /// [`Triangulator::triangulate_into`] or built in place by the caller.
-    pub input: BitMatrix,
+    /// [`Triangulator::triangulate_into`] or built in place by the caller
+    /// (`clone_from` plus saturation), which reuses its word buffer.
+    pub input: Graph,
     /// Fill edges of the last successful run, each with `u < v`.
     pub fill: Vec<(Node, Node)>,
     /// Perfect elimination order of the last successful run (index 0 is

@@ -185,9 +185,8 @@ mod tests {
         let diseases = 5;
         let g = promedas(diseases, 20, 3, 5);
         for f in diseases..g.num_nodes() {
-            let mut parents = g.neighbors(f as Node).clone();
             let disease_set = mintri_graph::NodeSet::from_iter(g.num_nodes(), 0..diseases as Node);
-            parents.intersect_with(&disease_set);
+            let parents = g.neighbors(f as Node).intersection(&disease_set);
             assert!(g.is_clique(&parents), "parents of {f} must be saturated");
         }
     }
