@@ -136,19 +136,13 @@ impl Graph {
         }
     }
 
-    /// Row `v`, writable.
-    #[inline]
-    fn row_mut(&mut self, v: Node) -> &mut [u64] {
-        let w = self.width();
-        let v = v as usize;
-        &mut self.words[v * w..(v + 1) * w]
-    }
-
     /// Sets (`on`) or clears bit `v` of row `u`; returns whether it was set.
     #[inline]
     fn put(&mut self, u: Node, v: Node, on: bool) -> bool {
         let v = v as usize;
-        let word = &mut self.row_mut(u)[v / BITS];
+        debug_assert!(v < self.n);
+        let at = u as usize * self.width() + v / BITS;
+        let word = &mut self.words[at];
         let mask = 1u64 << (v % BITS);
         let was = *word & mask != 0;
         if on {
